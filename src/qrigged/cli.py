@@ -146,21 +146,18 @@ def _cmd_kostka(args) -> tuple[dict, int]:
         inst = KostkaInstance(MultiplicityArray.from_rows(widths, args.n), weight)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
-    result: dict = {}
-    code = EXIT_OK
-    if args.side in ("fermionic", "both"):
-        result["fermionic"] = _poly_payload(fermionic_kostka(inst))
-    if args.side in ("path", "both"):
-        result["path"] = _poly_payload(path_kostka(inst))
-    if args.side == "both":
-        report = verify_identity(inst)
-        result["normalization"] = dict(report.normalization)
-        result["equal"] = report.equal
-        if report.counterexample is not None:
-            result["counterexample"] = report.counterexample
-        if not report.equal:
-            code = EXIT_UNEQUAL
-    return result, code
+    if args.side == "fermionic":
+        return {"fermionic": _poly_payload(fermionic_kostka(inst))}, EXIT_OK
+    if args.side == "path":
+        return {"path": _poly_payload(path_kostka(inst))}, EXIT_OK
+    report = verify_identity(inst)
+    result = {"fermionic": _poly_payload(report.fermionic),
+              "path": _poly_payload(report.path),
+              "normalization": dict(report.normalization),
+              "equal": report.equal}
+    if report.counterexample is not None:
+        result["counterexample"] = report.counterexample
+    return result, EXIT_OK if report.equal else EXIT_UNEQUAL
 
 
 def _cmd_rc_list(args) -> tuple[dict, int]:

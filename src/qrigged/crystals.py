@@ -7,12 +7,16 @@ example, f_1(1 (x) 1) = 2 (x) 1 and 1 (x) 2 is highest weight.  The intrinsic
 energy transports the left factor of each pair rightward with the
 combinatorial R-matrix and adds local energies; with these conventions the
 statistic agrees exactly with cocharge under the path/rigged-configuration
-bijection (no global shift).
+bijection (no global shift).  The transport of each factor is carried across
+all positions to its right, so a path of k factors costs O(k^2) lookups in
+letter-pair memo tables; each table entry is computed, and the R-matrix
+entries checked, once per distinct pair of row words.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .combinat import Composition, rsk_insert
@@ -142,6 +146,15 @@ def is_highest_weight(path: Path) -> bool:
     return all(e_op(path, i) is None for i in range(1, path.n))
 
 
+@lru_cache(maxsize=None)
+def _rows(width: int, n: int) -> tuple[RowFactor, ...]:
+    """Every row factor of the given width over 1..n, in lexicographic order
+    of its word.  Shared (factors are immutable) by every path built from
+    it."""
+    return tuple(RowFactor(word, n) for word in
+                 combinations_with_replacement(range(1, n + 1), width))
+
+
 def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> list[Path]:
     """All tensor products of rows with the given widths and total content.
 
@@ -157,23 +170,6 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
             f"total content {weight.size()} != total boxes {sum(shape_list)}")
     target = list(weight.parts) + [0] * (n - len(weight.parts))
 
-    rows_by_width: dict[int, list[tuple[int, ...]]] = {}
-
-    def rows(width: int) -> list[tuple[int, ...]]:
-        if width not in rows_by_width:
-            acc: list[tuple[int, ...]] = []
-
-            def rec(prefix: list[int], lo: int):
-                if len(prefix) == width:
-                    acc.append(tuple(prefix))
-                    return
-                for v in range(lo, n + 1):
-                    rec(prefix + [v], v)
-
-            rec([], 1)
-            rows_by_width[width] = acc
-        return rows_by_width[width]
-
     out: list[Path] = []
     counts = [0] * n
 
@@ -181,17 +177,17 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
         if k == len(shape_list):
             out.append(Path(tuple(factors), n))
             return
-        for word in rows(shape_list[k]):
+        for row in _rows(shape_list[k], n):
             ok = True
-            for x in word:
+            for x in row.letters:
                 counts[x - 1] += 1
                 if counts[x - 1] > target[x - 1]:
                     ok = False
             if ok:
-                factors.append(RowFactor(word, n))
+                factors.append(row)
                 build(k + 1, factors)
                 factors.pop()
-            for x in word:
+            for x in row.letters:
                 counts[x - 1] -= 1
 
     build(0, [])
@@ -213,7 +209,13 @@ def local_energy(u: RowFactor, v: RowFactor) -> int:
     """
     if u.n != v.n:
         raise ValueError("factors must share the same rank")
-    tableau = rsk_insert(v.letters + u.letters)
+    return _local_energy_cached(u.letters, v.letters)
+
+
+@lru_cache(maxsize=None)
+def _local_energy_cached(u_letters: tuple[int, ...],
+                         v_letters: tuple[int, ...]) -> int:
+    tableau = rsk_insert(v_letters + u_letters)
     return len(tableau[1]) if len(tableau) > 1 else 0
 
 
@@ -221,20 +223,9 @@ def local_energy(u: RowFactor, v: RowFactor) -> int:
 def _highest_weight_pairs(s: int, t: int, n: int) -> dict[tuple[int, ...], "Path"]:
     """Highest-weight elements of B^{1,s} (x) B^{1,t}, keyed by weight."""
     out: dict[tuple[int, ...], Path] = {}
-
-    def rows(width: int):
-        def rec(prefix: list[int], lo: int):
-            if len(prefix) == width:
-                yield tuple(prefix)
-                return
-            for v_ in range(lo, n + 1):
-                yield from rec(prefix + [v_], v_)
-
-        yield from rec([], 1)
-
-    for uw in rows(s):
-        for vw in rows(t):
-            p = Path((RowFactor(uw, n), RowFactor(vw, n)), n)
+    for u in _rows(s, n):
+        for v in _rows(t, n):
+            p = Path((u, v), n)
             if is_highest_weight(p):
                 out[p.content()] = p
     return out
@@ -260,14 +251,15 @@ def _r_matrix_cached(u_letters: tuple[int, ...], v_letters: tuple[int, ...],
     target = _highest_weight_pairs(v.width(), u.width(), n)[cur.content()]
     cur2 = target
     for i in reversed(ops):
-        nxt2 = f_op(cur2, i)
-        assert nxt2 is not None, "R-matrix replay failed"
-        cur2 = nxt2
+        cur2 = f_op(cur2, i)
+        if cur2 is None:
+            raise AssertionError("R-matrix replay failed")
     left, right = cur2.factors
     # insertion characterization: the pair of insertion tableaux must agree
-    assert rsk_insert(v_letters + u_letters) == \
-        rsk_insert(right.letters + left.letters), \
-        "R-matrix output violates the insertion characterization"
+    if rsk_insert(v_letters + u_letters) != \
+            rsk_insert(right.letters + left.letters):
+        raise AssertionError(
+            "R-matrix output violates the insertion characterization")
     return left.letters, right.letters
 
 
@@ -289,16 +281,17 @@ def intrinsic_energy(path: Path) -> int:
 
     D = sum over pairs i < j of the local energy of (moved b_i) (x) b_j,
     where b_i is transported rightward to position j-1 through successive
-    R-matrix swaps.  With this normalization the generating function over
-    a weight class equals the cocharge generating function over the
-    corresponding unrestricted rigged configurations exactly.
+    R-matrix swaps.  The moved factor is carried from j to j+1 by one more
+    swap instead of being transported again from position i, so a path of
+    k factors takes O(k^2) memoized letter-pair lookups.  With this
+    normalization the generating function over a weight class equals the
+    cocharge generating function over the corresponding unrestricted rigged
+    configurations exactly.
     """
-    k = len(path.factors)
+    words = [f.letters for f in path.factors]
     total = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            moved = path.factors[i]
-            for m in range(i + 1, j):
-                _, moved = r_matrix(moved, path.factors[m])
-            total += local_energy(moved, path.factors[j])
+    for i, moved in enumerate(words):
+        for right in words[i + 1:]:
+            total += _local_energy_cached(moved, right)
+            _, moved = _r_matrix_cached(moved, right, path.n)
     return total

@@ -178,3 +178,21 @@ class TestSurface:
         assert "timing_ms" not in json.loads(out)
         _, out, _ = run_cli(["qbinom", "2", "1", "--timing"], capsys)
         assert "timing_ms" in json.loads(out)
+
+    def test_kostka_both_evaluates_each_side_once(self, capsys, monkeypatch):
+        import qrigged.cli as cli_module
+        import qrigged.kostka as kostka_module
+        calls = {"fermionic_kostka": 0, "path_kostka": 0}
+        for name in calls:
+            original = getattr(kostka_module, name)
+
+            def counted(inst, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(inst)
+
+            monkeypatch.setattr(kostka_module, name, counted)
+            monkeypatch.setattr(cli_module, name, counted)
+        code, _, _ = run_cli(["kostka", "--shapes", "1x1,1x1,1x1", "--n", "2",
+                              "--weight", "2,1", "--side", "both"], capsys)
+        assert code == EXIT_OK
+        assert calls == {"fermionic_kostka": 1, "path_kostka": 1}

@@ -1,6 +1,15 @@
-import pytest
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
-from gridutil import weight_compositions, width_tuples
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridutil import instance_grid, weight_compositions, width_tuples
+from qrigged import crystals
 from qrigged.combinat import Composition, Partition, charge, enumerate_ssyt
 from qrigged.crystals import (Path, RowFactor, e_op, enumerate_paths, f_op,
                               intrinsic_energy, is_highest_weight,
@@ -162,6 +171,92 @@ class TestIntrinsicEnergy:
                     expected.append((size_shape,
                                      binom - charge(t.reading_word())))
             assert sorted(observed) == sorted(expected)
+
+
+def restart_energy(path):
+    """Reference O(k^3) definition: transport b_i from position i afresh for
+    every j, through the public R-matrix, then add the local energy."""
+    factors = path.factors
+    total = 0
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            moved = factors[i]
+            for m in range(i + 1, j):
+                _, moved = r_matrix(moved, factors[m])
+            total += local_energy(moved, factors[j])
+    return total
+
+
+class TestCarriedTransport:
+    def test_matches_restart_on_rank_2_3_grid(self):
+        checked = 0
+        for widths, n in instance_grid(6):
+            for w in weight_compositions(sum(widths), n):
+                for p in enumerate_paths(widths, n, Composition(w)):
+                    assert intrinsic_energy(p) == restart_energy(p), str(p)
+                    checked += 1
+        assert checked == 11830
+
+    @pytest.mark.parametrize("widths", [(1,) * 6, (2, 1, 1, 1, 1)])
+    def test_matches_restart_on_rank_4(self, widths):
+        for w in weight_compositions(sum(widths), 4):
+            for p in enumerate_paths(widths, 4, Composition(w)):
+                assert intrinsic_energy(p) == restart_energy(p), str(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(1, n), min_size=1, max_size=3).map(sorted),
+        min_size=1, max_size=10).map(lambda words: path_of(words, n))))
+    def test_matches_restart_on_random_paths(self, path):
+        assert intrinsic_energy(path) == restart_energy(path)
+
+
+_CORRUPT_AND_CALL = """
+import sys
+from qrigged import crystals
+from qrigged.crystals import RowFactor, r_matrix
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+# every weight maps to the all-2 product, which is not highest weight
+crystals._highest_weight_pairs = lambda s, t, n: {
+    w: crystals.Path((RowFactor((2,) * t, n), RowFactor((2,) * s, n)), n)
+    for w in ((1, 1), (2, 0))}
+try:
+    r_matrix(RowFactor(%r, 2), RowFactor(%r, 2))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ((2,), (2,), "R-matrix replay failed"),
+    ((1,), (2,), "R-matrix output violates the insertion characterization"),
+])
+def test_r_matrix_checks_survive_optimize(u, v, message):
+    src = FsPath(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_AND_CALL % (u, v)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == message
+
+
+def test_path_side_imports_no_rigged_configuration_code():
+    # the main identity is a cross-check only while the energy is computed
+    # without the rc, bijection or kostka modules
+    tree = ast.parse(FsPath(crystals.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            modules.update(f"{node.module or ''}.{alias.name}"
+                           for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert not {m for m in modules
+                if m.rsplit(".", 1)[-1] in {"rc", "bijection", "kostka"}}
 
 
 def _rows(width, n):

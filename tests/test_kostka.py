@@ -2,7 +2,8 @@ from itertools import permutations
 
 import pytest
 
-from gridutil import dominant_partitions, weight_compositions, width_tuples
+from gridutil import (dominant_partitions, instance_grid, weight_compositions,
+                      width_tuples)
 from qrigged.combinat import Composition, Partition, kostka_foulkes
 from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance, calibrate,
                             fermionic_kostka, fermionic_kostka_closed_form,
@@ -78,6 +79,21 @@ class TestMainIdentity:
                     inst = instance(widths, n, w)
                     count = len(enumerate_paths(widths, n, Composition(w)))
                     assert fermionic_kostka(inst).evaluate_at_one() == count
+
+    @pytest.mark.slow
+    def test_closed_form_equals_path_on_rank_4_grid(self):
+        # opt-in extension of the acceptance grid to rank 4, <= 6 boxes
+        instances = objects = 0
+        for widths, n in instance_grid(6, ranks=(4,)):
+            for w in weight_compositions(sum(widths), n):
+                inst = instance(widths, n, w)
+                closed = fermionic_kostka_closed_form(inst)
+                assert closed == path_kostka(inst), (widths, n, w)
+                count = len(enumerate_paths(widths, n, Composition(w)))
+                assert closed.evaluate_at_one() == count, (widths, n, w)
+                instances += 1
+                objects += count
+        assert (instances, objects) == (3968, 48433)
 
     def test_corrupted_normalization_detected(self):
         inst = instance((1, 1), 2, (1, 1))
