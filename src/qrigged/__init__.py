@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .qalg import (IntPolynomial, PochhammerSpec, TruncatedSeries,
                    NonInvertibleSeriesError, DivergentProductError,
-                   pochhammer, pochhammer_qq, poly_add, poly_mul, q_binomial,
-                   series_add, series_from_poly, series_invert, series_mul)
+                   pochhammer, pochhammer_qq, q_binomial, series_from_poly)
 from .combinat import (Composition, Partition, Tableau, charge,
                        enumerate_ssyt, kostka_foulkes, kostka_number)
 from .crystals import (Path, RowFactor, UnsupportedFactorShapeError, e_op,

@@ -118,13 +118,6 @@ def _extract_letter(levels, n: int, rows_old, rows_new) -> int:
     return letter
 
 
-def _require_rows(path: Path) -> None:
-    # Path factors are rows by construction; the guard is for future shapes.
-    for f in path.factors:
-        if not isinstance(f, RowFactor):
-            raise UnsupportedFactorShapeError("unsupported factor shape")
-
-
 def _finalize(levels) -> RiggedConfiguration:
     config = Configuration(tuple(
         tuple(sorted((w for w, _ in lv), reverse=True)) for lv in levels))
@@ -137,7 +130,6 @@ def _finalize(levels) -> RiggedConfiguration:
 
 def path_to_rc(path: Path) -> RiggedConfiguration:
     """Map a path to its unrestricted rigged configuration."""
-    _require_rows(path)
     n = path.n
     levels: list[list[list[int]]] = [[] for _ in range(n - 1)]
     done: list[int] = []
@@ -203,7 +195,6 @@ class StatisticReport:
 def check_statistic(path: Path) -> StatisticReport:
     """Both statistics for one path plus the observed affine relation
     cocharge = sign * energy + shift."""
-    _require_rows(path)
     d = intrinsic_energy(path)
     cc = cocharge(path_to_rc(path))
     return StatisticReport(energy=d, cocharge=cc, sign=1, shift=cc - d)

@@ -22,7 +22,7 @@ from .crystals import (Path, UnsupportedFactorShapeError, enumerate_paths,
 from .kostka import (KostkaInstance, fermionic_kostka, path_kostka,
                      verify_identity)
 from .qalg import (IntPolynomial, PochhammerSpec, q_binomial, pochhammer)
-from .qseries.bailey import (INFINITY, InsufficientOrderError, bailey_step,
+from .qseries.bailey import (INFINITY, bailey_step,
                              rogers_ramanujan_seed, unit_bailey_pair,
                              verify_bailey_pair, weak_lemma)
 from .qseries.presets import (PresetRegistry, UnknownPresetError, character)
@@ -38,8 +38,8 @@ EXIT_UNKNOWN_PRESET = 5
 
 # Spec operation -> the one subcommand that exposes it (coverage-tested).
 OPERATION_MAP = {
-    "qalg.poly_add": "kostka",
-    "qalg.poly_mul": "qbinom",
+    "qalg.IntPolynomial.__add__": "kostka",
+    "qalg.IntPolynomial.__mul__": "qbinom",
     "qalg.q_binomial": "qbinom",
     "qalg.series_from_poly": "pochhammer",
     "qalg.series_arithmetic": "compare",
@@ -111,20 +111,20 @@ def _parse_weight(text: str) -> Composition:
         raise CliError(f"malformed weight: {exc}", EXIT_USAGE) from None
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _require_rows(shapes: list[tuple[int, int]]) -> tuple[int, ...]:
     if any(r != 1 for r, _ in shapes):
         raise CliError("unsupported factor shape", EXIT_UNSUPPORTED)
     return tuple(c for _, c in shapes)
-
-
-def _multiplicity_array(shapes: list[tuple[int, int]], n: int) -> MultiplicityArray:
-    counts: dict[tuple[int, int], int] = {}
-    for (r, c) in shapes:
-        counts[(r, c)] = counts.get((r, c), 0) + 1
-    try:
-        return MultiplicityArray(tuple(counts.items()), n)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from None
 
 
 def _series_payload(s) -> dict:
@@ -142,10 +142,7 @@ def _cmd_kostka(args) -> tuple[dict, int]:
     shapes = _parse_shapes(args.shapes)
     widths = _require_rows(shapes)
     weight = _parse_weight(args.weight)
-    try:
-        inst = KostkaInstance(MultiplicityArray.from_rows(widths, args.n), weight)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from None
+    inst = KostkaInstance(MultiplicityArray.from_rows(widths, args.n), weight)
     if args.side == "fermionic":
         return {"fermionic": _poly_payload(fermionic_kostka(inst))}, EXIT_OK
     if args.side == "path":
@@ -163,7 +160,8 @@ def _cmd_kostka(args) -> tuple[dict, int]:
 def _cmd_rc_list(args) -> tuple[dict, int]:
     shapes = _parse_shapes(args.shapes)
     weight = _parse_weight(args.weight)
-    L = _multiplicity_array(shapes, args.n)
+    # repeated rectangles are summed by MultiplicityArray
+    L = MultiplicityArray(tuple((shape, 1) for shape in shapes), args.n)
     if weight.size() != L.total_boxes():
         raise CliError(
             f"weight total {weight.size()} != boxes {L.total_boxes()}",
@@ -178,10 +176,7 @@ def _cmd_paths(args) -> tuple[dict, int]:
     shapes = _parse_shapes(args.shapes)
     widths = _require_rows(shapes)
     weight = _parse_weight(args.weight)
-    try:
-        paths = enumerate_paths(widths, args.n, weight)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from None
+    paths = enumerate_paths(widths, args.n, weight)
     objects = []
     for p in paths:
         if args.highest_weight_only and not is_highest_weight(p):
@@ -199,10 +194,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
             p = Path.parse(args.path, args.n)
         except ValueError as exc:
             raise CliError(f"malformed path: {exc}", EXIT_USAGE) from None
-        try:
-            rc = path_to_rc(p)
-        except UnsupportedFactorShapeError as exc:
-            raise CliError(str(exc), EXIT_UNSUPPORTED) from None
+        rc = path_to_rc(p)
         L = MultiplicityArray.from_rows(p.shapes(), p.n)
         result = {"path": str(p), "rc": rc_to_json(rc, L),
                   "statistic": check_statistic(p).as_dict()}
@@ -224,10 +216,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
         if shapes is None or weight is None:
             raise CliError("--check requires --shapes and --weight", EXIT_USAGE)
         widths = _require_rows(shapes)
-        try:
-            paths = enumerate_paths(widths, args.n, weight)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_USAGE) from None
+        paths = enumerate_paths(widths, args.n, weight)
         L = MultiplicityArray.from_rows(widths, args.n)
         seen = set()
         relation = None
@@ -278,12 +267,9 @@ def _cmd_pochhammer(args) -> tuple[dict, int]:
             length = int(args.length)
         except ValueError:
             raise CliError(f"malformed length {args.length!r}", EXIT_USAGE) from None
-    try:
-        spec = PochhammerSpec(args.sign, _parse_fraction(args.exponent),
-                              _parse_fraction(args.step), length)
-        series = pochhammer(spec, args.order)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from None
+    spec = PochhammerSpec(args.sign, _parse_fraction(args.exponent),
+                          _parse_fraction(args.step), length)
+    series = pochhammer(spec, args.order)
     return {"series": _series_payload(series)}, EXIT_OK
 
 
@@ -309,10 +295,7 @@ def _stepped_pair(args):
     for _ in range(args.steps):
         rho = INFINITY if args.rho in ("inf", "infinity") else _parse_fraction(args.rho)
         sigma = INFINITY if args.sigma in ("inf", "infinity") else _parse_fraction(args.sigma)
-        try:
-            pair = bailey_step(pair, rho, sigma)
-        except (ValueError, InsufficientOrderError) as exc:
-            raise CliError(str(exc), EXIT_USAGE) from None
+        pair = bailey_step(pair, rho, sigma)
     return pair
 
 
@@ -405,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponent", default="1", help="rational r in (q^r; q^m)")
     p.add_argument("--step", default="1", help="rational m in (q^r; q^m)")
     p.add_argument("--length", default="inf", help="integer or 'inf'")
-    p.add_argument("--order", type=int, default=20)
+    p.add_argument("--order", type=_nonnegative_int, default=20)
     p.set_defaults(func=_cmd_pochhammer)
 
     p = sub.add_parser("character", help="verify a character preset")
     p.add_argument("--preset", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_nonnegative_int, default=None)
     p.add_argument("--preset-dir", default=None)
     p.set_defaults(func=_cmd_character)
 
@@ -418,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("verify", "weak-limit"), default="verify")
     p.add_argument("--pair", default="unit",
                    help="seed pair name: " + ", ".join(sorted(_BAILEY_PAIRS)))
-    p.add_argument("--steps", type=int, default=0,
+    p.add_argument("--steps", type=_nonnegative_int, default=0,
                    help="number of Bailey-lemma steps to apply first")
     p.add_argument("--rho", default="inf")
     p.add_argument("--sigma", default="inf")
-    p.add_argument("--order", type=int, default=20)
-    p.add_argument("--max-n", type=int, default=12,
+    p.add_argument("--order", type=_nonnegative_int, default=20)
+    p.add_argument("--max-n", type=_nonnegative_int, default=12,
                    help="verify the defining relation for n up to this")
     p.set_defaults(func=_cmd_bailey)
 
@@ -432,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side-a", choices=("fermionic", "bosonic"), default="fermionic")
     p.add_argument("--preset-b", required=True)
     p.add_argument("--side-b", choices=("fermionic", "bosonic"), default="bosonic")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_nonnegative_int, default=None)
     p.add_argument("--preset-dir", default=None)
     p.set_defaults(func=_cmd_compare)
 
@@ -475,6 +458,9 @@ def main(argv=None) -> int:
     except UnsupportedFactorShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     envelope = {
         "command": args.command,
         "input": {k: v for k, v in sorted(vars(args).items())

@@ -16,10 +16,9 @@ from .combinat import Composition, Partition
 from .crystals import UnsupportedFactorShapeError, enumerate_paths, \
     intrinsic_energy, is_highest_weight
 from .qalg import IntPolynomial
-from .rc import (MultiplicityArray, _base_floor, _blocks, _corrections,
-                 block_generating_function, cocharge,
+from .rc import (MultiplicityArray, block_generating_function, cocharge,
                  configuration_charge_form, enumerate_configurations,
-                 enumerate_rc, vacancy)
+                 enumerate_rc, level_blocks, rigging_windows)
 
 # Frozen global normalization between path energy and cocharge:
 # cocharge = sign * energy + shift.  Computed from the calibration instance
@@ -55,8 +54,8 @@ def fermionic_kostka(inst: KostkaInstance) -> IntPolynomial:
     """Sum of q^cocharge over the unrestricted rigged configurations.
 
     Asserts agreement with the closed-form evaluation (q-binomial block
-    products) on every call; the two code paths share nothing beyond the
-    vacancy numbers.
+    products) on every call; the two code paths share only the window
+    computation (`level_blocks`, `rigging_windows`), not the rigging loop.
     """
     by_enumeration = IntPolynomial.zero()
     for rc in enumerate_rc(inst.L, inst.weight):
@@ -85,20 +84,18 @@ def fermionic_kostka_closed_form(inst: KostkaInstance) -> IntPolynomial:
         states: list[tuple[IntPolynomial, tuple[tuple[int, int], ...]]] = \
             [(base, ())]
         for a in range(1, inst.n):
-            blocks = _blocks(config.level(a))
+            if not states:
+                break
+            blocks = level_blocks(config, inst.L, wparts, a)
             # the block minimum only matters while a further level exists
             needs_split = a < inst.n - 1 and bool(config.level(a + 1))
             new_states: list[tuple[IntPolynomial, tuple[tuple[int, int], ...]]] = []
-            for poly, prev in states:
-                corr = _corrections([w for w, _ in blocks], prev)
+            for poly, below in states:
+                windows = rigging_windows(blocks, below)
+                if any(lo > p for (_, _, lo, p, _) in windows):
+                    continue
                 per_block: list[list[tuple[IntPolynomial, tuple[int, int]]]] = []
-                feasible = True
-                for (w, m) in blocks:
-                    p = vacancy(config, inst.L, a, w)
-                    lo = _base_floor(w, wparts, a) + corr[w]
-                    if lo > p:
-                        feasible = False
-                        break
+                for (w, m, lo, p, carry) in windows:
                     if not needs_split:
                         per_block.append(
                             [(block_generating_function(m, lo, p), (w, 0))])
@@ -109,10 +106,8 @@ def fermionic_kostka_closed_form(inst: KostkaInstance) -> IntPolynomial:
                         gf = block_generating_function(m, xmin, p) - \
                             block_generating_function(m, xmin + 1, p)
                         if not gf.is_zero():
-                            choices.append((gf, (w, max(0, corr[w] - xmin))))
+                            choices.append((gf, (w, max(0, carry - xmin))))
                     per_block.append(choices)
-                if not feasible:
-                    continue
                 for combo in iproduct(*per_block):
                     gf = poly
                     depths = []

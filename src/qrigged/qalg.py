@@ -174,14 +174,6 @@ class IntPolynomial:
         return IntPolynomial({int(e): int(str(c)) for e, c in pairs})
 
 
-def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a + b
-
-
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # Gaussian binomials
 # ---------------------------------------------------------------------------
@@ -381,18 +373,6 @@ class TruncatedSeries:
             terms.append(f"{c}{estr}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(q^{self.frontier + self.step})"
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_invert(s: TruncatedSeries) -> TruncatedSeries:
-    return s.invert()
 
 
 def series_one(order: int, step: Fraction = Fraction(1)) -> TruncatedSeries:

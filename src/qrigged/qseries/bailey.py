@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from ..qalg import (PochhammerSpec, TruncatedSeries, pochhammer, series_one)
+from ..qalg import (PochhammerSpec, TruncatedSeries, pochhammer, pochhammer_qq,
+                    series_one)
 
 
 class InsufficientOrderError(ValueError):
@@ -82,10 +83,6 @@ class PairCheck:
         return out
 
 
-def _poch_qq(length: Optional[int], order: int) -> TruncatedSeries:
-    return pochhammer(PochhammerSpec(1, Fraction(1), Fraction(1), length), order)
-
-
 def _poch_shifted(exponent: Fraction, length: Optional[int], order: int) -> TruncatedSeries:
     """(q^exponent; q)_length."""
     return pochhammer(PochhammerSpec(1, Fraction(exponent), Fraction(1), length), order)
@@ -106,7 +103,7 @@ def verify_bailey_pair(pair: BaileyPair, order: int,
         rhs = None
         for j in range(n + 1):
             term = pair.alpha(j, order) \
-                * _poch_qq(n - j, order).invert() \
+                * pochhammer_qq(n - j, order).invert() \
                 * _poch_shifted(1 + k, n + j, order).invert()
             rhs = term if rhs is None else rhs + term
         if not lhs.same_series(rhs):
@@ -127,7 +124,7 @@ def unit_bailey_pair(base_exponent: Fraction = Fraction(0)) -> BaileyPair:
         return TruncatedSeries((0,) * (order + 1))
 
     def beta(n: int, order: int) -> TruncatedSeries:
-        return (_poch_qq(n, order) * _poch_shifted(1 + k, n, order)).invert()
+        return (pochhammer_qq(n, order) * _poch_shifted(1 + k, n, order)).invert()
 
     return BaileyPair(k, alpha, beta, None, "unit")
 
@@ -146,7 +143,7 @@ def rogers_ramanujan_seed() -> BaileyPair:
         return _monomial(e1, order, sign) + _monomial(e2, order, sign)
 
     def beta(n: int, order: int) -> TruncatedSeries:
-        return _poch_qq(n, order).invert()
+        return pochhammer_qq(n, order).invert()
 
     return BaileyPair(Fraction(0), alpha, beta, None, "rogers-ramanujan-seed")
 
@@ -209,7 +206,7 @@ def bailey_step(pair: BaileyPair, rho: BaileyParam, sigma: BaileyParam,
         acc = None
         for j in range(n + 1):
             term = a_factor(j, order) * t_factor(n - j, order) \
-                * _poch_qq(n - j, order).invert() * pair.beta(j, order)
+                * pochhammer_qq(n - j, order).invert() * pair.beta(j, order)
             acc = term if acc is None else acc + term
         return acc * d_factor(n, order).invert()
 

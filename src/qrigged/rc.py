@@ -13,8 +13,8 @@ is validated exhaustively against path enumeration by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import groupby, product as iproduct
+from typing import Mapping, Optional, Sequence
 
 from .combinat import Composition, partitions_of
 from .qalg import IntPolynomial, q_binomial
@@ -156,22 +156,40 @@ def configuration_sizes(L: MultiplicityArray, weight: Composition) -> Optional[t
 
 
 # ---------------------------------------------------------------------------
-# Lower bounds: base floor plus carried depth
+# Rigging windows: base floor plus carried depth
 # ---------------------------------------------------------------------------
 
-def _base_floor(i: int, weight_parts: Sequence[int], a: int) -> int:
-    """-min(i, lambda_{a+1}): the level-a floor before carried depth."""
+def level_blocks(config: Configuration, L: MultiplicityArray,
+                 weight_parts: Sequence[int], a: int
+                 ) -> list[tuple[int, int, int, int]]:
+    """(width, mult, floor, p) for each block of equal-width rows of
+    nu^{(a)}, widths descending.
+
+    floor = -min(width, lambda_{a+1}) is the level-a floor before carried
+    depth and p the vacancy number; neither depends on the riggings.
+    """
     lam_next = weight_parts[a] if a < len(weight_parts) else 0
-    return -min(i, lam_next)
+    return [(w, len(list(rows)), -min(w, lam_next), vacancy(config, L, a, w))
+            for w, rows in groupby(config.level(a))]
 
 
-def _corrections(widths: Iterable[int], prev_depths: Sequence[tuple[int, int]]) -> dict[int, int]:
-    """Carried-depth correction per width, from (width, depth) pairs one
-    level down; a longer row absorbs (its width - i) units of depth."""
-    corr: dict[int, int] = {}
-    for i in set(widths):
-        corr[i] = max([0] + [d - max(0, w - i) for (w, d) in prev_depths])
-    return corr
+def rigging_windows(blocks: Sequence[tuple[int, int, int, int]],
+                    below: Sequence[tuple[int, int]]
+                    ) -> list[tuple[int, int, int, int, int]]:
+    """(width, mult, lo, p, carry) for each block of `level_blocks`.
+
+    `below` holds the (width, depth) pairs passed up by the level beneath;
+    a row of width v there absorbs max(0, v - width) units of its depth,
+    and carry is the largest remainder (at least 0).  The window is [lo, p]
+    with lo = floor + carry.  A block whose least rigging is x passes
+    (width, max(0, carry - x)) up to the next level: a string's depth only
+    falls as its rigging rises, so the block minimum carries the most.
+    """
+    out = []
+    for (w, m, floor, p) in blocks:
+        carry = max([0] + [d - max(0, v - w) for (v, d) in below])
+        out.append((w, m, floor + carry, p, carry))
+    return out
 
 
 @dataclass(frozen=True)
@@ -207,18 +225,6 @@ class RiggedConfiguration:
         """(width, rigging) pairs of level a, canonical order."""
         return tuple(zip(self.config.level(a), self.riggings[a - 1]))
 
-    def depths(self, L: MultiplicityArray) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Carried depth max(0, correction - rigging) of every string."""
-        out = []
-        prev: tuple[tuple[int, int], ...] = ()
-        for a in range(1, L.n):
-            strings = self.strings(a)
-            corr = _corrections([w for w, _ in strings], prev)
-            level = tuple((w, max(0, corr[w] - x)) for (w, x) in strings)
-            prev = level
-            out.append(level)
-        return tuple(out)
-
     def __str__(self) -> str:
         levels = []
         for a in range(1, len(self.config.nu) + 1):
@@ -233,23 +239,21 @@ def lower_bound(config: Configuration, L: MultiplicityArray, a: int, row: int) -
 
     Computed with the all-singular reference: riggings below level a are
     taken at their vacancy numbers, which minimizes every carried depth
-    simultaneously, so the returned value is the least rigging the row can
-    take in any valid rigged configuration on this configuration.
+    simultaneously.  No valid rigged configuration on this configuration
+    gives the row a smaller rigging.  The bound is attained whenever
+    nu^{(a+1)} is empty; otherwise a rigging at the bound may carry so much
+    depth up that a window at level a+1 is empty, and the row's least
+    rigging over valid objects is then larger.
     """
-    n = L.n
     level = config.level(a)
     if not 0 <= row < len(level):
         raise IndexError(f"level {a} has no row {row}")
     weight_parts = weight_of(config, L)
-    prev: tuple[tuple[int, int], ...] = ()
+    below: tuple[tuple[int, int], ...] = ()
     for b in range(1, a + 1):
-        strings = config.level(b)
-        corr = _corrections(strings, prev)
-        if b == a:
-            return _base_floor(level[row], weight_parts, a) + corr[level[row]]
-        prev = tuple((w, max(0, corr[w] - vacancy(config, L, b, w)))
-                     for w in strings)
-    raise AssertionError("unreachable")
+        windows = rigging_windows(level_blocks(config, L, weight_parts, b), below)
+        below = tuple((w, max(0, carry - p)) for (w, _, _, p, carry) in windows)
+    return next(lo for (w, _, lo, _, _) in windows if w == level[row])
 
 
 def validate(rc: RiggedConfiguration, L: MultiplicityArray,
@@ -272,29 +276,22 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray,
         if declared[:n] != wparts:
             raise InvalidRiggedConfigurationError(
                 f"declared weight {declared[:n]} != forced weight {wparts}")
-    prev: tuple[tuple[int, int], ...] = ()
+    below: list[tuple[int, int]] = []
     for a in range(1, n):
-        strings = rc.strings(a)
-        corr = _corrections([w for w, _ in strings], prev)
-        for (w, x) in strings:
-            p = vacancy(rc.config, L, a, w)
-            lo = _base_floor(w, wparts, a) + corr[w]
-            if not lo <= x <= p:
-                raise InvalidRiggedConfigurationError(
-                    f"rigging {x} of a width-{w} row at level {a} "
-                    f"violates its window [{lo}, {p}]")
-        prev = tuple((w, max(0, corr[w] - x)) for (w, x) in strings)
-
-
-def _blocks(partition: Sequence[int]) -> list[tuple[int, int]]:
-    """(width, multiplicity) pairs, widths descending."""
-    out: list[tuple[int, int]] = []
-    for p in partition:
-        if out and out[-1][0] == p:
-            out[-1] = (p, out[-1][1] + 1)
-        else:
-            out.append((p, 1))
-    return out
+        windows = rigging_windows(level_blocks(rc.config, L, wparts, a), below)
+        riggings = rc.riggings[a - 1]
+        below = []
+        start = 0
+        for (w, m, lo, p, carry) in windows:
+            block = riggings[start:start + m]
+            start += m
+            for x in block:
+                if not lo <= x <= p:
+                    raise InvalidRiggedConfigurationError(
+                        f"rigging {x} of a width-{w} row at level {a} "
+                        f"violates its window [{lo}, {p}]")
+            # canonical order: a block's riggings decrease, the last is least
+            below.append((w, max(0, carry - block[-1])))
 
 
 def _weakly_decreasing_tuples(m: int, lo: int, hi: int):
@@ -322,9 +319,8 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
                  ) -> list[RiggedConfiguration]:
     """All unrestricted rigged configurations for (L, weight).
 
-    Riggings are generated level by level; each level's windows are
-    [-min(i, lambda_{a+1}) + carried depth, vacancy].  Canonical
-    representatives, deterministic order.
+    Riggings are generated level by level inside the windows of
+    `rigging_windows`.  Canonical representatives, deterministic order.
     """
     if len(weight.trimmed()) > L.n:
         raise ValueError("weight has more parts than the rank")
@@ -334,29 +330,22 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
         # states: (riggings so far, (width, depth) pairs of previous level)
         states: list[tuple[list[tuple[int, ...]], tuple[tuple[int, int], ...]]] = [([], ())]
         for a in range(1, L.n):
-            blocks = _blocks(config.level(a))
+            if not states:
+                break
+            blocks = level_blocks(config, L, wparts, a)
             new_states = []
-            for (prefix, prev) in states:
-                corr = _corrections([w for w, _ in blocks], prev)
-                options: list[list[tuple[int, ...]]] = []
-                feasible = True
-                for (w, m) in blocks:
-                    p = vacancy(config, L, a, w)
-                    lo = _base_floor(w, wparts, a) + corr[w]
-                    if lo > p:
-                        feasible = False
-                        break
-                    options.append(list(_weakly_decreasing_tuples(m, lo, p)))
-                if not feasible:
+            for (prefix, below) in states:
+                windows = rigging_windows(blocks, below)
+                if any(lo > p for (_, _, lo, p, _) in windows):
                     continue
+                # rigs decreases weakly, so rigs[-1] is the block minimum
+                options = [[(rigs, (w, max(0, carry - rigs[-1])))
+                            for rigs in _weakly_decreasing_tuples(m, lo, p)]
+                           for (w, m, lo, p, carry) in windows]
                 for combo in iproduct(*options):
-                    level: list[int] = []
-                    depths: list[tuple[int, int]] = []
-                    for (w, m), rigs in zip(blocks, combo):
-                        for r in rigs:
-                            level.append(r)
-                            depths.append((w, max(0, corr[w] - r)))
-                    new_states.append((prefix + [tuple(level)], tuple(depths)))
+                    level = tuple(r for rigs, _ in combo for r in rigs)
+                    new_states.append((prefix + [level],
+                                       tuple(depth for _, depth in combo)))
             states = new_states
         for (levels, _) in states:
             out.append(RiggedConfiguration(config, tuple(levels)))

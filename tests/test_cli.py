@@ -116,6 +116,26 @@ class TestExitCodes:
         code, _, _ = run_cli(["qbinom", "3", "1"], capsys)
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("argv", [
+        ["character", "--preset", "rogers-ramanujan-1", "--order", "-3"],
+        ["compare", "--preset-a", "rogers-ramanujan-1",
+         "--preset-b", "rogers-ramanujan-1", "--order", "-2"],
+        ["bailey", "--mode", "weak-limit", "--order", "-1"],
+        ["bijection", "--n", "1", "--shapes", "1",
+         "--rc", '[{"partition": [1], "riggings": [0]}]'],
+        ["bailey", "--max-n", "-1"],
+        ["bailey", "--order", "-1"],
+    ])
+    def test_bad_numeric_argument_is_usage_error(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # rejected by the argument parser
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(("usage:", "error:"))
+        assert "Traceback" not in err
+
 
 class TestSurface:
     def test_every_operation_has_exactly_one_subcommand(self):

@@ -61,6 +61,15 @@ class TestTwoEvaluationRoutes:
                     assert fermionic_kostka(inst) == \
                         fermionic_kostka_closed_form(inst)
 
+    def test_disagreement_raises(self, monkeypatch):
+        import qrigged.kostka as kostka_module
+        inst = instance((1, 1), 2, (1, 1))
+        shifted = fermionic_kostka_closed_form(inst).shift(1)
+        monkeypatch.setattr(kostka_module, "fermionic_kostka_closed_form",
+                            lambda _inst: shifted)
+        with pytest.raises(AssertionError, match="evaluation paths disagree"):
+            fermionic_kostka(inst)
+
 
 class TestMainIdentity:
     def test_identity_on_grid(self):

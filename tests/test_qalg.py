@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qrigged.qalg import (DivergentProductError, IntPolynomial,
                           NonInvertibleSeriesError, PochhammerSpec,
                           TruncatedSeries, pochhammer, pochhammer_qq,
-                          poly_add, poly_mul, q_binomial, series_from_poly,
-                          series_one)
+                          q_binomial, series_from_poly, series_one)
 
 
 def P(terms):
@@ -18,21 +17,21 @@ def P(terms):
 class TestPolynomials:
     def test_add_identity(self):
         p = P({0: 1, 3: -2})
-        assert poly_add(IntPolynomial.zero(), p) == p
+        assert IntPolynomial.zero() + p == p
 
     def test_add_hand(self):
-        assert poly_add(P({0: 1, 1: 1}), P({1: 1, 2: 1})) == P({0: 1, 1: 2, 2: 1})
+        assert P({0: 1, 1: 1}) + P({1: 1, 2: 1}) == P({0: 1, 1: 2, 2: 1})
 
     def test_add_cancellation(self):
-        assert poly_add(P({-1: 1}), P({-1: -1})) == IntPolynomial.zero()
+        assert P({-1: 1}) + P({-1: -1}) == IntPolynomial.zero()
 
     def test_mul_identity(self):
         p = P({-2: 3, 5: 1})
-        assert poly_mul(IntPolynomial.one(), p) == p
+        assert IntPolynomial.one() * p == p
 
     def test_mul_hand(self):
-        assert poly_mul(P({0: 1, 1: 1}), P({0: 1, 1: -1})) == P({0: 1, 2: -1})
-        assert poly_mul(P({0: 1, 1: 1, 2: 1}), P({0: 1, 2: 1})) == \
+        assert P({0: 1, 1: 1}) * P({0: 1, 1: -1}) == P({0: 1, 2: -1})
+        assert P({0: 1, 1: 1, 2: 1}) * P({0: 1, 2: 1}) == \
             P({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
 
     def test_render(self):

@@ -1,12 +1,22 @@
 import pytest
 
-from gridutil import weight_compositions, width_tuples
+from gridutil import dominant_partitions, weight_compositions, width_tuples
 from qrigged.combinat import Composition, Partition, kostka_number
 from qrigged.crystals import enumerate_paths
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
                         enumerate_rc, lower_bound, rc_from_json, rc_to_json,
                         validate, vacancy, weight_of)
+
+
+def _rc_grid(max_boxes: int):
+    """(L, weight) over row shapes with <= max_boxes boxes, ranks 2-3."""
+    for total in range(1, max_boxes + 1):
+        for mu in dominant_partitions(total):
+            for n in (2, 3):
+                L = MultiplicityArray.from_rows(mu, n)
+                for w in weight_compositions(total, n):
+                    yield L, Composition(w)
 
 
 class TestVacancy:
@@ -70,6 +80,38 @@ class TestLowerBound:
         L = MultiplicityArray({(1, 1): 2}, 2)
         with pytest.raises(IndexError):
             lower_bound(Configuration(((1,),)), L, 1, 1)
+
+    def test_bound_unreached_when_it_empties_the_next_window(self):
+        # a level-1 rigging at -1 carries depth 1 up, which lifts the
+        # level-2 floor to 0 above its vacancy -1
+        L = MultiplicityArray.from_rows((1, 1, 1, 1), 3)
+        config = Configuration(((1, 1, 1), (1, 1)))
+        assert weight_of(config, L) == (1, 1, 2)
+        assert lower_bound(config, L, 1, 0) == -1
+        out = [rc for rc in enumerate_rc(L, Composition((1, 1, 2)))
+               if rc.config == config]
+        assert [rc.riggings for rc in out] == [((0, 0, 0), (-1, -1))]
+
+    def test_bound_against_enumeration_on_grid(self):
+        # every row of every configuration that carries an object, over
+        # ranks 2-3 with <= 5 boxes: the bound is never undercut, and it is
+        # attained whenever nothing sits on the next level
+        rows = unreached = 0
+        for L, weight in _rc_grid(5):
+            least: dict = {}
+            for rc in enumerate_rc(L, weight):
+                for a, level in enumerate(rc.riggings, start=1):
+                    for row, x in enumerate(level):
+                        key = (rc.config, a, row)
+                        least[key] = min(least.get(key, x), x)
+            for (config, a, row), x in least.items():
+                bound = lower_bound(config, L, a, row)
+                assert bound <= x, (L, weight, config, a, row)
+                if not config.level(a + 1):
+                    assert bound == x, (L, weight, config, a, row)
+                rows += 1
+                unreached += bound < x
+        assert (rows, unreached) == (1081, 21)
 
 
 class TestEnumeration:
@@ -148,6 +190,37 @@ class TestValidationAndJson:
             validate(RiggedConfiguration(config, ((1,),)), L)   # above vacancy
         with pytest.raises(InvalidRiggedConfigurationError):
             validate(RiggedConfiguration(config, ((-2,),)), L)  # below bound
+
+    def test_validator_agrees_with_enumeration_at_window_edges(self):
+        # move each rigging of each enumerated object by +-1; validate must
+        # accept exactly the candidates that enumeration produces.  Written
+        # without assert so that it still checks under python -O.
+        candidates = rejected = 0
+        disagreements = []
+        for L, weight in _rc_grid(5):
+            objects = enumerate_rc(L, weight)
+            valid = set(objects)
+            for rc in objects:
+                for a, level in enumerate(rc.riggings):
+                    for row in range(len(level)):
+                        for step in (-1, 1):
+                            riggings = [list(lv) for lv in rc.riggings]
+                            riggings[a][row] += step
+                            moved = RiggedConfiguration(
+                                rc.config, tuple(map(tuple, riggings)))
+                            try:
+                                validate(moved, L)
+                                accepted = True
+                            except InvalidRiggedConfigurationError:
+                                accepted = False
+                                rejected += 1
+                            candidates += 1
+                            if accepted != (moved in valid):
+                                disagreements.append((L, weight, moved, accepted))
+        if disagreements:
+            pytest.fail(f"validate and enumerate_rc disagree: {disagreements[:3]}")
+        if (candidates, rejected) != (5342, 3660):
+            pytest.fail(f"grid changed: {candidates} candidates, {rejected} rejected")
 
     def test_json_roundtrip_recomputes_vacancies(self):
         L = MultiplicityArray({(1, 1): 2}, 2)
