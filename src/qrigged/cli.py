@@ -1,4 +1,5 @@
-"""Command-line surface: every library operation behind one subcommand.
+"""Command-line surface over the library.  `OPERATION_MAP` lists the library
+operations the subcommands run, each with the one subcommand that exposes it.
 
 Exit codes: 0 success (and identity verified where applicable), 2 usage or
 parse error, 3 verified inequality, 4 unsupported factor shape, 5 unknown
@@ -36,26 +37,22 @@ EXIT_UNEQUAL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_UNKNOWN_PRESET = 5
 
-# Spec operation -> the one subcommand that exposes it (coverage-tested).
+# Largest degree k(m-k) that `qbinom` computes; the library has no limit.
+QBINOM_MAX_DEGREE = 20_000
+
+# Library operation -> the one subcommand that runs it (reachability-tested).
 OPERATION_MAP = {
     "qalg.IntPolynomial.__add__": "kostka",
-    "qalg.IntPolynomial.__mul__": "qbinom",
     "qalg.q_binomial": "qbinom",
-    "qalg.series_from_poly": "pochhammer",
-    "qalg.series_arithmetic": "compare",
+    "qalg.TruncatedSeries.__sub__": "compare",
     "qalg.pochhammer": "pochhammer",
-    "combinat.enumerate_ssyt": "paths",
-    "combinat.charge": "paths",
-    "combinat.kostka_foulkes": "kostka",
-    "combinat.kostka_number": "paths",
+    "combinat.partitions_of": "rc-list",
     "crystals.enumerate_paths": "paths",
     "crystals.f_op": "paths",
     "crystals.e_op": "paths",
     "crystals.is_highest_weight": "paths",
-    "crystals.local_energy": "paths",
     "crystals.intrinsic_energy": "paths",
     "rc.vacancy": "rc-list",
-    "rc.lower_bound": "rc-list",
     "rc.enumerate_rc": "rc-list",
     "rc.cocharge": "rc-list",
     "bijection.path_to_rc": "bijection",
@@ -63,7 +60,6 @@ OPERATION_MAP = {
     "bijection.check_statistic": "bijection",
     "kostka.fermionic_kostka": "kostka",
     "kostka.path_kostka": "kostka",
-    "kostka.restricted_kostka": "paths",
     "kostka.verify_identity": "kostka",
     "qseries.verify_bailey_pair": "bailey",
     "qseries.bailey_step": "bailey",
@@ -125,11 +121,6 @@ def _require_rows(shapes: list[tuple[int, int]]) -> tuple[int, ...]:
     if any(r != 1 for r, _ in shapes):
         raise CliError("unsupported factor shape", EXIT_UNSUPPORTED)
     return tuple(c for _, c in shapes)
-
-
-def _series_payload(s) -> dict:
-    return {"offset": str(s.offset), "step": str(s.step),
-            "coeffs": [str(c) for c in s.coeffs]}
 
 
 def _poly_payload(p: IntPolynomial) -> dict:
@@ -250,6 +241,10 @@ def _cmd_bijection(args) -> tuple[dict, int]:
 def _cmd_qbinom(args) -> tuple[dict, int]:
     if args.m < 0:
         raise CliError("m must be nonnegative", EXIT_USAGE)
+    degree = args.k * (args.m - args.k)
+    if degree > QBINOM_MAX_DEGREE:
+        raise CliError(f"degree k(m-k) = {degree} is above the limit "
+                       f"{QBINOM_MAX_DEGREE}", EXIT_USAGE)
     return {"polynomial": _poly_payload(q_binomial(args.m, args.k))}, EXIT_OK
 
 
@@ -270,7 +265,7 @@ def _cmd_pochhammer(args) -> tuple[dict, int]:
     spec = PochhammerSpec(args.sign, _parse_fraction(args.exponent),
                           _parse_fraction(args.step), length)
     series = pochhammer(spec, args.order)
-    return {"series": _series_payload(series)}, EXIT_OK
+    return {"series": series.to_json()}, EXIT_OK
 
 
 def _cmd_character(args) -> tuple[dict, int]:
@@ -310,8 +305,8 @@ def _cmd_bailey(args) -> tuple[dict, int]:
     pair = _stepped_pair(args)
     lhs, rhs = weak_lemma(pair, args.order)
     comparison = compare_series(lhs, rhs)
-    return ({"pair": pair.name, "lhs": _series_payload(lhs),
-             "rhs": _series_payload(rhs), **comparison.as_dict()},
+    return ({"pair": pair.name, "lhs": lhs.to_json(),
+             "rhs": rhs.to_json(), **comparison.as_dict()},
             EXIT_OK if comparison.equal else EXIT_UNEQUAL)
 
 
@@ -323,7 +318,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
             preset = registry.get(preset_name)
         except UnknownPresetError as exc:
             raise CliError(str(exc), EXIT_UNKNOWN_PRESET) from None
-        order = args.order or preset.declared_order
+        order = preset.declared_order if args.order is None else args.order
         if which == "fermionic":
             return eval_fermionic(preset.fermionic, order).shift(preset.offset)
         return eval_bosonic(preset.bosonic, order).shift(preset.offset)
@@ -331,7 +326,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
     a = side(args.preset_a, args.side_a)
     b = side(args.preset_b, args.side_b)
     comparison = compare_series(a, b)
-    return ({"left": _series_payload(a), "right": _series_payload(b),
+    return ({"left": a.to_json(), "right": b.to_json(),
              **comparison.as_dict()},
             EXIT_OK if comparison.equal else EXIT_UNEQUAL)
 
@@ -378,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="round-trip and statistic check over the instance")
     p.set_defaults(func=_cmd_bijection)
 
-    p = sub.add_parser("qbinom", help="Gaussian binomial [m choose k]_q")
+    p = sub.add_parser(
+        "qbinom", help="Gaussian binomial [m choose k]_q",
+        description=f"Gaussian binomial [m choose k]_q.  A degree k(m-k) above "
+                    f"{QBINOM_MAX_DEGREE} is refused with exit code 2.")
     p.add_argument("m", type=int)
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_qbinom)

@@ -175,27 +175,47 @@ class IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# The factor kernel: (1 - s*q^e)^(+/-1) on a dense integer list
+# ---------------------------------------------------------------------------
+
+def _apply_factor(c: list[int], e: int, sign: int, power: int) -> None:
+    """Multiply the dense coefficient list `c` (of q^0 .. q^(len(c)-1)) in
+    place by (1 - sign*q^e)^power, power = 1 or -1, truncating at len(c)."""
+    if power == 1:
+        for i in range(len(c) - 1, e - 1, -1):
+            c[i] -= sign * c[i - e]
+        return
+    if e == 0:
+        raise NonInvertibleSeriesError(
+            f"non-invertible factor 1 - ({sign})*q^0: constant term is not a unit")
+    for i in range(e, len(c)):
+        c[i] += sign * c[i - e]
+
+
+# ---------------------------------------------------------------------------
 # Gaussian binomials
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _qbinom(m: int, k: int) -> IntPolynomial:
-    if k < 0 or k > m:
-        return IntPolynomial.zero()
-    if k == 0 or k == m:
-        return IntPolynomial.one()
-    # q-Pascal: [m,k] = [m-1,k-1] + q^k [m-1,k]
-    return _qbinom(m - 1, k - 1) + _qbinom(m - 1, k).shift(k)
-
-
 def q_binomial(m: int, k: int) -> IntPolynomial:
-    """Gaussian binomial [m choose k]_q, by the q-Pascal recurrence.
+    """Gaussian binomial [m choose k]_q = prod_{i=1..k} (1 - q^(m-k+i)) / (1 - q^i).
 
-    Returns the zero polynomial when k < 0 or k > m.
+    The product is taken over k' = min(k, m - k) factor pairs on a dense list
+    truncated at degree k'(m - k').  After the i-th pair the list holds
+    [m - k' + i choose i]_q, of degree i(m - k') <= k'(m - k'), so working
+    modulo q^(k'(m - k') + 1) loses nothing.  Returns the zero polynomial
+    when k < 0 or k > m.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _qbinom(m, int(k))
+    if k < 0 or k > m:
+        return IntPolynomial.zero()
+    k = min(k, m - k)
+    c = [1] + [0] * (k * (m - k))
+    for i in range(1, k + 1):
+        _apply_factor(c, m - k + i, 1, 1)
+        _apply_factor(c, i, 1, -1)
+    return IntPolynomial(enumerate(c))
 
 
 # ---------------------------------------------------------------------------
@@ -265,30 +285,27 @@ class TruncatedSeries:
     # -- normalization helpers ----------------------------------------------
 
     def _rescaled(self, step: Fraction, offset: Fraction, order: int) -> "TruncatedSeries":
-        """Re-express on the grid offset + i*step, i = 0..order (exact)."""
-        out = [0] * (order + 1)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            e = self.offset + i * self.step
-            idx = (e - offset) / step
-            if idx.denominator != 1:
-                raise ValueError("incompatible step refinement")
-            j = int(idx)
-            if 0 <= j <= order:
-                out[j] += c
-        return TruncatedSeries(tuple(out), offset, step)
+        """Re-express on the grid offset + i*step, i = 0..order (exact).
 
-    @staticmethod
-    def _common_grid(a: "TruncatedSeries", b: "TruncatedSeries"):
-        d = lcm(a.step.denominator, b.step.denominator,
-                (a.offset - b.offset).denominator)
-        return Fraction(1, d)
+        The grid must refine this series' grid and start at or below its
+        offset."""
+        if step == self.step and offset == self.offset and order == self.order:
+            return self
+        stride = self.step / step
+        shift = (self.offset - offset) / step
+        if stride.denominator != 1 or shift.denominator != 1 or shift < 0:
+            raise ValueError("target grid does not contain the series grid")
+        stride, shift = int(stride), int(shift)
+        n = max(0, min(len(self.coeffs), (order - shift) // stride + 1))
+        out = [0] * (order + 1)
+        out[shift:shift + n * stride:stride] = self.coeffs[:n]
+        return TruncatedSeries(tuple(out), offset, step)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        step = self._common_grid(self, other)
+        step = Fraction(1, lcm(self.step.denominator, other.step.denominator,
+                               (self.offset - other.offset).denominator))
         offset = min(self.offset, other.offset)
         frontier = min(self.frontier, other.frontier)
         order = int((frontier - offset) / step)
@@ -358,13 +375,12 @@ class TruncatedSeries:
 
     def same_series(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise equality on the shared guaranteed range."""
-        step = self._common_grid(self, other)
-        offset = min(self.offset, other.offset)
-        frontier = min(self.frontier, other.frontier)
-        order = int((frontier - offset) / step)
-        a = self._rescaled(step, offset, order)
-        b = other._rescaled(step, offset, order)
-        return a.coeffs == b.coeffs
+        return (self - other).is_zero()
+
+    def to_json(self) -> dict:
+        """Canonical JSON form: offset, step and coefficients as strings."""
+        return {"offset": str(self.offset), "step": str(self.step),
+                "coeffs": [str(c) for c in self.coeffs]}
 
     def __str__(self) -> str:
         terms = []
@@ -396,13 +412,11 @@ def series_from_poly(p: IntPolynomial, order: int) -> TruncatedSeries:
 # q-Pochhammer symbols
 # ---------------------------------------------------------------------------
 
-INFINITE = None  # sentinel for infinite product length
-
-
 @dataclass(frozen=True)
 class PochhammerSpec:
     """The symbol (sign * q^exponent ; q^step)_length.
 
+    ``exponent`` is nonnegative, so every factor lies on the series grid.
     ``length`` is a nonnegative integer or None for an infinite product,
     in which case ``exponent`` must be positive so the product converges
     as a formal series.
@@ -423,41 +437,34 @@ class PochhammerSpec:
         if self.length is None and self.exponent <= 0:
             raise DivergentProductError(
                 "infinite q-Pochhammer product requires a positive exponent")
+        if self.exponent < 0:
+            raise ValueError("exponent must be nonnegative")
         if self.length is not None and self.length < 0:
             raise ValueError("length must be nonnegative")
 
 
-def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
-    """Expand (sign*q^r; q^m)_n = prod_k (1 - sign*q^(r+k*m)) to order `order`.
+def pochhammer(spec: PochhammerSpec, order: int, power: int = 1) -> TruncatedSeries:
+    """Expand (sign*q^r; q^m)_n^power = prod_k (1 - sign*q^(r+k*m))^power,
+    power = 1 or -1, to order `order`.
 
     `order` is in exponents of q; the result's step is refined as needed to
-    hold the rational exponents exactly.
+    hold the rational exponents exactly.  Raises NonInvertibleSeriesError
+    for power = -1 when a factor has exponent 0.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     d = lcm(spec.exponent.denominator, spec.step.denominator)
-    step = Fraction(1, d)
-    n_idx = int(Fraction(order) / step)
-    out = series_one(n_idx, step)
+    c = [1] + [0] * (order * d)
     k = 0
-    while True:
-        if spec.length is not None and k >= spec.length:
-            break
+    while spec.length is None or k < spec.length:
         e = spec.exponent + k * spec.step
-        if spec.length is None and e > order:
+        if e > order:
             break
-        factor_coeffs = [0] * (n_idx + 1)
-        factor_coeffs[0] = 1
-        idx = e / step
-        if 0 <= int(idx) <= n_idx and idx.denominator == 1:
-            factor_coeffs[int(idx)] += -spec.sign
-        elif e <= order:
-            raise AssertionError("factor exponent fell off the grid")
-        out = out * TruncatedSeries(tuple(factor_coeffs), Fraction(0), step)
+        _apply_factor(c, int(e * d), spec.sign, power)
         k += 1
-    return out
+    return TruncatedSeries(tuple(c), Fraction(0), Fraction(1, d))
 
 
-def pochhammer_qq(length: Optional[int], order: int) -> TruncatedSeries:
-    """Convenience for (q; q)_length (length None = infinity)."""
-    return pochhammer(PochhammerSpec(1, Fraction(1), Fraction(1), length), order)
+def pochhammer_qq(length: Optional[int], order: int, power: int = 1) -> TruncatedSeries:
+    """Convenience for (q; q)_length^power (length None = infinity)."""
+    return pochhammer(PochhammerSpec(1, Fraction(1), Fraction(1), length), order, power)

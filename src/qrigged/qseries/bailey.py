@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from ..qalg import (PochhammerSpec, TruncatedSeries, pochhammer, pochhammer_qq,
                     series_one)
+from .sums import compare_series
 
 
 class InsufficientOrderError(ValueError):
@@ -83,11 +84,6 @@ class PairCheck:
         return out
 
 
-def _poch_shifted(exponent: Fraction, length: Optional[int], order: int) -> TruncatedSeries:
-    """(q^exponent; q)_length."""
-    return pochhammer(PochhammerSpec(1, Fraction(exponent), Fraction(1), length), order)
-
-
 def verify_bailey_pair(pair: BaileyPair, order: int,
                        max_n: Optional[int] = None) -> PairCheck:
     """Check the defining relation coefficientwise up to `order`.
@@ -102,15 +98,13 @@ def verify_bailey_pair(pair: BaileyPair, order: int,
         lhs = pair.beta(n, order)
         rhs = None
         for j in range(n + 1):
-            term = pair.alpha(j, order) \
-                * pochhammer_qq(n - j, order).invert() \
-                * _poch_shifted(1 + k, n + j, order).invert()
+            term = pair.alpha(j, order) * pochhammer_qq(n - j, order, -1) \
+                * pochhammer(PochhammerSpec(exponent=1 + k, length=n + j), order, -1)
             rhs = term if rhs is None else rhs + term
-        if not lhs.same_series(rhs):
-            # locate the first differing exponent on the common grid
-            diff = lhs - rhs
-            bad = min((e for e, c in diff.nonzero_terms()), default=None)
-            return PairCheck(False, order, n, failing_n=n, failing_exponent=bad)
+        comparison = compare_series(lhs, rhs)
+        if not comparison.equal:
+            return PairCheck(False, order, n, failing_n=n,
+                             failing_exponent=comparison.first_difference)
     return PairCheck(True, order, nmax)
 
 
@@ -124,7 +118,8 @@ def unit_bailey_pair(base_exponent: Fraction = Fraction(0)) -> BaileyPair:
         return TruncatedSeries((0,) * (order + 1))
 
     def beta(n: int, order: int) -> TruncatedSeries:
-        return (pochhammer_qq(n, order) * _poch_shifted(1 + k, n, order)).invert()
+        return pochhammer_qq(n, order, -1) \
+            * pochhammer(PochhammerSpec(exponent=1 + k, length=n), order, -1)
 
     return BaileyPair(k, alpha, beta, None, "unit")
 
@@ -143,7 +138,7 @@ def rogers_ramanujan_seed() -> BaileyPair:
         return _monomial(e1, order, sign) + _monomial(e2, order, sign)
 
     def beta(n: int, order: int) -> TruncatedSeries:
-        return pochhammer_qq(n, order).invert()
+        return pochhammer_qq(n, order, -1)
 
     return BaileyPair(Fraction(0), alpha, beta, None, "rogers-ramanujan-seed")
 
@@ -153,7 +148,7 @@ def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
 
     A(j, order): the combined factor (rho)_j (sigma)_j (aq/rho sigma)^j in
     its finite or limiting form; T(m, order): (aq/rho sigma; q)_m or 1;
-    D(n, order): (aq/rho)_n (aq/sigma)_n restricted to finite parameters.
+    D(n, order): 1/((aq/rho)_n (aq/sigma)_n) over the finite parameters.
     """
     finite = [p for p in (rho, sigma) if not isinstance(p, Infinity)]
     ninf = 2 - len(finite)
@@ -170,18 +165,20 @@ def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
         sign = 1 if (ninf * j) % 2 == 0 else -1
         out = _monomial(Fraction(exp), order, sign)
         for r in finite:
-            out = out * _poch_shifted(r, j, order)
+            out = out * pochhammer(PochhammerSpec(exponent=r, length=j), order)
         return out
 
     def t_factor(m: int, order: int) -> TruncatedSeries:
         if ninf:
             return series_one(order)
-        return _poch_shifted(1 + k - sum(finite), m, order)
+        return pochhammer(PochhammerSpec(exponent=1 + k - sum(finite), length=m),
+                          order)
 
     def d_factor(n: int, order: int) -> TruncatedSeries:
         out = series_one(order)
         for r in finite:
-            out = out * _poch_shifted(1 + k - r, n, order)
+            out = out * pochhammer(PochhammerSpec(exponent=1 + k - r, length=n),
+                                   order, -1)
         return out
 
     return a_factor, t_factor, d_factor
@@ -199,16 +196,15 @@ def bailey_step(pair: BaileyPair, rho: BaileyParam, sigma: BaileyParam,
     a_factor, t_factor, d_factor = _multiplier(k, rho, sigma)
 
     def alpha(n: int, order: int) -> TruncatedSeries:
-        return a_factor(n, order) * d_factor(n, order).invert() \
-            * pair.alpha(n, order)
+        return a_factor(n, order) * d_factor(n, order) * pair.alpha(n, order)
 
     def beta(n: int, order: int) -> TruncatedSeries:
         acc = None
         for j in range(n + 1):
             term = a_factor(j, order) * t_factor(n - j, order) \
-                * pochhammer_qq(n - j, order).invert() * pair.beta(j, order)
+                * pochhammer_qq(n - j, order, -1) * pair.beta(j, order)
             acc = term if acc is None else acc + term
-        return acc * d_factor(n, order).invert()
+        return acc * d_factor(n, order)
 
     stepped = BaileyPair(k, alpha, beta, pair.order,
                          f"step({pair.name}; {rho}, {sigma})")
@@ -245,5 +241,5 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
         return acc.truncate(Fraction(order))
 
     lhs = summed(pair.beta)
-    rhs = summed(pair.alpha) * _poch_shifted(1 + k, None, order).invert()
+    rhs = summed(pair.alpha) * pochhammer(PochhammerSpec(exponent=1 + k), order, -1)
     return lhs, rhs.truncate(Fraction(order))

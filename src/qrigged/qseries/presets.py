@@ -18,7 +18,7 @@ from typing import Optional
 
 from ..qalg import TruncatedSeries
 from .sums import (AffineForm, BosonicSumSpec, Congruence, FermionicSumSpec,
-                   PochhammerFactor, SeriesComparison, compare_series,
+                   PochhammerFactor, SeriesComparison, _frac, compare_series,
                    eval_bosonic, eval_fermionic)
 
 
@@ -32,10 +32,6 @@ class PresetFormatError(ValueError):
 
 ENV_PRESET_DIR = "QRIGGED_PRESET_DIR"
 _BUILTIN_DIR = FilePath(__file__).parent / "presets"
-
-
-def _frac(text) -> Fraction:
-    return Fraction(str(text))
 
 
 def _parse_affine(data, dim: int) -> AffineForm:
@@ -138,15 +134,11 @@ class CharacterReport:
         return self.comparison.equal
 
     def as_dict(self) -> dict:
-        def side(s: TruncatedSeries) -> dict:
-            return {"offset": str(s.offset), "step": str(s.step),
-                    "coeffs": [str(c) for c in s.coeffs]}
-
         return {
             "preset": self.preset,
             "order": self.order,
-            "fermionic": side(self.fermionic),
-            "bosonic": side(self.bosonic),
+            "fermionic": self.fermionic.to_json(),
+            "bosonic": self.bosonic.to_json(),
             "rescale_denominator": self.rescale_denominator,
             **self.comparison.as_dict(),
         }

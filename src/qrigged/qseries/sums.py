@@ -65,9 +65,8 @@ class PochhammerFactor:
                 raise ValueError(
                     f"Pochhammer length {val} is not a nonnegative integer")
             length = int(val)
-        s = pochhammer(PochhammerSpec(self.sign, self.exponent, self.step,
-                                      length), order)
-        return s if self.power == 1 else s.invert()
+        return pochhammer(PochhammerSpec(self.sign, self.exponent, self.step,
+                                         length), order, self.power)
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,9 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     points = spec.lattice_points(Fraction(order) + slack)
     if not points:
         raise ValueError("no lattice points satisfy the restrictions")
-    min_exp = min(spec.exponent(p) for p in points) - spec.constant
-    acc: Optional[TruncatedSeries] = None
-    frontier = spec.constant + min_exp + order
+    low = min(spec.exponent(p) for p in points)
+    frontier = low + order
+    acc = TruncatedSeries((0,) * (order + 1), low)
     for p in points:
         e = spec.exponent(p)
         if e > frontier:
@@ -213,9 +212,7 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
         term = TruncatedSeries((1,) + (0,) * order, e)
         for f in spec.factors:
             term = term * f.series(p, order)
-        term = term.truncate(frontier)
-        acc = term if acc is None else (acc + term).truncate(frontier)
-    assert acc is not None
+        acc = acc + term.truncate(frontier)
     return acc
 
 
@@ -272,15 +269,11 @@ def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
     slack = abs(spec.a1) * 2 + 1 if spec.a2 is not None else Fraction(0)
     terms = spec.theta_terms(Fraction(order) + spec.a0 + slack)
     min_exp = min(e for e, _ in terms)
-    theta: Optional[TruncatedSeries] = None
     frontier = min_exp + order
+    out = TruncatedSeries((0,) * (order + 1), min_exp)
     for e, sign in terms:
-        if e > frontier:
-            continue
-        t = TruncatedSeries((sign,) + (0,) * order, e).truncate(frontier)
-        theta = t if theta is None else (theta + t).truncate(frontier)
-    assert theta is not None
-    out = theta
+        if e <= frontier:
+            out = out + TruncatedSeries((sign,) + (0,) * order, e).truncate(frontier)
     for f in spec.prefactors:
         out = out * f.series((), order)
     return out.truncate(out.offset + order)
@@ -309,10 +302,9 @@ class SeriesComparison:
 def compare_series(a: TruncatedSeries, b: TruncatedSeries) -> SeriesComparison:
     """Equality verdict to the minimum guaranteed order, with the first
     discrepancy (exponent and both coefficients) on failure."""
-    frontier = min(a.frontier, b.frontier)
-    if a.same_series(b):
-        return SeriesComparison(True, frontier)
     diff = a - b
-    bad = min(e for e, c in diff.nonzero_terms())
-    return SeriesComparison(False, frontier, bad,
+    if diff.is_zero():
+        return SeriesComparison(True, diff.frontier)
+    bad = diff.nonzero_terms()[0][0]
+    return SeriesComparison(False, diff.frontier, bad,
                             a.coefficient(bad), b.coefficient(bad))

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +128,9 @@ class TestExitCodes:
          "--rc", '[{"partition": [1], "riggings": [0]}]'],
         ["bailey", "--max-n", "-1"],
         ["bailey", "--order", "-1"],
+        ["qbinom", "1200", "600"],
+        ["pochhammer", "--exponent", "-1", "--length", "2"],
+        ["bailey", "--steps", "1", "--rho", "-1"],
     ])
     def test_bad_numeric_argument_is_usage_error(self, argv, capsys):
         try:
@@ -136,6 +142,37 @@ class TestExitCodes:
         assert err.startswith(("usage:", "error:"))
         assert "Traceback" not in err
 
+    def test_compare_order_zero_is_checked_at_zero(self, capsys):
+        code, out, _ = run_cli(["compare", "--preset-a", "rogers-ramanujan-1",
+                                "--preset-b", "rogers-ramanujan-1",
+                                "--order", "0"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["checked_order"] == "0"
+
+
+# one invocation per subcommand that runs every operation mapped to it
+REACHING_ARGV = {name: argv for name, (argv, _) in CASES.items()}
+REACHING_ARGV["bijection"] = ["bijection", "--n", "3", "--shapes", "1x2,1x1",
+                              "--weight", "1,1,1", "--check"]
+REACHING_ARGV["bailey"] = ["bailey", "--steps", "1", "--order", "6",
+                           "--max-n", "3"]
+
+
+def _operation_code(op: str):
+    module, *attrs = op.split(".")
+    obj = importlib.import_module(f"qrigged.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return inspect.unwrap(obj).__code__
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qrigged"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
 
 class TestSurface:
     def test_every_operation_has_exactly_one_subcommand(self):
@@ -146,13 +183,29 @@ class TestSurface:
                 subcommands |= set(action.choices)
         assert subcommands == {"kostka", "rc-list", "paths", "bijection",
                                "qbinom", "pochhammer", "character", "bailey",
-                               "compare"}
-        for op, cmd in OPERATION_MAP.items():
-            assert cmd in subcommands, f"{op} mapped to unknown {cmd}"
+                               "compare"} == set(REACHING_ARGV)
         # spec module coverage: every module contributes operations
         modules = {op.split(".")[0] for op in OPERATION_MAP}
         assert modules == {"qalg", "combinat", "crystals", "rc", "bijection",
                            "kostka", "qseries"}
+
+    @pytest.mark.parametrize("op", sorted(OPERATION_MAP))
+    def test_operation_is_reached_by_its_subcommand(self, op, capsys):
+        code = _operation_code(op)
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add(frame.f_code)
+
+        _clear_caches()
+        sys.setprofile(profile)
+        try:
+            main(REACHING_ARGV[OPERATION_MAP[op]])
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert code in entered, f"{op} is not run by {OPERATION_MAP[op]}"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

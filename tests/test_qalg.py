@@ -14,6 +14,10 @@ def P(terms):
     return IntPolynomial(terms)
 
 
+# small m exhaustively, and a few larger m
+BINOMIAL_ROWS = [*range(13), 20, 30, 40]
+
+
 class TestPolynomials:
     def test_add_identity(self):
         p = P({0: 1, 3: -2})
@@ -62,24 +66,29 @@ class TestQBinomial:
         for k in range(m + 1):
             assert q_binomial(m, k) == q_binomial(m, m - k)
 
-    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("m", BINOMIAL_ROWS[1:])
     def test_both_pascal_recurrences(self, m):
         for k in range(m + 1):
             lhs = q_binomial(m, k)
             assert lhs == q_binomial(m - 1, k - 1) + q_binomial(m - 1, k).shift(k)
             assert lhs == q_binomial(m - 1, k - 1).shift(m - k) + q_binomial(m - 1, k)
 
-    @pytest.mark.parametrize("m", range(13))
+    @pytest.mark.parametrize("m", BINOMIAL_ROWS)
     def test_specializes_to_binomial(self, m):
         for k in range(m + 1):
             assert q_binomial(m, k).evaluate_at_one() == math.comb(m, k)
 
-    @pytest.mark.parametrize("m", range(13))
+    @pytest.mark.parametrize("m", BINOMIAL_ROWS)
     def test_palindromic_with_degree(self, m):
         for k in range(m + 1):
             poly = q_binomial(m, k)
             assert poly.is_palindromic()
             assert poly.degree() == k * (m - k)
+
+    def test_long_row(self):
+        poly = q_binomial(3000, 5)
+        assert poly.evaluate_at_one() == math.comb(3000, 5)
+        assert poly.degree() == 5 * 2995
 
 
 class TestSeries:
@@ -155,6 +164,31 @@ class TestPochhammer:
         for n in (1, 3, None):
             s = pochhammer_qq(n, 12)
             assert (s * s.invert()).same_series(series_one(12))
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            PochhammerSpec(1, Fraction(-1), Fraction(1), 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((1, -1)),
+           st.fractions(min_value=0, max_value=4, max_denominator=4),
+           st.fractions(min_value=0, max_value=3, max_denominator=4)
+           .filter(lambda x: x > 0),
+           st.none() | st.integers(0, 6),
+           st.integers(0, 12))
+    def test_reciprocal_equals_inverse(self, sign, exponent, step, length, order):
+        if length is None and exponent == 0:
+            exponent = step
+        spec = PochhammerSpec(sign, exponent, step, length)
+
+        def outcome(expand):
+            try:
+                return expand()
+            except NonInvertibleSeriesError:
+                return NonInvertibleSeriesError
+
+        assert outcome(lambda: pochhammer(spec, order, -1)) == \
+            outcome(lambda: pochhammer(spec, order).invert())
 
     def test_fractional_exponent(self):
         s = pochhammer(PochhammerSpec(1, Fraction(1, 2), Fraction(1), 1), 3)
