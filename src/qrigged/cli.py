@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 from . import __version__
 from .bijection import check_statistic, path_to_rc, rc_to_path
@@ -39,6 +40,11 @@ EXIT_UNKNOWN_PRESET = 5
 
 # Largest degree k(m-k) that `qbinom` computes; the library has no limit.
 QBINOM_MAX_DEGREE = 20_000
+# Largest grid order*d (order in q, step 1/d) that `pochhammer` and `bailey`
+# expand, d being the lcm of the denominators of their rational flags.
+SERIES_MAX_GRID = 20_000
+# Most Bailey-lemma steps `bailey` chains; each nests one level of recursion.
+BAILEY_MAX_STEPS = 100
 
 # Library operation -> the one subcommand that runs it (reachability-tested).
 OPERATION_MAP = {
@@ -255,6 +261,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise CliError(f"malformed rational {text!r}", EXIT_USAGE) from None
 
 
+def _require_grid(order: int, *rationals: Fraction) -> None:
+    grid = order * lcm(*(r.denominator for r in rationals))
+    if grid > SERIES_MAX_GRID:
+        raise CliError(f"series grid order*d = {grid} is above the limit "
+                       f"{SERIES_MAX_GRID}", EXIT_USAGE)
+
+
 def _cmd_pochhammer(args) -> tuple[dict, int]:
     length = None
     if args.length not in ("inf", "infinity"):
@@ -262,8 +275,9 @@ def _cmd_pochhammer(args) -> tuple[dict, int]:
             length = int(args.length)
         except ValueError:
             raise CliError(f"malformed length {args.length!r}", EXIT_USAGE) from None
-    spec = PochhammerSpec(args.sign, _parse_fraction(args.exponent),
-                          _parse_fraction(args.step), length)
+    exponent, step = _parse_fraction(args.exponent), _parse_fraction(args.step)
+    _require_grid(args.order, exponent, step)
+    spec = PochhammerSpec(args.sign, exponent, step, length)
     series = pochhammer(spec, args.order)
     return {"series": series.to_json()}, EXIT_OK
 
@@ -287,9 +301,15 @@ def _stepped_pair(args):
                        f"available: {', '.join(sorted(_BAILEY_PAIRS))}",
                        EXIT_USAGE)
     pair = _BAILEY_PAIRS[args.pair]()
+    if not args.steps:
+        return pair
+    if args.steps > BAILEY_MAX_STEPS:
+        raise CliError(f"{args.steps} steps is above the limit {BAILEY_MAX_STEPS}",
+                       EXIT_USAGE)
+    rho, sigma = (INFINITY if text in ("inf", "infinity") else _parse_fraction(text)
+                  for text in (args.rho, args.sigma))
+    _require_grid(args.order, *(p for p in (rho, sigma) if p is not INFINITY))
     for _ in range(args.steps):
-        rho = INFINITY if args.rho in ("inf", "infinity") else _parse_fraction(args.rho)
-        sigma = INFINITY if args.sigma in ("inf", "infinity") else _parse_fraction(args.sigma)
         pair = bailey_step(pair, rho, sigma)
     return pair
 
@@ -381,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_qbinom)
 
-    p = sub.add_parser("pochhammer", help="q-Pochhammer expansion")
+    p = sub.add_parser(
+        "pochhammer", help="q-Pochhammer expansion",
+        description=f"q-Pochhammer expansion.  A grid order*d above {SERIES_MAX_GRID} "
+                    "(step 1/d, the lcm of the denominators of --exponent and "
+                    "--step) is refused with exit code 2.")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--exponent", default="1", help="rational r in (q^r; q^m)")
     p.add_argument("--step", default="1", help="rational m in (q^r; q^m)")
@@ -395,7 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset-dir", default=None)
     p.set_defaults(func=_cmd_character)
 
-    p = sub.add_parser("bailey", help="Bailey pair verification and chain steps")
+    p = sub.add_parser(
+        "bailey", help="Bailey pair verification and chain steps",
+        description=f"Bailey pair verification and chain steps.  More than "
+                    f"{BAILEY_MAX_STEPS} steps, or a grid order*d above "
+                    f"{SERIES_MAX_GRID} (step 1/d, the lcm of the denominators "
+                    "of --rho and --sigma), is refused with exit code 2.")
     p.add_argument("--mode", choices=("verify", "weak-limit"), default="verify")
     p.add_argument("--pair", default="unit",
                    help="seed pair name: " + ", ".join(sorted(_BAILEY_PAIRS)))
@@ -447,6 +476,9 @@ def _render_text(payload: dict, indent: int = 0) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():
+        # argparse turns an explicit `--flag=--` into [], skipping the type
+        parser.error("'--' is not a value")
     started = time.monotonic()
     try:
         result, code = args.func(args)

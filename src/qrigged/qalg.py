@@ -354,6 +354,23 @@ class TruncatedSeries:
             inv[k] = -lead * acc
         return TruncatedSeries(tuple(inv), -self.offset, self.step)
 
+    def times_pochhammer(self, spec: "PochhammerSpec", power: int = 1) -> "TruncatedSeries":
+        """self * spec^power, power = 1 or -1, on this series' guaranteed range.
+
+        The step is refined until every factor exponent is a grid index, and
+        `_apply_factor` applies each factor in place.  Raises
+        NonInvertibleSeriesError for power = -1 when a factor has exponent 0.
+        """
+        d = lcm(self.step.denominator, spec.exponent.denominator, spec.step.denominator)
+        stride = d // self.step.denominator
+        c = [0] * (self.order * stride + 1)
+        c[::stride] = self.coeffs
+        first, gap = int(spec.exponent * d), int(spec.step * d)
+        n = len(c) if spec.length is None else spec.length
+        for e in range(first, min(len(c), first + n * gap), gap):
+            _apply_factor(c, e, spec.sign, power)
+        return TruncatedSeries(tuple(c), self.offset, Fraction(1, d))
+
     def scalar(self, c: int) -> "TruncatedSeries":
         return TruncatedSeries(tuple(c * x for x in self.coeffs), self.offset, self.step)
 
@@ -453,16 +470,7 @@ def pochhammer(spec: PochhammerSpec, order: int, power: int = 1) -> TruncatedSer
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    d = lcm(spec.exponent.denominator, spec.step.denominator)
-    c = [1] + [0] * (order * d)
-    k = 0
-    while spec.length is None or k < spec.length:
-        e = spec.exponent + k * spec.step
-        if e > order:
-            break
-        _apply_factor(c, int(e * d), spec.sign, power)
-        k += 1
-    return TruncatedSeries(tuple(c), Fraction(0), Fraction(1, d))
+    return series_one(order).times_pochhammer(spec, power)
 
 
 def pochhammer_qq(length: Optional[int], order: int, power: int = 1) -> TruncatedSeries:

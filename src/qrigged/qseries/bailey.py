@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from ..qalg import (PochhammerSpec, TruncatedSeries, pochhammer, pochhammer_qq,
-                    series_one)
+from ..qalg import PochhammerSpec, TruncatedSeries, pochhammer_qq, series_one
 from .sums import compare_series
 
 
@@ -38,11 +37,6 @@ class Infinity:
 
 INFINITY = Infinity()
 BaileyParam = Fraction | Infinity
-
-
-def _monomial(exponent: Fraction, order: int, sign: int = 1) -> TruncatedSeries:
-    """sign * q^exponent as a series guaranteed to relative order `order`."""
-    return TruncatedSeries((sign,) + (0,) * order, Fraction(exponent))
 
 
 @dataclass(frozen=True)
@@ -98,8 +92,8 @@ def verify_bailey_pair(pair: BaileyPair, order: int,
         lhs = pair.beta(n, order)
         rhs = None
         for j in range(n + 1):
-            term = pair.alpha(j, order) * pochhammer_qq(n - j, order, -1) \
-                * pochhammer(PochhammerSpec(exponent=1 + k, length=n + j), order, -1)
+            term = pair.alpha(j, order).times_pochhammer(PochhammerSpec(length=n - j), -1) \
+                .times_pochhammer(PochhammerSpec(exponent=1 + k, length=n + j), -1)
             rhs = term if rhs is None else rhs + term
         comparison = compare_series(lhs, rhs)
         if not comparison.equal:
@@ -119,7 +113,7 @@ def unit_bailey_pair(base_exponent: Fraction = Fraction(0)) -> BaileyPair:
 
     def beta(n: int, order: int) -> TruncatedSeries:
         return pochhammer_qq(n, order, -1) \
-            * pochhammer(PochhammerSpec(exponent=1 + k, length=n), order, -1)
+            .times_pochhammer(PochhammerSpec(exponent=1 + k, length=n), -1)
 
     return BaileyPair(k, alpha, beta, None, "unit")
 
@@ -135,7 +129,8 @@ def rogers_ramanujan_seed() -> BaileyPair:
         sign = 1 if n % 2 == 0 else -1
         e1 = Fraction(n * (3 * n - 1), 2)
         e2 = Fraction(n * (3 * n + 1), 2)
-        return _monomial(e1, order, sign) + _monomial(e2, order, sign)
+        unit = series_one(order).scalar(sign)
+        return unit.shift(e1) + unit.shift(e2)
 
     def beta(n: int, order: int) -> TruncatedSeries:
         return pochhammer_qq(n, order, -1)
@@ -144,11 +139,11 @@ def rogers_ramanujan_seed() -> BaileyPair:
 
 
 def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
-    """The Bailey-lemma multiplier triple (A, T, D).
+    """The Bailey-lemma multiplier triple (A, T, D), each returning s times:
 
-    A(j, order): the combined factor (rho)_j (sigma)_j (aq/rho sigma)^j in
-    its finite or limiting form; T(m, order): (aq/rho sigma; q)_m or 1;
-    D(n, order): 1/((aq/rho)_n (aq/sigma)_n) over the finite parameters.
+    A(j, s): the combined factor (rho)_j (sigma)_j (aq/rho sigma)^j in its
+    finite or limiting form; T(m, s): (aq/rho sigma; q)_m or 1;
+    D(n, s): 1/((aq/rho)_n (aq/sigma)_n) over the finite parameters.
     """
     finite = [p for p in (rho, sigma) if not isinstance(p, Infinity)]
     ninf = 2 - len(finite)
@@ -158,28 +153,24 @@ def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
                 f"parameter q^{r} is out of range for base q^{k}: "
                 f"aq/param = q^{1 + k - r} must have positive exponent")
 
-    def a_factor(j: int, order: int) -> TruncatedSeries:
+    def a_factor(j: int, s: TruncatedSeries) -> TruncatedSeries:
         # limit of prod (p)_j over infinite params * (aq/rho sigma)^j
         exp = j * (1 + k - sum(finite))
         exp += ninf * Fraction(j * (j - 1), 2)
-        sign = 1 if (ninf * j) % 2 == 0 else -1
-        out = _monomial(Fraction(exp), order, sign)
+        s = s.shift(exp) if (ninf * j) % 2 == 0 else -s.shift(exp)
         for r in finite:
-            out = out * pochhammer(PochhammerSpec(exponent=r, length=j), order)
-        return out
+            s = s.times_pochhammer(PochhammerSpec(exponent=r, length=j))
+        return s
 
-    def t_factor(m: int, order: int) -> TruncatedSeries:
+    def t_factor(m: int, s: TruncatedSeries) -> TruncatedSeries:
         if ninf:
-            return series_one(order)
-        return pochhammer(PochhammerSpec(exponent=1 + k - sum(finite), length=m),
-                          order)
+            return s
+        return s.times_pochhammer(PochhammerSpec(exponent=1 + k - sum(finite), length=m))
 
-    def d_factor(n: int, order: int) -> TruncatedSeries:
-        out = series_one(order)
+    def d_factor(n: int, s: TruncatedSeries) -> TruncatedSeries:
         for r in finite:
-            out = out * pochhammer(PochhammerSpec(exponent=1 + k - r, length=n),
-                                   order, -1)
-        return out
+            s = s.times_pochhammer(PochhammerSpec(exponent=1 + k - r, length=n), -1)
+        return s
 
     return a_factor, t_factor, d_factor
 
@@ -196,15 +187,15 @@ def bailey_step(pair: BaileyPair, rho: BaileyParam, sigma: BaileyParam,
     a_factor, t_factor, d_factor = _multiplier(k, rho, sigma)
 
     def alpha(n: int, order: int) -> TruncatedSeries:
-        return a_factor(n, order) * d_factor(n, order) * pair.alpha(n, order)
+        return d_factor(n, a_factor(n, pair.alpha(n, order)))
 
     def beta(n: int, order: int) -> TruncatedSeries:
         acc = None
         for j in range(n + 1):
-            term = a_factor(j, order) * t_factor(n - j, order) \
-                * pochhammer_qq(n - j, order, -1) * pair.beta(j, order)
+            term = t_factor(n - j, a_factor(j, pair.beta(j, order))) \
+                .times_pochhammer(PochhammerSpec(length=n - j), -1)
             acc = term if acc is None else acc + term
-        return acc * d_factor(n, order)
+        return d_factor(n, acc)
 
     stepped = BaileyPair(k, alpha, beta, pair.order,
                          f"step({pair.name}; {rho}, {sigma})")
@@ -235,11 +226,11 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
             lead = n * n + k * n
             if n > 0 and lead > order:
                 break
-            term = _monomial(Fraction(lead), order) * coefficient(n, order)
+            term = coefficient(n, order).shift(lead)
             acc = term if acc is None else acc + term
             n += 1
         return acc.truncate(Fraction(order))
 
     lhs = summed(pair.beta)
-    rhs = summed(pair.alpha) * pochhammer(PochhammerSpec(exponent=1 + k), order, -1)
+    rhs = summed(pair.alpha).times_pochhammer(PochhammerSpec(exponent=1 + k), -1)
     return lhs, rhs.truncate(Fraction(order))

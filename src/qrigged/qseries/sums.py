@@ -14,11 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..qalg import (PochhammerSpec, TruncatedSeries, pochhammer, series_one)
+from ..qalg import PochhammerSpec, TruncatedSeries
 
 
 class NonTerminatingSumError(ValueError):
     """Raised when enumeration of a sum would not terminate."""
+
+
+# Largest quadratic+linear part up to which `eval_fermionic` looks for a
+# first lattice point that satisfies the restrictions.
+FIRST_POINT_SEARCH_LIMIT = 1024
 
 
 def _frac(x) -> Fraction:
@@ -56,7 +61,8 @@ class PochhammerFactor:
         if self.power not in (1, -1):
             raise ValueError("factor power must be +1 or -1")
 
-    def series(self, point: Sequence[int], order: int) -> TruncatedSeries:
+    def spec(self, point: Sequence[int]) -> PochhammerSpec:
+        """The symbol at `point`, without the power."""
         if self.length is None:
             length = None
         else:
@@ -65,8 +71,7 @@ class PochhammerFactor:
                 raise ValueError(
                     f"Pochhammer length {val} is not a nonnegative integer")
             length = int(val)
-        return pochhammer(PochhammerSpec(self.sign, self.exponent, self.step,
-                                         length), order, self.power)
+        return PochhammerSpec(self.sign, self.exponent, self.step, length)
 
 
 @dataclass(frozen=True)
@@ -191,18 +196,24 @@ class FermionicSumSpec:
 def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     """Exact coefficients of the fermionic sum to relative order `order`.
 
-    The result covers exponents offset .. offset + order, where the offset
-    is the least exponent over contributing lattice points (plus the spec
-    constant)."""
+    The result covers exponents low .. low + order, where low is the least
+    exponent over the lattice points that satisfy the restrictions, and
+    every point with exponent up to low + order is enumerated.  low is found
+    by enumerating up to quadratic+linear part order + slack (enough when the
+    origin satisfies the restrictions), doubling the bound while no point
+    does; past FIRST_POINT_SEARCH_LIMIT the search stops with ValueError."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if spec.dim == 0:
-        return series_one(order).shift(spec.constant)
     slack = -sum(min(Fraction(0), spec._single_min(i)) for i in range(spec.dim))
-    points = spec.lattice_points(Fraction(order) + slack)
-    if not points:
-        raise ValueError("no lattice points satisfy the restrictions")
+    bound = Fraction(order) + slack
+    while not (points := spec.lattice_points(bound)):
+        if bound > FIRST_POINT_SEARCH_LIMIT:
+            raise ValueError("no lattice point satisfies the restrictions with "
+                             f"exponent <= {bound + spec.constant}")
+        bound = 2 * bound + 1
     low = min(spec.exponent(p) for p in points)
+    if low - spec.constant + order > bound:
+        points = spec.lattice_points(low - spec.constant + order)
     frontier = low + order
     acc = TruncatedSeries((0,) * (order + 1), low)
     for p in points:
@@ -211,7 +222,7 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
             continue
         term = TruncatedSeries((1,) + (0,) * order, e)
         for f in spec.factors:
-            term = term * f.series(p, order)
+            term = term.times_pochhammer(f.spec(p), f.power)
         acc = acc + term.truncate(frontier)
     return acc
 
@@ -275,7 +286,7 @@ def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
         if e <= frontier:
             out = out + TruncatedSeries((sign,) + (0,) * order, e).truncate(frontier)
     for f in spec.prefactors:
-        out = out * f.series((), order)
+        out = out.times_pochhammer(f.spec(()), f.power)
     return out.truncate(out.offset + order)
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qrigged.cli import EXIT_OK, EXIT_UNEQUAL, EXIT_UNKNOWN_PRESET, \
-    EXIT_UNSUPPORTED, EXIT_USAGE, OPERATION_MAP, build_parser, main
+from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
+    EXIT_UNKNOWN_PRESET, EXIT_UNSUPPORTED, EXIT_USAGE, OPERATION_MAP, \
+    build_parser, main
+from qrigged.qseries.presets import PresetRegistry
 from schemautil import load_schema, validate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -131,6 +136,9 @@ class TestExitCodes:
         ["qbinom", "1200", "600"],
         ["pochhammer", "--exponent", "-1", "--length", "2"],
         ["bailey", "--steps", "1", "--rho", "-1"],
+        ["pochhammer", "--step", "1/100000", "--order", "3"],
+        ["bailey", "--steps", "1", "--rho", "1/99999", "--order", "5"],
+        ["bailey", "--steps", str(BAILEY_MAX_STEPS + 1), "--order", "1"],
     ])
     def test_bad_numeric_argument_is_usage_error(self, argv, capsys):
         try:
@@ -269,3 +277,86 @@ class TestSurface:
                               "--weight", "2,1", "--side", "both"], capsys)
         assert code == EXIT_OK
         assert calls == {"fermionic_kostka": 1, "path_kostka": 1}
+
+
+# -- fuzz: every q-series invocation ends in a documented exit code ----------
+# Orders, lengths and step counts stay small so that each call is cheap; the
+# values past the CLI limits are drawn far past them, where they are refused.
+
+def _not_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+GARBAGE = (st.sampled_from(["", "x", "1/0", "0/0", "nan", "inf", "-inf", "1.5",
+                            "1e3", "--", "0x10", "1//2", "\u00bd", "2/-3"])
+           | st.text(max_size=4).filter(_not_int))
+RATIONAL = (st.integers(-3, 5).map(str)
+            | st.fractions(min_value=-4, max_value=4, max_denominator=6).map(str)
+            | st.builds("{}/{}".format, st.integers(-5, 5),
+                        st.integers(10 ** 5, 10 ** 12))
+            | GARBAGE)
+ORDER = st.integers(-3, 12).map(str) | GARBAGE
+MAX_N = (st.integers(-2, 6) | st.integers(10 ** 3, 10 ** 9)).map(str) | GARBAGE
+STEPS = (st.integers(-1, 2) | st.integers(BAILEY_MAX_STEPS + 1, 10 ** 9)) \
+    .map(str) | GARBAGE
+LENGTH = (st.integers(-3, 8) | st.integers(10 ** 6, 10 ** 30)).map(str) \
+    | st.sampled_from(["inf", "infinity"]) | GARBAGE
+INTEGER = (st.integers(-3, 40) | st.integers(10 ** 4, 10 ** 12)).map(str) | GARBAGE
+PRESET = st.sampled_from(PresetRegistry().names()) | st.just("no-such") | GARBAGE
+SIDE = st.sampled_from(["fermionic", "bosonic"]) | GARBAGE
+
+
+@st.composite
+def qseries_argv(draw):
+    command = draw(st.sampled_from(
+        ["pochhammer", "qbinom", "character", "compare", "bailey"]))
+    if command == "qbinom":
+        return ["qbinom", draw(INTEGER), draw(INTEGER)]
+    argv = [command]
+
+    def flag(name, values, optional=True):
+        value = draw(st.none() | values) if optional else draw(values)
+        if value is not None:
+            argv.append(f"--{name}={value}")
+
+    if command == "pochhammer":
+        flag("sign", st.sampled_from(["1", "-1", "0", "2"]) | GARBAGE)
+        for name in ("exponent", "step"):
+            flag(name, RATIONAL)
+        flag("length", LENGTH)
+        flag("order", ORDER, optional=False)
+    elif command == "character":
+        flag("preset", PRESET, optional=False)
+        flag("order", ORDER)
+    elif command == "compare":
+        for side in ("a", "b"):
+            flag(f"preset-{side}", PRESET, optional=False)
+            flag(f"side-{side}", SIDE)
+        flag("order", ORDER)
+    else:
+        flag("mode", st.sampled_from(["verify", "weak-limit"]) | GARBAGE)
+        flag("pair", st.sampled_from(["unit", "rogers-ramanujan-seed"]) | GARBAGE)
+        flag("steps", STEPS)
+        for name in ("rho", "sigma"):
+            flag(name, RATIONAL | st.just("inf"))
+        flag("order", ORDER, optional=False)
+        flag("max-n", MAX_N, optional=False)
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(qseries_argv())
+    def test_exit_code_is_documented(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # rejected by the argument parser
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -144,6 +144,26 @@ class TestSeries:
         assert (a * b).same_series(b * a)
 
 
+@st.composite
+def pochhammer_specs(draw):
+    sign = draw(st.sampled_from((1, -1)))
+    exponent = draw(st.fractions(min_value=0, max_value=4, max_denominator=4))
+    step = draw(st.fractions(min_value=0, max_value=3, max_denominator=4)
+                .filter(lambda x: x > 0))
+    length = draw(st.none() | st.integers(0, 6))
+    if length is None and exponent == 0:
+        exponent = step
+    return PochhammerSpec(sign, exponent, step, length)
+
+
+def outcome(expand):
+    """The series `expand()` returns, or the error class if it raises one."""
+    try:
+        return expand()
+    except NonInvertibleSeriesError:
+        return NonInvertibleSeriesError
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer_qq(0, 10).same_series(series_one(10))
@@ -170,25 +190,22 @@ class TestPochhammer:
             PochhammerSpec(1, Fraction(-1), Fraction(1), 2)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from((1, -1)),
-           st.fractions(min_value=0, max_value=4, max_denominator=4),
-           st.fractions(min_value=0, max_value=3, max_denominator=4)
-           .filter(lambda x: x > 0),
-           st.none() | st.integers(0, 6),
-           st.integers(0, 12))
-    def test_reciprocal_equals_inverse(self, sign, exponent, step, length, order):
-        if length is None and exponent == 0:
-            exponent = step
-        spec = PochhammerSpec(sign, exponent, step, length)
-
-        def outcome(expand):
-            try:
-                return expand()
-            except NonInvertibleSeriesError:
-                return NonInvertibleSeriesError
-
+    @given(pochhammer_specs(), st.integers(0, 12))
+    def test_reciprocal_equals_inverse(self, spec, order):
         assert outcome(lambda: pochhammer(spec, order, -1)) == \
             outcome(lambda: pochhammer(spec, order).invert())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=10),
+           st.fractions(min_value=-2, max_value=2, max_denominator=4),
+           st.integers(1, 4), pochhammer_specs(), st.sampled_from((1, -1)),
+           st.integers(0, 3))
+    def test_times_pochhammer_equals_product(self, coeffs, offset, d, spec,
+                                             power, extra):
+        s = TruncatedSeries(tuple(coeffs), offset, Fraction(1, d))
+        order = math.ceil(s.frontier - s.offset) + extra
+        assert outcome(lambda: s.times_pochhammer(spec, power)) == \
+            outcome(lambda: s * pochhammer(spec, order, power))
 
     def test_fractional_exponent(self):
         s = pochhammer(PochhammerSpec(1, Fraction(1, 2), Fraction(1), 1), 3)

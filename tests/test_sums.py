@@ -23,7 +23,12 @@ class TestFermionic:
     def test_dim_zero_constant(self):
         spec = FermionicSumSpec(0, (), (), F(3, 4))
         s = eval_fermionic(spec, 5)
-        assert s.offset == F(3, 4) and s.coeffs[0] == 1
+        assert s.offset == F(3, 4) and s.coeffs == (1, 0, 0, 0, 0, 0)
+        # factors with constant lengths still apply: q^(3/4) / (q;q)_inf
+        spec = FermionicSumSpec(0, (), (), F(3, 4), (
+            PochhammerFactor(1, F(1), F(1), None, -1),))
+        s = eval_fermionic(spec, 6)
+        assert s.offset == F(3, 4) and s.coeffs == (1, 1, 2, 3, 5, 7, 11)
 
     def test_first_rogers_ramanujan_coefficients(self):
         s = eval_fermionic(rr_spec(0), 10)
@@ -57,6 +62,12 @@ class TestFermionic:
             congruences=(Congruence(AffineForm(F(1), (F(1),)), 2),))
         odd = eval_fermionic(odd_spec, 16)
         assert compare_series(even + odd, full).equal
+        # the origin is excluded, so the range runs from q^1 to q^9, past the
+        # n = 3 term q^9/(q)_3
+        odd = eval_fermionic(odd_spec, 8)
+        assert (odd.offset, odd.frontier) == (1, 9)
+        assert odd.coeffs == (1, 1, 1, 1, 1, 1, 1, 1, 2)
+        assert compare_series(odd, full - even).equal
 
     def test_inequality_restriction(self):
         # n >= 2 by inequality: equals full sum minus n=0,1 terms
@@ -65,6 +76,24 @@ class TestFermionic:
             inequalities=(AffineForm(F(-2), (F(1),)),))
         s = eval_fermionic(spec, 12)
         assert s.offset == 4  # least exponent is n=2 -> q^4
+        assert s.frontier == 16 and s.coefficient(16) == 16
+        head = eval_fermionic(FermionicSumSpec(
+            1, ((F(2),),), (F(0),), F(0), (qq_factor(0, 1),),
+            inequalities=(AffineForm(F(1), (F(-1),)),)), 20)  # n <= 1
+        full = eval_fermionic(rr_spec(0), 20)
+        assert compare_series(s, full - head).equal
+        # n >= 4: no point lies within the first enumeration bound
+        s = eval_fermionic(FermionicSumSpec(
+            1, ((F(2),),), (F(0),), F(0), (qq_factor(0, 1),),
+            inequalities=(AffineForm(F(-4), (F(1),)),)), 10)
+        assert (s.offset, s.frontier) == (16, 26)
+        assert s.coeffs == (1, 1, 2, 3, 5, 6, 9, 11, 15, 19, 24)
+
+    def test_unsatisfiable_restriction_rejected(self):
+        spec = FermionicSumSpec(1, ((F(2),),), (F(0),), F(0),
+                                inequalities=(AffineForm(F(-1), (F(0),)),))
+        with pytest.raises(ValueError, match="no lattice point"):
+            eval_fermionic(spec, 10)
 
     def test_negative_linear_term(self):
         # exponent n^2 - n has its minimum 0 at n = 0 and n = 1
