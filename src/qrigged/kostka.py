@@ -17,8 +17,8 @@ from .crystals import UnsupportedFactorShapeError, enumerate_paths, \
     intrinsic_energy, is_highest_weight
 from .qalg import IntPolynomial
 from .rc import (MultiplicityArray, block_generating_function, cocharge,
-                 configuration_charge_form, enumerate_configurations,
-                 enumerate_rc, level_blocks, rigging_windows)
+                 configuration_charge_form, configuration_walk, enumerate_rc,
+                 rigging_windows)
 
 # Frozen global normalization between path energy and cocharge:
 # cocharge = sign * energy + shift.  Computed from the calibration instance
@@ -74,40 +74,33 @@ def fermionic_kostka_closed_form(inst: KostkaInstance) -> IntPolynomial:
     For each configuration, riggings are never listed; each block of m rows
     of width w contributes the generating function of its window, split by
     the block minimum so the carried depth passed to the next level is
-    known.  The result is a sum of products of Gaussian binomials.
+    known.  The configurations are those of `configuration_walk`.  The
+    result is a sum of products of Gaussian binomials.
     """
-    wparts = tuple(inst.weight.parts) + (0,) * (inst.n - len(inst.weight.parts))
     total = IntPolynomial.zero()
-    for config in enumerate_configurations(inst.L, inst.weight):
+    for config, blocks_by_level in configuration_walk(inst.L, inst.weight):
         base = IntPolynomial.monomial(configuration_charge_form(config))
         # states: (generating polynomial, (width, depth) pairs of prev level)
         states: list[tuple[IntPolynomial, tuple[tuple[int, int], ...]]] = \
             [(base, ())]
-        for a in range(1, inst.n):
+        for a, blocks in enumerate(blocks_by_level, start=1):
             if not states:
                 break
-            blocks = level_blocks(config, inst.L, wparts, a)
             # the block minimum only matters while a further level exists
-            needs_split = a < inst.n - 1 and bool(config.level(a + 1))
+            needs_split = bool(config.level(a + 1))
             new_states: list[tuple[IntPolynomial, tuple[tuple[int, int], ...]]] = []
             for poly, below in states:
                 windows = rigging_windows(blocks, below)
                 if any(lo > p for (_, _, lo, p, _) in windows):
                     continue
-                per_block: list[list[tuple[IntPolynomial, tuple[int, int]]]] = []
-                for (w, m, lo, p, carry) in windows:
-                    if not needs_split:
-                        per_block.append(
-                            [(block_generating_function(m, lo, p), (w, 0))])
-                        continue
-                    choices = []
-                    for xmin in range(lo, p + 1):
-                        # tuples with minimum exactly xmin
-                        gf = block_generating_function(m, xmin, p) - \
-                            block_generating_function(m, xmin + 1, p)
-                        if not gf.is_zero():
-                            choices.append((gf, (w, max(0, carry - xmin))))
-                    per_block.append(choices)
+                # a block's tuples with minimum exactly x: the last entry is
+                # x, the other m - 1 lie weakly decreasing in [x, p]
+                per_block = [
+                    [(block_generating_function(m - 1, x, p).shift(x),
+                      (w, max(0, carry - x))) for x in range(lo, p + 1)]
+                    if needs_split else
+                    [(block_generating_function(m, lo, p), (w, 0))]
+                    for (w, m, lo, p, carry) in windows]
                 for combo in iproduct(*per_block):
                     gf = poly
                     depths = []

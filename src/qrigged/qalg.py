@@ -252,6 +252,17 @@ class TruncatedSeries:
         if self.step <= 0 or self.step.numerator != 1:
             raise ValueError("step must be 1/d for a positive integer d")
 
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...], offset: Fraction,
+                 step: Fraction) -> "TruncatedSeries":
+        """Construct without coercion or checks, for operations whose
+        inputs are already valid series (int coefficients, Fraction grid)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "offset", offset)
+        object.__setattr__(out, "step", step)
+        return out
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -299,7 +310,7 @@ class TruncatedSeries:
         n = max(0, min(len(self.coeffs), (order - shift) // stride + 1))
         out = [0] * (order + 1)
         out[shift:shift + n * stride:stride] = self.coeffs[:n]
-        return TruncatedSeries(tuple(out), offset, step)
+        return self._trusted(tuple(out), offset, step)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -313,11 +324,11 @@ class TruncatedSeries:
             raise ValueError("no overlapping guaranteed range")
         a = self._rescaled(step, offset, order)
         b = other._rescaled(step, offset, order)
-        return TruncatedSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
-                               offset, step)
+        return self._trusted(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
+                             offset, step)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs), self.offset, self.step)
+        return self._trusted(tuple(-c for c in self.coeffs), self.offset, self.step)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -336,7 +347,7 @@ class TruncatedSeries:
                 c2 = sb.coeffs[j]
                 if c2:
                     out[i + j] += c1 * c2
-        return TruncatedSeries(tuple(out), self.offset + other.offset, step)
+        return self._trusted(tuple(out), self.offset + other.offset, step)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires leading coefficient +/-1."""
@@ -352,7 +363,7 @@ class TruncatedSeries:
             for j in range(1, k + 1):
                 acc += self.coeffs[j] * inv[k - j]
             inv[k] = -lead * acc
-        return TruncatedSeries(tuple(inv), -self.offset, self.step)
+        return self._trusted(tuple(inv), -self.offset, self.step)
 
     def times_pochhammer(self, spec: "PochhammerSpec", power: int = 1) -> "TruncatedSeries":
         """self * spec^power, power = 1 or -1, on this series' guaranteed range.
@@ -369,14 +380,14 @@ class TruncatedSeries:
         n = len(c) if spec.length is None else spec.length
         for e in range(first, min(len(c), first + n * gap), gap):
             _apply_factor(c, e, spec.sign, power)
-        return TruncatedSeries(tuple(c), self.offset, Fraction(1, d))
+        return self._trusted(tuple(c), self.offset, Fraction(1, d))
 
     def scalar(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(c * x for x in self.coeffs), self.offset, self.step)
+        return self._trusted(tuple(c * x for x in self.coeffs), self.offset, self.step)
 
     def shift(self, exponent) -> "TruncatedSeries":
         """Multiply by q^exponent."""
-        return TruncatedSeries(self.coeffs, self.offset + _as_fraction(exponent), self.step)
+        return self._trusted(self.coeffs, self.offset + _as_fraction(exponent), self.step)
 
     def truncate(self, frontier) -> "TruncatedSeries":
         """Restrict the guarantee to exponents <= frontier."""
@@ -386,7 +397,7 @@ class TruncatedSeries:
         order = int((f - self.offset) / self.step)
         if order < 0:
             raise ValueError("truncation below the series offset")
-        return TruncatedSeries(self.coeffs[:order + 1], self.offset, self.step)
+        return self._trusted(self.coeffs[:order + 1], self.offset, self.step)
 
     # -- comparison / rendering --------------------------------------------
 

@@ -13,8 +13,9 @@ is validated exhaustively against path enumeration by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby, product as iproduct
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .combinat import Composition, partitions_of
 from .qalg import IntPolynomial, q_binomial
@@ -81,7 +82,13 @@ class MultiplicityArray:
     def level_term(self, a: int, i: int) -> int:
         """Contribution of the tensor factors to p_i^{(a)}:
         sum_j min(i, j) L_j^{(a)}."""
-        return sum(min(i, j) * c for (b, j), c in self.counts if b == a)
+        return _level_term(self.counts, a, i)
+
+
+@lru_cache(maxsize=1 << 14)
+def _level_term(counts: tuple[tuple[tuple[int, int], int], ...], a: int, i: int) -> int:
+    # cached: the configuration walk asks for it once per block and level
+    return sum(min(i, j) * c for (b, j), c in counts if b == a)
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,14 @@ class Configuration:
                 raise ValueError("parts must weakly decrease")
         object.__setattr__(self, "nu", nu)
 
+    @classmethod
+    def _trusted(cls, nu: tuple[tuple[int, ...], ...]) -> "Configuration":
+        """Construct without coercion or checks, for partitions that come
+        from `partitions_of`."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "nu", nu)
+        return out
+
     def level(self, a: int) -> tuple[int, ...]:
         """Partition nu^{(a)} for 1 <= a <= n-1 (empty beyond)."""
         return self.nu[a - 1] if 1 <= a <= len(self.nu) else ()
@@ -107,7 +122,8 @@ class Configuration:
         return tuple(sum(level) for level in self.nu)
 
 
-def _q_i(i: int, partition: Sequence[int]) -> int:
+@lru_cache(maxsize=1 << 14)
+def _q_i(i: int, partition: tuple[int, ...]) -> int:
     """Number of boxes in the first i columns: sum_j min(i, mu_j)."""
     return sum(min(i, p) for p in partition)
 
@@ -303,16 +319,41 @@ def _weakly_decreasing_tuples(m: int, lo: int, hi: int):
             yield (first,) + rest
 
 
-def enumerate_configurations(L: MultiplicityArray, weight: Composition
-                             ) -> list[Configuration]:
-    """All configurations satisfying the size constraint for (L, weight)."""
+def configuration_walk(L: MultiplicityArray, weight: Composition
+                       ) -> Iterator[tuple[Configuration, tuple[list, ...]]]:
+    """The configurations for (L, weight) that can carry a rigging, each
+    with its `level_blocks` for levels 1..n-1.
+
+    A depth-first walk: nu^(1), nu^(2), ... are chosen in turn from
+    `partitions_of(|nu^(a)|)`, so configurations come in the order of the
+    full product with some removed.  p_i^(a) reads only nu^(a-1), nu^(a)
+    and nu^(a+1), so level a is complete once nu^(a+1) is chosen; a prefix
+    with a block of level a whose floor exceeds p drops its whole subtree.
+    The pruning is exact: lo = floor + carry with carry >= 0, so such a
+    block has an empty window whatever the riggings below, and every
+    consumer would skip the configuration anyway.
+    """
     sizes = configuration_sizes(L, weight)
     if sizes is None:
-        return []
-    out = []
-    for nu in iproduct(*[partitions_of(s) for s in sizes]):
-        out.append(Configuration(tuple(nu)))
-    return out
+        return
+    wparts = tuple(weight.parts) + (0,) * (L.n - len(weight.parts))
+    choices = [partitions_of(s) for s in sizes]
+
+    def extend(config: Configuration, blocks: tuple[list, ...]):
+        chosen = len(config.nu)
+        complete = chosen if chosen == len(sizes) else chosen - 1
+        for a in range(len(blocks) + 1, complete + 1):
+            level = level_blocks(config, L, wparts, a)
+            if any(floor > p for (_, _, floor, p) in level):
+                return
+            blocks += (level,)
+        if chosen == len(sizes):
+            yield config, blocks
+            return
+        for part in choices[chosen]:
+            yield from extend(Configuration._trusted(config.nu + (part,)), blocks)
+
+    yield from extend(Configuration._trusted(()), ())
 
 
 def enumerate_rc(L: MultiplicityArray, weight: Composition
@@ -320,19 +361,18 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
     """All unrestricted rigged configurations for (L, weight).
 
     Riggings are generated level by level inside the windows of
-    `rigging_windows`.  Canonical representatives, deterministic order.
+    `rigging_windows`, over the configurations of `configuration_walk`.
+    Canonical representatives, deterministic order.
     """
     if len(weight.trimmed()) > L.n:
         raise ValueError("weight has more parts than the rank")
-    wparts = tuple(weight.parts) + (0,) * (L.n - len(weight.parts))
     out: list[RiggedConfiguration] = []
-    for config in enumerate_configurations(L, weight):
+    for config, blocks_by_level in configuration_walk(L, weight):
         # states: (riggings so far, (width, depth) pairs of previous level)
         states: list[tuple[list[tuple[int, ...]], tuple[tuple[int, int], ...]]] = [([], ())]
-        for a in range(1, L.n):
+        for blocks in blocks_by_level:
             if not states:
                 break
-            blocks = level_blocks(config, L, wparts, a)
             new_states = []
             for (prefix, below) in states:
                 windows = rigging_windows(blocks, below)
@@ -352,31 +392,20 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
     return out
 
 
-def cocharge(rc: RiggedConfiguration) -> int:
-    """cc(nu, J): the configuration quadratic form plus the rigging sum.
-
-    The quadratic form is sum over levels a and columns c of
-    alpha_c^{(a)} (alpha_c^{(a)} - alpha_c^{(a+1)}), alpha = column heights.
-    May be negative in the unrestricted setting.
-    """
-    total = 0
-    nlev = len(rc.config.nu)
-    for a in range(1, nlev + 1):
-        cur = rc.config.level(a)
-        nxt = rc.config.level(a + 1)
-        width = cur[0] if cur else 0
-        for c in range(1, width + 1):
-            alpha = sum(1 for p in cur if p >= c)
-            alpha_next = sum(1 for p in nxt if p >= c)
-            total += alpha * (alpha - alpha_next)
-    return total + rc.rigging_sum()
-
-
 def configuration_charge_form(config: Configuration) -> int:
-    """The pure configuration part of cocharge."""
-    empty = RiggedConfiguration(config, tuple(tuple(0 for _ in level)
-                                              for level in config.nu))
-    return cocharge(empty)
+    """The configuration part of cocharge: the sum over levels a and
+    columns c of alpha_c^{(a)} (alpha_c^{(a)} - alpha_c^{(a+1)}), alpha the
+    column heights."""
+    heights = [[sum(1 for p in level if p >= c) for c in range(1, level[0] + 1)]
+               if level else [] for level in config.nu] + [[]]
+    return sum(h * (h - (up[c] if c < len(up) else 0))
+               for cur, up in zip(heights, heights[1:]) for c, h in enumerate(cur))
+
+
+def cocharge(rc: RiggedConfiguration) -> int:
+    """cc(nu, J): `configuration_charge_form` plus the rigging sum.  May be
+    negative in the unrestricted setting."""
+    return configuration_charge_form(rc.config) + rc.rigging_sum()
 
 
 def block_generating_function(m: int, lo: int, hi: int) -> IntPolynomial:

@@ -1,4 +1,5 @@
-from itertools import permutations
+from collections import Counter
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -11,12 +12,29 @@ from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance, calibrate,
                             restricted_kostka, verify_identity)
 from qrigged.crystals import UnsupportedFactorShapeError, enumerate_paths
 from qrigged.qalg import IntPolynomial
-from qrigged.rc import MultiplicityArray
+from qrigged.rc import MultiplicityArray, block_generating_function
 
 
 def instance(widths, n, weight):
     return KostkaInstance(MultiplicityArray.from_rows(widths, n),
                           Composition(weight))
+
+
+def _closed_form_equals_path(max_boxes, n):
+    """Check closed form = path side, and the q=1 count, on every ordered
+    row-shape list with <= max_boxes boxes at rank n and every weight;
+    return (instances, objects)."""
+    instances = objects = 0
+    for widths, _ in instance_grid(max_boxes, ranks=(n,)):
+        for w in weight_compositions(sum(widths), n):
+            inst = instance(widths, n, w)
+            closed = fermionic_kostka_closed_form(inst)
+            assert closed == path_kostka(inst), (widths, n, w)
+            count = len(enumerate_paths(widths, n, Composition(w)))
+            assert closed.evaluate_at_one() == count, (widths, n, w)
+            instances += 1
+            objects += count
+    return instances, objects
 
 
 class TestExamples:
@@ -61,6 +79,20 @@ class TestTwoEvaluationRoutes:
                     assert fermionic_kostka(inst) == \
                         fermionic_kostka_closed_form(inst)
 
+    def test_block_minimum_identity(self):
+        # the closed form's gf of a block's m-tuples with minimum exactly x,
+        # q^x * gf(m - 1 rows on [x, p]), against the difference of two
+        # block gfs and against the tuples themselves
+        for m in range(1, 6):
+            for p in range(-4, 7):
+                for x in range(-4, p + 1):
+                    identity = block_generating_function(m - 1, x, p).shift(x)
+                    assert identity == block_generating_function(m, x, p) - \
+                        block_generating_function(m, x + 1, p), (m, x, p)
+                    sums = Counter(sum(t) for t in combinations_with_replacement(
+                        range(x, p + 1), m) if min(t) == x)
+                    assert identity == IntPolynomial(sums), (m, x, p)
+
     def test_disagreement_raises(self, monkeypatch):
         import qrigged.kostka as kostka_module
         inst = instance((1, 1), 2, (1, 1))
@@ -89,20 +121,14 @@ class TestMainIdentity:
                     count = len(enumerate_paths(widths, n, Composition(w)))
                     assert fermionic_kostka(inst).evaluate_at_one() == count
 
-    @pytest.mark.slow
     def test_closed_form_equals_path_on_rank_4_grid(self):
-        # opt-in extension of the acceptance grid to rank 4, <= 6 boxes
-        instances = objects = 0
-        for widths, n in instance_grid(6, ranks=(4,)):
-            for w in weight_compositions(sum(widths), n):
-                inst = instance(widths, n, w)
-                closed = fermionic_kostka_closed_form(inst)
-                assert closed == path_kostka(inst), (widths, n, w)
-                count = len(enumerate_paths(widths, n, Composition(w)))
-                assert closed.evaluate_at_one() == count, (widths, n, w)
-                instances += 1
-                objects += count
-        assert (instances, objects) == (3968, 48433)
+        # extension of the acceptance grid to rank 4, <= 6 boxes
+        assert _closed_form_equals_path(6, 4) == (3968, 48433)
+
+    @pytest.mark.slow
+    def test_closed_form_equals_path_on_rank_4_grid_7_boxes(self):
+        # opt-in: rank 4, <= 7 boxes
+        assert _closed_form_equals_path(7, 4) == (11648, 304417)
 
     def test_corrupted_normalization_detected(self):
         inst = instance((1, 1), 2, (1, 1))

@@ -1,12 +1,15 @@
+from itertools import product
+
 import pytest
 
-from gridutil import dominant_partitions, weight_compositions, width_tuples
-from qrigged.combinat import Composition, Partition, kostka_number
+from gridutil import (dominant_partitions, instance_grid, weight_compositions,
+                      width_tuples)
+from qrigged.combinat import Composition, Partition, kostka_number, partitions_of
 from qrigged.crystals import enumerate_paths
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
-                        enumerate_rc, lower_bound, rc_from_json, rc_to_json,
-                        validate, vacancy, weight_of)
+                        configuration_walk, enumerate_rc, lower_bound,
+                        rc_from_json, rc_to_json, validate, vacancy, weight_of)
 
 
 def _rc_grid(max_boxes: int):
@@ -17,6 +20,56 @@ def _rc_grid(max_boxes: int):
                 L = MultiplicityArray.from_rows(mu, n)
                 for w in weight_compositions(total, n):
                     yield L, Composition(w)
+
+
+def _walk_against_full_product(max_boxes: int, ranks):
+    """Compare `configuration_walk` with the full product of partitions over
+    every ordered row-shape list and weight; return the numbers of
+    configurations in the full product, kept by the walk and carrying an
+    object, and the problems found.
+
+    The product is built here from the sizes |nu^(a)| = w_{a+1} + ... + w_n
+    of row factors.  A dropped configuration must have a block of some level
+    a whose floor -min(width, w_{a+1}) exceeds its vacancy number.  Both
+    sides depend on the row shapes only through L, so each (L, weight) is
+    checked once and counted for every ordering of its rows.
+    """
+    problems: list = []
+    checked: dict = {}
+    counts = [0, 0, 0]
+    for widths, n in instance_grid(max_boxes, ranks=ranks):
+        L = MultiplicityArray.from_rows(widths, n)
+        for w in weight_compositions(sum(widths), n):
+            if (L, w) not in checked:
+                checked[L, w] = _check_walk(L, w, problems)
+            counts = [t + c for t, c in zip(counts, checked[L, w])]
+    return tuple(counts), problems
+
+
+def _check_walk(L: MultiplicityArray, w: tuple[int, ...], problems: list):
+    weight = Composition(w)
+    walked = [config.nu for config, _ in configuration_walk(L, weight)]
+    carried = {rc.config.nu for rc in enumerate_rc(L, weight)}
+    if not carried <= set(walked):
+        problems.append(("dropped a configuration with an object",
+                         L, w, sorted(carried - set(walked))[:1]))
+    full = 0
+    remaining = iter(walked)
+    upcoming = next(remaining, None)
+    for nu in product(*(partitions_of(sum(w[a:])) for a in range(1, L.n))):
+        full += 1
+        if nu == upcoming:
+            upcoming = next(remaining, None)
+            continue
+        config = Configuration(nu)
+        if not any(-min(width, w[a]) > vacancy(config, L, a, width)
+                   for a in range(1, L.n) for width in set(nu[a - 1])):
+            problems.append(("dropped a configuration with floor <= p in "
+                             "every block", L, w, nu))
+    if upcoming is not None:
+        problems.append(("not a subsequence of the full product",
+                         L, w, upcoming))
+    return full, len(walked), len(carried)
 
 
 class TestVacancy:
@@ -156,6 +209,20 @@ class TestEnumeration:
                                  if all(r >= 0 for lv in rc.riggings for r in lv)]
                     assert len(classical) == \
                         kostka_number(Partition(lam), Composition(mu))
+
+
+class TestConfigurationWalk:
+    # written without assert so that it still checks under python -O
+    @pytest.mark.parametrize("ranks, counts", [
+        ((2, 3), (23647, 4104, 3740)),
+        ((4,), (304096, 16743, 13854)),
+    ], ids=["acceptance_grid", "rank_4"])
+    def test_walk_keeps_every_configuration_with_an_object(self, ranks, counts):
+        found, problems = _walk_against_full_product(6, ranks)
+        if problems:
+            pytest.fail(f"{len(problems)} walk problems, first: {problems[:3]}")
+        if found != counts:
+            pytest.fail(f"grid changed: (full, kept, with an object) = {found}")
 
 
 class TestCocharge:
