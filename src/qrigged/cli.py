@@ -43,7 +43,7 @@ QBINOM_MAX_DEGREE = 20_000
 # Largest grid order*d (order in q, step 1/d) that `pochhammer` and `bailey`
 # expand, d being the lcm of the denominators of their rational flags.
 SERIES_MAX_GRID = 20_000
-# Most Bailey-lemma steps `bailey` chains; each nests one level of recursion.
+# Most steps `bailey` chains, a work bound: each costs O(N^2) series products.
 BAILEY_MAX_STEPS = 100
 
 # Library operation -> the one subcommand that runs it (reachability-tested).
@@ -315,14 +315,13 @@ def _stepped_pair(args):
 
 
 def _cmd_bailey(args) -> tuple[dict, int]:
+    pair = _stepped_pair(args)
     if args.mode == "verify":
-        pair = _stepped_pair(args)
         check = verify_bailey_pair(pair, args.order,
                                    max_n=min(args.order, args.max_n))
         return ({"pair": pair.name, **check.as_dict()},
                 EXIT_OK if check.valid else EXIT_UNEQUAL)
     # weak-limit extraction: the n -> infinity identity of the pair
-    pair = _stepped_pair(args)
     lhs, rhs = weak_lemma(pair, args.order)
     comparison = compare_series(lhs, rhs)
     return ({"pair": pair.name, "lhs": lhs.to_json(),
@@ -422,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bailey", help="Bailey pair verification and chain steps",
         description=f"Bailey pair verification and chain steps.  More than "
-                    f"{BAILEY_MAX_STEPS} steps, or a grid order*d above "
+                    f"{BAILEY_MAX_STEPS} steps (each costs O(N^2) series "
+                    "products on a table of N entries), or a grid order*d above "
                     f"{SERIES_MAX_GRID} (step 1/d, the lcm of the denominators "
                     "of --rho and --sigma), is refused with exit code 2.")
     p.add_argument("--mode", choices=("verify", "weak-limit"), default="verify")

@@ -7,6 +7,7 @@ take rows left to right, bottom row first.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -241,10 +242,8 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> IntPolynomial:
     fillings of `lam` with content `mu`."""
     if lam.size() != mu.size():
         raise ValueError("shape and content sizes differ")
-    out = IntPolynomial.zero()
-    for t in enumerate_ssyt(lam, Composition(mu.parts)):
-        out = out + IntPolynomial.monomial(charge(t.reading_word()))
-    return out
+    tableaux = enumerate_ssyt(lam, Composition(mu.parts))
+    return IntPolynomial(Counter(charge(t.reading_word()) for t in tableaux))
 
 
 def kostka_number(lam: Partition, mu: Composition) -> int:

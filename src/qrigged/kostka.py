@@ -9,6 +9,7 @@ the frozen global normalization, which calibration fixes to the identity
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -57,9 +58,7 @@ def fermionic_kostka(inst: KostkaInstance) -> IntPolynomial:
     products) on every call; the two code paths share only the window
     computation (`level_blocks`, `rigging_windows`), not the rigging loop.
     """
-    by_enumeration = IntPolynomial.zero()
-    for rc in enumerate_rc(inst.L, inst.weight):
-        by_enumeration = by_enumeration + IntPolynomial.monomial(cocharge(rc))
+    by_enumeration = IntPolynomial(Counter(map(cocharge, enumerate_rc(inst.L, inst.weight))))
     closed = fermionic_kostka_closed_form(inst)
     if by_enumeration != closed:
         raise AssertionError(
@@ -118,10 +117,8 @@ def path_kostka(inst: KostkaInstance) -> IntPolynomial:
     """Sum of q^energy over all paths of the instance's weight."""
     if not inst.L.is_row_only():
         raise UnsupportedFactorShapeError("unsupported factor shape")
-    out = IntPolynomial.zero()
-    for p in enumerate_paths(inst.row_shapes(), inst.n, inst.weight):
-        out = out + IntPolynomial.monomial(intrinsic_energy(p))
-    return out
+    paths = enumerate_paths(inst.row_shapes(), inst.n, inst.weight)
+    return IntPolynomial(Counter(map(intrinsic_energy, paths)))
 
 
 def restricted_kostka(inst: KostkaInstance) -> IntPolynomial:
@@ -135,11 +132,8 @@ def restricted_kostka(inst: KostkaInstance) -> IntPolynomial:
         raise UnsupportedFactorShapeError("unsupported factor shape")
     if not inst.weight.is_dominant():
         raise ValueError("restricted enumeration needs a dominant weight")
-    out = IntPolynomial.zero()
-    for p in enumerate_paths(inst.row_shapes(), inst.n, inst.weight):
-        if is_highest_weight(p):
-            out = out + IntPolynomial.monomial(intrinsic_energy(p))
-    return out
+    paths = enumerate_paths(inst.row_shapes(), inst.n, inst.weight)
+    return IntPolynomial(Counter(map(intrinsic_energy, filter(is_highest_weight, paths))))
 
 
 def kostka_foulkes_via_paths(inst: KostkaInstance) -> IntPolynomial:

@@ -1,17 +1,19 @@
-"""Bailey pairs and one application of the Bailey lemma.
+"""Bailey pairs and the Bailey chain.
 
 A Bailey pair relative to the base a = q^k is a pair of sequences with
-beta_n = sum_{j<=n} alpha_j / ((q;q)_{n-j} (aq;q)_{n+j}).  `bailey_step`
-produces a new pair from parameters rho, sigma, each a finite power of q or
-the symbolic infinity; both regimes share one code path through the
-multiplier triple (A, T, D).  The n -> infinity limit of the stepped pair's
-defining relation is the weak lemma, exposed as `weak_lemma`.
+beta_n = sum_{j<=n} alpha_j / ((q;q)_{n-j} (aq;q)_{n+j}).  A pair is a seed
+plus Bailey-lemma steps with parameters rho, sigma, each a finite power of q
+or the symbolic infinity; `BaileyPair.table` folds the steps over a table of
+entries, both regimes sharing the multiplier triple (A, T, D).  The
+n -> infinity limit of the defining relation is the weak lemma, `weak_lemma`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import reduce
+from itertools import count
+from typing import Callable, Iterable, Optional
 
 from ..qalg import PochhammerSpec, TruncatedSeries, pochhammer_qq, series_one
 from .sums import compare_series
@@ -43,8 +45,9 @@ BaileyParam = Fraction | Infinity
 class BaileyPair:
     """Coefficient sequences (alpha, beta) relative to a = q^base_exponent.
 
-    alpha and beta are callables (n, order) -> TruncatedSeries producing the
-    exact n-th entry to the requested order.  ``order`` is the guaranteed
+    alpha and beta are the seed's callables (n, order) -> TruncatedSeries
+    producing its exact n-th entry to the requested order, and ``steps``
+    the (rho, sigma) of each step applied to it.  ``order`` is the guaranteed
     truncation order (None for closed-form pairs exact at any order).
     """
 
@@ -53,12 +56,32 @@ class BaileyPair:
     beta: Callable[[int, int], TruncatedSeries]
     order: Optional[int] = None
     name: str = "pair"
+    steps: tuple[tuple[BaileyParam, BaileyParam], ...] = ()
 
     def require_order(self, order: int) -> None:
         if self.order is not None and order > self.order:
             raise InsufficientOrderError(
                 f"{self.name}: requires order {order}, "
                 f"but only order {self.order} is guaranteed")
+
+    def table(self, order: int, nmax: int
+              ) -> tuple[list[TruncatedSeries], list[TruncatedSeries]]:
+        """alpha_n, beta_n for n <= nmax, to `order`: the seed once per n, then
+        per step alpha_n -> D_n A_n alpha_n, beta_n -> D_n sum_j T_{n-j} A_j beta_j."""
+        alphas = [self.alpha(n, order) for n in range(nmax + 1)]
+        betas = [self.beta(n, order) for n in range(nmax + 1)]
+        for rho, sigma in self.steps:
+            a_factor, t_factor, d_factor = _multiplier(self.base_exponent, rho, sigma)
+            alphas = [d_factor(n, a_factor(n, x)) for n, x in enumerate(alphas)]
+            scaled = [a_factor(j, x) for j, x in enumerate(betas)]
+            betas = [d_factor(n, _total(t_factor(n - j, scaled[j]) for j in range(n + 1)))
+                     for n in range(nmax + 1)]
+        return alphas, betas
+
+
+def _total(terms: Iterable[TruncatedSeries]) -> TruncatedSeries:
+    """Left-to-right sum of a nonempty sequence of series."""
+    return reduce(TruncatedSeries.__add__, terms)
 
 
 @dataclass(frozen=True)
@@ -88,14 +111,13 @@ def verify_bailey_pair(pair: BaileyPair, order: int,
     pair.require_order(order)
     k = pair.base_exponent
     nmax = order if max_n is None else max_n
+    alphas, betas = pair.table(order, nmax)
     for n in range(nmax + 1):
-        lhs = pair.beta(n, order)
-        rhs = None
-        for j in range(n + 1):
-            term = pair.alpha(j, order).times_pochhammer(PochhammerSpec(length=n - j), -1) \
-                .times_pochhammer(PochhammerSpec(exponent=1 + k, length=n + j), -1)
-            rhs = term if rhs is None else rhs + term
-        comparison = compare_series(lhs, rhs)
+        rhs = _total(
+            alphas[j].times_pochhammer(PochhammerSpec(length=n - j), -1)
+            .times_pochhammer(PochhammerSpec(exponent=1 + k, length=n + j), -1)
+            for j in range(n + 1))
+        comparison = compare_series(betas[n], rhs)
         if not comparison.equal:
             return PairCheck(False, order, n, failing_n=n,
                              failing_exponent=comparison.first_difference)
@@ -141,31 +163,35 @@ def rogers_ramanujan_seed() -> BaileyPair:
 def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
     """The Bailey-lemma multiplier triple (A, T, D), each returning s times:
 
-    A(j, s): the combined factor (rho)_j (sigma)_j (aq/rho sigma)^j in its
-    finite or limiting form; T(m, s): (aq/rho sigma; q)_m or 1;
-    D(n, s): 1/((aq/rho)_n (aq/sigma)_n) over the finite parameters.
+    A(j, s): the combined factor (rho)_j (sigma)_j (aq/rho sigma)^j in its finite
+    or limiting form; T(m, s): (aq/rho sigma; q)_m / (q;q)_m, numerator 1 if a
+    parameter is infinite; D(n, s): 1/((aq/rho)_n (aq/sigma)_n), finite params.
     """
     finite = [p for p in (rho, sigma) if not isinstance(p, Infinity)]
     ninf = 2 - len(finite)
+    c = 1 + k - sum(finite)  # aq/(rho sigma) = q^c
     for r in finite:
         if 1 + k - r <= 0:
             raise ValueError(
                 f"parameter q^{r} is out of range for base q^{k}: "
                 f"aq/param = q^{1 + k - r} must have positive exponent")
+    if not ninf and c < 0:
+        raise ValueError(
+            f"parameters q^{rho}, q^{sigma} are out of range for base q^{k}: "
+            f"aq/(rho sigma) = q^{c} must have nonnegative exponent")
 
     def a_factor(j: int, s: TruncatedSeries) -> TruncatedSeries:
         # limit of prod (p)_j over infinite params * (aq/rho sigma)^j
-        exp = j * (1 + k - sum(finite))
-        exp += ninf * Fraction(j * (j - 1), 2)
+        exp = j * c + ninf * Fraction(j * (j - 1), 2)
         s = s.shift(exp) if (ninf * j) % 2 == 0 else -s.shift(exp)
         for r in finite:
             s = s.times_pochhammer(PochhammerSpec(exponent=r, length=j))
         return s
 
     def t_factor(m: int, s: TruncatedSeries) -> TruncatedSeries:
-        if ninf:
-            return s
-        return s.times_pochhammer(PochhammerSpec(exponent=1 + k - sum(finite), length=m))
+        if not ninf:
+            s = s.times_pochhammer(PochhammerSpec(exponent=c, length=m))
+        return s.times_pochhammer(PochhammerSpec(length=m), -1)
 
     def d_factor(n: int, s: TruncatedSeries) -> TruncatedSeries:
         for r in finite:
@@ -177,30 +203,13 @@ def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
 
 def bailey_step(pair: BaileyPair, rho: BaileyParam, sigma: BaileyParam,
                 verify_order: Optional[int] = None) -> BaileyPair:
-    """One link of the Bailey chain.
-
-    Produces the transformed pair relative to the same base; when
-    ``verify_order`` is given the output is re-checked by
-    `verify_bailey_pair` to that order before being returned.
-    """
-    k = pair.base_exponent
-    a_factor, t_factor, d_factor = _multiplier(k, rho, sigma)
-
-    def alpha(n: int, order: int) -> TruncatedSeries:
-        return d_factor(n, a_factor(n, pair.alpha(n, order)))
-
-    def beta(n: int, order: int) -> TruncatedSeries:
-        acc = None
-        for j in range(n + 1):
-            term = t_factor(n - j, a_factor(j, pair.beta(j, order))) \
-                .times_pochhammer(PochhammerSpec(length=n - j), -1)
-            acc = term if acc is None else acc + term
-        return d_factor(n, acc)
-
-    stepped = BaileyPair(k, alpha, beta, pair.order,
-                         f"step({pair.name}; {rho}, {sigma})")
+    """One link of the Bailey chain: checks the parameters and appends
+    (rho, sigma) to the pair's steps.  When ``verify_order`` is given the
+    output is re-checked by `verify_bailey_pair` to that order first."""
+    _multiplier(pair.base_exponent, rho, sigma)
+    stepped = replace(pair, name=f"step({pair.name}; {rho}, {sigma})",
+                      steps=pair.steps + ((rho, sigma),))
     if verify_order is not None:
-        pair.require_order(verify_order)
         check = verify_bailey_pair(stepped, verify_order)
         if not check.valid:
             raise AssertionError(
@@ -213,24 +222,14 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
 
         sum_n a^n q^{n^2} beta_n  =  (1/(aq;q)_inf) sum_n a^n q^{n^2} alpha_n
 
-    Returns (lhs, rhs) to the requested order; equality certifies the
-    identity to that order.
+    Returns (lhs, rhs), summed over n with n^2 + kn <= order, to that order;
+    equality certifies the identity to that order.
     """
     pair.require_order(order)
     k = pair.base_exponent
-
-    def summed(coefficient: Callable[[int, int], TruncatedSeries]) -> TruncatedSeries:
-        acc = None
-        n = 0
-        while True:
-            lead = n * n + k * n
-            if n > 0 and lead > order:
-                break
-            term = coefficient(n, order).shift(lead)
-            acc = term if acc is None else acc + term
-            n += 1
-        return acc.truncate(Fraction(order))
-
-    lhs = summed(pair.beta)
-    rhs = summed(pair.alpha).times_pochhammer(PochhammerSpec(exponent=1 + k), -1)
+    nmax = next(n for n in count(1) if n * n + k * n > order) - 1
+    alphas, betas = pair.table(order, nmax)
+    lhs, rhs = (_total(x.shift(n * n + k * n) for n, x in enumerate(entries))
+                .truncate(Fraction(order)) for entries in (betas, alphas))
+    rhs = rhs.times_pochhammer(PochhammerSpec(exponent=1 + k), -1)
     return lhs, rhs.truncate(Fraction(order))

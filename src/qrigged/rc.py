@@ -234,6 +234,14 @@ class RiggedConfiguration:
             canonical.append(tuple(r for _, r in pairs))
         object.__setattr__(self, "riggings", tuple(canonical))
 
+    @classmethod
+    def _trusted(cls, config: Configuration, riggings: tuple) -> "RiggedConfiguration":
+        """Construct without coercion or checks, for canonical riggings."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "config", config)
+        object.__setattr__(out, "riggings", riggings)
+        return out
+
     def rigging_sum(self) -> int:
         return sum(sum(level) for level in self.riggings)
 
@@ -388,7 +396,7 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
                                        tuple(depth for _, depth in combo)))
             states = new_states
         for (levels, _) in states:
-            out.append(RiggedConfiguration(config, tuple(levels)))
+            out.append(RiggedConfiguration._trusted(config, tuple(levels)))
     return out
 
 

@@ -54,6 +54,14 @@ class TestStep:
         with pytest.raises(ValueError):
             bailey_step(unit_bailey_pair(), Fraction(2), INFINITY)
 
+    def test_out_of_range_parameter_product_rejected_at_step_time(self):
+        # aq/(rho sigma) = q^{1 - 4/5 - 5/6} has a negative exponent
+        with pytest.raises(ValueError, match=r"aq/\(rho sigma\) = q\^-19/30"):
+            bailey_step(unit_bailey_pair(), Fraction(4, 5), Fraction(5, 6))
+        # exponent exactly zero is a valid step
+        edge = bailey_step(unit_bailey_pair(), Fraction(1, 2), Fraction(1, 2))
+        assert verify_bailey_pair(edge, 8, max_n=4).valid
+
     def test_insufficient_order_error_names_required(self):
         base = unit_bailey_pair()
         limited = BaileyPair(base.base_exponent, base.alpha, base.beta,

@@ -139,6 +139,7 @@ class TestExitCodes:
         ["pochhammer", "--step", "1/100000", "--order", "3"],
         ["bailey", "--steps", "1", "--rho", "1/99999", "--order", "5"],
         ["bailey", "--steps", str(BAILEY_MAX_STEPS + 1), "--order", "1"],
+        ["bailey", "--steps", "1", "--rho", "4/5", "--sigma", "5/6"],
     ])
     def test_bad_numeric_argument_is_usage_error(self, argv, capsys):
         try:
@@ -149,6 +150,15 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert err.startswith(("usage:", "error:"))
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode, verdict", [("verify", "valid"),
+                                               ("weak-limit", "equal")])
+    def test_step_cap_is_reachable(self, mode, verdict, capsys):
+        code, out, _ = run_cli(["bailey", "--mode", mode,
+                                "--steps", str(BAILEY_MAX_STEPS),
+                                "--order", "1"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["result"][verdict] is True
 
     def test_compare_order_zero_is_checked_at_zero(self, capsys):
         code, out, _ = run_cli(["compare", "--preset-a", "rogers-ramanujan-1",
@@ -301,7 +311,7 @@ RATIONAL = (st.integers(-3, 5).map(str)
             | GARBAGE)
 ORDER = st.integers(-3, 12).map(str) | GARBAGE
 MAX_N = (st.integers(-2, 6) | st.integers(10 ** 3, 10 ** 9)).map(str) | GARBAGE
-STEPS = (st.integers(-1, 2) | st.integers(BAILEY_MAX_STEPS + 1, 10 ** 9)) \
+STEPS = (st.integers(-1, 6) | st.integers(BAILEY_MAX_STEPS + 1, 10 ** 9)) \
     .map(str) | GARBAGE
 LENGTH = (st.integers(-3, 8) | st.integers(10 ** 6, 10 ** 30)).map(str) \
     | st.sampled_from(["inf", "infinity"]) | GARBAGE

@@ -210,6 +210,22 @@ class TestEnumeration:
                     assert len(classical) == \
                         kostka_number(Partition(lam), Composition(mu))
 
+    def test_emitted_objects_equal_checked_construction(self):
+        # enumerate_rc skips the constructor's checks; on the acceptance grid
+        # every object must equal the checked, re-sorted one (no assert, so
+        # that it still checks under python -O)
+        objects = 0
+        for widths, n in instance_grid(6):
+            L = MultiplicityArray.from_rows(widths, n)
+            for w in weight_compositions(sum(widths), n):
+                for rc in enumerate_rc(L, Composition(w)):
+                    checked = RiggedConfiguration(rc.config, rc.riggings)
+                    if rc != checked or hash(rc) != hash(checked):
+                        pytest.fail(f"{rc} differs from {checked} for {L}, {w}")
+                    objects += 1
+        if objects != 11830:
+            pytest.fail(f"grid changed: {objects} objects")
+
 
 class TestConfigurationWalk:
     # written without assert so that it still checks under python -O
