@@ -11,6 +11,22 @@ to it (or starts a new string), makes changed strings singular with respect
 to the new state and keeps all other riggings.  Box removal inverts this
 exactly.
 
+Both directions keep the vacancy numbers p_i^(a) in a table and update it
+in place as boxes move.  p_i^(a) is Q_i(nu^(a-1)) - 2 Q_i(nu^(a)) +
+Q_i(nu^(a+1)), where Q_i counts the boxes in the first i columns, nu^(n) is
+empty and nu^(0) is the partition of factor rows (the factor term).  So a box
+added at the end of a level-a string of width l changes only the entries
+i > l: by -2 at level a and by +1 at levels a-1 and a+1.  Removal is the
+exact inverse.  The factor term is the sum of min(i, s) over the factor
+rows, each loose box of the partly consumed factor a row of width 1.  It is
+the number of path boxes consumed so far minus the sum of max(0, s - i) over
+complete rows.  That count shifts every p_i^(1)
+alike, so it is kept as one integer added when level 1 is read.  Completing
+a width-s factor, or popping it in the inverse, then changes the table only
+for i < s.  Selecting a singular string is a scan of (width, rigging)
+against the table, the chosen strings are kept by reference, and each new
+rigging is one table read after the update.
+
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
 pointwise (tested exhaustively at desk scale).
@@ -25,120 +41,146 @@ from .rc import (Configuration, InvalidRiggedConfigurationError,
 
 _HUGE = 10 ** 9
 
-# Internal state: levels = list over a = 1..n-1 of [width, rigging] pairs;
-# the multiplicity array is a plain list of row widths (boxes are width 1).
+# Internal state: `levels[a-1]` holds the strings of nu^(a) as [width,
+# rigging] lists in no particular order.  `p[a-1][i]` is p_i^(a) for
+# 1 <= i <= m, m bounding every width the direction can reach, except that
+# p[0] leaves out `boxes`, the number of path boxes consumed so far.
 
 
-def _vacancy_rows(levels, rows, a: int, i: int, n: int) -> int:
-    p = -2 * sum(min(i, w) for (w, _) in levels[a - 1])
-    if a == 1:
-        p += sum(min(i, s) for s in rows)
-    else:
-        p += sum(min(i, w) for (w, _) in levels[a - 2])
-    if a <= n - 2:
-        p += sum(min(i, w) for (w, _) in levels[a])
-    return p
+def _add_box(p, a: int, ell: int, d: int) -> None:
+    """Update `p` for a box added (d = 1) to, or removed (d = -1) from, the
+    end of a level-a string whose width without that box is `ell`."""
+    row = p[a - 1]
+    for i in range(ell + 1, len(row)):
+        row[i] -= 2 * d
+    if a >= 2:
+        row = p[a - 2]
+        for i in range(ell + 1, len(row)):
+            row[i] += d
+    if a < len(p):
+        row = p[a]
+        for i in range(ell + 1, len(row)):
+            row[i] += d
 
 
-def _insert_letter(levels, n: int, j: int, rows_old, rows_new) -> None:
-    """Single-box step: add letter j, mutating `levels` in place."""
-    selections: dict[int, int] = {}
-    selected_vacancy: dict[int, int] = {}
+def _move_factor(p, s: int, d: int) -> None:
+    """Update `p` for s loose boxes becoming one complete row (d = 1), or
+    one row of width s becoming loose boxes (d = -1)."""
+    row = p[0]
+    for i in range(1, min(s, len(row))):
+        row[i] += d * (i - s)
+
+
+def _insert_letter(levels, p, j: int, boxes: int) -> None:
+    """Single-box step: add letter j to the state after `boxes` path boxes,
+    mutating `levels` and `p` in place."""
+    chosen = []
     cap = _HUGE
     for a in range(j - 1, 0, -1):
-        best = -1
-        p_best = None
-        for (w, x) in levels[a - 1]:
-            if w <= cap and w > best and x == _vacancy_rows(levels, rows_old, a, w, n):
-                best = w
-                p_best = x
-        selections[a] = best if best >= 0 else 0
-        if best > 0:
-            selected_vacancy[a] = p_best
-        cap = selections[a]
-    changed: dict[int, int] = {}
-    for a, w in selections.items():
-        lv = levels[a - 1]
-        if w == 0:
-            lv.append([1, None])
-            changed[a] = 1
-        else:
-            for s in lv:
-                if s[0] == w and s[1] == selected_vacancy[a]:
-                    s[0] = w + 1
-                    s[1] = None
-                    changed[a] = w + 1
-                    break
-            else:
-                raise AssertionError("selected singular string disappeared")
-    for a, w in changed.items():
-        value = _vacancy_rows(levels, rows_new, a, w, n)
+        pa = p[a - 1]
+        shift = boxes if a == 1 else 0
+        best = None
+        width = 0
         for s in levels[a - 1]:
-            if s[1] is None:
-                s[1] = value
+            w = s[0]
+            if width < w <= cap and s[1] == pa[w] + shift:
+                best, width = s, w
+        chosen.append((a, best, width))
+        cap = width
+    for a, _, width in chosen:
+        _add_box(p, a, width, 1)
+    for a, s, width in chosen:
+        value = p[a - 1][width + 1] + (boxes + 1 if a == 1 else 0)
+        if s is None:
+            levels[a - 1].append([1, value])
+        else:
+            s[0] = width + 1
+            s[1] = value
 
 
-def _extract_letter(levels, n: int, rows_old, rows_new) -> int:
-    """Single-box step inverse: remove one box, return the letter."""
-    selections: dict[int, int] = {}
-    selected_vacancy: dict[int, int] = {}
+def _extract_letter(levels, p, boxes: int) -> int:
+    """Single-box step inverse: remove the last of `boxes` path boxes,
+    mutating `levels` and `p` in place, and return its letter."""
+    n = len(levels) + 1
+    chosen = []
     floor = 1
     letter = n
     for a in range(1, n):
-        best = _HUGE
-        p_best = None
-        for (w, x) in levels[a - 1]:
-            if floor <= w < best and x == _vacancy_rows(levels, rows_old, a, w, n):
-                best = w
-                p_best = x
-        if best == _HUGE:
+        pa = p[a - 1]
+        shift = boxes if a == 1 else 0
+        best = None
+        width = _HUGE
+        for s in levels[a - 1]:
+            w = s[0]
+            if floor <= w < width and s[1] == pa[w] + shift:
+                best, width = s, w
+        if best is None:
             letter = a
             break
-        selections[a] = best
-        selected_vacancy[a] = p_best
-        floor = best
-    for a, w in selections.items():
-        lv = levels[a - 1]
-        for idx, s in enumerate(lv):
-            if s[0] == w and s[1] == selected_vacancy[a]:
-                if w == 1:
-                    lv.pop(idx)
-                else:
-                    s[0] = w - 1
-                    s[1] = None
-                break
+        chosen.append((a, best, width))
+        floor = width
+    for a, _, width in chosen:
+        _add_box(p, a, width - 1, -1)
+    for a, s, width in chosen:
+        if width == 1:
+            levels[a - 1].remove(s)
         else:
-            raise AssertionError("selected singular string disappeared")
-    for a, w in selections.items():
-        if w > 1:
-            value = _vacancy_rows(levels, rows_new, a, w - 1, n)
-            for s in levels[a - 1]:
-                if s[1] is None:
-                    s[1] = value
+            s[0] = width - 1
+            s[1] = p[a - 1][width - 1] + (boxes - 1 if a == 1 else 0)
     return letter
 
 
+def _column_sums(widths, m: int) -> list[int]:
+    """[Q_0, ..., Q_m], Q_i = sum over the widths of min(i, width)."""
+    ends = [0] * (m + 1)
+    for w in widths:
+        ends[min(w, m)] += 1
+    out = [0]
+    height = len(widths)
+    total = 0
+    for i in range(1, m + 1):
+        total += height
+        out.append(total)
+        height -= ends[i]
+    return out
+
+
+def _vacancy_table(nu, rows, boxes: int):
+    """The table `p` of configuration `nu` with complete factor rows `rows`
+    and `boxes` path boxes, sized by the longest string."""
+    m = max((level[0] for level in nu if level), default=0)
+    sums = [_column_sums(level, m) for level in nu]
+    table = []
+    for a, here in enumerate(sums):
+        left = ([q - boxes for q in _column_sums(rows, m)] if a == 0
+                else sums[a - 1])
+        right = sums[a + 1] if a + 1 < len(sums) else [0] * (m + 1)
+        table.append([x - 2 * y + z for x, y, z in zip(left, here, right)])
+    return table
+
+
 def _finalize(levels) -> RiggedConfiguration:
-    config = Configuration(tuple(
-        tuple(sorted((w for w, _ in lv), reverse=True)) for lv in levels))
+    nu = []
     riggings = []
     for lv in levels:
-        pairs = sorted(((w, x) for (w, x) in lv), key=lambda t: (-t[0], -t[1]))
-        riggings.append(tuple(x for _, x in pairs))
-    return RiggedConfiguration(config, tuple(riggings))
+        lv.sort(reverse=True)  # (-width, -rigging) order, the canonical one
+        nu.append(tuple([w for w, _ in lv]))
+        riggings.append(tuple([x for _, x in lv]))
+    return RiggedConfiguration._trusted(Configuration._trusted(tuple(nu)),
+                                        tuple(riggings))
 
 
 def path_to_rc(path: Path) -> RiggedConfiguration:
     """Map a path to its unrestricted rigged configuration."""
     n = path.n
     levels: list[list[list[int]]] = [[] for _ in range(n - 1)]
-    done: list[int] = []
+    p = [[0] * (sum(path.shapes()) + 1) for _ in range(n - 1)]
+    boxes = 0
     for f in path.factors:
-        for t, x in enumerate(sorted(f.letters, reverse=True), start=1):
-            rows_old = done + [1] * (t - 1)
-            rows_new = done + [1] * t
-            _insert_letter(levels, n, x, rows_old, rows_new)
-        done.append(f.width())
+        for x in reversed(f.letters):
+            _insert_letter(levels, p, x, boxes)
+            boxes += 1
+        _move_factor(p, len(f.letters), 1)
     return _finalize(levels)
 
 
@@ -161,23 +203,24 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
         raise ValueError("widths do not match the multiplicity array")
     levels: list[list[list[int]]] = [
         [[w, x] for (w, x) in rc.strings(a)] for a in range(1, n)]
-    done = list(widths)
+    boxes = sum(widths)
+    p = _vacancy_table(rc.config.nu, widths, boxes)
     factors_rev: list[RowFactor] = []
     for s in reversed(widths):
-        done.pop()
+        _move_factor(p, s, -1)
         letters = []
-        for t in range(s, 0, -1):
-            rows_old = done + [1] * t
-            rows_new = done + [1] * (t - 1)
-            letters.append(_extract_letter(levels, n, rows_old, rows_new))
+        for _ in range(s):
+            letters.append(_extract_letter(levels, p, boxes))
+            boxes -= 1
         if any(letters[i] > letters[i + 1] for i in range(len(letters) - 1)):
             raise InvalidRiggedConfigurationError(
                 f"extracted letters {letters} do not form a row")
-        factors_rev.append(RowFactor(tuple(letters), n))
+        # letters lie in 1..n by construction and were just checked to be a row
+        factors_rev.append(RowFactor._trusted(tuple(letters), n))
     if any(lv for lv in levels):
         raise InvalidRiggedConfigurationError(
             "nonempty configuration left after extracting all factors")
-    return Path(tuple(reversed(factors_rev)), n)
+    return Path._trusted(tuple(reversed(factors_rev)), n)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,15 @@ class RowFactor:
             if i and self.letters[i - 1] > x:
                 raise ValueError(f"row letters must weakly increase: {self.letters}")
 
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...], n: int) -> "RowFactor":
+        """Construct without coercion or checks, for a weakly increasing
+        tuple of ints in 1..n."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "letters", letters)
+        object.__setattr__(out, "n", n)
+        return out
+
     def width(self) -> int:
         return len(self.letters)
 
@@ -63,6 +72,14 @@ class Path:
         for f in self.factors:
             if f.n != self.n:
                 raise ValueError("all factors must share the same rank")
+
+    @classmethod
+    def _trusted(cls, factors: tuple[RowFactor, ...], n: int) -> "Path":
+        """Construct without checks, for a tuple of rank-n factors."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        object.__setattr__(out, "n", n)
+        return out
 
     def shapes(self) -> tuple[int, ...]:
         return tuple(f.width() for f in self.factors)

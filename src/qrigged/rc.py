@@ -108,8 +108,8 @@ class Configuration:
 
     @classmethod
     def _trusted(cls, nu: tuple[tuple[int, ...], ...]) -> "Configuration":
-        """Construct without coercion or checks, for partitions that come
-        from `partitions_of`."""
+        """Construct without coercion or checks, for weakly decreasing
+        tuples of positive ints, such as those of `partitions_of`."""
         out = object.__new__(cls)
         object.__setattr__(out, "nu", nu)
         return out
@@ -444,15 +444,27 @@ def rc_to_json(rc: RiggedConfiguration, L: MultiplicityArray) -> list[dict]:
     return out
 
 
+def _json_integers(level: Mapping, key: str) -> tuple[int, ...]:
+    values = level[key]
+    # JSON integers only: bool is an int subclass, and int() would accept
+    # floats and digit strings
+    if type(values) is not list or any(type(v) is not int for v in values):
+        raise ValueError(f"{key} must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
 def rc_from_json(data: Sequence[Mapping], L: MultiplicityArray) -> RiggedConfiguration:
-    """Parse and re-validate an externally supplied rigged configuration."""
+    """Parse and re-validate an externally supplied rigged configuration.
+
+    Parts and riggings must be JSON integers; anything else raises
+    ValueError."""
     if len(data) != L.n - 1:
         raise InvalidRiggedConfigurationError(
             f"expected {L.n - 1} levels, got {len(data)}")
-    config = Configuration(tuple(tuple(int(p) for p in level["partition"])
+    config = Configuration(tuple(_json_integers(level, "partition")
                                  for level in data))
     rc = RiggedConfiguration(config,
-                             tuple(tuple(int(r) for r in level["riggings"])
+                             tuple(_json_integers(level, "riggings")
                                    for level in data))
     validate(rc, L)
     return rc

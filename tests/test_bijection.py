@@ -1,11 +1,14 @@
 import pytest
 
-from gridutil import weight_compositions, width_tuples
-from qrigged.bijection import check_statistic, path_to_rc, rc_to_path
+from gridutil import instance_grid, weight_compositions, width_tuples
+from qrigged.bijection import (_extract_letter, _insert_letter, _move_factor,
+                               _vacancy_table, check_statistic, path_to_rc,
+                               rc_to_path)
 from qrigged.combinat import Composition
 from qrigged.crystals import Path, RowFactor, enumerate_paths, intrinsic_energy
-from qrigged.rc import (InvalidRiggedConfigurationError, MultiplicityArray,
-                        RiggedConfiguration, cocharge, enumerate_rc, weight_of)
+from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
+                        MultiplicityArray, RiggedConfiguration, cocharge,
+                        enumerate_rc, vacancy, weight_of)
 
 
 def path_of(words, n):
@@ -73,6 +76,26 @@ class TestRoundTrips:
                     for p in enumerate_paths(widths, n, Composition(w)):
                         assert intrinsic_energy(p) == cocharge(path_to_rc(p))
 
+    @pytest.mark.slow
+    def test_rank_4_grid(self):
+        # opt-in: path -> rc -> path over rank 4, <= 6 boxes, and the image
+        # of each instance is exactly its enumerate_rc
+        instances = objects = 0
+        for widths in width_tuples(6):
+            L = MultiplicityArray.from_rows(widths, 4)
+            for w in weight_compositions(sum(widths), 4):
+                weight = Composition(w)
+                image = set()
+                for p in enumerate_paths(widths, 4, weight):
+                    rc = path_to_rc(p)
+                    assert rc_to_path(rc, L, widths) == p
+                    image.add(rc)
+                    objects += 1
+                rcs = enumerate_rc(L, weight)
+                assert len(image) == len(rcs) and image == set(rcs)
+                instances += 1
+        assert (instances, objects) == (3968, 48433)
+
     def test_relation_constant_per_instance(self):
         for n in (2, 3):
             for widths in ((1, 1), (2, 1), (1, 2), (2, 2)):
@@ -96,3 +119,68 @@ class TestValidation:
         rc = enumerate_rc(L, Composition((2, 1)))[0]
         with pytest.raises(ValueError):
             rc_to_path(rc, L, (1, 1, 1))
+
+
+class TestVacancyTable:
+    """The table that the single-box steps maintain equals the vacancy
+    numbers recomputed from scratch after every step, at every width
+    present in every level."""
+
+    GRID_BOXES = 5
+
+    @staticmethod
+    def check(levels, p, rows, boxes, n):
+        # rows: the complete factor rows; the other consumed boxes are loose
+        L = MultiplicityArray.from_rows(
+            list(rows) + [1] * (boxes - sum(rows)), n)
+        config = Configuration(tuple(
+            tuple(sorted((w for w, _ in lv), reverse=True)) for lv in levels))
+        for a in range(1, n):
+            for w in {w for w, _ in levels[a - 1]}:
+                kept = p[a - 1][w] + (boxes if a == 1 else 0)
+                assert kept == vacancy(config, L, a, w), (levels, rows, a, w)
+
+    def paths(self):
+        for widths, n in instance_grid(self.GRID_BOXES):
+            for w in weight_compositions(sum(widths), n):
+                for path in enumerate_paths(widths, n, Composition(w)):
+                    yield widths, n, path
+
+    def test_insert_steps(self):
+        steps = 0
+        for widths, n, path in self.paths():
+            levels = [[] for _ in range(n - 1)]
+            p = [[0] * (sum(widths) + 1) for _ in range(n - 1)]
+            rows = []
+            boxes = 0
+            for s, f in zip(widths, path.factors):
+                for x in reversed(f.letters):
+                    _insert_letter(levels, p, x, boxes)
+                    boxes += 1
+                    self.check(levels, p, rows, boxes, n)
+                    steps += 1
+                _move_factor(p, s, 1)
+                rows.append(s)
+                self.check(levels, p, rows, boxes, n)
+        assert steps == 12064  # boxes of the 2556 paths
+
+    def test_extract_steps(self):
+        steps = 0
+        for widths, n, path in self.paths():
+            rc = path_to_rc(path)
+            levels = [[[w, x] for (w, x) in rc.strings(a)] for a in range(1, n)]
+            rows = list(widths)
+            boxes = sum(widths)
+            p = _vacancy_table(rc.config.nu, rows, boxes)
+            self.check(levels, p, rows, boxes, n)
+            for s in reversed(widths):
+                _move_factor(p, s, -1)
+                rows.pop()
+                self.check(levels, p, rows, boxes, n)
+                for _ in range(s):
+                    _extract_letter(levels, p, boxes)
+                    boxes -= 1
+                    self.check(levels, p, rows, boxes, n)
+                    steps += 1
+            assert not any(levels)
+        assert steps == 12064  # boxes of the 2556 paths

@@ -9,10 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridutil import instance_grid, weight_compositions
+from qrigged.bijection import path_to_rc
 from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
     EXIT_UNKNOWN_PRESET, EXIT_UNSUPPORTED, EXIT_USAGE, OPERATION_MAP, \
     build_parser, main
+from qrigged.combinat import Composition
+from qrigged.crystals import Path as CrystalPath, enumerate_paths
 from qrigged.qseries.presets import PresetRegistry
+from qrigged.rc import MultiplicityArray, rc_to_json
 from schemautil import load_schema, validate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -149,6 +154,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith(("usage:", "error:"))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rc", [
+        '[{"partition": [1.5], "riggings": [0.9]}]',
+        '[{"partition": [true], "riggings": [false]}]',
+        '[{"partition": "1", "riggings": "0"}]',
+        '[{"partition": [1], "riggings": [1e400]}]',
+    ], ids=["float", "bool", "digit-string", "overflow"])
+    def test_non_integer_rc_json_is_usage_error(self, rc, capsys):
+        code, _, err = run_cli(["bijection", "--n", "2", "--shapes", "1x1,1x1",
+                                "--rc", rc], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: malformed rc JSON")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("mode, verdict", [("verify", "valid"),
@@ -358,15 +376,77 @@ def qseries_argv(draw):
     return argv
 
 
+# Valid `bijection --rc` inputs of every instance with at most 3 boxes, as
+# (widths, n, rc JSON levels); the fuzz mutates them.
+VALID_RC = [(widths, n, rc_to_json(path_to_rc(p),
+                                   MultiplicityArray.from_rows(widths, n)))
+            for widths, n in instance_grid(3)
+            for w in weight_compositions(sum(widths), n)
+            for p in enumerate_paths(widths, n, Composition(w))]
+ODD_VALUE = st.sampled_from([1.5, -0.0, True, False, 10 ** 40, -10 ** 40,
+                             float("inf"), float("nan"), "1", None, [1]])
+
+
+@st.composite
+def bijection_rc_argv(draw):
+    """`bijection --rc` on a valid object after up to three changes of a
+    rigging by +-k, a part by +-1 or a dropped row, and perhaps one float,
+    bool, huge or otherwise non-integer value put in."""
+    widths, n, levels = draw(st.sampled_from(VALID_RC))
+    levels = json.loads(json.dumps(levels))
+    for _ in range(draw(st.integers(0, 3))):
+        level = draw(st.sampled_from(levels))
+        if not level["partition"]:
+            continue
+        k = draw(st.integers(0, len(level["partition"]) - 1))
+        kind = draw(st.sampled_from(["rigging", "part", "drop"]))
+        if kind == "rigging":
+            level["riggings"][k] += draw(st.integers(-3, 3))
+        elif kind == "part":
+            level["partition"][k] += draw(st.sampled_from([-1, 1]))
+        else:
+            del level["partition"][k]
+            del level["riggings"][k]
+    if draw(st.booleans()):
+        level = draw(st.sampled_from(levels))
+        key = draw(st.sampled_from(["partition", "riggings"]))
+        if level[key] and draw(st.booleans()):
+            level[key][draw(st.integers(0, len(level[key]) - 1))] = \
+                draw(ODD_VALUE)
+        else:
+            level[key] = draw(ODD_VALUE)
+    shapes = ",".join(f"1x{s}" for s in widths)
+    return ["bijection", "--n", str(n), "--shapes", shapes,
+            "--rc", json.dumps(levels)], widths, n
+
+
+def run_documented(argv):
+    """Run main, returning (exit code, stdout) and asserting that it ends
+    in a documented exit code without a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # rejected by the argument parser
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(qseries_argv())
     def test_exit_code_is_documented(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # rejected by the argument parser
-                code = exc.code
-        assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        run_documented(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bijection_rc_argv())
+    def test_bijection_rc_input(self, case):
+        argv, widths, n = case
+        code, out = run_documented(argv)
+        if code == EXIT_OK:
+            result = json.loads(out)["result"]
+            back = path_to_rc(CrystalPath.parse(result["path"], n))
+            L = MultiplicityArray.from_rows(widths, n)
+            assert rc_to_json(back, L) == result["rc"]
