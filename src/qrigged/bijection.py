@@ -235,9 +235,11 @@ class StatisticReport:
                 "relation": {"sign": self.sign, "shift": self.shift}}
 
 
-def check_statistic(path: Path) -> StatisticReport:
+def check_statistic(path: Path,
+                    rc: RiggedConfiguration | None = None) -> StatisticReport:
     """Both statistics for one path plus the observed affine relation
-    cocharge = sign * energy + shift."""
+    cocharge = sign * energy + shift.  `rc`, when the caller already holds
+    it, must be `path_to_rc(path)`; it is computed otherwise."""
     d = intrinsic_energy(path)
-    cc = cocharge(path_to_rc(path))
+    cc = cocharge(path_to_rc(path) if rc is None else rc)
     return StatisticReport(energy=d, cocharge=cc, sign=1, shift=cc - d)

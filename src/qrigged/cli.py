@@ -194,7 +194,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
         rc = path_to_rc(p)
         L = MultiplicityArray.from_rows(p.shapes(), p.n)
         result = {"path": str(p), "rc": rc_to_json(rc, L),
-                  "statistic": check_statistic(p).as_dict()}
+                  "statistic": check_statistic(p, rc).as_dict()}
         return result, EXIT_OK
     if args.rc:
         if shapes is None:
@@ -226,7 +226,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
             if key in seen:
                 return {"roundtrip": "not injective", "path": str(p)}, EXIT_UNEQUAL
             seen.add(key)
-            rep = check_statistic(p)
+            rep = check_statistic(p, rc)
             rel = (rep.sign, rep.shift)
             if relation is None:
                 relation = rel

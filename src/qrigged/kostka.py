@@ -55,8 +55,9 @@ def fermionic_kostka(inst: KostkaInstance) -> IntPolynomial:
     """Sum of q^cocharge over the unrestricted rigged configurations.
 
     Asserts agreement with the closed-form evaluation (q-binomial block
-    products) on every call; the two code paths share only the window
-    computation (`level_blocks`, `rigging_windows`), not the rigging loop.
+    products) on every call; the two code paths share only the cached
+    configuration walk and the window computation (`level_blocks`,
+    `rigging_windows`), not the rigging loop.
     """
     by_enumeration = IntPolynomial(Counter(map(cocharge, enumerate_rc(inst.L, inst.weight))))
     closed = fermionic_kostka_closed_form(inst)
@@ -73,8 +74,9 @@ def fermionic_kostka_closed_form(inst: KostkaInstance) -> IntPolynomial:
     For each configuration, riggings are never listed; each block of m rows
     of width w contributes the generating function of its window, split by
     the block minimum so the carried depth passed to the next level is
-    known.  The configurations are those of `configuration_walk`.  The
-    result is a sum of products of Gaussian binomials.
+    known.  The configurations are those of `configuration_walk`, read
+    from its cache when `enumerate_rc` has just walked the same instance.
+    The result is a sum of products of Gaussian binomials.
     """
     total = IntPolynomial.zero()
     for config, blocks_by_level in configuration_walk(inst.L, inst.weight):

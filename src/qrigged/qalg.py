@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 class NonInvertibleSeriesError(ValueError):
@@ -28,118 +28,146 @@ class DivergentProductError(ValueError):
 # ---------------------------------------------------------------------------
 
 class IntPolynomial:
-    """Sparse Laurent polynomial in q with integer coefficients.
+    """Laurent polynomial in q with integer coefficients, stored dense.
 
-    Stored as a mapping exponent -> nonzero coefficient; exponents may be
-    negative.  The zero polynomial is the empty mapping.
+    ``_coeffs`` holds the coefficients of q^offset, q^(offset+1), ... with
+    both ends nonzero, and ``_offset`` is the least exponent, which may be
+    negative.  The zero polynomial is offset 0 with the empty tuple, so
+    equal polynomials have equal fields.  Storage grows with the span of
+    the exponents, not with the number of terms.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_offset", "_coeffs")
 
     def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
+        """From a mapping exponent -> coefficient or from (exponent,
+        coefficient) pairs; repeated exponents add up."""
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         clean: dict[int, int] = {}
         for e, c in items:
             if not isinstance(e, int):
                 raise TypeError(f"exponent must be an integer, got {e!r}")
-            c = int(c)
-            if c:
-                clean[e] = clean.get(e, 0) + c
-                if not clean[e]:
-                    del clean[e]
-        self._terms = dict(sorted(clean.items()))
+            e = int(e)
+            clean[e] = clean.get(e, 0) + int(c)
+        nonzero = [e for e, c in clean.items() if c]
+        lo = min(nonzero, default=0)
+        self._offset = lo
+        self._coeffs = tuple(clean.get(e, 0)
+                             for e in range(lo, max(nonzero, default=lo - 1) + 1))
+
+    @classmethod
+    def _trusted(cls, offset: int, coeffs: Sequence[int]) -> "IntPolynomial":
+        """Construct from the int coefficients of q^offset, q^(offset+1), ...
+        without coercion or checks, for operations whose inputs are already
+        polynomials; zero coefficients at either end are trimmed."""
+        lo, hi = 0, len(coeffs)
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
+        out = object.__new__(cls)
+        out._offset = offset + lo if lo < hi else 0
+        out._coeffs = tuple(coeffs[lo:hi])
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "IntPolynomial":
-        return IntPolynomial()
+        return IntPolynomial._trusted(0, ())
 
     @staticmethod
     def one() -> "IntPolynomial":
-        return IntPolynomial({0: 1})
+        return IntPolynomial._trusted(0, (1,))
 
     @staticmethod
     def monomial(exponent: int, coefficient: int = 1) -> "IntPolynomial":
-        return IntPolynomial({exponent: coefficient})
+        return IntPolynomial._trusted(exponent, (coefficient,))
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+        """Exponent -> nonzero coefficient, in increasing exponent."""
+        return {self._offset + i: c for i, c in enumerate(self._coeffs) if c}
 
     def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        i = exponent - self._offset
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def min_exponent(self) -> Optional[int]:
-        return min(self._terms) if self._terms else None
+        return self._offset if self._coeffs else None
 
     def max_exponent(self) -> Optional[int]:
-        return max(self._terms) if self._terms else None
+        return self._offset + len(self._coeffs) - 1 if self._coeffs else None
 
     def degree(self) -> Optional[int]:
         return self.max_exponent()
 
     def evaluate_at_one(self) -> int:
-        return sum(self._terms.values())
-
-    def coefficient_list(self) -> list[int]:
-        """Dense coefficients from min to max exponent (empty for zero)."""
-        if not self._terms:
-            return []
-        lo, hi = min(self._terms), max(self._terms)
-        return [self._terms.get(e, 0) for e in range(lo, hi + 1)]
+        return sum(self._coeffs)
 
     def is_palindromic(self) -> bool:
-        cs = self.coefficient_list()
-        return cs == cs[::-1]
+        return self._coeffs == self._coeffs[::-1]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return IntPolynomial(out)
+        # a zero operand has no extent; its offset 0 must not widen the range
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        lo = min(self._offset, other._offset)
+        out = [0] * (max(self._offset + len(self._coeffs),
+                         other._offset + len(other._coeffs)) - lo)
+        start = self._offset - lo
+        out[start:start + len(self._coeffs)] = self._coeffs
+        for i, c in enumerate(other._coeffs, other._offset - lo):
+            out[i] += c
+        return IntPolynomial._trusted(lo, out)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial({e: -c for e, c in self._terms.items()})
+        return IntPolynomial._trusted(self._offset, [-c for c in self._coeffs])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return IntPolynomial(out)
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+        return IntPolynomial._trusted(self._offset + other._offset, out)
 
     def shift(self, exponent: int) -> "IntPolynomial":
         """Multiply by q^exponent."""
-        return IntPolynomial({e + exponent: c for e, c in self._terms.items()})
+        return IntPolynomial._trusted(self._offset + exponent, self._coeffs)
 
     def reverse(self) -> "IntPolynomial":
         """Substitute q -> 1/q."""
-        return IntPolynomial({-e: c for e, c in self._terms.items()})
+        return IntPolynomial._trusted(1 - self._offset - len(self._coeffs),
+                                      self._coeffs[::-1])
 
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPolynomial) and self._terms == other._terms
+        return (isinstance(other, IntPolynomial) and self._offset == other._offset
+                and self._coeffs == other._coeffs)
 
     def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
+        return hash((self._offset, self._coeffs))
 
     # -- rendering ---------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"IntPolynomial({self._terms!r})"
+        return f"IntPolynomial({self.terms!r})"
 
     def __str__(self) -> str:
         return self.render()
@@ -149,10 +177,10 @@ class IntPolynomial:
 
         Examples: ``0``, ``1 + 2*q^2 - q^3``, ``q^-1 + 1``.
         """
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts: list[str] = []
-        for e, c in self._terms.items():
+        for e, c in self.terms.items():
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -167,7 +195,7 @@ class IntPolynomial:
 
     def to_json(self) -> list[list[object]]:
         """Canonical JSON form: [exponent, coefficient-as-string] pairs."""
-        return [[e, str(c)] for e, c in self._terms.items()]
+        return [[e, str(c)] for e, c in self.terms.items()]
 
     @staticmethod
     def from_json(pairs: Iterable[Iterable[object]]) -> "IntPolynomial":
@@ -215,7 +243,7 @@ def q_binomial(m: int, k: int) -> IntPolynomial:
     for i in range(1, k + 1):
         _apply_factor(c, m - k + i, 1, 1)
         _apply_factor(c, i, 1, -1)
-    return IntPolynomial(enumerate(c))
+    return IntPolynomial._trusted(0, c)
 
 
 # ---------------------------------------------------------------------------

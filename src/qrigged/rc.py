@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product as iproduct
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .combinat import Composition, partitions_of
 from .qalg import IntPolynomial, q_binomial
@@ -84,11 +84,22 @@ class MultiplicityArray:
         sum_j min(i, j) L_j^{(a)}."""
         return _level_term(self.counts, a, i)
 
+    def level_boxes(self) -> tuple[int, ...]:
+        """Boxes in the first a rows of all factors together,
+        sum min(a, b) i L_i^{(b)}, for a = 0..n."""
+        return _level_boxes(self.counts, self.n)
+
 
 @lru_cache(maxsize=1 << 14)
 def _level_term(counts: tuple[tuple[tuple[int, int], int], ...], a: int, i: int) -> int:
     # cached: the configuration walk asks for it once per block and level
     return sum(min(i, j) * c for (b, j), c in counts if b == a)
+
+
+@lru_cache(maxsize=1 << 10)
+def _level_boxes(counts: tuple[tuple[tuple[int, int], int], ...], n: int) -> tuple[int, ...]:
+    # cached: validate reads it on every rc_to_path and rc_from_json call
+    return tuple(sum(min(a, b) * i * c for (b, i), c in counts) for a in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -136,39 +147,36 @@ def vacancy(config: Configuration, L: MultiplicityArray, a: int, i: int) -> int:
         raise IndexError(f"level {a} out of range 1..{n - 1}")
     if i < 1:
         raise IndexError("column index must be positive")
-    p = L.level_term(a, i) - 2 * _q_i(i, config.level(a))
-    if a >= 2:
-        p += _q_i(i, config.level(a - 1))
-    if a <= n - 2:
-        p += _q_i(i, config.level(a + 1))
-    return p
+    return _vacancy(L, a, i, *_neighbourhood(config, L, a))
+
+
+def _neighbourhood(config: Configuration, L: MultiplicityArray, a: int
+                   ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """nu^(a-1), nu^(a), nu^(a+1): all that p_i^(a) reads (nu^(0) and
+    nu^(n) are empty)."""
+    return (config.level(a - 1), config.level(a),
+            config.level(a + 1) if a <= L.n - 2 else ())
+
+
+def _vacancy(L: MultiplicityArray, a: int, i: int, below: tuple[int, ...],
+             level: tuple[int, ...], above: tuple[int, ...]) -> int:
+    return L.level_term(a, i) - 2 * _q_i(i, level) + _q_i(i, below) + _q_i(i, above)
 
 
 def weight_of(config: Configuration, L: MultiplicityArray) -> tuple[int, ...]:
     """The weight composition forced by the configuration sizes."""
-    n = L.n
-    sizes = [sum(config.level(a)) for a in range(1, n)]
-    w = []
-    for a in range(1, n + 1):
-        boxes = sum(min(a, b) * i * c for (b, i), c in L.counts)
-        boxes_prev = sum(min(a - 1, b) * i * c for (b, i), c in L.counts)
-        s_a = sizes[a - 1] if a <= n - 1 else 0
-        s_prev = sizes[a - 2] if a >= 2 else 0
-        w.append((boxes - s_a) - (boxes_prev - s_prev))
-    return tuple(w)
+    boxes = L.level_boxes()
+    # boxes[a] - |nu^(a)| letters are <= a, with |nu^(0)| = |nu^(n)| = 0
+    sizes = (0,) + tuple(sum(config.level(a)) for a in range(1, L.n)) + (0,)
+    return tuple((boxes[a] - sizes[a]) - (boxes[a - 1] - sizes[a - 1])
+                 for a in range(1, L.n + 1))
 
 
 def configuration_sizes(L: MultiplicityArray, weight: Composition) -> Optional[tuple[int, ...]]:
     """Forced sizes |nu^{(a)}|, or None when some size is negative."""
-    n = L.n
-    wparts = list(weight.parts) + [0] * (n - len(weight.parts))
-    sizes = []
-    for a in range(1, n):
-        s = sum(min(a, b) * i * c for (b, i), c in L.counts) - sum(wparts[:a])
-        if s < 0:
-            return None
-        sizes.append(s)
-    return tuple(sizes)
+    boxes = L.level_boxes()
+    sizes = tuple(boxes[a] - sum(weight.parts[:a]) for a in range(1, L.n))
+    return None if any(s < 0 for s in sizes) else sizes
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +185,7 @@ def configuration_sizes(L: MultiplicityArray, weight: Composition) -> Optional[t
 
 def level_blocks(config: Configuration, L: MultiplicityArray,
                  weight_parts: Sequence[int], a: int
-                 ) -> list[tuple[int, int, int, int]]:
+                 ) -> tuple[tuple[int, int, int, int], ...]:
     """(width, mult, floor, p) for each block of equal-width rows of
     nu^{(a)}, widths descending.
 
@@ -185,8 +193,10 @@ def level_blocks(config: Configuration, L: MultiplicityArray,
     depth and p the vacancy number; neither depends on the riggings.
     """
     lam_next = weight_parts[a] if a < len(weight_parts) else 0
-    return [(w, len(list(rows)), -min(w, lam_next), vacancy(config, L, a, w))
-            for w, rows in groupby(config.level(a))]
+    below, level, above = _neighbourhood(config, L, a)
+    return tuple([(w, len(list(rows)), -min(w, lam_next),
+                   _vacancy(L, a, w, below, level, above))
+                  for w, rows in groupby(level)])
 
 
 def rigging_windows(blocks: Sequence[tuple[int, int, int, int]],
@@ -327,10 +337,15 @@ def _weakly_decreasing_tuples(m: int, lo: int, hi: int):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=8)
 def configuration_walk(L: MultiplicityArray, weight: Composition
-                       ) -> Iterator[tuple[Configuration, tuple[list, ...]]]:
+                       ) -> tuple[tuple[Configuration, tuple[tuple, ...]], ...]:
     """The configurations for (L, weight) that can carry a rigging, each
     with its `level_blocks` for levels 1..n-1.
+
+    The walk runs once per (L, weight): its result is kept in a small LRU
+    cache, so `enumerate_rc` and the closed form on one instance share it.
+    It is tuples all the way down, so no consumer can change a cached entry.
 
     A depth-first walk: nu^(1), nu^(2), ... are chosen in turn from
     `partitions_of(|nu^(a)|)`, so configurations come in the order of the
@@ -343,11 +358,12 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
     """
     sizes = configuration_sizes(L, weight)
     if sizes is None:
-        return
+        return ()
     wparts = tuple(weight.parts) + (0,) * (L.n - len(weight.parts))
     choices = [partitions_of(s) for s in sizes]
+    out: list[tuple[Configuration, tuple[tuple, ...]]] = []
 
-    def extend(config: Configuration, blocks: tuple[list, ...]):
+    def extend(config: Configuration, blocks: tuple[tuple, ...]) -> None:
         chosen = len(config.nu)
         complete = chosen if chosen == len(sizes) else chosen - 1
         for a in range(len(blocks) + 1, complete + 1):
@@ -356,12 +372,13 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
                 return
             blocks += (level,)
         if chosen == len(sizes):
-            yield config, blocks
+            out.append((config, blocks))
             return
         for part in choices[chosen]:
-            yield from extend(Configuration._trusted(config.nu + (part,)), blocks)
+            extend(Configuration._trusted(config.nu + (part,)), blocks)
 
-    yield from extend(Configuration._trusted(()), ())
+    extend(Configuration._trusted(()), ())
+    return tuple(out)
 
 
 def enumerate_rc(L: MultiplicityArray, weight: Composition

@@ -306,6 +306,28 @@ class TestSurface:
         assert code == EXIT_OK
         assert calls == {"fermionic_kostka": 1, "path_kostka": 1}
 
+    @pytest.mark.parametrize("argv, paths", [
+        (["bijection", "--n", "3", "--shapes", "1x2,1x1,1x1",
+          "--weight", "2,1,1", "--check"], 7),
+        (["bijection", "--n", "2", "--path", "12(x)1"], 1),
+    ], ids=["check", "path"])
+    def test_bijection_maps_each_path_once(self, argv, paths, capsys,
+                                           monkeypatch):
+        import qrigged.bijection as bijection_module
+        import qrigged.cli as cli_module
+        calls = []
+
+        def counted(p, _original=bijection_module.path_to_rc):
+            calls.append(p)
+            return _original(p)
+
+        monkeypatch.setattr(bijection_module, "path_to_rc", counted)
+        monkeypatch.setattr(cli_module, "path_to_rc", counted)
+        code, _, _ = run_cli(argv, capsys)
+        if code != EXIT_OK or len(calls) != paths:
+            pytest.fail(f"exit {code}, {len(calls)} path_to_rc calls for "
+                        f"{paths} paths")
+
 
 # -- fuzz: every q-series invocation ends in a documented exit code ----------
 # Orders, lengths and step counts stay small so that each call is cheap; the

@@ -12,7 +12,8 @@ from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance, calibrate,
                             restricted_kostka, verify_identity)
 from qrigged.crystals import UnsupportedFactorShapeError, enumerate_paths
 from qrigged.qalg import IntPolynomial
-from qrigged.rc import MultiplicityArray, block_generating_function
+from qrigged.rc import (Configuration, MultiplicityArray,
+                        block_generating_function, configuration_walk)
 
 
 def instance(widths, n, weight):
@@ -92,6 +93,32 @@ class TestTwoEvaluationRoutes:
                     sums = Counter(sum(t) for t in combinations_with_replacement(
                         range(x, p + 1), m) if min(t) == x)
                     assert identity == IntPolynomial(sums), (m, x, p)
+
+    def test_one_configuration_walk_per_instance(self):
+        # fermionic_kostka runs enumeration and the closed form; both read
+        # the cached walk, so the walk body runs once.  Checked through
+        # pytest.fail so that it also runs under python -O.
+        def only_tuples(x):
+            if isinstance(x, Configuration):
+                return only_tuples(x.nu)
+            if isinstance(x, tuple):
+                return all(map(only_tuples, x))
+            return type(x) is int
+
+        configuration_walk.cache_clear()
+        inst = instance((2, 1, 1), 3, (2, 1, 1))
+        fermionic_kostka(inst)
+        info = configuration_walk.cache_info()
+        if (info.misses, info.hits) != (1, 1):
+            pytest.fail(f"walk ran {info.misses} times, read {info.hits} "
+                        "times from the cache; expected 1 and 1")
+        # an equal instance built afresh hits the same entry
+        walk = configuration_walk(MultiplicityArray.from_rows((1, 1, 2), 3),
+                                  Composition((2, 1, 1)))
+        if configuration_walk.cache_info().misses != 1:
+            pytest.fail("an equal (L, weight) walked again")
+        if not walk or not only_tuples(walk):
+            pytest.fail(f"cached walk holds a mutable or foreign value: {walk!r}")
 
     def test_disagreement_raises(self, monkeypatch):
         import qrigged.kostka as kostka_module

@@ -51,6 +51,103 @@ class TestPolynomials:
         assert P({0: 1, 1: 0}).terms == {0: 1}
 
 
+# -- the dense IntPolynomial against a plain dict exponent -> coefficient --
+# Checked through pytest.fail, so the comparison also runs under python -O.
+
+def _expect(got, want, what):
+    if got != want:
+        pytest.fail(f"{what}: got {got!r}, want {want!r}")
+
+
+def _model(pairs):
+    """Reference: nonzero coefficients by exponent, repeats added up."""
+    out: dict[int, int] = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return {e: out[e] for e in sorted(out) if out[e]}
+
+
+def _model_render(m):
+    if not m:
+        return "0"
+    parts = []
+    for e, c in m.items():
+        qpow = "q" if e == 1 else f"q^{e}"
+        body = str(abs(c)) if e == 0 else (
+            qpow if abs(c) == 1 else f"{abs(c)}*{qpow}")
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts)
+
+
+def _check_against(p, m, what):
+    """Every inspection of p against the model m."""
+    _expect(p.terms, m, f"{what} terms")
+    _expect(list(p.terms), list(m), f"{what} exponent order")
+    for e in range(-30, 31):
+        _expect(p.coefficient(e), m.get(e, 0), f"{what} coefficient of q^{e}")
+    _expect(p.min_exponent(), min(m, default=None), f"{what} min_exponent")
+    _expect(p.max_exponent(), max(m, default=None), f"{what} max_exponent")
+    _expect(p.is_zero(), not m, f"{what} is_zero")
+    _expect(p.evaluate_at_one(), sum(m.values()), f"{what} at q = 1")
+    dense = [m.get(e, 0) for e in range(min(m), max(m) + 1)] if m else []
+    _expect(p.is_palindromic(), dense == dense[::-1], f"{what} palindromic")
+    _expect(p.render(), _model_render(m), f"{what} render")
+    _expect(p.to_json(), [[e, str(c)] for e, c in m.items()], f"{what} to_json")
+    _expect(repr(p), f"IntPolynomial({m!r})", f"{what} repr")
+    back = IntPolynomial.from_json(p.to_json())
+    _expect(back, p, f"{what} from_json")
+    _expect(hash(back), hash(p), f"{what} from_json hash")
+
+
+TERMS = st.lists(st.tuples(st.integers(-8, 8), st.integers(-3, 3)), max_size=7)
+
+
+class TestDensePolynomialModel:
+    @settings(max_examples=300, deadline=None)
+    @given(TERMS, TERMS, st.integers(-6, 6))
+    def test_operations_match_dict_model(self, xs, ys, k):
+        a, b = IntPolynomial(xs), IntPolynomial(ys)
+        ma, mb = _model(xs), _model(ys)
+        _check_against(a, ma, "a")
+        _check_against(a + b, _model([*ma.items(), *mb.items()]), "a + b")
+        _check_against(a - b, _model([*ma.items(),
+                                      *((e, -c) for e, c in mb.items())]), "a - b")
+        _check_against(-a, {e: -c for e, c in ma.items()}, "-a")
+        _check_against(a * b, _model((e1 + e2, c1 * c2)
+                                     for e1, c1 in ma.items()
+                                     for e2, c2 in mb.items()), "a * b")
+        _check_against(a.shift(k), {e + k: c for e, c in ma.items()}, "shift")
+        _check_against(a.reverse(), {-e: ma[e] for e in reversed(ma)}, "reverse")
+        _expect(a == b, ma == mb, "a == b")
+        if ma == mb:
+            _expect(hash(a), hash(b), "hash of equal polynomials")
+        # results that cancel to zero, through both operations that can
+        for zero in (a - a, a + (-a), (a - b) - (a - b)):
+            _expect(zero, IntPolynomial.zero(), "cancellation")
+            _expect(hash(zero), hash(IntPolynomial.zero()), "hash of zero")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-8, 8), st.lists(st.integers(-2, 2), max_size=8))
+    def test_trusted_equals_checked_construction(self, offset, coeffs):
+        trusted = IntPolynomial._trusted(offset, coeffs)
+        checked = IntPolynomial({offset + i: c for i, c in enumerate(coeffs)})
+        _expect(trusted, checked, "_trusted vs constructor")
+        _expect(hash(trusted), hash(checked), "_trusted vs constructor hash")
+        _check_against(trusted, _model((offset + i, c)
+                                       for i, c in enumerate(coeffs)), "_trusted")
+
+    def test_constructor_inputs(self):
+        from types import MappingProxyType
+        _expect(IntPolynomial(MappingProxyType({-2: 3, 4: 0, 5: -1})),
+                IntPolynomial({-2: 3, 5: -1}), "MappingProxyType")
+        _expect(IntPolynomial([(1, 2), (1, -2), (0, 7)]), IntPolynomial.monomial(0, 7),
+                "pairs with repeats")
+        for bad in ({1.0: 1}, [("1", 2)], {Fraction(1): 1}):
+            with pytest.raises(TypeError):
+                IntPolynomial(bad)
+
+
 class TestQBinomial:
     def test_edges(self):
         assert q_binomial(5, 0) == IntPolynomial.one()
