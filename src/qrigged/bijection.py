@@ -21,7 +21,10 @@ exact inverse.  The factor term is the sum of min(i, s) over the factor
 rows, each loose box of the partly consumed factor a row of width 1.  It is
 the number of path boxes consumed so far minus the sum of max(0, s - i) over
 complete rows.  That count shifts every p_i^(1)
-alike, so it is kept as one integer added when level 1 is read.  Completing
+alike, so it is kept as one integer added when level 1 is read.
+`path_to_rc` starts from the empty configuration, whose table is zero;
+`rc_to_path` starts from `rc.vacancy_row` of each level, all factors
+complete, with the path boxes taken off level 1.  Completing
 a width-s factor, or popping it in the inverse, then changes the table only
 for i < s.  Selecting a singular string is a scan of (width, rigging)
 against the table, the chosen strings are kept by reference, and each new
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 
 from .crystals import Path, RowFactor, UnsupportedFactorShapeError, intrinsic_energy
 from .rc import (Configuration, InvalidRiggedConfigurationError,
-                 MultiplicityArray, RiggedConfiguration, cocharge, validate)
+                 MultiplicityArray, RiggedConfiguration, cocharge, validate,
+                 vacancy_row)
 
 _HUGE = 10 ** 9
 
@@ -130,35 +134,6 @@ def _extract_letter(levels, p, boxes: int) -> int:
     return letter
 
 
-def _column_sums(widths, m: int) -> list[int]:
-    """[Q_0, ..., Q_m], Q_i = sum over the widths of min(i, width)."""
-    ends = [0] * (m + 1)
-    for w in widths:
-        ends[min(w, m)] += 1
-    out = [0]
-    height = len(widths)
-    total = 0
-    for i in range(1, m + 1):
-        total += height
-        out.append(total)
-        height -= ends[i]
-    return out
-
-
-def _vacancy_table(nu, rows, boxes: int):
-    """The table `p` of configuration `nu` with complete factor rows `rows`
-    and `boxes` path boxes, sized by the longest string."""
-    m = max((level[0] for level in nu if level), default=0)
-    sums = [_column_sums(level, m) for level in nu]
-    table = []
-    for a, here in enumerate(sums):
-        left = ([q - boxes for q in _column_sums(rows, m)] if a == 0
-                else sums[a - 1])
-        right = sums[a + 1] if a + 1 < len(sums) else [0] * (m + 1)
-        table.append([x - 2 * y + z for x, y, z in zip(left, here, right)])
-    return table
-
-
 def _finalize(levels) -> RiggedConfiguration:
     nu = []
     riggings = []
@@ -204,7 +179,9 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     levels: list[list[list[int]]] = [
         [[w, x] for (w, x) in rc.strings(a)] for a in range(1, n)]
     boxes = sum(widths)
-    p = _vacancy_table(rc.config.nu, widths, boxes)
+    m = max((level[0] for level in rc.config.nu if level), default=0)
+    p = [vacancy_row(rc.config, L, a, m) for a in range(1, n)]
+    p[0] = [x - boxes for x in p[0]]
     factors_rev: list[RowFactor] = []
     for s in reversed(widths):
         _move_factor(p, s, -1)

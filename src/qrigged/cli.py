@@ -27,7 +27,8 @@ from .qalg import (IntPolynomial, PochhammerSpec, q_binomial, pochhammer)
 from .qseries.bailey import (INFINITY, bailey_step,
                              rogers_ramanujan_seed, unit_bailey_pair,
                              verify_bailey_pair, weak_lemma)
-from .qseries.presets import (PresetRegistry, UnknownPresetError, character)
+from .qseries.presets import (PresetFormatError, PresetRegistry,
+                              UnknownPresetError, character)
 from .qseries.sums import compare_series, eval_bosonic, eval_fermionic
 from .rc import (InvalidRiggedConfigurationError, MultiplicityArray, cocharge,
                  enumerate_rc, rc_from_json, rc_to_json)
@@ -352,13 +353,25 @@ def _cmd_compare(args) -> tuple[dict, int]:
 
 # -- driver ------------------------------------------------------------------
 
+class _VersionAction(argparse._VersionAction):
+    """`--version`, which names the preset versions: the registry is loaded
+    only when the flag is given, so a malformed preset file cannot break
+    the other subcommands."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            summary = PresetRegistry().version_summary()
+        except PresetFormatError as exc:
+            parser.exit(EXIT_USAGE, f"error: {exc}\n")
+        self.version = f"qrigged {__version__} (presets: {summary})"
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qrigged",
         description="Unrestricted Kostka polynomials and q-series identities, exactly.")
-    top.add_argument("--version", action="version",
-                     version=f"qrigged {__version__} "
-                             f"(presets: {PresetRegistry().version_summary()})")
+    top.add_argument("--version", action=_VersionAction)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_instance_flags(p, weight_required=True):

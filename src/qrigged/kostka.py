@@ -147,24 +147,11 @@ def kostka_foulkes_via_paths(inst: KostkaInstance) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    instance: dict
     fermionic: IntPolynomial
     path: IntPolynomial
     normalization: dict
     equal: bool
     counterexample: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "instance": self.instance,
-            "fermionic": self.fermionic.to_json(),
-            "path": self.path.to_json(),
-            "normalization": dict(self.normalization),
-            "equal": self.equal,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
 
 
 def _apply_normalization(poly: IntPolynomial, norm: dict) -> IntPolynomial:
@@ -190,15 +177,8 @@ def verify_identity(inst: KostkaInstance,
             "fermionic_coefficient": fermionic.coefficient(exps[0]),
             "path_coefficient": adjusted.coefficient(exps[0]),
         }
-    instance = {
-        "shapes": list(inst.row_shapes()) if inst.L.is_row_only() else
-        [[a, i, c] for (a, i), c in inst.L.counts],
-        "n": inst.n,
-        "weight": list(inst.weight.parts),
-    }
-    return IdentityReport(instance=instance, fermionic=fermionic, path=path,
-                          normalization=norm, equal=equal,
-                          counterexample=counterexample)
+    return IdentityReport(fermionic=fermionic, path=path, normalization=norm,
+                          equal=equal, counterexample=counterexample)
 
 
 def calibrate() -> dict:

@@ -153,8 +153,15 @@ class PresetRegistry:
         self.directory = FilePath(directory)
         self._presets: dict[str, CharacterPreset] = {}
         for path in sorted(self.directory.glob("*.json")):
-            with open(path, "r", encoding="utf-8") as fh:
-                preset = CharacterPreset.from_dict(json.load(fh))
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    preset = CharacterPreset.from_dict(json.load(fh))
+            except (OSError, KeyError, TypeError, AttributeError,
+                    ValueError) as exc:
+                # an unreadable file, or a missing or mistyped field deep in
+                # it, surfaces as any of these: all are a bad preset file
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise PresetFormatError(f"preset file {path}: {detail}") from None
             if preset.name in self._presets:
                 raise PresetFormatError(f"duplicate preset name {preset.name!r}")
             self._presets[preset.name] = preset

@@ -3,12 +3,17 @@ bounds, enumeration and the cocharge statistic.
 
 A rigged configuration for a multiplicity array L and weight w is a sequence
 of partitions nu^(1), ..., nu^(n-1) whose sizes are forced by (L, w), with an
-integer rigging on every row.  Riggings of rows of width i in nu^(a) live in
-the window [lower bound, vacancy p_i^(a)]; in the unrestricted setting the
-lower bound may be negative and, beyond level 1, it is raised by a carried
-depth computed from how far the riggings one level down sit below their own
-floors (longer rows absorb part of the carried depth).  This characterization
-is validated exhaustively against path enumeration by the test suite.
+integer rigging on every row.  The vacancy number p_i^(a) is Q_i of the
+height-a factor widths - 2 Q_i(nu^(a)) + Q_i(nu^(a-1)) + Q_i(nu^(a+1)), Q_i
+the boxes in the first i columns; `vacancy_row` computes a level's whole row
+of them from cached `column_sums`, and every reader (`vacancy`, the windows,
+the bijection's starting table) goes through it.  Riggings of rows of width
+i in nu^(a) live in the window [lower bound, vacancy p_i^(a)]; in the
+unrestricted setting the lower bound may be negative and, beyond level 1,
+it is raised by a carried depth computed from how far the riggings one
+level down sit below their own floors (longer rows absorb part of the
+carried depth).  This characterization is validated exhaustively against
+path enumeration by the test suite.
 """
 from __future__ import annotations
 
@@ -53,6 +58,12 @@ class MultiplicityArray:
                 norm[(a, i)] = norm.get((a, i), 0) + c
         object.__setattr__(self, "counts",
                            tuple(sorted(norm.items())))
+        # not a field: derived from counts, so equality and hashing ignore it
+        widths: list[list[int]] = [[] for _ in range(self.n)]
+        for (a, i), c in self.counts:
+            widths[a].extend([i] * c)
+        object.__setattr__(self, "_factor_widths", tuple(
+            tuple(sorted(level, reverse=True)) for level in widths))
 
     @staticmethod
     def from_rows(widths: Sequence[int], n: int) -> "MultiplicityArray":
@@ -61,39 +72,27 @@ class MultiplicityArray:
             counts[(1, int(w))] = counts.get((1, int(w)), 0) + 1
         return MultiplicityArray(tuple(counts.items()), n)
 
-    def count(self, a: int, i: int) -> int:
-        return dict(self.counts).get((a, i), 0)
-
     def total_boxes(self) -> int:
         return sum(a * i * c for (a, i), c in self.counts)
 
     def is_row_only(self) -> bool:
         return all(a == 1 for (a, _), _ in self.counts)
 
+    def factor_widths(self, a: int) -> tuple[int, ...]:
+        """Widths of the height-a factors (1 <= a <= n-1), one per factor,
+        descending."""
+        return self._factor_widths[a]
+
     def row_widths(self) -> tuple[int, ...]:
         """Widths of the row factors, descending (row-only arrays)."""
         if not self.is_row_only():
             raise ValueError("multiplicity array has non-row factors")
-        widths: list[int] = []
-        for (_, i), c in self.counts:
-            widths.extend([i] * c)
-        return tuple(sorted(widths, reverse=True))
-
-    def level_term(self, a: int, i: int) -> int:
-        """Contribution of the tensor factors to p_i^{(a)}:
-        sum_j min(i, j) L_j^{(a)}."""
-        return _level_term(self.counts, a, i)
+        return self.factor_widths(1)
 
     def level_boxes(self) -> tuple[int, ...]:
         """Boxes in the first a rows of all factors together,
         sum min(a, b) i L_i^{(b)}, for a = 0..n."""
         return _level_boxes(self.counts, self.n)
-
-
-@lru_cache(maxsize=1 << 14)
-def _level_term(counts: tuple[tuple[tuple[int, int], int], ...], a: int, i: int) -> int:
-    # cached: the configuration walk asks for it once per block and level
-    return sum(min(i, j) * c for (b, j), c in counts if b == a)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -129,14 +128,35 @@ class Configuration:
         """Partition nu^{(a)} for 1 <= a <= n-1 (empty beyond)."""
         return self.nu[a - 1] if 1 <= a <= len(self.nu) else ()
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(sum(level) for level in self.nu)
-
 
 @lru_cache(maxsize=1 << 14)
-def _q_i(i: int, partition: tuple[int, ...]) -> int:
-    """Number of boxes in the first i columns: sum_j min(i, mu_j)."""
-    return sum(min(i, p) for p in partition)
+def column_sums(widths: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """(Q_0, ..., Q_m), Q_i = sum over the widths of min(i, width): the
+    boxes in the first i columns.  Cached: every vacancy row reads four."""
+    ends = [0] * (m + 1)
+    for w in widths:
+        ends[min(w, m)] += 1
+    out = [0]
+    height = len(widths)
+    total = 0
+    for i in range(1, m + 1):
+        total += height
+        out.append(total)
+        height -= ends[i]
+    return tuple(out)
+
+
+def vacancy_row(config: Configuration, L: MultiplicityArray, a: int, m: int
+                ) -> list[int]:
+    """[p_0^{(a)}, ..., p_m^{(a)}]: p_i^{(a)} = Q_i(factor widths of height a)
+    - 2 Q_i(nu^(a)) + Q_i(nu^(a-1)) + Q_i(nu^(a+1)), nu^(0) and nu^(n)
+    empty.  Reads only those three levels, so it serves a configuration
+    whose levels beyond a+1 are not chosen yet."""
+    factor = column_sums(L.factor_widths(a), m)
+    below = column_sums(config.level(a - 1), m)
+    here = column_sums(config.level(a), m)
+    above = column_sums(config.level(a + 1) if a < L.n - 1 else (), m)
+    return [f - 2 * h + b + u for f, h, b, u in zip(factor, here, below, above)]
 
 
 def vacancy(config: Configuration, L: MultiplicityArray, a: int, i: int) -> int:
@@ -147,20 +167,7 @@ def vacancy(config: Configuration, L: MultiplicityArray, a: int, i: int) -> int:
         raise IndexError(f"level {a} out of range 1..{n - 1}")
     if i < 1:
         raise IndexError("column index must be positive")
-    return _vacancy(L, a, i, *_neighbourhood(config, L, a))
-
-
-def _neighbourhood(config: Configuration, L: MultiplicityArray, a: int
-                   ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """nu^(a-1), nu^(a), nu^(a+1): all that p_i^(a) reads (nu^(0) and
-    nu^(n) are empty)."""
-    return (config.level(a - 1), config.level(a),
-            config.level(a + 1) if a <= L.n - 2 else ())
-
-
-def _vacancy(L: MultiplicityArray, a: int, i: int, below: tuple[int, ...],
-             level: tuple[int, ...], above: tuple[int, ...]) -> int:
-    return L.level_term(a, i) - 2 * _q_i(i, level) + _q_i(i, below) + _q_i(i, above)
+    return vacancy_row(config, L, a, i)[i]
 
 
 def weight_of(config: Configuration, L: MultiplicityArray) -> tuple[int, ...]:
@@ -192,10 +199,12 @@ def level_blocks(config: Configuration, L: MultiplicityArray,
     floor = -min(width, lambda_{a+1}) is the level-a floor before carried
     depth and p the vacancy number; neither depends on the riggings.
     """
+    level = config.level(a)
+    if not level:
+        return ()
     lam_next = weight_parts[a] if a < len(weight_parts) else 0
-    below, level, above = _neighbourhood(config, L, a)
-    return tuple([(w, len(list(rows)), -min(w, lam_next),
-                   _vacancy(L, a, w, below, level, above))
+    p = vacancy_row(config, L, a, level[0])
+    return tuple([(w, len(list(rows)), -min(w, lam_next), p[w])
                   for w, rows in groupby(level)])
 
 

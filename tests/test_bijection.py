@@ -2,13 +2,12 @@ import pytest
 
 from gridutil import instance_grid, weight_compositions, width_tuples
 from qrigged.bijection import (_extract_letter, _insert_letter, _move_factor,
-                               _vacancy_table, check_statistic, path_to_rc,
-                               rc_to_path)
+                               check_statistic, path_to_rc, rc_to_path)
 from qrigged.combinat import Composition
 from qrigged.crystals import Path, RowFactor, enumerate_paths, intrinsic_energy
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
-                        enumerate_rc, vacancy, weight_of)
+                        enumerate_rc, vacancy, vacancy_row, weight_of)
 
 
 def path_of(words, n):
@@ -171,7 +170,11 @@ class TestVacancyTable:
             levels = [[[w, x] for (w, x) in rc.strings(a)] for a in range(1, n)]
             rows = list(widths)
             boxes = sum(widths)
-            p = _vacancy_table(rc.config.nu, rows, boxes)
+            # the starting table of rc_to_path: p[0] leaves out `boxes`
+            L = MultiplicityArray.from_rows(widths, n)
+            m = max((lv[0] for lv in rc.config.nu if lv), default=0)
+            p = [vacancy_row(rc.config, L, a, m) for a in range(1, n)]
+            p[0] = [x - boxes for x in p[0]]
             self.check(levels, p, rows, boxes, n)
             for s in reversed(widths):
                 _move_factor(p, s, -1)

@@ -16,7 +16,8 @@ from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
     build_parser, main
 from qrigged.combinat import Composition
 from qrigged.crystals import Path as CrystalPath, enumerate_paths
-from qrigged.qseries.presets import PresetRegistry
+from qrigged.qseries import presets as presets_module
+from qrigged.qseries.presets import ENV_PRESET_DIR, PresetRegistry
 from qrigged.rc import MultiplicityArray, rc_to_json
 from schemautil import load_schema, validate
 
@@ -184,6 +185,70 @@ class TestExitCodes:
                                 "--order", "0"], capsys)
         assert code == EXIT_OK
         assert json.loads(out)["result"]["checked_order"] == "0"
+
+
+def _malformed_preset(path: Path, malform) -> None:
+    """Write rogers-ramanujan-1, changed by `malform`, to `path`."""
+    data = json.loads((Path(presets_module.__file__).parent / "presets"
+                       / "rogers-ramanujan-1.json").read_text())
+    malform(data)
+    path.write_text(json.dumps(data))
+
+
+MALFORMED_PRESETS = {
+    "fermionic-without-dim": lambda d: d["fermionic"].pop("dim"),
+    "factor-without-exponent":
+        lambda d: d["fermionic"]["factors"][0].pop("exponent"),
+    "factor-not-an-object": lambda d: d["fermionic"].update(factors=[1]),
+    "quadratic-not-a-list": lambda d: d["fermionic"].update(quadratic=5),
+    "congruence-without-modulus": lambda d: d["fermionic"].update(
+        congruences=[{"form": ["0", "1"]}]),
+    "theta-without-quadratic": lambda d: d["bosonic"]["theta"].pop("quadratic"),
+}
+
+
+class TestMalformedPresets:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PRESETS) + ["directory"])
+    def test_malformed_file_is_usage_error(self, case, tmp_path, capsys):
+        if case == "directory":  # unreadable: open() raises an OSError
+            (tmp_path / "broken.json").mkdir()
+        else:
+            _malformed_preset(tmp_path / "broken.json", MALFORMED_PRESETS[case])
+        for argv in (["character", "--preset", "rogers-ramanujan-1"],
+                     ["compare", "--preset-a", "rogers-ramanujan-1",
+                      "--preset-b", "rogers-ramanujan-1"]):
+            code, out, err = run_cli(argv + ["--preset-dir", str(tmp_path)],
+                                     capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "broken.json" in err
+
+    def test_other_subcommands_ignore_the_preset_dir(self, tmp_path,
+                                                     monkeypatch, capsys):
+        _malformed_preset(tmp_path / "broken.json",
+                          MALFORMED_PRESETS["fermionic-without-dim"])
+        monkeypatch.setenv(ENV_PRESET_DIR, str(tmp_path))
+        code, out, _ = run_cli(CASES["qbinom"][0], capsys)
+        assert code == EXIT_OK
+        assert out.encode() == (GOLDEN_DIR / "qbinom.json").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_character_loads_the_presets_once(self, monkeypatch, capsys):
+        built = []
+
+        class CountingRegistry(PresetRegistry):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("qrigged.cli.PresetRegistry", CountingRegistry)
+        code, _, _ = run_cli(CASES["character"][0], capsys)
+        assert code == EXIT_OK
+        assert len(built) == 1
 
 
 # one invocation per subcommand that runs every operation mapped to it

@@ -9,7 +9,8 @@ from qrigged.crystals import enumerate_paths
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
                         configuration_walk, enumerate_rc, lower_bound,
-                        rc_from_json, rc_to_json, validate, vacancy, weight_of)
+                        rc_from_json, rc_to_json, validate, vacancy,
+                        vacancy_row, weight_of)
 
 
 def _rc_grid(max_boxes: int):
@@ -72,13 +73,73 @@ def _check_walk(L: MultiplicityArray, w: tuple[int, ...], problems: list):
     return full, len(walked), len(carried)
 
 
+def _vacancy_by_definition(config: Configuration, L: MultiplicityArray,
+                           a: int, i: int) -> int:
+    """p_i^(a) = sum_j min(i, j) L_j^(a) - 2 Q_i(nu^(a)) + Q_i(nu^(a-1))
+    + Q_i(nu^(a+1)), Q_i(lambda) = sum_j min(i, lambda_j), nu^(0) and
+    nu^(n) empty."""
+    def q(b):
+        return sum(min(i, part) for part in config.level(b)) if b < L.n else 0
+    factor = sum(min(i, j) * c for (b, j), c in L.counts if b == a)
+    return factor - 2 * q(a) + q(a - 1) + q(a + 1)
+
+
+# (L, boxes, least w_1): the full product of the 14-box array reaches
+# 5.2 million configurations over all weights, 1,785 with w_1 >= 7
+RECTANGLE_ARRAYS = (
+    (MultiplicityArray({(1, 2): 1, (2, 3): 2}, 4), 14, 7),
+    (MultiplicityArray({(2, 1): 1}, 3), 2, 0),
+    (MultiplicityArray({(1, 1): 1, (2, 1): 1}, 3), 3, 0),
+    (MultiplicityArray({}, 3), 0, 0),
+)
+
+
 class TestVacancy:
     def test_empty_configuration_pure_factor_term(self):
         L = MultiplicityArray({(1, 2): 1, (2, 3): 2}, 4)
         empty = Configuration(((), (), ()))
+        factor_widths = {1: (2,), 2: (3, 3), 3: ()}
         for a in range(1, 4):
             for i in (1, 2, 3):
-                assert vacancy(empty, L, a, i) == L.level_term(a, i)
+                assert vacancy(empty, L, a, i) == \
+                    sum(min(i, j) for j in factor_widths[a])
+
+    @staticmethod
+    def _check_full_product(L, weight, m):
+        checked = 0
+        sizes = [L.level_boxes()[a] - sum(weight[:a]) for a in range(1, L.n)]
+        if any(s < 0 for s in sizes):
+            return 0
+        for nu in product(*(partitions_of(s) for s in sizes)):
+            config = Configuration(nu)
+            for a in range(1, L.n):
+                row = vacancy_row(config, L, a, m)
+                expected = [_vacancy_by_definition(config, L, a, i)
+                            for i in range(m + 1)]
+                if row != expected:
+                    pytest.fail(f"{L}, {nu}, level {a}: {row} != {expected}")
+                for i in range(1, m + 1):
+                    if vacancy(config, L, a, i) != expected[i]:
+                        pytest.fail(f"{L}, {nu}, p_{i}^({a}) != {expected[i]}")
+            checked += 1
+        return checked
+
+    def test_rows_match_definition_on_full_product(self):
+        # every configuration, not only the walked ones, and columns past
+        # the longest row
+        checked = 0
+        for L, weight in _rc_grid(4):
+            checked += self._check_full_product(L, weight.parts,
+                                                L.total_boxes() + 1)
+        assert checked == 672
+
+    def test_rows_match_definition_on_rectangles(self):
+        checked = 0
+        for L, total, least in RECTANGLE_ARRAYS:
+            for w in weight_compositions(total, L.n):
+                if w[0] >= least:
+                    checked += self._check_full_product(L, w, total + 1)
+        assert checked == 1812
 
     def test_two_boxes(self):
         L = MultiplicityArray({(1, 1): 2}, 2)
