@@ -20,15 +20,15 @@ i > l: by -2 at level a and by +1 at levels a-1 and a+1.  Removal is the
 exact inverse.  The factor term is the sum of min(i, s) over the factor
 rows, each loose box of the partly consumed factor a row of width 1.  It is
 the number of path boxes consumed so far minus the sum of max(0, s - i) over
-complete rows.  That count shifts every p_i^(1)
-alike, so it is kept as one integer added when level 1 is read.
-`path_to_rc` starts from the empty configuration, whose table is zero;
-`rc_to_path` starts from `rc.vacancy_row` of each level, all factors
-complete, with the path boxes taken off level 1.  Completing
-a width-s factor, or popping it in the inverse, then changes the table only
-for i < s.  Selecting a singular string is a scan of (width, rigging)
-against the table, the chosen strings are kept by reference, and each new
-rigging is one table read after the update.
+complete rows.  That count shifts every p_i^(1) alike, so it is kept as one
+integer added when level 1 is read.  `path_to_rc` starts from a zero table
+|nu^(1)| + 1 wide, the letters above 1 plus one: no string at any level
+outgrows |nu^(1)|.  `rc_to_path` starts from the vacancy table of
+`rc.configuration_frame`, all factors complete, with the path boxes taken
+off level 1.  Completing a width-s factor, or popping it in the inverse,
+then changes the table only for i < s.  Selecting a singular string is a
+scan of (width, rigging) against the table, the chosen strings are kept by
+reference, and each new rigging is one table read after the update.
 
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 from .crystals import Path, RowFactor, UnsupportedFactorShapeError, intrinsic_energy
 from .rc import (Configuration, InvalidRiggedConfigurationError,
-                 MultiplicityArray, RiggedConfiguration, cocharge, validate,
-                 vacancy_row)
+                 MultiplicityArray, RiggedConfiguration, cocharge,
+                 configuration_frame, validate)
 
 _HUGE = 10 ** 9
 
@@ -149,7 +149,8 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
     """Map a path to its unrestricted rigged configuration."""
     n = path.n
     levels: list[list[list[int]]] = [[] for _ in range(n - 1)]
-    p = [[0] * (sum(path.shapes()) + 1) for _ in range(n - 1)]
+    size = sum(len(f.letters) - f.letters.count(1) for f in path.factors) + 1
+    p = [[0] * size for _ in range(n - 1)]
     boxes = 0
     for f in path.factors:
         for x in reversed(f.letters):
@@ -177,21 +178,22 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     elif tuple(sorted(widths, reverse=True)) != L.row_widths():
         raise ValueError("widths do not match the multiplicity array")
     levels: list[list[list[int]]] = [
-        [[w, x] for (w, x) in rc.strings(a)] for a in range(1, n)]
+        [[w, x] for w, x in zip(level, rigs)]
+        for level, rigs in zip(rc.config.nu, rc.riggings)]
     boxes = sum(widths)
-    m = max((level[0] for level in rc.config.nu if level), default=0)
-    p = [vacancy_row(rc.config, L, a, m) for a in range(1, n)]
-    p[0] = [x - boxes for x in p[0]]
+    table = configuration_frame(rc.config, L)[2]
+    p = [[x - boxes for x in table[0]]] + [list(row) for row in table[1:]]
     factors_rev: list[RowFactor] = []
     for s in reversed(widths):
         _move_factor(p, s, -1)
         letters = []
         for _ in range(s):
-            letters.append(_extract_letter(levels, p, boxes))
+            x = _extract_letter(levels, p, boxes)
+            if letters and x < letters[-1]:
+                raise InvalidRiggedConfigurationError(
+                    f"extracted letters {letters + [x]} do not form a row")
+            letters.append(x)
             boxes -= 1
-        if any(letters[i] > letters[i + 1] for i in range(len(letters) - 1)):
-            raise InvalidRiggedConfigurationError(
-                f"extracted letters {letters} do not form a row")
         # letters lie in 1..n by construction and were just checked to be a row
         factors_rev.append(RowFactor._trusted(tuple(letters), n))
     if any(lv for lv in levels):

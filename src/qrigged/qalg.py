@@ -254,6 +254,14 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer, else ValueError naming `what`: bool
+    is an int subclass, and int() would accept floats and digit strings."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series q^offset * sum_{i=0..order} coeffs[i] * q^(i*step).

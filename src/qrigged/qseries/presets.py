@@ -16,7 +16,7 @@ from math import lcm
 from pathlib import Path as FilePath
 from typing import Optional
 
-from ..qalg import TruncatedSeries
+from ..qalg import TruncatedSeries, json_int
 from .sums import (AffineForm, BosonicSumSpec, Congruence, FermionicSumSpec,
                    PochhammerFactor, SeriesComparison, _frac, compare_series,
                    eval_bosonic, eval_fermionic)
@@ -103,14 +103,14 @@ class CharacterPreset:
         for key in ("name", "version", "declared_order", "fermionic", "bosonic"):
             if key not in data:
                 raise PresetFormatError(f"preset is missing required key {key!r}")
-        order = data["declared_order"]
-        if not isinstance(order, int) or order < 1:
+        order = json_int(data["declared_order"], "declared_order")
+        if order < 1:
             raise PresetFormatError(
                 "declared_order must be a positive integer; the registry "
                 "refuses presets without a declared verification order")
         return CharacterPreset(
             name=str(data["name"]),
-            version=int(data["version"]),
+            version=json_int(data["version"], "version"),
             declared_order=order,
             offset=_frac(data.get("offset", 0)),
             fermionic=_parse_fermionic(data["fermionic"]),

@@ -7,7 +7,8 @@ integer rigging on every row.  The vacancy number p_i^(a) is Q_i of the
 height-a factor widths - 2 Q_i(nu^(a)) + Q_i(nu^(a-1)) + Q_i(nu^(a+1)), Q_i
 the boxes in the first i columns; `vacancy_row` computes a level's whole row
 of them from cached `column_sums`, and every reader (`vacancy`, the windows,
-the bijection's starting table) goes through it.  Riggings of rows of width
+the cached `configuration_frame` behind `validate`, `rc_to_json` and the
+bijection's starting table) goes through it.  Riggings of rows of width
 i in nu^(a) live in the window [lower bound, vacancy p_i^(a)]; in the
 unrestricted setting the lower bound may be negative and, beyond level 1,
 it is raised by a carried depth computed from how far the riggings one
@@ -23,7 +24,7 @@ from itertools import groupby, product as iproduct
 from typing import Mapping, Optional, Sequence
 
 from .combinat import Composition, partitions_of
-from .qalg import IntPolynomial, q_binomial
+from .qalg import IntPolynomial, json_int, q_binomial
 
 
 class InvalidRiggedConfigurationError(ValueError):
@@ -92,13 +93,8 @@ class MultiplicityArray:
     def level_boxes(self) -> tuple[int, ...]:
         """Boxes in the first a rows of all factors together,
         sum min(a, b) i L_i^{(b)}, for a = 0..n."""
-        return _level_boxes(self.counts, self.n)
-
-
-@lru_cache(maxsize=1 << 10)
-def _level_boxes(counts: tuple[tuple[tuple[int, int], int], ...], n: int) -> tuple[int, ...]:
-    # cached: validate reads it on every rc_to_path and rc_from_json call
-    return tuple(sum(min(a, b) * i * c for (b, i), c in counts) for a in range(n + 1))
+        return tuple(sum(min(a, b) * i * c for (b, i), c in self.counts)
+                     for a in range(self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -227,6 +223,27 @@ def rigging_windows(blocks: Sequence[tuple[int, int, int, int]],
     return out
 
 
+@lru_cache(maxsize=256)
+def configuration_frame(config: Configuration, L: MultiplicityArray) -> tuple:
+    """(forced weight, `level_blocks` of each level, vacancy table) of a
+    configuration, row a-1 of the table `vacancy_row(config, L, a, m)` for m
+    the widest string: what `validate` and the bijection read that does not
+    depend on the riggings.  Tuples all the way down, so no reader can
+    change a cached entry; the objects of an instance share few
+    configurations, so a small cache serves them.  Raises
+    InvalidRiggedConfigurationError when the sizes force a negative weight,
+    since such sizes are unbounded.
+    """
+    wparts = weight_of(config, L)
+    if any(p < 0 for p in wparts):
+        raise InvalidRiggedConfigurationError(
+            f"configuration sizes force a negative weight: {wparts}")
+    m = max((level[0] for level in config.nu[:L.n - 1] if level), default=0)
+    return (wparts,
+            tuple(level_blocks(config, L, wparts, a) for a in range(1, L.n)),
+            tuple(tuple(vacancy_row(config, L, a, m)) for a in range(1, L.n)))
+
+
 @dataclass(frozen=True)
 class RiggedConfiguration:
     """A configuration with an integer rigging per row.
@@ -291,38 +308,26 @@ def lower_bound(config: Configuration, L: MultiplicityArray, a: int, row: int) -
     level = config.level(a)
     if not 0 <= row < len(level):
         raise IndexError(f"level {a} has no row {row}")
-    weight_parts = weight_of(config, L)
     below: tuple[tuple[int, int], ...] = ()
-    for b in range(1, a + 1):
-        windows = rigging_windows(level_blocks(config, L, weight_parts, b), below)
+    for blocks in configuration_frame(config, L)[1][:a]:
+        windows = rigging_windows(blocks, below)
         below = tuple((w, max(0, carry - p)) for (w, _, _, p, carry) in windows)
     return next(lo for (w, _, lo, _, _) in windows if w == level[row])
 
 
-def validate(rc: RiggedConfiguration, L: MultiplicityArray,
-             weight: Optional[Composition] = None) -> None:
+def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> None:
     """Recompute every window and check the riggings sit inside.
 
     Raises InvalidRiggedConfigurationError on any violation.  External
     input must pass through here; vacancies are never trusted.
     """
-    n = L.n
-    if len(rc.config.nu) != n - 1:
+    if len(rc.config.nu) != L.n - 1:
         raise InvalidRiggedConfigurationError(
-            f"expected {n - 1} partitions, got {len(rc.config.nu)}")
-    wparts = weight_of(rc.config, L)
-    if any(p < 0 for p in wparts):
-        raise InvalidRiggedConfigurationError(
-            f"configuration sizes force a negative weight: {wparts}")
-    if weight is not None:
-        declared = tuple(weight.parts) + (0,) * (n - len(weight.parts))
-        if declared[:n] != wparts:
-            raise InvalidRiggedConfigurationError(
-                f"declared weight {declared[:n]} != forced weight {wparts}")
+            f"expected {L.n - 1} partitions, got {len(rc.config.nu)}")
+    blocks_by_level = configuration_frame(rc.config, L)[1]
     below: list[tuple[int, int]] = []
-    for a in range(1, n):
-        windows = rigging_windows(level_blocks(rc.config, L, wparts, a), below)
-        riggings = rc.riggings[a - 1]
+    for a, (blocks, riggings) in enumerate(zip(blocks_by_level, rc.riggings), 1):
+        windows = rigging_windows(blocks, below)
         below = []
         start = 0
         for (w, m, lo, p, carry) in windows:
@@ -460,23 +465,22 @@ def rc_to_json(rc: RiggedConfiguration, L: MultiplicityArray) -> list[dict]:
     """Array over levels of {partition, riggings, vacancies}; vacancies are
     emitted for inspection and recomputed (never trusted) on input."""
     out = []
+    table = configuration_frame(rc.config, L)[2]
     for a in range(1, L.n):
         level = rc.config.level(a)
         out.append({
             "partition": list(level),
             "riggings": list(rc.riggings[a - 1]),
-            "vacancies": [vacancy(rc.config, L, a, w) for w in level],
+            "vacancies": [table[a - 1][w] for w in level],
         })
     return out
 
 
 def _json_integers(level: Mapping, key: str) -> tuple[int, ...]:
     values = level[key]
-    # JSON integers only: bool is an int subclass, and int() would accept
-    # floats and digit strings
-    if type(values) is not list or any(type(v) is not int for v in values):
+    if type(values) is not list:
         raise ValueError(f"{key} must be a list of integers, got {values!r}")
-    return tuple(values)
+    return tuple(json_int(v, f"each entry of {key}") for v in values)
 
 
 def rc_from_json(data: Sequence[Mapping], L: MultiplicityArray) -> RiggedConfiguration:

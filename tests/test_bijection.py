@@ -7,7 +7,8 @@ from qrigged.combinat import Composition
 from qrigged.crystals import Path, RowFactor, enumerate_paths, intrinsic_energy
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
-                        enumerate_rc, vacancy, vacancy_row, weight_of)
+                        configuration_frame, enumerate_rc, lower_bound,
+                        rc_from_json, rc_to_json, vacancy, weight_of)
 
 
 def path_of(words, n):
@@ -105,6 +106,57 @@ class TestRoundTrips:
                     assert len(relations) <= 1
 
 
+def _tuples_and_ints(value) -> bool:
+    if type(value) is tuple:
+        return all(map(_tuples_and_ints, value))
+    return type(value) is int
+
+
+class TestCachedFrame:
+    """`configuration_frame` caches what depends only on the configuration;
+    `validate` must still range-check every rigging when the frame is read
+    from the cache."""
+
+    def test_cached_frame_still_rejects_out_of_window_riggings(self):
+        configs = rejected = 0
+        for widths, n in instance_grid(6):
+            L = MultiplicityArray.from_rows(widths, n)
+            for w in weight_compositions(sum(widths), n):
+                valid = {}
+                for path in enumerate_paths(widths, n, Composition(w)):
+                    rc = path_to_rc(path)
+                    valid.setdefault(rc.config, (rc, path))
+                for config, (rc, path) in valid.items():
+                    assert rc_to_path(rc, L, widths) == path  # caches the frame
+                    hits = configuration_frame.cache_info().hits
+                    frame = configuration_frame(config, L)
+                    assert configuration_frame.cache_info().hits == hits + 1
+                    assert _tuples_and_ints(frame), frame
+                    configs += 1
+                    for a, level in enumerate(config.nu, 1):
+                        for row, width in enumerate(level):
+                            # p from `vacancy`, not the frame's table; lo
+                            # from the all-singular bound, which no valid
+                            # rigging undercuts
+                            for x in (vacancy(config, L, a, width) + 1,
+                                      lower_bound(config, L, a, row) - 1):
+                                self.check_rejected(rc, L, widths, a, row, x)
+                                rejected += 1
+        assert (configs, rejected) == (3740, 17632)
+
+    @staticmethod
+    def check_rejected(rc, L, widths, a, row, x):
+        payload = rc_to_json(rc, L)
+        payload[a - 1]["riggings"][row] = x
+        with pytest.raises(InvalidRiggedConfigurationError):
+            rc_from_json(payload, L)
+        riggings = [list(level) for level in rc.riggings]
+        riggings[a - 1][row] = x
+        bad = RiggedConfiguration(rc.config, tuple(map(tuple, riggings)))
+        with pytest.raises(InvalidRiggedConfigurationError):
+            rc_to_path(bad, L, widths)
+
+
 class TestValidation:
     def test_corrupted_rigging_rejected(self):
         L = MultiplicityArray.from_rows((1, 1), 2)
@@ -149,7 +201,9 @@ class TestVacancyTable:
         steps = 0
         for widths, n, path in self.paths():
             levels = [[] for _ in range(n - 1)]
-            p = [[0] * (sum(widths) + 1) for _ in range(n - 1)]
+            # the sizing of path_to_rc: |nu^(1)| + 1, the letters above 1
+            above = sum(x > 1 for f in path.factors for x in f.letters)
+            p = [[0] * (above + 1) for _ in range(n - 1)]
             rows = []
             boxes = 0
             for s, f in zip(widths, path.factors):
@@ -171,9 +225,9 @@ class TestVacancyTable:
             rows = list(widths)
             boxes = sum(widths)
             # the starting table of rc_to_path: p[0] leaves out `boxes`
-            L = MultiplicityArray.from_rows(widths, n)
-            m = max((lv[0] for lv in rc.config.nu if lv), default=0)
-            p = [vacancy_row(rc.config, L, a, m) for a in range(1, n)]
+            table = configuration_frame(
+                rc.config, MultiplicityArray.from_rows(widths, n))[2]
+            p = [list(row) for row in table]
             p[0] = [x - boxes for x in p[0]]
             self.check(levels, p, rows, boxes, n)
             for s in reversed(widths):

@@ -204,6 +204,9 @@ MALFORMED_PRESETS = {
     "congruence-without-modulus": lambda d: d["fermionic"].update(
         congruences=[{"form": ["0", "1"]}]),
     "theta-without-quadratic": lambda d: d["bosonic"]["theta"].pop("quadratic"),
+    # JSON true is no order 1, and 1.5 is no version 1
+    "declared-order-a-bool": lambda d: d.update(declared_order=True),
+    "version-a-float": lambda d: d.update(version=1.5),
 }
 
 

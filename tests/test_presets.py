@@ -26,6 +26,16 @@ class TestRegistry:
                 "name": "x", "version": 1,
                 "fermionic": {"dim": 0}, "bosonic": {}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("declared_order", True), ("declared_order", 30.0),
+        ("version", 1.5), ("version", "1"), ("version", False)])
+    def test_integer_fields_are_json_integers(self, key, value):
+        data = {"name": "x", "version": 1, "declared_order": 30,
+                "fermionic": {"dim": 0}, "bosonic": {}}
+        CharacterPreset.from_dict(data)
+        with pytest.raises(ValueError, match=key):
+            CharacterPreset.from_dict({**data, key: value})
+
     def test_declared_orders_at_least_twenty(self, registry):
         for name in registry.names():
             assert registry.get(name).declared_order >= 20
