@@ -262,6 +262,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_rational(value, what: str) -> Fraction:
+    """`value` as a Fraction if it is a JSON integer or a string such as "5/2",
+    else ValueError naming `what`: a float is inexact and a bool no number."""
+    if type(value) not in (int, str):
+        raise ValueError(f"{what} must be an integer or a string, got {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series q^offset * sum_{i=0..order} coeffs[i] * q^(i*step).
@@ -329,39 +337,10 @@ class TruncatedSeries:
         return [(self.offset + i * self.step, c)
                 for i, c in enumerate(self.coeffs) if c]
 
-    # -- normalization helpers ----------------------------------------------
-
-    def _rescaled(self, step: Fraction, offset: Fraction, order: int) -> "TruncatedSeries":
-        """Re-express on the grid offset + i*step, i = 0..order (exact).
-
-        The grid must refine this series' grid and start at or below its
-        offset."""
-        if step == self.step and offset == self.offset and order == self.order:
-            return self
-        stride = self.step / step
-        shift = (self.offset - offset) / step
-        if stride.denominator != 1 or shift.denominator != 1 or shift < 0:
-            raise ValueError("target grid does not contain the series grid")
-        stride, shift = int(stride), int(shift)
-        n = max(0, min(len(self.coeffs), (order - shift) // stride + 1))
-        out = [0] * (order + 1)
-        out[shift:shift + n * stride:stride] = self.coeffs[:n]
-        return self._trusted(tuple(out), offset, step)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        step = Fraction(1, lcm(self.step.denominator, other.step.denominator,
-                               (self.offset - other.offset).denominator))
-        offset = min(self.offset, other.offset)
-        frontier = min(self.frontier, other.frontier)
-        order = int((frontier - offset) / step)
-        if order < 0:
-            raise ValueError("no overlapping guaranteed range")
-        a = self._rescaled(step, offset, order)
-        b = other._rescaled(step, offset, order)
-        return self._trusted(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
-                             offset, step)
+        return series_sum((self, other))
 
     def __neg__(self) -> "TruncatedSeries":
         return self._trusted(tuple(-c for c in self.coeffs), self.offset, self.step)
@@ -371,19 +350,19 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         d = lcm(self.step.denominator, other.step.denominator)
-        step = Fraction(1, d)
-        sa = self._rescaled(step, self.offset, int((self.frontier - self.offset) / step))
-        sb = other._rescaled(step, other.offset, int((other.frontier - other.offset) / step))
-        order = min(sa.order, sb.order)
+        a, b = ([0] * (s.order * (d // s.step.denominator) + 1) for s in (self, other))
+        _place(a, self, self.offset, d)
+        _place(b, other, other.offset, d)
+        order = min(len(a), len(b)) - 1
         out = [0] * (order + 1)
-        for i, c1 in enumerate(sa.coeffs):
-            if not c1 or i > order:
+        for i, c1 in enumerate(a[:order + 1]):
+            if not c1:
                 continue
             for j in range(0, order - i + 1):
-                c2 = sb.coeffs[j]
+                c2 = b[j]
                 if c2:
                     out[i + j] += c1 * c2
-        return self._trusted(tuple(out), self.offset + other.offset, step)
+        return self._trusted(tuple(out), self.offset + other.offset, Fraction(1, d))
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires leading coefficient +/-1."""
@@ -453,6 +432,30 @@ class TruncatedSeries:
             terms.append(f"{c}{estr}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(q^{self.frontier + self.step})"
+
+
+def _place(out: list[int], s: TruncatedSeries, offset: Fraction, d: int) -> None:
+    """Add the coefficients of `s` into `out`, the dense list of the grid
+    offset + i/d, dropping those past its end.  Every caller picks a grid
+    that refines the grid of `s` and starts at or below its offset."""
+    start = int((s.offset - offset) * d)
+    for i, c in zip(range(start, len(out), d // s.step.denominator), s.coeffs):
+        out[i] += c
+
+
+def series_sum(terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """Sum of a nonempty sequence of series, placed once on one grid.
+
+    The grid starts at the least offset with step 1/d, d the lcm of every
+    step denominator and every offset difference, and ends at the least
+    frontier, so the sum never goes past its guaranteed order."""
+    offset = min(s.offset for s in terms)
+    d = lcm(*(s.step.denominator for s in terms),
+            *((s.offset - offset).denominator for s in terms))
+    out = [0] * (int((min(s.frontier for s in terms) - offset) * d) + 1)
+    for s in terms:
+        _place(out, s, offset, d)
+    return TruncatedSeries._trusted(tuple(out), offset, Fraction(1, d))
 
 
 def series_one(order: int, step: Fraction = Fraction(1)) -> TruncatedSeries:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from itertools import count
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from ..qalg import PochhammerSpec, TruncatedSeries, pochhammer_qq, series_one
+from ..qalg import (PochhammerSpec, TruncatedSeries, pochhammer_qq, series_one,
+                    series_sum)
 from .sums import compare_series
 
 
@@ -74,14 +74,10 @@ class BaileyPair:
             a_factor, t_factor, d_factor = _multiplier(self.base_exponent, rho, sigma)
             alphas = [d_factor(n, a_factor(n, x)) for n, x in enumerate(alphas)]
             scaled = [a_factor(j, x) for j, x in enumerate(betas)]
-            betas = [d_factor(n, _total(t_factor(n - j, scaled[j]) for j in range(n + 1)))
+            betas = [d_factor(n, series_sum([t_factor(n - j, scaled[j])
+                                             for j in range(n + 1)]))
                      for n in range(nmax + 1)]
         return alphas, betas
-
-
-def _total(terms: Iterable[TruncatedSeries]) -> TruncatedSeries:
-    """Left-to-right sum of a nonempty sequence of series."""
-    return reduce(TruncatedSeries.__add__, terms)
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,10 @@ def verify_bailey_pair(pair: BaileyPair, order: int,
     nmax = order if max_n is None else max_n
     alphas, betas = pair.table(order, nmax)
     for n in range(nmax + 1):
-        rhs = _total(
+        rhs = series_sum([
             alphas[j].times_pochhammer(PochhammerSpec(length=n - j), -1)
             .times_pochhammer(PochhammerSpec(exponent=1 + k, length=n + j), -1)
-            for j in range(n + 1))
+            for j in range(n + 1)])
         comparison = compare_series(betas[n], rhs)
         if not comparison.equal:
             return PairCheck(False, order, n, failing_n=n,
@@ -229,7 +225,7 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
     k = pair.base_exponent
     nmax = next(n for n in count(1) if n * n + k * n > order) - 1
     alphas, betas = pair.table(order, nmax)
-    lhs, rhs = (_total(x.shift(n * n + k * n) for n, x in enumerate(entries))
+    lhs, rhs = (series_sum([x.shift(n * n + k * n) for n, x in enumerate(entries)])
                 .truncate(Fraction(order)) for entries in (betas, alphas))
     rhs = rhs.times_pochhammer(PochhammerSpec(exponent=1 + k), -1)
     return lhs, rhs.truncate(Fraction(order))

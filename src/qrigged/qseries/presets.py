@@ -16,9 +16,9 @@ from math import lcm
 from pathlib import Path as FilePath
 from typing import Optional
 
-from ..qalg import TruncatedSeries, json_int
+from ..qalg import TruncatedSeries, json_int, json_rational
 from .sums import (AffineForm, BosonicSumSpec, Congruence, FermionicSumSpec,
-                   PochhammerFactor, SeriesComparison, _frac, compare_series,
+                   PochhammerFactor, SeriesComparison, compare_series,
                    eval_bosonic, eval_fermionic)
 
 
@@ -35,7 +35,7 @@ _BUILTIN_DIR = FilePath(__file__).parent / "presets"
 
 
 def _parse_affine(data, dim: int) -> AffineForm:
-    coeffs = [_frac(x) for x in data]
+    coeffs = [json_rational(x, "affine coefficient") for x in data]
     if len(coeffs) != dim + 1:
         raise PresetFormatError(
             f"affine form needs {dim + 1} coefficients (constant first)")
@@ -45,25 +45,27 @@ def _parse_affine(data, dim: int) -> AffineForm:
 def _parse_factor(data, dim: int) -> PochhammerFactor:
     length = data.get("length")
     return PochhammerFactor(
-        sign=int(data.get("sign", 1)),
-        exponent=_frac(data["exponent"]),
-        step=_frac(data.get("step", 1)),
+        sign=json_int(data.get("sign", 1), "sign"),
+        exponent=json_rational(data["exponent"], "exponent"),
+        step=json_rational(data.get("step", 1), "step"),
         length=None if length is None else _parse_affine(length, dim),
-        power=int(data.get("power", -1)),
+        power=json_int(data.get("power", -1), "power"),
     )
 
 
 def _parse_fermionic(data) -> FermionicSumSpec:
-    dim = int(data["dim"])
+    dim = json_int(data["dim"], "dim")
     return FermionicSumSpec(
         dim=dim,
-        quadratic=tuple(tuple(_frac(x) for x in row)
+        quadratic=tuple(tuple(json_rational(x, "quadratic") for x in row)
                         for row in data.get("quadratic", [])),
-        linear=tuple(_frac(x) for x in data.get("linear", ["0"] * dim)),
-        constant=_frac(data.get("constant", 0)),
+        linear=tuple(json_rational(x, "linear")
+                     for x in data.get("linear", ["0"] * dim)),
+        constant=json_rational(data.get("constant", 0), "constant"),
         factors=tuple(_parse_factor(f, dim) for f in data.get("factors", [])),
         congruences=tuple(
-            Congruence(_parse_affine(c["form"], dim), int(c["modulus"]))
+            Congruence(_parse_affine(c["form"], dim),
+                       json_int(c["modulus"], "modulus"))
             for c in data.get("congruences", [])),
         inequalities=tuple(_parse_affine(f, dim)
                            for f in data.get("inequalities", [])),
@@ -75,10 +77,10 @@ def _parse_bosonic(data) -> BosonicSumSpec:
     kwargs = {}
     if theta is not None:
         kwargs = {
-            "parity": int(theta.get("parity", 1)),
-            "a2": _frac(theta["quadratic"]),
-            "a1": _frac(theta.get("linear", 0)),
-            "a0": _frac(theta.get("constant", 0)),
+            "parity": json_int(theta.get("parity", 1), "parity"),
+            "a2": json_rational(theta["quadratic"], "theta quadratic"),
+            "a1": json_rational(theta.get("linear", 0), "theta linear"),
+            "a0": json_rational(theta.get("constant", 0), "theta constant"),
         }
     return BosonicSumSpec(
         prefactors=tuple(_parse_factor(f, 0)
@@ -112,7 +114,7 @@ class CharacterPreset:
             name=str(data["name"]),
             version=json_int(data["version"], "version"),
             declared_order=order,
-            offset=_frac(data.get("offset", 0)),
+            offset=json_rational(data.get("offset", 0), "offset"),
             fermionic=_parse_fermionic(data["fermionic"]),
             bosonic=_parse_bosonic(data["bosonic"]),
             note=str(data.get("note", "")),

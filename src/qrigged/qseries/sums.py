@@ -6,7 +6,9 @@ are affine in the summation variables, plus optional affine congruence and
 inequality restrictions.  A bosonic spec is a theta-like alternating sum
 over one integer index times a product of Pochhammer prefactors.  Both
 evaluate to exact TruncatedSeries; enumeration is pruned by exponent lower
-bounds, and termination is checked when the spec is constructed.
+bounds, and termination is checked when the spec is constructed.  The
+lattice walk yields each point with its exponent, and each side's terms
+are added once by `series_sum`.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..qalg import PochhammerSpec, TruncatedSeries
+from ..qalg import PochhammerSpec, TruncatedSeries, _as_fraction, series_sum
 
 
 class NonTerminatingSumError(ValueError):
@@ -26,10 +28,6 @@ class NonTerminatingSumError(ValueError):
 FIRST_POINT_SEARCH_LIMIT = 1024
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(str(x))
-
-
 @dataclass(frozen=True)
 class AffineForm:
     """constant + sum_i coeffs[i] * n_i with rational coefficients."""
@@ -38,8 +36,8 @@ class AffineForm:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "constant", _frac(self.constant))
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in self.coeffs))
+        object.__setattr__(self, "constant", _as_fraction(self.constant))
+        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
 
     def __call__(self, point: Sequence[int]) -> Fraction:
         return self.constant + sum(c * x for c, x in zip(self.coeffs, point))
@@ -56,8 +54,8 @@ class PochhammerFactor:
     power: int = -1
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", _frac(self.exponent))
-        object.__setattr__(self, "step", _frac(self.step))
+        object.__setattr__(self, "exponent", _as_fraction(self.exponent))
+        object.__setattr__(self, "step", _as_fraction(self.step))
         if self.power not in (1, -1):
             raise ValueError("factor power must be +1 or -1")
 
@@ -104,11 +102,11 @@ class FermionicSumSpec:
     inequalities: tuple[AffineForm, ...] = ()  # each must be >= 0
 
     def __post_init__(self):
-        A = tuple(tuple(_frac(x) for x in row) for row in self.quadratic)
-        b = tuple(_frac(x) for x in self.linear)
+        A = tuple(tuple(_as_fraction(x) for x in row) for row in self.quadratic)
+        b = tuple(_as_fraction(x) for x in self.linear)
         object.__setattr__(self, "quadratic", A)
         object.__setattr__(self, "linear", b)
-        object.__setattr__(self, "constant", _frac(self.constant))
+        object.__setattr__(self, "constant", _as_fraction(self.constant))
         if self.dim < 0:
             raise ValueError("dim must be nonnegative")
         if len(A) != self.dim or any(len(r) != self.dim for r in A):
@@ -127,41 +125,24 @@ class FermionicSumSpec:
                     f"diagonal entry A[{i}][{i}] <= 0: the exponent does not "
                     "grow and enumeration would not terminate")
 
-    def exponent(self, point: Sequence[int]) -> Fraction:
-        q = Fraction(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                q += self.quadratic[i][j] * point[i] * point[j]
-        return q / 2 + sum(bi * x for bi, x in zip(self.linear, point)) \
-            + self.constant
-
     def _single_min(self, i: int) -> Fraction:
-        """min over n >= 0 of (1/2) A_ii n^2 + b_i n (cross terms >= 0)."""
-        a = self.quadratic[i][i] / 2
-        b = self.linear[i]
-        best = Fraction(0)
-        n = 1
-        while True:
-            v = a * n * n + b * n
-            if v < best:
-                best = v
-            if a * n * n + b * n > 0 and v >= best and n > -b / a + 1:
-                break
-            n += 1
-            if n > 10 ** 6:
-                raise NonTerminatingSumError("linear term dominates quadratic")
-        return best
+        """min over integers n >= 0 of f(n) = (1/2) A_ii n^2 + b_i n (cross
+        terms >= 0): f is convex with real minimum at -b_i/A_ii, so this is
+        min(f(0), f(n*), f(n* + 1)) with n* = max(0, floor(-b_i/A_ii))."""
+        a, b = self.quadratic[i][i], self.linear[i]
+        n = max(0, -b // a)
+        return min(Fraction(0), *(a / 2 * m * m + b * m for m in (n, n + 1)))
 
     def lattice_points(self, bound: Fraction):
-        """All points with quadratic+linear part <= bound, restrictions
-        applied; deterministic lexicographic order."""
+        """(point, exponent) for all points with quadratic+linear part
+        <= bound, restrictions applied; deterministic lexicographic order."""
         mins = [self._single_min(i) for i in range(self.dim)]
         suffix_min = [Fraction(0)] * (self.dim + 1)
         for i in range(self.dim - 1, -1, -1):
             suffix_min[i] = suffix_min[i + 1] + mins[i]
 
         point = [0] * self.dim
-        out: list[tuple[int, ...]] = []
+        out: list[tuple[tuple[int, ...], Fraction]] = []
 
         def rec(i: int, partial: Fraction):
             # partial: quadratic+linear over assigned coords (cross terms
@@ -170,7 +151,7 @@ class FermionicSumSpec:
                 if partial <= bound \
                         and all(c.satisfied(point) for c in self.congruences) \
                         and all(f(point) >= 0 for f in self.inequalities):
-                    out.append(tuple(point))
+                    out.append((tuple(point), partial + self.constant))
                 return
             n = 0
             while True:
@@ -204,27 +185,26 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     does; past FIRST_POINT_SEARCH_LIMIT the search stops with ValueError."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    slack = -sum(min(Fraction(0), spec._single_min(i)) for i in range(spec.dim))
+    slack = -sum(spec._single_min(i) for i in range(spec.dim))
     bound = Fraction(order) + slack
     while not (points := spec.lattice_points(bound)):
         if bound > FIRST_POINT_SEARCH_LIMIT:
             raise ValueError("no lattice point satisfies the restrictions with "
                              f"exponent <= {bound + spec.constant}")
         bound = 2 * bound + 1
-    low = min(spec.exponent(p) for p in points)
+    low = min(e for _, e in points)
     if low - spec.constant + order > bound:
         points = spec.lattice_points(low - spec.constant + order)
-    frontier = low + order
-    acc = TruncatedSeries((0,) * (order + 1), low)
-    for p in points:
-        e = spec.exponent(p)
-        if e > frontier:
+    # the zero series fixes the range low .. low + order
+    terms = [TruncatedSeries((0,) * (order + 1), low)]
+    for p, e in points:
+        if e > low + order:
             continue
         term = TruncatedSeries((1,) + (0,) * order, e)
         for f in spec.factors:
             term = term.times_pochhammer(f.spec(p), f.power)
-        acc = acc + term.truncate(frontier)
-    return acc
+        terms.append(term)
+    return series_sum(terms)
 
 
 @dataclass(frozen=True)
@@ -243,12 +223,12 @@ class BosonicSumSpec:
 
     def __post_init__(self):
         if self.a2 is not None:
-            object.__setattr__(self, "a2", _frac(self.a2))
+            object.__setattr__(self, "a2", _as_fraction(self.a2))
             if self.a2 <= 0:
                 raise NonTerminatingSumError(
                     "theta quadratic coefficient must be positive")
-        object.__setattr__(self, "a1", _frac(self.a1))
-        object.__setattr__(self, "a0", _frac(self.a0))
+        object.__setattr__(self, "a1", _as_fraction(self.a1))
+        object.__setattr__(self, "a0", _as_fraction(self.a0))
         if self.parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
         for f in self.prefactors:
@@ -280,11 +260,9 @@ def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
     slack = abs(spec.a1) * 2 + 1 if spec.a2 is not None else Fraction(0)
     terms = spec.theta_terms(Fraction(order) + spec.a0 + slack)
     min_exp = min(e for e, _ in terms)
-    frontier = min_exp + order
-    out = TruncatedSeries((0,) * (order + 1), min_exp)
-    for e, sign in terms:
-        if e <= frontier:
-            out = out + TruncatedSeries((sign,) + (0,) * order, e).truncate(frontier)
+    out = series_sum([TruncatedSeries((0,) * (order + 1), min_exp)] + [
+        TruncatedSeries((sign,) + (0,) * order, e)
+        for e, sign in terms if e <= min_exp + order])
     for f in spec.prefactors:
         out = out.times_pochhammer(f.spec(()), f.power)
     return out.truncate(out.offset + order)

@@ -207,6 +207,16 @@ MALFORMED_PRESETS = {
     # JSON true is no order 1, and 1.5 is no version 1
     "declared-order-a-bool": lambda d: d.update(declared_order=True),
     "version-a-float": lambda d: d.update(version=1.5),
+    # nor is true a dim or a parity, -1.0 a power or "7" a modulus
+    "dim-a-bool": lambda d: d["fermionic"].update(dim=True),
+    "power-a-float": lambda d: d["fermionic"]["factors"][0].update(power=-1.0),
+    "modulus-a-string": lambda d: d["fermionic"].update(
+        congruences=[{"form": ["0", "1"], "modulus": "7"}]),
+    "parity-a-bool": lambda d: d["bosonic"]["theta"].update(parity=True),
+    # rationals are JSON integers or strings, never floats, even exact ones
+    "offset-a-float": lambda d: d.update(offset=0.5),
+    "exponent-a-bool":
+        lambda d: d["fermionic"]["factors"][0].update(exponent=True),
 }
 
 

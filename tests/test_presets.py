@@ -95,3 +95,26 @@ class TestVerification:
         report = character(registry.get("virasoro-m25-vacuum"), 20)
         assert report.rescale_denominator == 60
         assert str(report.fermionic.offset) == "11/60"
+
+
+def _check_pass(registry, order):
+    """Every shipped preset at `order`: identities equal, controls unequal
+    with a first difference; through pytest.fail, so also under python -O."""
+    for name in registry.names():
+        preset = registry.get(name)
+        comparison = character(preset, order).comparison
+        if preset.negative_control:
+            if comparison.equal or comparison.first_difference is None:
+                pytest.fail(f"control {name} at order {order}: {comparison}")
+        elif not comparison.equal:
+            pytest.fail(f"{name} at order {order} differs at "
+                        f"q^{comparison.first_difference}")
+
+
+class TestHigherOrder:
+    def test_every_preset_at_order_300(self, registry):
+        _check_pass(registry, 300)
+
+    @pytest.mark.slow
+    def test_every_preset_at_order_1000(self, registry):
+        _check_pass(registry, 1000)

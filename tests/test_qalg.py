@@ -1,5 +1,7 @@
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qrigged.qalg import (DivergentProductError, IntPolynomial,
                           NonInvertibleSeriesError, PochhammerSpec,
                           TruncatedSeries, pochhammer, pochhammer_qq,
-                          q_binomial, series_from_poly, series_one)
+                          q_binomial, series_from_poly, series_one,
+                          series_sum)
 
 
 def P(terms):
@@ -239,6 +242,41 @@ class TestSeries:
         assert ((a * b) * c).same_series(a * (b * c))
         assert (a * (b + c)).same_series(a * b + a * c)
         assert (a * b).same_series(b * a)
+
+
+@st.composite
+def series_lists(draw):
+    """1-4 series, each with offset k/d1, step 1/d2 and order 0-8."""
+    return [TruncatedSeries(tuple(draw(st.lists(st.integers(-3, 3),
+                                                min_size=1, max_size=9))),
+                            Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))),
+                            Fraction(1, draw(st.integers(1, 4))))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestSeriesSum:
+    # against a dict exponent -> coefficient, through pytest.fail (python -O)
+    @settings(max_examples=300, deadline=None)
+    @given(series_lists())
+    def test_matches_dict_model(self, terms):
+        total = series_sum(terms)
+        offset = min(t.offset for t in terms)
+        frontier = min(t.frontier for t in terms)
+        d = math.lcm(*(t.step.denominator for t in terms),
+                     *((t.offset - offset).denominator for t in terms))
+        _expect((total.offset, total.frontier, total.step),
+                (offset, frontier, Fraction(1, d)), "offset, frontier, step")
+        model: dict[Fraction, int] = {}
+        for t in terms:
+            for i, c in enumerate(t.coeffs):
+                e = t.offset + i * t.step
+                model[e] = model.get(e, 0) + c
+        grid = [offset + Fraction(i, d)
+                for i in range(int((frontier - offset) * d) + 1)]
+        _expect(list(total.coeffs), [model.get(e, 0) for e in grid], "coefficients")
+        _expect([total.coefficient(e) for e in grid],
+                [sum(t.coefficient(e) for t in terms) for e in grid], "coefficient()")
+        _expect(reduce(operator.add, terms), total, "pairwise sum")
 
 
 @st.composite

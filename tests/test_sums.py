@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrigged.qalg import TruncatedSeries, pochhammer_qq
+from qrigged.qseries.presets import PresetRegistry
 from qrigged.qseries.sums import (AffineForm, BosonicSumSpec, Congruence,
                                   FermionicSumSpec, NonTerminatingSumError,
                                   PochhammerFactor, compare_series,
@@ -148,3 +150,31 @@ class TestCompare:
         assert not report.equal
         assert report.first_difference == 1
         assert (report.left_coefficient, report.right_coefficient) == (1, 0)
+
+
+class TestLatticeWalk:
+    # checked through pytest.fail, so it also runs under python -O
+    def test_exponents_are_the_quadratic_form(self):
+        registry = PresetRegistry()
+        for name in registry.names():
+            spec = registry.get(name).fermionic
+            points = spec.lattice_points(F(30))
+            if not points:
+                pytest.fail(f"{name}: no lattice point up to 30")
+            for p, e in points:
+                r = range(spec.dim)
+                want = sum((spec.quadratic[i][j] * p[i] * p[j] for i in r for j in r),
+                           F(0)) / 2 \
+                    + sum(spec.linear[i] * p[i] for i in r) + spec.constant
+                if e != want:
+                    pytest.fail(f"{name}: point {p} has exponent {e}, want {want}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(-40, 40), st.integers(1, 6))
+    def test_single_min_is_the_least_value(self, an, ad, bn, bd):
+        a, b = F(an, ad), F(bn, bd)
+        # the real minimizer -b/a is at most 160, so n < 200 covers it
+        want = min(a / 2 * n * n + b * n for n in range(200))
+        got = FermionicSumSpec(1, ((a,),), (b,), F(0))._single_min(0)
+        if got != want:
+            pytest.fail(f"A = {a}, b = {b}: _single_min {got}, brute force {want}")
