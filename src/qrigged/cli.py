@@ -39,11 +39,12 @@ EXIT_UNEQUAL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_UNKNOWN_PRESET = 5
 
-# Largest degree k(m-k) that `qbinom` computes; the library has no limit.
-QBINOM_MAX_DEGREE = 20_000
-# Largest grid order*d (order in q, step 1/d) that `pochhammer` and `bailey`
-# expand, d being the lcm of the denominators of their rational flags.
-SERIES_MAX_GRID = 20_000
+# Largest last index of the one dense coefficient list a subcommand fills:
+# the degree k(m-k) for `qbinom`; the grid order*d (order in q, step 1/d)
+# for `pochhammer` and `bailey`, d being the lcm of the denominators of
+# their rational flags; the order for `character` and `compare`.  The
+# library has no limit.
+MAX_GRID = 20_000
 # Most steps `bailey` chains, a work bound: each costs O(N^2) series products.
 BAILEY_MAX_STEPS = 100
 
@@ -248,10 +249,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
 def _cmd_qbinom(args) -> tuple[dict, int]:
     if args.m < 0:
         raise CliError("m must be nonnegative", EXIT_USAGE)
-    degree = args.k * (args.m - args.k)
-    if degree > QBINOM_MAX_DEGREE:
-        raise CliError(f"degree k(m-k) = {degree} is above the limit "
-                       f"{QBINOM_MAX_DEGREE}", EXIT_USAGE)
+    _require_grid("degree k(m-k)", args.k * (args.m - args.k))
     return {"polynomial": _poly_payload(q_binomial(args.m, args.k))}, EXIT_OK
 
 
@@ -262,11 +260,12 @@ def _parse_fraction(text: str) -> Fraction:
         raise CliError(f"malformed rational {text!r}", EXIT_USAGE) from None
 
 
-def _require_grid(order: int, *rationals: Fraction) -> None:
-    grid = order * lcm(*(r.denominator for r in rationals))
-    if grid > SERIES_MAX_GRID:
-        raise CliError(f"series grid order*d = {grid} is above the limit "
-                       f"{SERIES_MAX_GRID}", EXIT_USAGE)
+def _require_grid(quantity: str, value: int, *rationals: Fraction) -> None:
+    """Refuse `value` times the lcm of the `rationals`' denominators past MAX_GRID."""
+    grid = value * lcm(*(r.denominator for r in rationals))
+    if grid > MAX_GRID:
+        raise CliError(f"{quantity} = {grid} is above the limit {MAX_GRID}",
+                       EXIT_USAGE)
 
 
 def _cmd_pochhammer(args) -> tuple[dict, int]:
@@ -277,7 +276,7 @@ def _cmd_pochhammer(args) -> tuple[dict, int]:
         except ValueError:
             raise CliError(f"malformed length {args.length!r}", EXIT_USAGE) from None
     exponent, step = _parse_fraction(args.exponent), _parse_fraction(args.step)
-    _require_grid(args.order, exponent, step)
+    _require_grid("series grid order*d", args.order, exponent, step)
     spec = PochhammerSpec(args.sign, exponent, step, length)
     series = pochhammer(spec, args.order)
     return {"series": series.to_json()}, EXIT_OK
@@ -289,7 +288,9 @@ def _cmd_character(args) -> tuple[dict, int]:
         preset = registry.get(args.preset)
     except UnknownPresetError as exc:
         raise CliError(str(exc), EXIT_UNKNOWN_PRESET) from None
-    report = character(preset, args.order)
+    order = preset.declared_order if args.order is None else args.order
+    _require_grid("order", order)
+    report = character(preset, order)
     payload = report.as_dict()
     payload["negative_control"] = preset.negative_control
     payload["note"] = preset.note
@@ -302,16 +303,16 @@ def _stepped_pair(args):
                        f"available: {', '.join(sorted(_BAILEY_PAIRS))}",
                        EXIT_USAGE)
     pair = _BAILEY_PAIRS[args.pair]()
-    if not args.steps:
-        return pair
     if args.steps > BAILEY_MAX_STEPS:
         raise CliError(f"{args.steps} steps is above the limit {BAILEY_MAX_STEPS}",
                        EXIT_USAGE)
-    rho, sigma = (INFINITY if text in ("inf", "infinity") else _parse_fraction(text)
-                  for text in (args.rho, args.sigma))
-    _require_grid(args.order, *(p for p in (rho, sigma) if p is not INFINITY))
+    # --rho and --sigma are read only when a step uses them
+    params = [INFINITY if text in ("inf", "infinity") else _parse_fraction(text)
+              for text in (args.rho, args.sigma) if args.steps]
+    _require_grid("series grid order*d", args.order,
+                  *(p for p in params if p is not INFINITY))
     for _ in range(args.steps):
-        pair = bailey_step(pair, rho, sigma)
+        pair = bailey_step(pair, *params)
     return pair
 
 
@@ -339,6 +340,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
         except UnknownPresetError as exc:
             raise CliError(str(exc), EXIT_UNKNOWN_PRESET) from None
         order = preset.declared_order if args.order is None else args.order
+        _require_grid("order", order)
         if which == "fermionic":
             return eval_fermionic(preset.fermionic, order).shift(preset.offset)
         return eval_bosonic(preset.bosonic, order).shift(preset.offset)
@@ -408,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "qbinom", help="Gaussian binomial [m choose k]_q",
         description=f"Gaussian binomial [m choose k]_q.  A degree k(m-k) above "
-                    f"{QBINOM_MAX_DEGREE} is refused with exit code 2.")
+                    f"{MAX_GRID} is refused with exit code 2.")
     p.add_argument("m", type=int)
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_qbinom)
 
     p = sub.add_parser(
         "pochhammer", help="q-Pochhammer expansion",
-        description=f"q-Pochhammer expansion.  A grid order*d above {SERIES_MAX_GRID} "
+        description=f"q-Pochhammer expansion.  A grid order*d above {MAX_GRID} "
                     "(step 1/d, the lcm of the denominators of --exponent and "
                     "--step) is refused with exit code 2.")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
@@ -425,7 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_nonnegative_int, default=20)
     p.set_defaults(func=_cmd_pochhammer)
 
-    p = sub.add_parser("character", help="verify a character preset")
+    order_limit = (f"An order above {MAX_GRID} (--order, else the declared "
+                   "order) is refused with exit code 2.")
+    p = sub.add_parser("character", help="verify a character preset",
+                       description="Verify a character preset.  " + order_limit)
     p.add_argument("--preset", required=True)
     p.add_argument("--order", type=_nonnegative_int, default=None)
     p.add_argument("--preset-dir", default=None)
@@ -436,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=f"Bailey pair verification and chain steps.  More than "
                     f"{BAILEY_MAX_STEPS} steps (each costs O(N^2) series "
                     "products on a table of N entries), or a grid order*d above "
-                    f"{SERIES_MAX_GRID} (step 1/d, the lcm of the denominators "
+                    f"{MAX_GRID} (step 1/d, the lcm of the denominators "
                     "of --rho and --sigma), is refused with exit code 2.")
     p.add_argument("--mode", choices=("verify", "weak-limit"), default="verify")
     p.add_argument("--pair", default="unit",
@@ -450,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify the defining relation for n up to this")
     p.set_defaults(func=_cmd_bailey)
 
-    p = sub.add_parser("compare", help="compare two preset sides as series")
+    p = sub.add_parser("compare", help="compare two preset sides as series",
+                       description="Compare two preset sides as series.  " + order_limit)
     p.add_argument("--preset-a", required=True)
     p.add_argument("--side-a", choices=("fermionic", "bosonic"), default="fermionic")
     p.add_argument("--preset-b", required=True)

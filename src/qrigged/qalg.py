@@ -458,8 +458,8 @@ def series_sum(terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
     return TruncatedSeries._trusted(tuple(out), offset, Fraction(1, d))
 
 
-def series_one(order: int, step: Fraction = Fraction(1)) -> TruncatedSeries:
-    return TruncatedSeries((1,) + (0,) * order, Fraction(0), step)
+def series_one(order: int) -> TruncatedSeries:
+    return TruncatedSeries((1,) + (0,) * order, Fraction(0))
 
 
 def series_from_poly(p: IntPolynomial, order: int) -> TruncatedSeries:

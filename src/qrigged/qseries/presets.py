@@ -184,13 +184,9 @@ class PresetRegistry:
                         map(self.get, self.names()))
 
 
-def character(preset: CharacterPreset | str, order: Optional[int] = None,
-              registry: Optional[PresetRegistry] = None) -> CharacterReport:
+def character(preset: CharacterPreset, order: Optional[int] = None) -> CharacterReport:
     """Evaluate both sides of a preset and compare to the requested order
     (default: the preset's declared order)."""
-    if isinstance(preset, str):
-        registry = registry or PresetRegistry()
-        preset = registry.get(preset)
     n = preset.declared_order if order is None else order
     fermi = eval_fermionic(preset.fermionic, n).shift(preset.offset)
     bose = eval_bosonic(preset.bosonic, n).shift(preset.offset)

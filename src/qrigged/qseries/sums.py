@@ -56,6 +56,8 @@ class PochhammerFactor:
     def __post_init__(self):
         object.__setattr__(self, "exponent", _as_fraction(self.exponent))
         object.__setattr__(self, "step", _as_fraction(self.step))
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
         if self.power not in (1, -1):
             raise ValueError("factor power must be +1 or -1")
 
@@ -78,6 +80,10 @@ class Congruence:
 
     form: AffineForm
     modulus: int
+
+    def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError("congruence modulus must be at least 1")
 
     def satisfied(self, point: Sequence[int]) -> bool:
         v = self.form(point)

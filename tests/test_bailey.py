@@ -40,8 +40,7 @@ class TestVerify:
 
 class TestStep:
     def test_step_output_is_a_pair(self):
-        stepped = bailey_step(rogers_ramanujan_seed(), INFINITY, INFINITY,
-                              verify_order=12)
+        stepped = bailey_step(rogers_ramanujan_seed(), INFINITY, INFINITY)
         assert verify_bailey_pair(stepped, 12, max_n=6).valid
 
     def test_finite_parameters(self):

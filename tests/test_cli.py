@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from gridutil import instance_grid, weight_compositions
 from qrigged.bijection import path_to_rc
 from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
-    EXIT_UNKNOWN_PRESET, EXIT_UNSUPPORTED, EXIT_USAGE, OPERATION_MAP, \
-    build_parser, main
+    EXIT_UNKNOWN_PRESET, EXIT_UNSUPPORTED, EXIT_USAGE, MAX_GRID, \
+    OPERATION_MAP, build_parser, main
 from qrigged.combinat import Composition
 from qrigged.crystals import Path as CrystalPath, enumerate_paths
 from qrigged.qseries import presets as presets_module
@@ -146,8 +146,19 @@ class TestExitCodes:
         ["bailey", "--steps", "1", "--rho", "1/99999", "--order", "5"],
         ["bailey", "--steps", str(BAILEY_MAX_STEPS + 1), "--order", "1"],
         ["bailey", "--steps", "1", "--rho", "4/5", "--sigma", "5/6"],
+        ["character", "--preset", "rogers-ramanujan-1",
+         "--order", str(MAX_GRID + 1)],
+        ["compare", "--preset-a", "rogers-ramanujan-1",
+         "--preset-b", "rogers-ramanujan-1", "--order", str(MAX_GRID + 1)],
+        # a preset whose declared order is past the limit, in PRESET_DIR
+        ["character", "--preset", "rogers-ramanujan-1",
+         "--preset-dir", "PRESET_DIR"],
     ])
-    def test_bad_numeric_argument_is_usage_error(self, argv, capsys):
+    def test_bad_numeric_argument_is_usage_error(self, argv, tmp_path, capsys):
+        if "PRESET_DIR" in argv:
+            _malformed_preset(tmp_path / "big.json",
+                              lambda d: d.update(declared_order=MAX_GRID + 1))
+            argv = [str(tmp_path) if a == "PRESET_DIR" else a for a in argv]
         try:
             code = main(argv)
         except SystemExit as exc:  # rejected by the argument parser
@@ -217,6 +228,10 @@ MALFORMED_PRESETS = {
     "offset-a-float": lambda d: d.update(offset=0.5),
     "exponent-a-bool":
         lambda d: d["fermionic"]["factors"][0].update(exponent=True),
+    # a modulus below 1 and a factor sign other than +-1
+    "modulus-zero": lambda d: d["fermionic"].update(
+        congruences=[{"form": ["0", "1"], "modulus": 0}]),
+    "factor-sign-two": lambda d: d["fermionic"]["factors"][0].update(sign=2),
 }
 
 
@@ -229,7 +244,10 @@ class TestMalformedPresets:
             _malformed_preset(tmp_path / "broken.json", MALFORMED_PRESETS[case])
         for argv in (["character", "--preset", "rogers-ramanujan-1"],
                      ["compare", "--preset-a", "rogers-ramanujan-1",
-                      "--preset-b", "rogers-ramanujan-1"]):
+                      "--preset-b", "rogers-ramanujan-1"],
+                     ["compare", "--preset-a", "rogers-ramanujan-1",
+                      "--side-a", "bosonic", "--preset-b",
+                      "rogers-ramanujan-1", "--side-b", "bosonic"]):
             code, out, err = run_cli(argv + ["--preset-dir", str(tmp_path)],
                                      capsys)
             assert (code, out) == (EXIT_USAGE, "")
@@ -427,7 +445,8 @@ RATIONAL = (st.integers(-3, 5).map(str)
             | st.builds("{}/{}".format, st.integers(-5, 5),
                         st.integers(10 ** 5, 10 ** 12))
             | GARBAGE)
-ORDER = st.integers(-3, 12).map(str) | GARBAGE
+ORDER = (st.integers(-3, 12) | st.integers(MAX_GRID + 1, 10 ** 12)).map(str) \
+    | GARBAGE
 MAX_N = (st.integers(-2, 6) | st.integers(10 ** 3, 10 ** 9)).map(str) | GARBAGE
 STEPS = (st.integers(-1, 6) | st.integers(BAILEY_MAX_STEPS + 1, 10 ** 9)) \
     .map(str) | GARBAGE

@@ -166,12 +166,16 @@ class TestMainIdentity:
         # opt-in: rank 4, <= 7 boxes
         assert _closed_form_equals_path(7, 4) == (11648, 304417)
 
-    def test_corrupted_normalization_detected(self):
-        inst = instance((1, 1), 2, (1, 1))
-        report = verify_identity(inst, normalization={"sign": 1, "shift": 1})
-        assert not report.equal
-        assert report.counterexample is not None
-        assert "first_difference_exponent" in report.counterexample
+    def test_corrupted_normalization_detected(self, monkeypatch):
+        # a path side shifted by one: fermionic 1 + q against path q + q^2;
+        # through pytest.fail, so it also runs under python -O
+        monkeypatch.setattr("qrigged.kostka.path_kostka",
+                            lambda inst: path_kostka(inst).shift(1))
+        report = verify_identity(instance((1, 1), 2, (1, 1)))
+        want = {"first_difference_exponent": 0, "fermionic_coefficient": 1,
+                "path_coefficient": 0}
+        if report.equal or report.counterexample != want:
+            pytest.fail(f"shifted path side not reported: {report}")
 
     def test_weight_permutation_symmetry(self):
         # empirical finding, asserted: the unrestricted polynomial is
@@ -185,6 +189,13 @@ class TestMainIdentity:
 
     def test_calibration_matches_frozen(self):
         assert calibrate() == GLOBAL_NORMALIZATION
+
+    def test_calibration_fails_on_shifted_path_side(self, monkeypatch):
+        monkeypatch.setattr("qrigged.kostka.path_kostka",
+                            lambda inst: path_kostka(inst).shift(1))
+        with pytest.raises(AssertionError, match=r"calibration failed: "
+                           r"fermionic 1 \+ q vs path q \+ q\^2"):
+            calibrate()
 
 
 class TestRestrictedSpecialization:
