@@ -10,6 +10,7 @@ that repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -178,10 +179,11 @@ def _cmd_paths(args) -> tuple[dict, int]:
     paths = enumerate_paths(widths, args.n, weight)
     objects = []
     for p in paths:
-        if args.highest_weight_only and not is_highest_weight(p):
+        highest = is_highest_weight(p)
+        if args.highest_weight_only and not highest:
             continue
         objects.append({"path": str(p), "energy": intrinsic_energy(p),
-                        "highest_weight": is_highest_weight(p)})
+                        "highest_weight": highest})
     return {"count": len(objects), "objects": objects}, EXIT_OK
 
 
@@ -208,7 +210,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
             p = rc_to_path(rc, L, widths)
         except InvalidRiggedConfigurationError as exc:
             raise CliError(f"invalid rigged configuration: {exc}", EXIT_USAGE) from None
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError) as exc:  # too deeply nested
             raise CliError(f"malformed rc JSON: {exc}", EXIT_USAGE) from None
         return {"rc": rc_to_json(rc, L), "path": str(p)}, EXIT_OK
     if args.check:
@@ -224,10 +226,9 @@ def _cmd_bijection(args) -> tuple[dict, int]:
             back = rc_to_path(rc, L, widths)
             if back != p:
                 return {"roundtrip": "failed", "path": str(p)}, EXIT_UNEQUAL
-            key = str(rc)
-            if key in seen:
+            if rc in seen:
                 return {"roundtrip": "not injective", "path": str(p)}, EXIT_UNEQUAL
-            seen.add(key)
+            seen.add(rc)
             rep = check_statistic(p, rc)
             rel = (rep.sign, rep.shift)
             if relation is None:
@@ -369,7 +370,10 @@ class _VersionAction(argparse._VersionAction):
         super().__call__(parser, namespace, values, option_string)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser all `main` calls share: parsing leaves it unchanged, and
+    it reads the streams and terminal width only when it prints."""
     top = argparse.ArgumentParser(
         prog="qrigged",
         description="Unrestricted Kostka polynomials and q-series identities, exactly.")

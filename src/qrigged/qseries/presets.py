@@ -8,6 +8,7 @@ rescaling q -> q^(1/d); the d actually used is recorded in the report.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -146,27 +147,38 @@ class CharacterReport:
         }
 
 
+def _read_presets(directory: FilePath) -> dict[str, CharacterPreset]:
+    presets = {}
+    for path in sorted(directory.glob("*.json")):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                preset = CharacterPreset.from_dict(json.load(fh))
+        except (OSError, KeyError, TypeError, AttributeError,
+                ValueError) as exc:
+            # an unreadable file, or a missing or mistyped field deep in
+            # it, surfaces as any of these: all are a bad preset file
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise PresetFormatError(f"preset file {path}: {detail}") from None
+        if preset.name in presets:
+            raise PresetFormatError(f"duplicate preset name {preset.name!r}")
+        presets[preset.name] = preset
+    return presets
+
+
+# Package data cannot change under a running process, so it is parsed once;
+# an override directory is read by every registry, as a user may edit it.
+_read_shipped = functools.cache(functools.partial(_read_presets, _BUILTIN_DIR))
+
+
 class PresetRegistry:
     """Loads preset files from the built-in directory or an override."""
 
     def __init__(self, directory: Optional[str] = None):
         if directory is None:
-            directory = os.environ.get(ENV_PRESET_DIR) or str(_BUILTIN_DIR)
-        self.directory = FilePath(directory)
-        self._presets: dict[str, CharacterPreset] = {}
-        for path in sorted(self.directory.glob("*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    preset = CharacterPreset.from_dict(json.load(fh))
-            except (OSError, KeyError, TypeError, AttributeError,
-                    ValueError) as exc:
-                # an unreadable file, or a missing or mistyped field deep in
-                # it, surfaces as any of these: all are a bad preset file
-                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise PresetFormatError(f"preset file {path}: {detail}") from None
-            if preset.name in self._presets:
-                raise PresetFormatError(f"duplicate preset name {preset.name!r}")
-            self._presets[preset.name] = preset
+            directory = os.environ.get(ENV_PRESET_DIR) or None
+        self.directory = _BUILTIN_DIR if directory is None else FilePath(directory)
+        self._presets = dict(_read_shipped() if directory is None
+                             else _read_presets(self.directory))
 
     def names(self) -> list[str]:
         return sorted(self._presets)

@@ -486,11 +486,17 @@ def _json_integers(level: Mapping, key: str) -> tuple[int, ...]:
 def rc_from_json(data: Sequence[Mapping], L: MultiplicityArray) -> RiggedConfiguration:
     """Parse and re-validate an externally supplied rigged configuration.
 
-    Parts and riggings must be JSON integers; anything else raises
-    ValueError."""
+    `data` is a JSON array of level objects whose parts and riggings are
+    JSON integers; anything else raises ValueError."""
+    if type(data) is not list:
+        raise ValueError(f"expected a JSON array of levels, got {data!r}")
     if len(data) != L.n - 1:
         raise InvalidRiggedConfigurationError(
             f"expected {L.n - 1} levels, got {len(data)}")
+    for a, level in enumerate(data, 1):
+        if type(level) is not dict or {"partition", "riggings"} - level.keys():
+            raise ValueError(f"level {a} must be an object with a partition "
+                             f"and riggings, got {level!r}")
     config = Configuration(tuple(_json_integers(level, "partition")
                                  for level in data))
     rc = RiggedConfiguration(config,

@@ -17,7 +17,8 @@ from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
 from qrigged.combinat import Composition
 from qrigged.crystals import Path as CrystalPath, enumerate_paths
 from qrigged.qseries import presets as presets_module
-from qrigged.qseries.presets import ENV_PRESET_DIR, PresetRegistry
+from qrigged.qseries.presets import ENV_PRESET_DIR, CharacterPreset, \
+    PresetRegistry
 from qrigged.rc import MultiplicityArray, rc_to_json
 from schemautil import load_schema, validate
 
@@ -47,7 +48,10 @@ CASES = {
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # the argument parser exits by itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -173,13 +177,19 @@ class TestExitCodes:
         '[{"partition": [true], "riggings": [false]}]',
         '[{"partition": "1", "riggings": "0"}]',
         '[{"partition": [1], "riggings": [1e400]}]',
-    ], ids=["float", "bool", "digit-string", "overflow"])
+        '{}', '[1]', 'null', '{"a": 1}', '[{"partition": [1]}]',
+        "[" * 10 ** 5 + "]" * 10 ** 5,
+    ], ids=["float", "bool", "digit-string", "overflow", "empty-object",
+            "level-an-int", "null", "object", "level-without-riggings",
+            "nested-too-deep"])
     def test_non_integer_rc_json_is_usage_error(self, rc, capsys):
         code, _, err = run_cli(["bijection", "--n", "2", "--shapes", "1x1,1x1",
                                 "--rc", rc], capsys)
-        assert code == EXIT_USAGE
-        assert err.startswith("error: malformed rc JSON")
-        assert "Traceback" not in err
+        if code != EXIT_USAGE or not err.startswith("error: malformed rc JSON") \
+                or err.count("\n") != 1 or any(
+                    text in err for text in ("Traceback", "subscriptable",
+                                             "has no len", "indices must be")):
+            pytest.fail(f"exit {code}: {err}")
 
     @pytest.mark.parametrize("mode, verdict", [("verify", "valid"),
                                                ("weak-limit", "equal")])
@@ -280,6 +290,78 @@ class TestMalformedPresets:
         code, _, _ = run_cli(CASES["character"][0], capsys)
         assert code == EXIT_OK
         assert len(built) == 1
+
+
+class TestRepeatedCalls:
+    """Many `main` calls in one process share one parser and parse the
+    shipped presets once; an override directory is read on every call."""
+
+    def test_shared_parser_keeps_every_output(self, capsys):
+        build_parser.cache_clear()
+        golden = {name: (GOLDEN_DIR / f"{name}.json").read_text()
+                  for name in CASES}
+        for name in sorted(CASES):
+            if run_cli(CASES[name][0], capsys) != (EXIT_OK, golden[name], ""):
+                pytest.fail(f"golden {name} differs")
+        # what the parser prints itself must match a parser built afresh
+        for argv in (["kostka"], ["--help"], ["kostka", "--help"],
+                     ["--version"]):
+            shared = run_cli(argv, capsys)
+            with pytest.raises(SystemExit) as exc:
+                build_parser.__wrapped__().parse_args(argv)
+            fresh = (exc.value.code, *capsys.readouterr())
+            if shared != fresh or not (shared[1] or shared[2]):
+                pytest.fail(f"{argv}: shared parser gave {shared}, "
+                            f"a fresh one {fresh}")
+        code, out, _ = run_cli(CASES["qbinom"][0] + ["--format", "text"],
+                                capsys)
+        if code != EXIT_OK or not out.startswith("command: qbinom\n"):
+            pytest.fail(f"--format text: exit {code}, {out!r}")
+        code, out, _ = run_cli(CASES["qbinom"][0] + ["--timing"], capsys)
+        if code != EXIT_OK or "timing_ms" not in json.loads(out):
+            pytest.fail(f"--timing: exit {code}, {out!r}")
+        for name in sorted(CASES, reverse=True):
+            if run_cli(CASES[name][0], capsys) != (EXIT_OK, golden[name], ""):
+                pytest.fail(f"golden {name} differs on the second pass")
+        if build_parser() is not build_parser() or \
+                build_parser.cache_info().misses != 1:
+            pytest.fail(f"parser not shared: {build_parser.cache_info()}")
+
+    def test_shipped_presets_are_parsed_once(self, monkeypatch, capsys):
+        shipped = len(list(PresetRegistry().directory.glob("*.json")))
+        _clear_caches()
+        parsed = []
+        from_dict = CharacterPreset.from_dict
+
+        def counted(data):
+            parsed.append(data.get("name"))
+            return from_dict(data)
+
+        monkeypatch.setattr(CharacterPreset, "from_dict", staticmethod(counted))
+        for order in ("20", "21"):
+            code, _, err = run_cli(["character", "--preset",
+                                    "rogers-ramanujan-1", "--order", order],
+                                   capsys)
+            if code != EXIT_OK:
+                pytest.fail(f"character: exit {code}: {err}")
+        if len(parsed) != shipped:
+            pytest.fail(f"{len(parsed)} presets parsed for two calls on "
+                        f"{shipped} shipped files")
+
+    def test_preset_dir_is_read_on_every_call(self, tmp_path, capsys):
+        argv = ["character", "--preset", "rogers-ramanujan-1", "--order", "5",
+                "--preset-dir", str(tmp_path)]
+        for note in ("first note", "second note"):
+            _malformed_preset(tmp_path / "rr.json",
+                              lambda d: d.update(note=note))
+            code, out, err = run_cli(argv, capsys)
+            if code != EXIT_OK or json.loads(out)["result"]["note"] != note:
+                pytest.fail(f"exit {code}, expected note {note!r}: {out}{err}")
+        _malformed_preset(tmp_path / "rr.json",
+                          MALFORMED_PRESETS["dim-a-bool"])
+        code, out, err = run_cli(argv, capsys)
+        if (code, out) != (EXIT_USAGE, "") or "rr.json" not in err:
+            pytest.fail(f"rewritten malformed file: exit {code}: {out}{err}")
 
 
 # one invocation per subcommand that runs every operation mapped to it
@@ -495,6 +577,48 @@ def qseries_argv(draw):
     return argv
 
 
+MALFORMED_SHAPES = st.sampled_from(
+    ["", ",", "x", "1x", "x1", "0x1", "1x0", "-1x2", "1x-1", "1xx1", "1x1x1",
+     "ax1", "1x1,", ",1x1", "1.5", "1x\u00bd", "--"])
+MALFORMED_WEIGHT = st.sampled_from(
+    ["", ",", "1,,2", "a", "-1,1", "1.5", "1;1", "--", "\u00bd", "1,-0"]) \
+    | st.text(max_size=4) \
+    | st.lists(st.integers(-1, 5), max_size=5).map(lambda w: ",".join(map(str, w)))
+
+
+@st.composite
+def kostka_family_argv(draw):
+    """`kostka`, `rc-list` or `paths` on at most 4 boxes, mostly rows, and a
+    rank of at most 4; in half the calls the shapes, the rank or the weight
+    is malformed instead."""
+    command = draw(st.sampled_from(["kostka", "rc-list", "paths"]))
+    shapes, boxes = [], 0
+    for r, c in draw(st.lists(st.tuples(st.sampled_from([1, 1, 1, 2]),
+                                        st.integers(1, 4)),
+                              min_size=1, max_size=4)):
+        if boxes + r * c <= 4:
+            bare = r == 1 and draw(st.booleans())  # "3" means "1x3"
+            shapes.append(str(c) if bare else f"{r}x{c}")
+            boxes += r * c
+    n = draw(st.integers(2, 4))
+    weight = [0] * draw(st.integers(1, n))
+    for _ in range(boxes):
+        weight[draw(st.integers(0, len(weight) - 1))] += 1
+    flags = {"shapes": ",".join(shapes), "n": str(n),
+             "weight": ",".join(map(str, weight))}
+    bad = draw(st.sampled_from([None, None, None, "shapes", "n", "weight"]))
+    if bad is not None:
+        flags[bad] = draw({"shapes": MALFORMED_SHAPES, "weight": MALFORMED_WEIGHT,
+                           "n": st.integers(-1, 1).map(str) | GARBAGE}[bad])
+    argv = [command] + [f"--{name}={value}" for name, value in flags.items()]
+    if command == "kostka":
+        argv.append("--side=" + draw(st.sampled_from(["fermionic", "path",
+                                                      "both"])))
+    elif command == "paths" and draw(st.booleans()):
+        argv.append("--highest-weight-only")
+    return argv
+
+
 # Valid `bijection --rc` inputs of every instance with at most 3 boxes, as
 # (widths, n, rc JSON levels); the fuzz mutates them.
 VALID_RC = [(widths, n, rc_to_json(path_to_rc(p),
@@ -548,8 +672,8 @@ def run_documented(argv):
             code = main(argv)
         except SystemExit as exc:  # rejected by the argument parser
             code = exc.code
-    assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    if code not in (0, 2, 3, 4, 5) or "Traceback" in err.getvalue():
+        pytest.fail(f"{argv}: exit {code}: {err.getvalue()}")
     return code, out.getvalue()
 
 
@@ -558,6 +682,13 @@ class TestFuzz:
     @given(qseries_argv())
     def test_exit_code_is_documented(self, argv):
         run_documented(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kostka_family_argv())
+    def test_kostka_family_exit_code_is_documented(self, argv):
+        # rows of at most 4 boxes are verified: both sides never differ
+        if run_documented(argv)[0] == EXIT_UNEQUAL:
+            pytest.fail(f"{argv}: the two sides differ")
 
     @settings(max_examples=300, deadline=None)
     @given(bijection_rc_argv())
