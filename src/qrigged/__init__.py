@@ -10,13 +10,13 @@ from .qalg import (IntPolynomial, PochhammerSpec, TruncatedSeries,
                    pochhammer, pochhammer_qq, q_binomial, series_from_poly)
 from .combinat import (Composition, Partition, Tableau, charge,
                        enumerate_ssyt, kostka_foulkes, kostka_number)
-from .crystals import (Path, RowFactor, UnsupportedFactorShapeError, e_op,
-                       enumerate_paths, f_op, intrinsic_energy,
-                       is_highest_weight, local_energy, r_matrix)
+from .crystals import (Path, RowFactor, e_op, enumerate_paths, f_op,
+                       intrinsic_energy, is_highest_weight, local_energy,
+                       r_matrix)
 from .rc import (Configuration, InvalidRiggedConfigurationError,
-                 MultiplicityArray, RiggedConfiguration, cocharge,
-                 enumerate_rc, lower_bound, rc_from_json, rc_to_json,
-                 validate, vacancy)
+                 MultiplicityArray, RiggedConfiguration,
+                 UnsupportedFactorShapeError, cocharge, enumerate_rc,
+                 lower_bound, rc_from_json, rc_to_json, validate, vacancy)
 from .bijection import check_statistic, path_to_rc, rc_to_path
 from .kostka import (GLOBAL_NORMALIZATION, KostkaInstance, calibrate,
                      fermionic_kostka, fermionic_kostka_closed_form,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crystals import Path, RowFactor, UnsupportedFactorShapeError, intrinsic_energy
+from .crystals import Path, RowFactor, intrinsic_energy
 from .rc import (Configuration, InvalidRiggedConfigurationError,
                  MultiplicityArray, RiggedConfiguration, cocharge,
                  configuration_frame, validate)
@@ -164,18 +164,18 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
                widths: tuple[int, ...] | None = None) -> Path:
     """Inverse direction: recover the path with factor widths given by L.
 
-    The rigged configuration is re-validated first.  ``widths`` fixes the
+    L must hold rows only (`L.row_widths` refuses it before anything else),
+    and the rigged configuration is re-validated.  ``widths`` fixes the
     tensor-factor order of the output (left to right); by default the rows
     of L are taken in descending width order.  The map is a bijection for
     every fixed order.
     """
-    if not L.is_row_only():
-        raise UnsupportedFactorShapeError("unsupported factor shape")
+    rows = L.row_widths()
     validate(rc, L)
     n = L.n
     if widths is None:
-        widths = L.row_widths()
-    elif tuple(sorted(widths, reverse=True)) != L.row_widths():
+        widths = rows
+    elif tuple(sorted(widths, reverse=True)) != rows:
         raise ValueError("widths do not match the multiplicity array")
     levels: list[list[list[int]]] = [
         [[w, x] for w, x in zip(level, rigs)]

@@ -7,6 +7,7 @@ take rows left to right, bottom row first.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -263,8 +264,8 @@ def rsk_insert(word: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     for x in word:
         cur: int | None = int(x)
         for r in rows:
-            idx = _first_greater(r, cur)
-            if idx is None:
+            idx = bisect_right(r, cur)  # rows weakly increase
+            if idx == len(r):
                 r.append(cur)
                 cur = None
                 break
@@ -272,13 +273,6 @@ def rsk_insert(word: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         if cur is not None:
             rows.append([cur])
     return tuple(tuple(r) for r in rows)
-
-
-def _first_greater(row: list[int], x: int):
-    for k, y in enumerate(row):
-        if y > x:
-            return k
-    return None
 
 
 @lru_cache(maxsize=None)

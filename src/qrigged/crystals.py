@@ -22,11 +22,6 @@ from typing import Optional, Sequence
 from .combinat import Composition, rsk_insert
 
 
-class UnsupportedFactorShapeError(ValueError):
-    """Raised when an operation only defined for row factors sees a
-    non-row factor."""
-
-
 @dataclass(frozen=True)
 class RowFactor:
     """A single-row crystal element: weakly increasing word over 1..n."""

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .combinat import Composition, Partition
-from .crystals import UnsupportedFactorShapeError, enumerate_paths, \
-    intrinsic_energy, is_highest_weight
+from .crystals import enumerate_paths, intrinsic_energy, is_highest_weight
 from .qalg import IntPolynomial
 from .rc import (MultiplicityArray, block_generating_function, cocharge,
-                 configuration_charge_form, configuration_walk, enumerate_rc,
-                 rigging_windows)
+                 configuration_charge_form, configuration_sizes,
+                 configuration_walk, enumerate_rc, rigging_windows)
 
 # Frozen global normalization between path energy and cocharge:
 # cocharge = sign * energy + shift.  Pinned to the identity; `calibrate()`
@@ -31,24 +30,18 @@ CALIBRATION_INSTANCE = {"shapes": (1, 1), "n": 2, "weight": (1, 1)}
 
 @dataclass(frozen=True)
 class KostkaInstance:
-    """A multiplicity array with a weight whose total matches its boxes."""
+    """A multiplicity array with a weight whose total matches its boxes, of
+    at most n parts: `configuration_sizes` checks both."""
 
     L: MultiplicityArray
     weight: Composition
 
     def __post_init__(self):
-        if self.weight.size() != self.L.total_boxes():
-            raise ValueError(
-                f"weight total {self.weight.size()} != boxes {self.L.total_boxes()}")
-        if len(self.weight.trimmed()) > self.L.n:
-            raise ValueError("weight has more parts than the rank")
+        configuration_sizes(self.L, self.weight)
 
     @property
     def n(self) -> int:
         return self.L.n
-
-    def row_shapes(self) -> tuple[int, ...]:
-        return self.L.row_widths()
 
 
 def fermionic_kostka(inst: KostkaInstance) -> IntPolynomial:
@@ -117,9 +110,7 @@ def fermionic_kostka_closed_form(inst: KostkaInstance) -> IntPolynomial:
 
 def path_kostka(inst: KostkaInstance) -> IntPolynomial:
     """Sum of q^energy over all paths of the instance's weight."""
-    if not inst.L.is_row_only():
-        raise UnsupportedFactorShapeError("unsupported factor shape")
-    paths = enumerate_paths(inst.row_shapes(), inst.n, inst.weight)
+    paths = enumerate_paths(inst.L.row_widths(), inst.n, inst.weight)
     return IntPolynomial(Counter(map(intrinsic_energy, paths)))
 
 
@@ -130,17 +121,16 @@ def restricted_kostka(inst: KostkaInstance) -> IntPolynomial:
     normalization: restricted_kostka(L=rows mu, weight lam) equals
     q^{n(mu)} K_{lam,mu}(1/q).
     """
-    if not inst.L.is_row_only():
-        raise UnsupportedFactorShapeError("unsupported factor shape")
+    widths = inst.L.row_widths()
     if not inst.weight.is_dominant():
         raise ValueError("restricted enumeration needs a dominant weight")
-    paths = enumerate_paths(inst.row_shapes(), inst.n, inst.weight)
+    paths = enumerate_paths(widths, inst.n, inst.weight)
     return IntPolynomial(Counter(map(intrinsic_energy, filter(is_highest_weight, paths))))
 
 
 def kostka_foulkes_via_paths(inst: KostkaInstance) -> IntPolynomial:
     """Charge-normalized classical Kostka polynomial from the path side."""
-    mu = Partition(inst.row_shapes())
+    mu = Partition(inst.L.row_widths())
     restricted = restricted_kostka(inst)
     return restricted.reverse().shift(mu.n_statistic())
 

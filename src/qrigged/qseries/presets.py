@@ -154,9 +154,9 @@ def _read_presets(directory: FilePath) -> dict[str, CharacterPreset]:
             with open(path, "r", encoding="utf-8") as fh:
                 preset = CharacterPreset.from_dict(json.load(fh))
         except (OSError, KeyError, TypeError, AttributeError,
-                ValueError) as exc:
-            # an unreadable file, or a missing or mistyped field deep in
-            # it, surfaces as any of these: all are a bad preset file
+                ValueError, RecursionError) as exc:
+            # an unreadable or too deeply nested file, or a missing or
+            # mistyped field deep in it: all are a bad preset file
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise PresetFormatError(f"preset file {path}: {detail}") from None
         if preset.name in presets:

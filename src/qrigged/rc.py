@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product as iproduct
+from itertools import combinations_with_replacement, groupby, product as iproduct
 from typing import Mapping, Optional, Sequence
 
 from .combinat import Composition, partitions_of
@@ -29,6 +29,11 @@ from .qalg import IntPolynomial, json_int, q_binomial
 
 class InvalidRiggedConfigurationError(ValueError):
     """Raised when riggings violate their windows or sizes do not match."""
+
+
+class UnsupportedFactorShapeError(ValueError):
+    """Raised when an operation only defined for row factors sees a
+    non-row factor."""
 
 
 @dataclass(frozen=True)
@@ -76,18 +81,17 @@ class MultiplicityArray:
     def total_boxes(self) -> int:
         return sum(a * i * c for (a, i), c in self.counts)
 
-    def is_row_only(self) -> bool:
-        return all(a == 1 for (a, _), _ in self.counts)
-
     def factor_widths(self, a: int) -> tuple[int, ...]:
         """Widths of the height-a factors (1 <= a <= n-1), one per factor,
         descending."""
         return self._factor_widths[a]
 
     def row_widths(self) -> tuple[int, ...]:
-        """Widths of the row factors, descending (row-only arrays)."""
-        if not self.is_row_only():
-            raise ValueError("multiplicity array has non-row factors")
+        """Widths of the row factors, descending.  The one rows-only check:
+        raises UnsupportedFactorShapeError when any factor is taller than
+        a row."""
+        if any(a != 1 for (a, _), _ in self.counts):
+            raise UnsupportedFactorShapeError("unsupported factor shape")
         return self.factor_widths(1)
 
     def level_boxes(self) -> tuple[int, ...]:
@@ -176,7 +180,15 @@ def weight_of(config: Configuration, L: MultiplicityArray) -> tuple[int, ...]:
 
 
 def configuration_sizes(L: MultiplicityArray, weight: Composition) -> Optional[tuple[int, ...]]:
-    """Forced sizes |nu^{(a)}|, or None when some size is negative."""
+    """Forced sizes |nu^{(a)}|, or None when some size is negative.
+
+    The one check that (L, weight) is an instance: raises ValueError when
+    the weight's total differs from L's boxes, then when the weight has
+    more than n parts."""
+    if weight.size() != L.total_boxes():
+        raise ValueError(f"weight total {weight.size()} != boxes {L.total_boxes()}")
+    if len(weight.trimmed()) > L.n:
+        raise ValueError("weight has more parts than the rank")
     boxes = L.level_boxes()
     sizes = tuple(boxes[a] - sum(weight.parts[:a]) for a in range(1, L.n))
     return None if any(s < 0 for s in sizes) else sizes
@@ -342,15 +354,6 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> None:
             below.append((w, max(0, carry - block[-1])))
 
 
-def _weakly_decreasing_tuples(m: int, lo: int, hi: int):
-    if m == 0:
-        yield ()
-        return
-    for first in range(hi, lo - 1, -1):
-        for rest in _weakly_decreasing_tuples(m - 1, lo, first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=8)
 def configuration_walk(L: MultiplicityArray, weight: Composition
                        ) -> tuple[tuple[Configuration, tuple[tuple, ...]], ...]:
@@ -403,8 +406,6 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
     `rigging_windows`, over the configurations of `configuration_walk`.
     Canonical representatives, deterministic order.
     """
-    if len(weight.trimmed()) > L.n:
-        raise ValueError("weight has more parts than the rank")
     out: list[RiggedConfiguration] = []
     for config, blocks_by_level in configuration_walk(L, weight):
         # states: (riggings so far, (width, depth) pairs of previous level)
@@ -417,9 +418,10 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
                 windows = rigging_windows(blocks, below)
                 if any(lo > p for (_, _, lo, p, _) in windows):
                     continue
-                # rigs decreases weakly, so rigs[-1] is the block minimum
+                # drawn from p, ..., lo, rigs weakly decreases: rigs[-1] is least
                 options = [[(rigs, (w, max(0, carry - rigs[-1])))
-                            for rigs in _weakly_decreasing_tuples(m, lo, p)]
+                            for rigs in combinations_with_replacement(
+                                range(p, lo - 1, -1), m)]
                            for (w, m, lo, p, carry) in windows]
                 for combo in iproduct(*options):
                     level = tuple(r for rigs, _ in combo for r in rigs)

@@ -209,7 +209,11 @@ class TestExitCodes:
 
 
 def _malformed_preset(path: Path, malform) -> None:
-    """Write rogers-ramanujan-1, changed by `malform`, to `path`."""
+    """Write rogers-ramanujan-1, changed by `malform`, to `path`; a string
+    `malform` is written as the whole file."""
+    if isinstance(malform, str):
+        path.write_text(malform)
+        return
     data = json.loads((Path(presets_module.__file__).parent / "presets"
                        / "rogers-ramanujan-1.json").read_text())
     malform(data)
@@ -242,12 +246,15 @@ MALFORMED_PRESETS = {
     "modulus-zero": lambda d: d["fermionic"].update(
         congruences=[{"form": ["0", "1"], "modulus": 0}]),
     "factor-sign-two": lambda d: d["fermionic"]["factors"][0].update(sign=2),
+    # too deep for the JSON parser's recursion
+    "nested-too-deep": "[" * 10 ** 5 + "]" * 10 ** 5,
 }
 
 
 class TestMalformedPresets:
     @pytest.mark.parametrize("case", sorted(MALFORMED_PRESETS) + ["directory"])
-    def test_malformed_file_is_usage_error(self, case, tmp_path, capsys):
+    def test_malformed_file_is_usage_error(self, case, tmp_path, monkeypatch,
+                                           capsys):
         if case == "directory":  # unreadable: open() raises an OSError
             (tmp_path / "broken.json").mkdir()
         else:
@@ -263,6 +270,11 @@ class TestMalformedPresets:
             assert (code, out) == (EXIT_USAGE, "")
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "broken.json" in err
+        monkeypatch.setenv(ENV_PRESET_DIR, str(tmp_path))
+        code, out, err = run_cli(["--version"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "broken.json" in err
 
     def test_other_subcommands_ignore_the_preset_dir(self, tmp_path,
                                                      monkeypatch, capsys):

@@ -10,11 +10,12 @@ from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance, calibrate,
                             fermionic_kostka, fermionic_kostka_closed_form,
                             kostka_foulkes_via_paths, path_kostka,
                             restricted_kostka, verify_identity)
-from qrigged.crystals import (UnsupportedFactorShapeError, enumerate_paths,
-                              intrinsic_energy)
+from qrigged.bijection import rc_to_path
+from qrigged.crystals import enumerate_paths, intrinsic_energy
 from qrigged.qalg import IntPolynomial
-from qrigged.rc import (Configuration, MultiplicityArray,
-                        block_generating_function, configuration_walk)
+from qrigged.rc import (Configuration, MultiplicityArray, RiggedConfiguration,
+                        UnsupportedFactorShapeError, block_generating_function,
+                        configuration_walk)
 
 
 def instance(widths, n, weight):
@@ -76,6 +77,26 @@ class TestExamples:
                               Composition((1, 1)))
         with pytest.raises(UnsupportedFactorShapeError):
             path_kostka(inst)
+
+    # written without assert so that it still checks under python -O
+    @pytest.mark.parametrize("call", [
+        lambda inst: inst.L.row_widths(),
+        # riggings outside their windows: the shape is refused first
+        lambda inst: rc_to_path(RiggedConfiguration(
+            Configuration(((1,), ())), ((9,), ())), inst.L),
+        restricted_kostka,
+    ], ids=["row_widths", "rc_to_path", "restricted_kostka"])
+    def test_rectangles_rejected_by_every_row_reader(self, call):
+        # path_kostka's case is test_rectangles_rejected_on_path_side
+        inst = KostkaInstance(MultiplicityArray({(2, 1): 1}, 3),
+                              Composition((1, 1)))
+        try:
+            call(inst)
+        except UnsupportedFactorShapeError as exc:
+            if str(exc) != "unsupported factor shape":
+                pytest.fail(f"message: {exc}")
+        else:
+            pytest.fail("a 2x1 array was accepted")
 
 
 class TestTwoEvaluationRoutes:

@@ -5,7 +5,9 @@ import pytest
 from gridutil import (dominant_partitions, instance_grid, weight_compositions,
                       width_tuples)
 from qrigged.combinat import Composition, Partition, kostka_number, partitions_of
+from qrigged.cli import EXIT_USAGE, main
 from qrigged.crystals import enumerate_paths
+from qrigged.kostka import KostkaInstance
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
                         configuration_walk, enumerate_rc, lower_bound,
@@ -245,6 +247,31 @@ class TestEnumeration:
         L = MultiplicityArray({(1, 2): 1}, 2)
         out = enumerate_rc(L, Composition((1, 1)))
         assert len(out) == 1
+
+    # written without assert so that it still checks under python -O
+    @pytest.mark.parametrize("weight, message", [
+        ("1,0", "weight total 1 != boxes 2"),
+        ("1,0,1", "weight has more parts than the rank"),
+    ], ids=["total-mismatch", "too-many-parts"])
+    @pytest.mark.parametrize("caller", ["enumerate_rc", "configuration_walk",
+                                        "KostkaInstance", "rc-list"])
+    def test_instance_check(self, caller, weight, message, capsys):
+        # two boxes on two rows of width 1, at rank 2
+        if caller == "rc-list":
+            code = main(["rc-list", "--shapes", "1x1,1x1", "--n", "2",
+                         "--weight", weight])
+            outcome = (code, capsys.readouterr().err)
+        else:
+            call = {"enumerate_rc": enumerate_rc,
+                    "configuration_walk": configuration_walk,
+                    "KostkaInstance": KostkaInstance}[caller]
+            try:
+                outcome = call(MultiplicityArray.from_rows((1, 1), 2),
+                               Composition.parse(weight))
+            except ValueError as exc:
+                outcome = (EXIT_USAGE, f"error: {exc}\n")
+        if outcome != (EXIT_USAGE, f"error: {message}\n"):
+            pytest.fail(f"{caller} on weight {weight}: {outcome!r}")
 
     def test_counts_match_paths(self):
         for n in (2, 3):
