@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -516,10 +517,11 @@ def main(argv=None) -> int:
     }
     if args.timing:
         envelope["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
-    if args.format == "json":
-        print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
-    else:
-        print(_render_text(envelope))
+    try:
+        print(json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+              if args.format == "json" else _render_text(envelope), flush=True)
+    except BrokenPipeError:  # `| head`: drop the rest, and at exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -175,11 +175,10 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
     shape_list = tuple(int(s) for s in shape_list)
     if any(s < 1 for s in shape_list):
         raise ValueError("row widths must be positive")
+    if weight.size() != sum(shape_list):
+        raise ValueError(f"weight total {weight.size()} != boxes {sum(shape_list)}")
     if len(weight.trimmed()) > n:
         raise ValueError("weight has more parts than the rank")
-    if weight.size() != sum(shape_list):
-        raise ValueError(
-            f"total content {weight.size()} != total boxes {sum(shape_list)}")
     target = list(weight.parts) + [0] * (n - len(weight.parts))
 
     out: list[Path] = []

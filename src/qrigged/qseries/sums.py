@@ -7,16 +7,19 @@ inequality restrictions.  A bosonic spec is a theta-like alternating sum
 over one integer index times a product of Pochhammer prefactors.  Both
 evaluate to exact TruncatedSeries; enumeration is pruned by exponent lower
 bounds, and termination is checked when the spec is constructed.  The
-lattice walk yields each point with its exponent, and each side's terms
-are added once by `series_sum`.
+lattice walk yields each point with its exponent; `eval_fermionic` nests
+its sum over the lattice (Horner) where the factor lengths allow.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import groupby
+from math import ceil, lcm
 from typing import Optional, Sequence
 
-from ..qalg import PochhammerSpec, TruncatedSeries, _as_fraction, series_sum
+from ..qalg import PochhammerSpec, TruncatedSeries, _apply_factor, _as_fraction, series_sum
 
 
 class NonTerminatingSumError(ValueError):
@@ -183,16 +186,19 @@ class FermionicSumSpec:
 def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     """Exact coefficients of the fermionic sum to relative order `order`.
 
-    The result covers exponents low .. low + order, where low is the least
-    exponent over the lattice points that satisfy the restrictions, and
-    every point with exponent up to low + order is enumerated.  low is found
-    by enumerating up to quadratic+linear part order + slack (enough when the
-    origin satisfies the restrictions), doubling the bound while no point
-    does; past FIRST_POINT_SEARCH_LIMIT the search stops with ValueError."""
+    The result covers exponents low .. low + order, low the least exponent of
+    a point that satisfies the restrictions, found by doubling the enumeration
+    bound from order + slack up to FIRST_POINT_SEARCH_LIMIT (then ValueError).
+
+    Where each factor length is constant, infinite or one n_i, the points are
+    summed by nested Horner over a trie, one coordinate per level: from a
+    group's largest n_i = k down to 0, acc = X_k + g_k * acc, g_k the k-th
+    factor of each length-n_i symbol; constant and infinite symbols are
+    applied once.  Other lengths take one term per point.  Both give the
+    grid of `series_sum`: offset low, step 1/d."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    slack = -sum(spec._single_min(i) for i in range(spec.dim))
-    bound = Fraction(order) + slack
+    bound = Fraction(order) - sum(spec._single_min(i) for i in range(spec.dim))
     while not (points := spec.lattice_points(bound)):
         if bound > FIRST_POINT_SEARCH_LIMIT:
             raise ValueError("no lattice point satisfies the restrictions with "
@@ -201,16 +207,39 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     low = min(e for _, e in points)
     if low - spec.constant + order > bound:
         points = spec.lattice_points(low - spec.constant + order)
-    # the zero series fixes the range low .. low + order
-    terms = [TruncatedSeries((0,) * (order + 1), low)]
-    for p, e in points:
-        if e > low + order:
-            continue
-        term = TruncatedSeries((1,) + (0,) * order, e)
-        for f in spec.factors:
-            term = term.times_pochhammer(f.spec(p), f.power)
-        terms.append(term)
-    return series_sum(terms)
+    points = [(p, e) for p, e in points if e <= low + order]
+    # i when a factor's length is n_i, -1 when constant or infinite, else None
+    levels = [-1 if f.length is None or not any(f.length.coeffs) else None
+              if f.length.constant or [c for c in f.length.coeffs if c] != [1]
+              else f.length.coeffs.index(1) for f in spec.factors]
+    if None in levels:  # each term holds only the range up to low + order
+        return series_sum([TruncatedSeries((0,) * (order + 1), low)] + [reduce(
+            lambda t, f: t.times_pochhammer(f.spec(p), f.power), spec.factors,
+            TruncatedSeries((1,) + (0,) * ceil(low + order - e), e)) for p, e in points])
+    symbols = [(f.spec(points[0][0]), f.power, i) for f, i in zip(spec.factors, levels)]
+    d = lcm(*(x.denominator for f in spec.factors for x in (f.exponent, f.step)),
+            *((e - low).denominator for _, e in points))
+    steps = [[(f.sign, int(f.exponent * d), int(f.step * d), f.power) for f, i
+              in zip(spec.factors, levels) if i == level] for level in range(spec.dim)]
+
+    def add(group, level, out):
+        # add the terms of points sharing their first `level` coordinates
+        if level == spec.dim:
+            out[group[0][1]] += 1
+            return
+        acc = [0] * (order * d + 1)
+        by_k = {k: list(g) for k, g in groupby(group, lambda t: t[0][level])}
+        for k in range(max(by_k), -1, -1):
+            if k in by_k:
+                add(by_k[k], level + 1, acc)
+            for sign, first, gap, power in steps[level] if k else ():
+                _apply_factor(acc, first + (k - 1) * gap, sign, power)
+        out[:] = [a + b for a, b in zip(out, acc)]
+
+    out = [0] * (order * d + 1)
+    add([(p, int((e - low) * d)) for p, e in points], 0, out)
+    return reduce(lambda t, s: t.times_pochhammer(*s[:2]) if s[2] == -1 else t,
+                  symbols, TruncatedSeries._trusted(tuple(out), low, Fraction(1, d)))
 
 
 @dataclass(frozen=True)

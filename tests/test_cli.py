@@ -3,6 +3,8 @@ import importlib
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -199,6 +201,27 @@ class TestExitCodes:
                                 "--order", "1"], capsys)
         assert code == EXIT_OK
         assert json.loads(out)["result"][verdict] is True
+
+    # both outputs are past the 64 KiB a pipe buffers, so the write fails
+    @pytest.mark.parametrize("argv, want", [
+        (["qbinom", "3000", "5"], EXIT_OK),
+        (["character", "--preset", "control-rr-mismatch", "--order", "2000"],
+         EXIT_UNEQUAL)], ids=["qbinom", "character"])
+    def test_closed_stdout_keeps_the_exit_code(self, argv, want):
+        # a real pipe whose reader closes after 100 bytes, as `| head -c 100`
+        path = [str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qrigged.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+        if (code, err, len(head)) != (want, b"", 100):
+            pytest.fail(f"exit {code}, {len(head)} bytes read, stderr {err!r}")
 
     def test_compare_order_zero_is_checked_at_zero(self, capsys):
         code, out, _ = run_cli(["compare", "--preset-a", "rogers-ramanujan-1",

@@ -116,5 +116,5 @@ class TestHigherOrder:
         _check_pass(registry, 300)
 
     @pytest.mark.slow
-    def test_every_preset_at_order_1000(self, registry):
-        _check_pass(registry, 1000)
+    def test_every_preset_at_order_3000(self, registry):
+        _check_pass(registry, 3000)

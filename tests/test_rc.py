@@ -248,23 +248,28 @@ class TestEnumeration:
         out = enumerate_rc(L, Composition((1, 1)))
         assert len(out) == 1
 
-    # written without assert so that it still checks under python -O
+    # written without assert so that it still checks under python -O; the
+    # path side keeps its own check, in the same order and words
     @pytest.mark.parametrize("weight, message", [
         ("1,0", "weight total 1 != boxes 2"),
         ("1,0,1", "weight has more parts than the rank"),
-    ], ids=["total-mismatch", "too-many-parts"])
+        ("1,1,1", "weight total 3 != boxes 2"),
+    ], ids=["total-mismatch", "too-many-parts", "both"])
     @pytest.mark.parametrize("caller", ["enumerate_rc", "configuration_walk",
-                                        "KostkaInstance", "rc-list"])
+                                        "KostkaInstance", "rc-list",
+                                        "enumerate_paths", "paths"])
     def test_instance_check(self, caller, weight, message, capsys):
         # two boxes on two rows of width 1, at rank 2
-        if caller == "rc-list":
-            code = main(["rc-list", "--shapes", "1x1,1x1", "--n", "2",
+        if caller in ("rc-list", "paths"):
+            code = main([caller, "--shapes", "1x1,1x1", "--n", "2",
                          "--weight", weight])
             outcome = (code, capsys.readouterr().err)
         else:
             call = {"enumerate_rc": enumerate_rc,
                     "configuration_walk": configuration_walk,
-                    "KostkaInstance": KostkaInstance}[caller]
+                    "KostkaInstance": KostkaInstance,
+                    "enumerate_paths": lambda L, w: enumerate_paths(
+                        L.row_widths(), L.n, w)}[caller]
             try:
                 outcome = call(MultiplicityArray.from_rows((1, 1), 2),
                                Composition.parse(weight))

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrigged.qalg import TruncatedSeries, pochhammer_qq
+from qrigged.qalg import (DivergentProductError, NonInvertibleSeriesError,
+                          TruncatedSeries, pochhammer_qq)
 from qrigged.qseries.presets import PresetRegistry
 from qrigged.qseries.sums import (AffineForm, BosonicSumSpec, Congruence,
                                   FermionicSumSpec, NonTerminatingSumError,
@@ -104,6 +105,25 @@ class TestFermionic:
         s = eval_fermionic(spec, 8)
         assert s.offset == 0
         assert s.coeffs[0] == 2  # n=0 and n=1 both contribute q^0
+
+    # the same error as one term per point, whether the factor's length
+    # is n_1 or constant (nested evaluation) or n_0 - 2 (per point)
+    @pytest.mark.parametrize("factor, error, message", [
+        ((1, 0, 1, (0, 0, 1), -1), NonInvertibleSeriesError, "not a unit"),
+        ((1, 0, 1, (2, 0, 0), -1), NonInvertibleSeriesError, "not a unit"),
+        ((1, 1, 0, (0, 1, 0), -1), ValueError, "step must be positive"),
+        ((1, -1, 1, (0, 1, 0), 1), ValueError, "exponent must be nonnegative"),
+        ((1, 1, 1, (F(1, 2), 0, 0), -1), ValueError, "length 1/2 is not"),
+        ((1, 0, 1, None, -1), DivergentProductError, "positive exponent"),
+        ((1, 1, 1, (-2, 1, 0), -1), ValueError, "length -2 is not"),
+    ])
+    def test_factor_faults(self, factor, error, message):
+        sign, exponent, step, length, power = factor
+        length = None if length is None else AffineForm(F(length[0]), length[1:])
+        spec = FermionicSumSpec(2, ((2, 1), (1, 2)), (0, 0), 0, (
+            PochhammerFactor(sign, F(exponent), F(step), length, power),))
+        with pytest.raises(error, match=message):
+            eval_fermionic(spec, 12)
 
 
 class TestBosonic:
