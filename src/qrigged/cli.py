@@ -48,7 +48,7 @@ EXIT_UNKNOWN_PRESET = 5
 # their rational flags; the order for `character` and `compare`.  The
 # library has no limit.
 MAX_GRID = 20_000
-# Most steps `bailey` chains, a work bound: each costs O(N^2) series products.
+# Most steps `bailey` chains, a work bound: each costs O(N^2) kernel passes.
 BAILEY_MAX_STEPS = 100
 
 # Library operation -> the one subcommand that runs it (reachability-tested).
@@ -437,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bailey", help="Bailey pair verification and chain steps",
         description=f"Bailey pair verification and chain steps.  More than "
-                    f"{BAILEY_MAX_STEPS} steps (each costs O(N^2) series "
-                    "products on a table of N entries), or a grid order*d above "
+                    f"{BAILEY_MAX_STEPS} steps (each costs O(N^2) kernel "
+                    "passes on a table of N entries), or a grid order*d above "
                     f"{MAX_GRID} (step 1/d, the lcm of the denominators "
                     "of --rho and --sigma), is refused with exit code 2.")
     p.add_argument("--mode", choices=("verify", "weak-limit"), default="verify")

@@ -397,9 +397,6 @@ class TruncatedSeries:
             _apply_factor(c, e, spec.sign, power)
         return self._trusted(tuple(c), self.offset, Fraction(1, d))
 
-    def scalar(self, c: int) -> "TruncatedSeries":
-        return self._trusted(tuple(c * x for x in self.coeffs), self.offset, self.step)
-
     def shift(self, exponent) -> "TruncatedSeries":
         """Multiply by q^exponent."""
         return self._trusted(self.coeffs, self.offset + _as_fraction(exponent), self.step)
@@ -459,7 +456,7 @@ def series_sum(terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
 
 
 def series_one(order: int) -> TruncatedSeries:
-    return TruncatedSeries((1,) + (0,) * order, Fraction(0))
+    return TruncatedSeries._trusted((1,) + (0,) * order, Fraction(0), Fraction(1))
 
 
 def series_from_poly(p: IntPolynomial, order: int) -> TruncatedSeries:

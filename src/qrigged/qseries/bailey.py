@@ -4,18 +4,20 @@ A Bailey pair relative to the base a = q^k is a pair of sequences with
 beta_n = sum_{j<=n} alpha_j / ((q;q)_{n-j} (aq;q)_{n+j}).  A pair is a seed
 plus Bailey-lemma steps with parameters rho, sigma, each a finite power of q
 or the symbolic infinity; `BaileyPair.table` folds the steps over a table of
-entries, both regimes sharing the multiplier triple (A, T, D).  The
-n -> infinity limit of the defining relation is the weak lemma, `weak_lemma`.
+entries, both regimes sharing the multipliers A, T and D, by nested Horner
+sums (O(N^2) kernel passes for N entries, as is the check).  The n -> infinity
+limit of the defining relation is the weak lemma, `weak_lemma`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count
+from math import lcm
 from typing import Callable, Optional
 
-from ..qalg import (PochhammerSpec, TruncatedSeries, pochhammer_qq, series_one,
-                    series_sum)
+from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, pochhammer_qq,
+                    series_one, series_sum)
 from .sums import compare_series
 
 
@@ -67,16 +69,28 @@ class BaileyPair:
     def table(self, order: int, nmax: int
               ) -> tuple[list[TruncatedSeries], list[TruncatedSeries]]:
         """alpha_n, beta_n for n <= nmax, to `order`: the seed once per n, then
-        per step alpha_n -> D_n A_n alpha_n, beta_n -> D_n sum_j T_{n-j} A_j beta_j."""
+        per step alpha_n -> D_n A_n alpha_n and beta_n -> D_n sum_m T_m Y_{n-m}
+        (Y_j = A_j beta_j) as `_nested_sums`, g_m = T_m/T_{m-1} = (1 - q^{c+m-1})
+        / (1 - q^m) with q^c = aq/(rho sigma), numerator 1 if a parameter is infinite."""
+        k = self.base_exponent
         alphas = [self.alpha(n, order) for n in range(nmax + 1)]
         betas = [self.beta(n, order) for n in range(nmax + 1)]
         for rho, sigma in self.steps:
-            a_factor, t_factor, d_factor = _multiplier(self.base_exponent, rho, sigma)
-            alphas = [d_factor(n, a_factor(n, x)) for n, x in enumerate(alphas)]
-            scaled = [a_factor(j, x) for j, x in enumerate(betas)]
-            betas = [d_factor(n, series_sum([t_factor(n - j, scaled[j])
-                                             for j in range(n + 1)]))
-                     for n in range(nmax + 1)]
+            finite, ninf, c = _multiplier(k, rho, sigma)
+
+            def scaled(j, s, n):  # D_n A_j s, A_j its limit for infinite parameters
+                s = s.shift(j * c + ninf * Fraction(j * (j - 1), 2))
+                for r in finite:
+                    s = s.times_pochhammer(PochhammerSpec(exponent=r, length=j)) \
+                        .times_pochhammer(PochhammerSpec(exponent=1 + k - r, length=n), -1)
+                return -s if ninf * j % 2 else s
+
+            alphas = [scaled(n, x, n) for n, x in enumerate(alphas)]
+            # n = 0 puts Y_j on D's grid, which holds c = (1 + k - rho) - sigma
+            betas = list(_nested_sums(
+                [scaled(j, x, 0) for j, x in enumerate(betas)], 1,
+                None if ninf else lambda n: (c - 1, 1),
+                lambda n: [(1 + k - r, n) for r in finite]))
         return alphas, betas
 
 
@@ -102,17 +116,20 @@ def verify_bailey_pair(pair: BaileyPair, order: int,
     """Check the defining relation coefficientwise up to `order`.
 
     Verifies n = 0 .. max_n (default: order).  Reports the first failing n
-    and the first differing exponent.
-    """
+    and the first differing exponent.  The right-hand side reads alpha only:
+    (alpha_n + g_1 (alpha_{n-1} + ... + g_n alpha_0)) / (aq;q)_{2n}, a
+    `_nested_sums` with g_m = (1 - q^{1+k+2n-m}) / (1 - q^m)."""
+    nmax = order if max_n is None else max_n
+    if min(order, nmax) < 0:
+        raise ValueError(f"order {order} and max_n {nmax} must be nonnegative")
     pair.require_order(order)
     k = pair.base_exponent
-    nmax = order if max_n is None else max_n
+    if k <= -1:
+        raise ValueError(f"base q^{k}: aq = q^{1 + k} must have positive exponent")
     alphas, betas = pair.table(order, nmax)
-    for n in range(nmax + 1):
-        rhs = series_sum([
-            alphas[j].times_pochhammer(PochhammerSpec(length=n - j), -1)
-            .times_pochhammer(PochhammerSpec(exponent=1 + k, length=n + j), -1)
-            for j in range(n + 1)])
+    for n, rhs in enumerate(_nested_sums(alphas, k.denominator,
+                                         lambda n: (1 + k + 2 * n, -1),
+                                         lambda n: [(1 + k, 2 * n)])):
         comparison = compare_series(betas[n], rhs)
         if not comparison.equal:
             return PairCheck(False, order, n, failing_n=n,
@@ -142,13 +159,12 @@ def rogers_ramanujan_seed() -> BaileyPair:
     q^{n(3n+1)/2}) for n >= 1, alpha_0 = 1."""
 
     def alpha(n: int, order: int) -> TruncatedSeries:
-        if n == 0:
-            return series_one(order)
-        sign = 1 if n % 2 == 0 else -1
-        e1 = Fraction(n * (3 * n - 1), 2)
-        e2 = Fraction(n * (3 * n + 1), 2)
-        unit = series_one(order).scalar(sign)
-        return unit.shift(e1) + unit.shift(e2)
+        coeffs = [0] * (order + 1)  # q^{n(3n-1)/2} (1 + q^n) for n >= 1
+        for i in {0, n}:
+            if i <= order:
+                coeffs[i] += (-1) ** n
+        return TruncatedSeries._trusted(tuple(coeffs), Fraction(n * (3 * n - 1), 2),
+                                        Fraction(1))
 
     def beta(n: int, order: int) -> TruncatedSeries:
         return pochhammer_qq(n, order, -1)
@@ -157,12 +173,10 @@ def rogers_ramanujan_seed() -> BaileyPair:
 
 
 def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
-    """The Bailey-lemma multiplier triple (A, T, D), each returning s times:
-
-    A(j, s): the combined factor (rho)_j (sigma)_j (aq/rho sigma)^j in its finite
-    or limiting form; T(m, s): (aq/rho sigma; q)_m / (q;q)_m, numerator 1 if a
-    parameter is infinite; D(n, s): 1/((aq/rho)_n (aq/sigma)_n), finite params.
-    """
+    """(finite parameters, number of infinite ones, c with q^c = aq/(rho sigma))
+    for the multipliers A_j = (rho)_j (sigma)_j (aq/rho sigma)^j or its limit,
+    T_m = (aq/rho sigma)_m / (q)_m (numerator 1 if a parameter is infinite)
+    and D_n = 1/((aq/rho)_n (aq/sigma)_n) over the finite parameters."""
     finite = [p for p in (rho, sigma) if not isinstance(p, Infinity)]
     ninf = 2 - len(finite)
     c = 1 + k - sum(finite)  # aq/(rho sigma) = q^c
@@ -175,26 +189,39 @@ def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
         raise ValueError(
             f"parameters q^{rho}, q^{sigma} are out of range for base q^{k}: "
             f"aq/(rho sigma) = q^{c} must have nonnegative exponent")
+    return finite, ninf, c
 
-    def a_factor(j: int, s: TruncatedSeries) -> TruncatedSeries:
-        # limit of prod (p)_j over infinite params * (aq/rho sigma)^j
-        exp = j * c + ninf * Fraction(j * (j - 1), 2)
-        s = s.shift(exp) if (ninf * j) % 2 == 0 else -s.shift(exp)
-        for r in finite:
-            s = s.times_pochhammer(PochhammerSpec(exponent=r, length=j))
-        return s
 
-    def t_factor(m: int, s: TruncatedSeries) -> TruncatedSeries:
-        if not ninf:
-            s = s.times_pochhammer(PochhammerSpec(exponent=c, length=m))
-        return s.times_pochhammer(PochhammerSpec(length=m), -1)
-
-    def d_factor(n: int, s: TruncatedSeries) -> TruncatedSeries:
-        for r in finite:
-            s = s.times_pochhammer(PochhammerSpec(exponent=1 + k - r, length=n), -1)
-        return s
-
-    return a_factor, t_factor, d_factor
+def _nested_sums(terms: list[TruncatedSeries], d: int, numerator, denominators):
+    """For each n, (t_n + g_1 (t_{n-1} + ... + g_n t_0)) / prod (q^e; q)_l over
+    denominators(n), t = terms, g_m = (1 - q^{a+bm}) / (1 - q^m) with
+    (a, b) = numerator(n) (numerator 1 if None): O(n) kernel passes on one
+    dense list, on the grid `series_sum` gives terms[:n + 1] refined by 1/d.
+    Offset differences have one lcm of denominators from any reference, so
+    offsets and frontiers are compared as integers on the last grid."""
+    ref = terms[0].offset
+    ds = list(accumulate(terms, lambda d, t: lcm(d, t.step.denominator, (
+        t.offset - ref).denominator), initial=d))[1:]
+    offs = [int((t.offset - ref) * ds[-1]) for t in terms]
+    tops = [o + t.order * ds[-1] // t.step.denominator for o, t in zip(offs, terms)]
+    for n, d in enumerate(ds):
+        low, unit = min(offs[:n + 1]), ds[-1] // d
+        acc = [0] * ((min(tops[:n + 1]) - low) // unit + 1)
+        a, b = numerator(n) if numerator else (0, 0)
+        a = int(a * d)
+        for j, t in enumerate(terms[:n + 1]):
+            stride, start = d // t.step.denominator, (offs[j] - low) // unit
+            stop = min(len(acc), start + len(t.coeffs) * stride)
+            acc[start:stop:stride] = map(int.__add__, acc[start:stop:stride], t.coeffs)
+            if j < n:
+                if numerator:
+                    _apply_factor(acc, a + b * (n - j) * d, 1, 1)
+                _apply_factor(acc, (n - j) * d, 1, -1)
+        for e, length in denominators(n):
+            for x in range(int(e * d), min(len(acc), int((e + length) * d)), d):
+                _apply_factor(acc, x, 1, -1)
+        yield TruncatedSeries._trusted(tuple(acc), ref + Fraction(low, ds[-1]),
+                                       Fraction(1, d))
 
 
 def bailey_step(pair: BaileyPair, rho: BaileyParam, sigma: BaileyParam) -> BaileyPair:

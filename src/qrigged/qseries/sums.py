@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
-from math import ceil, lcm
+from math import ceil, floor, lcm
 from typing import Optional, Sequence
 
 from ..qalg import PochhammerSpec, TruncatedSeries, _apply_factor, _as_fraction, series_sum
@@ -144,31 +144,37 @@ class FermionicSumSpec:
 
     def lattice_points(self, bound: Fraction):
         """(point, exponent) for all points with quadratic+linear part
-        <= bound, restrictions applied; deterministic lexicographic order."""
-        mins = [self._single_min(i) for i in range(self.dim)]
-        suffix_min = [Fraction(0)] * (self.dim + 1)
+        <= bound, restrictions applied; deterministic lexicographic order.
+        It walks on ints, with form and bound times the lcm of the form's denominators."""
+        scale = lcm(*((x / 2).denominator for row in self.quadratic for x in row),
+                    *(x.denominator for x in self.linear))
+        # row i: A_ij for j < i, then A_ii / 2
+        rows = [[int(x * scale) for x in row[:i]] + [int(row[i] / 2 * scale)]
+                for i, row in enumerate(self.quadratic)]
+        linear, top = [int(x * scale) for x in self.linear], floor(bound * scale)
+        suffix_min = [0] * (self.dim + 1)
         for i in range(self.dim - 1, -1, -1):
-            suffix_min[i] = suffix_min[i + 1] + mins[i]
+            suffix_min[i] = suffix_min[i + 1] + int(self._single_min(i) * scale)
 
         point = [0] * self.dim
         out: list[tuple[tuple[int, ...], Fraction]] = []
 
-        def rec(i: int, partial: Fraction):
+        def rec(i: int, partial: int):
             # partial: quadratic+linear over assigned coords (cross terms
             # among assigned included; cross with unassigned are >= 0)
             if i == self.dim:
-                if partial <= bound \
+                if partial <= top \
                         and all(c.satisfied(point) for c in self.congruences) \
                         and all(f(point) >= 0 for f in self.inequalities):
-                    out.append((tuple(point), partial + self.constant))
+                    out.append((tuple(point), Fraction(partial, scale) + self.constant))
                 return
+            *cross, half = rows[i]
+            slope = linear[i] + sum(c * x for c, x in zip(cross, point))
             n = 0
             while True:
                 point[i] = n
-                contrib = self.quadratic[i][i] / 2 * n * n + self.linear[i] * n
-                for j in range(i):
-                    contrib += self.quadratic[i][j] * point[j] * n
-                if contrib + partial + suffix_min[i + 1] > bound:
+                contrib = (half * n + slope) * n
+                if contrib + partial + suffix_min[i + 1] > top:
                     # contributions are increasing in n once positive
                     if contrib >= 0 and n > 0:
                         break
@@ -179,7 +185,7 @@ class FermionicSumSpec:
                 n += 1
             point[i] = 0
 
-        rec(0, Fraction(0))
+        rec(0, 0)
         return out
 
 

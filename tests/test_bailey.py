@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from qrigged.cli import main
 from qrigged.qalg import TruncatedSeries, pochhammer_qq
 from qrigged.qseries.bailey import (INFINITY, BaileyPair,
                                     InsufficientOrderError, bailey_step,
@@ -36,6 +38,12 @@ class TestVerify:
     def test_classical_seed_to_order_30(self):
         check = verify_bailey_pair(rogers_ramanujan_seed(), 30, max_n=12)
         assert check.valid
+
+    @pytest.mark.parametrize("order, max_n", [(10, -1), (-1, None)])
+    def test_empty_range_of_n_is_refused(self, order, max_n):
+        # checking no n at all would otherwise come back valid
+        with pytest.raises(ValueError, match=r"max_n -1 must be nonnegative"):
+            verify_bailey_pair(unit_bailey_pair(), order, max_n=max_n)
 
 
 class TestStep:
@@ -92,3 +100,20 @@ class TestChain:
         lhs, rhs = weak_lemma(unit_bailey_pair(), 25)
         assert compare_series(lhs, rhs).equal
         assert compare_series(lhs, pochhammer_qq(None, 25).invert()).equal
+
+
+class TestWeakLimitOutput:
+    # sha256 of the stdout of `qrigged bailey --mode weak-limit` with these
+    # flags, pinned so that the JSON stays byte-identical
+    @pytest.mark.parametrize("flags, digest", [
+        (["--steps", "2", "--order", "40"],
+         "1d3f9048151e7b9c7268577a785afbe46d38cbd62b530b268d8e61477328d090"),
+        (["--steps", "1", "--rho", "1/2", "--order", "30"],
+         "038a15ce5eb84c810771630bcfa1698332fffea133fcfe855f30b8dc31a8ab60"),
+    ], ids=["two-steps", "rho-1/2"])
+    def test_stdout_digest(self, flags, digest, capsys):
+        code = main(["bailey", "--mode", "weak-limit",
+                     "--pair", "rogers-ramanujan-seed", *flags])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
