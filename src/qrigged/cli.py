@@ -1,11 +1,13 @@
 """Command-line surface over the library.  `OPERATION_MAP` lists the library
 operations the subcommands run, each with the one subcommand that exposes it.
 
-Exit codes: 0 success (and identity verified where applicable), 2 usage or
-parse error, 3 verified inequality, 4 unsupported factor shape, 5 unknown
-preset.  Output is a deterministic envelope (command echo, input echo,
-result payload, library version); timing is attached only on request so
-that repeated runs are byte-identical.
+A subcommand returns its result with exit code 0 (success, and identity
+verified where applicable) or 3 (verified inequality), and refuses input by
+raising; `main` alone maps the exception type to a code: 5 for an unknown
+preset, 4 for an unsupported factor shape, 2 for any other `ValueError` (a
+usage or parse error).  Output is a deterministic envelope (command echo,
+input echo, result payload, library version); timing is attached only on
+request so that repeated runs are byte-identical.
 """
 from __future__ import annotations
 
@@ -86,12 +88,6 @@ _BAILEY_PAIRS = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_shapes(text: str) -> list[tuple[int, int]]:
     """Rectangles RxC, comma separated: '1x1,1x2'."""
     out = []
@@ -104,9 +100,9 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
         try:
             shape = (int(r), int(c))
         except ValueError:
-            raise CliError(f"malformed shape {piece!r}", EXIT_USAGE) from None
+            raise ValueError(f"malformed shape {piece!r}") from None
         if shape[0] < 1 or shape[1] < 1:
-            raise CliError(f"malformed shape {piece!r}", EXIT_USAGE)
+            raise ValueError(f"malformed shape {piece!r}")
         out.append(shape)
     return out
 
@@ -115,7 +111,7 @@ def _parse_weight(text: str) -> Composition:
     try:
         return Composition.parse(text)
     except ValueError as exc:
-        raise CliError(f"malformed weight: {exc}", EXIT_USAGE) from None
+        raise ValueError(f"malformed weight: {exc}") from None
 
 
 def _nonnegative_int(text: str) -> int:
@@ -193,7 +189,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
         try:
             p = Path.parse(args.path, args.n)
         except ValueError as exc:
-            raise CliError(f"malformed path: {exc}", EXIT_USAGE) from None
+            raise ValueError(f"malformed path: {exc}") from None
         rc = path_to_rc(p)
         L = MultiplicityArray.from_rows(p.shapes(), p.n)
         result = {"path": str(p), "rc": rc_to_json(rc, L),
@@ -201,20 +197,20 @@ def _cmd_bijection(args) -> tuple[dict, int]:
         return result, EXIT_OK
     if args.rc:
         if shapes is None:
-            raise CliError("--rc requires --shapes", EXIT_USAGE)
+            raise ValueError("--rc requires --shapes")
         widths = _require_rows(shapes)
         L = MultiplicityArray.from_rows(widths, args.n)
         try:
             rc = rc_from_json(json.loads(args.rc), L)
             p = rc_to_path(rc, L, widths)
         except InvalidRiggedConfigurationError as exc:
-            raise CliError(f"invalid rigged configuration: {exc}", EXIT_USAGE) from None
+            raise ValueError(f"invalid rigged configuration: {exc}") from None
         except (ValueError, RecursionError) as exc:  # too deeply nested
-            raise CliError(f"malformed rc JSON: {exc}", EXIT_USAGE) from None
+            raise ValueError(f"malformed rc JSON: {exc}") from None
         return {"rc": rc_to_json(rc, L), "path": str(p)}, EXIT_OK
     if args.check:
         if shapes is None or weight is None:
-            raise CliError("--check requires --shapes and --weight", EXIT_USAGE)
+            raise ValueError("--check requires --shapes and --weight")
         widths = _require_rows(shapes)
         paths = enumerate_paths(widths, args.n, weight)
         L = MultiplicityArray.from_rows(widths, args.n)
@@ -238,12 +234,12 @@ def _cmd_bijection(args) -> tuple[dict, int]:
                     }, EXIT_UNEQUAL
         return {"roundtrip": "ok", "statistic": "ok", "paths": len(paths),
                 "relation": {"sign": relation[0], "shift": relation[1]}}, EXIT_OK
-    raise CliError("one of --path, --rc, --check is required", EXIT_USAGE)
+    raise ValueError("one of --path, --rc, --check is required")
 
 
 def _cmd_qbinom(args) -> tuple[dict, int]:
     if args.m < 0:
-        raise CliError("m must be nonnegative", EXIT_USAGE)
+        raise ValueError("m must be nonnegative")
     _require_grid("degree k(m-k)", args.k * (args.m - args.k))
     return {"polynomial": _poly_payload(q_binomial(args.m, args.k))}, EXIT_OK
 
@@ -252,15 +248,14 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"malformed rational {text!r}", EXIT_USAGE) from None
+        raise ValueError(f"malformed rational {text!r}") from None
 
 
 def _require_grid(quantity: str, value: int, *rationals: Fraction) -> None:
     """Refuse `value` times the lcm of the `rationals`' denominators past MAX_GRID."""
     grid = value * lcm(*(r.denominator for r in rationals))
     if grid > MAX_GRID:
-        raise CliError(f"{quantity} = {grid} is above the limit {MAX_GRID}",
-                       EXIT_USAGE)
+        raise ValueError(f"{quantity} = {grid} is above the limit {MAX_GRID}")
 
 
 def _cmd_pochhammer(args) -> tuple[dict, int]:
@@ -269,7 +264,7 @@ def _cmd_pochhammer(args) -> tuple[dict, int]:
         try:
             length = int(args.length)
         except ValueError:
-            raise CliError(f"malformed length {args.length!r}", EXIT_USAGE) from None
+            raise ValueError(f"malformed length {args.length!r}") from None
     exponent, step = _parse_fraction(args.exponent), _parse_fraction(args.step)
     _require_grid("series grid order*d", args.order, exponent, step)
     spec = PochhammerSpec(args.sign, exponent, step, length)
@@ -277,14 +272,16 @@ def _cmd_pochhammer(args) -> tuple[dict, int]:
     return {"series": series.to_json()}, EXIT_OK
 
 
-def _cmd_character(args) -> tuple[dict, int]:
-    registry = PresetRegistry(args.preset_dir)
-    try:
-        preset = registry.get(args.preset)
-    except UnknownPresetError as exc:
-        raise CliError(str(exc), EXIT_UNKNOWN_PRESET) from None
-    order = preset.declared_order if args.order is None else args.order
+def _preset(registry: PresetRegistry, name: str, order: int | None):
+    """The preset and its order: `order`, else the declared one, to MAX_GRID."""
+    preset = registry.get(name)
+    order = preset.declared_order if order is None else order
     _require_grid("order", order)
+    return preset, order
+
+
+def _cmd_character(args) -> tuple[dict, int]:
+    preset, order = _preset(PresetRegistry(args.preset_dir), args.preset, args.order)
     report = character(preset, order)
     payload = report.as_dict()
     payload["negative_control"] = preset.negative_control
@@ -294,13 +291,11 @@ def _cmd_character(args) -> tuple[dict, int]:
 
 def _stepped_pair(args):
     if args.pair not in _BAILEY_PAIRS:
-        raise CliError(f"unknown Bailey pair {args.pair!r}; "
-                       f"available: {', '.join(sorted(_BAILEY_PAIRS))}",
-                       EXIT_USAGE)
+        raise ValueError(f"unknown Bailey pair {args.pair!r}; "
+                         f"available: {', '.join(sorted(_BAILEY_PAIRS))}")
     pair = _BAILEY_PAIRS[args.pair]()
     if args.steps > BAILEY_MAX_STEPS:
-        raise CliError(f"{args.steps} steps is above the limit {BAILEY_MAX_STEPS}",
-                       EXIT_USAGE)
+        raise ValueError(f"{args.steps} steps is above the limit {BAILEY_MAX_STEPS}")
     # --rho and --sigma are read only when a step uses them
     params = [INFINITY if text in ("inf", "infinity") else _parse_fraction(text)
               for text in (args.rho, args.sigma) if args.steps]
@@ -330,12 +325,7 @@ def _cmd_compare(args) -> tuple[dict, int]:
     registry = PresetRegistry(args.preset_dir)
 
     def side(preset_name: str, which: str):
-        try:
-            preset = registry.get(preset_name)
-        except UnknownPresetError as exc:
-            raise CliError(str(exc), EXIT_UNKNOWN_PRESET) from None
-        order = preset.declared_order if args.order is None else args.order
-        _require_grid("order", order)
+        preset, order = _preset(registry, preset_name, args.order)
         if which == "fermionic":
             return eval_fermionic(preset.fermionic, order).shift(preset.offset)
         return eval_bosonic(preset.bosonic, order).shift(preset.offset)
@@ -499,9 +489,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         result, code = args.func(args)
-    except CliError as exc:
+    except UnknownPresetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_UNKNOWN_PRESET
     except UnsupportedFactorShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

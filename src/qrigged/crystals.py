@@ -181,27 +181,30 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
         raise ValueError("weight has more parts than the rank")
     target = list(weight.parts) + [0] * (n - len(weight.parts))
 
-    out: list[Path] = []
+    out: list[Path] = [] if shape_list else [Path((), n)]
     counts = [0] * n
-
-    def build(k: int, factors: list[RowFactor]):
-        if k == len(shape_list):
-            out.append(Path(tuple(factors), n))
-            return
-        for row in _rows(shape_list[k], n):
+    # row iterators of the chosen factors and the next; `for` resumes the top
+    factors: list[RowFactor] = []
+    stack = [iter(_rows(s, n)) for s in shape_list[:1]]
+    while stack:
+        for row in stack[-1]:
             ok = True
             for x in row.letters:
                 counts[x - 1] += 1
                 if counts[x - 1] > target[x - 1]:
                     ok = False
-            if ok:
+            if ok and len(stack) < len(shape_list):
                 factors.append(row)
-                build(k + 1, factors)
-                factors.pop()
+                stack.append(iter(_rows(shape_list[len(stack)], n)))
+                break
+            if ok:
+                out.append(Path._trusted((*factors, row), n))
             for x in row.letters:
                 counts[x - 1] -= 1
-
-    build(0, [])
+        else:
+            stack.pop()
+            for x in factors.pop().letters if factors else ():
+                counts[x - 1] -= 1
     return out
 
 

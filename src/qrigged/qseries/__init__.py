@@ -1,5 +1,5 @@
-from .bailey import (INFINITY, BaileyPair, InsufficientOrderError, PairCheck,
-                     bailey_step, rogers_ramanujan_seed, unit_bailey_pair,
+from .bailey import (INFINITY, BaileyPair, PairCheck, bailey_step,
+                     rogers_ramanujan_seed, unit_bailey_pair,
                      verify_bailey_pair, weak_lemma)
 from .sums import (AffineForm, BosonicSumSpec, Congruence, FermionicSumSpec,
                    NonTerminatingSumError, PochhammerFactor, SeriesComparison,

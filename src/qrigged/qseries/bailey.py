@@ -21,10 +21,6 @@ from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, pochhammer_q
 from .sums import compare_series
 
 
-class InsufficientOrderError(ValueError):
-    """Raised when a pair does not guarantee the order an operation needs."""
-
-
 class Infinity:
     """Symbolic infinite Bailey parameter."""
 
@@ -49,22 +45,14 @@ class BaileyPair:
 
     alpha and beta are the seed's callables (n, order) -> TruncatedSeries
     producing its exact n-th entry to the requested order, and ``steps``
-    the (rho, sigma) of each step applied to it.  ``order`` is the guaranteed
-    truncation order (None for closed-form pairs exact at any order).
+    the (rho, sigma) of each step applied to it.
     """
 
     base_exponent: Fraction
     alpha: Callable[[int, int], TruncatedSeries]
     beta: Callable[[int, int], TruncatedSeries]
-    order: Optional[int] = None
     name: str = "pair"
     steps: tuple[tuple[BaileyParam, BaileyParam], ...] = ()
-
-    def require_order(self, order: int) -> None:
-        if self.order is not None and order > self.order:
-            raise InsufficientOrderError(
-                f"{self.name}: requires order {order}, "
-                f"but only order {self.order} is guaranteed")
 
     def table(self, order: int, nmax: int
               ) -> tuple[list[TruncatedSeries], list[TruncatedSeries]]:
@@ -122,7 +110,6 @@ def verify_bailey_pair(pair: BaileyPair, order: int,
     nmax = order if max_n is None else max_n
     if min(order, nmax) < 0:
         raise ValueError(f"order {order} and max_n {nmax} must be nonnegative")
-    pair.require_order(order)
     k = pair.base_exponent
     if k <= -1:
         raise ValueError(f"base q^{k}: aq = q^{1 + k} must have positive exponent")
@@ -150,7 +137,7 @@ def unit_bailey_pair(base_exponent: Fraction = Fraction(0)) -> BaileyPair:
         return pochhammer_qq(n, order, -1) \
             .times_pochhammer(PochhammerSpec(exponent=1 + k, length=n), -1)
 
-    return BaileyPair(k, alpha, beta, None, "unit")
+    return BaileyPair(k, alpha, beta, "unit")
 
 
 def rogers_ramanujan_seed() -> BaileyPair:
@@ -169,7 +156,7 @@ def rogers_ramanujan_seed() -> BaileyPair:
     def beta(n: int, order: int) -> TruncatedSeries:
         return pochhammer_qq(n, order, -1)
 
-    return BaileyPair(Fraction(0), alpha, beta, None, "rogers-ramanujan-seed")
+    return BaileyPair(Fraction(0), alpha, beta, "rogers-ramanujan-seed")
 
 
 def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
@@ -240,7 +227,6 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
     Returns (lhs, rhs), summed over n with n^2 + kn <= order, to that order;
     equality certifies the identity to that order.
     """
-    pair.require_order(order)
     k = pair.base_exponent
     nmax = next(n for n in count(1) if n * n + k * n > order) - 1
     alphas, betas = pair.table(order, nmax)

@@ -8,7 +8,7 @@ over one integer index times a product of Pochhammer prefactors.  Both
 evaluate to exact TruncatedSeries; enumeration is pruned by exponent lower
 bounds, and termination is checked when the spec is constructed.  The
 lattice walk yields each point with its exponent; `eval_fermionic` nests
-its sum over the lattice (Horner) where the factor lengths allow.
+its sum over the lattice (Horner).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
-from math import ceil, floor, lcm
+from math import floor, lcm
 from typing import Optional, Sequence
 
 from ..qalg import PochhammerSpec, TruncatedSeries, _apply_factor, _as_fraction, series_sum
@@ -196,12 +196,12 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     a point that satisfies the restrictions, found by doubling the enumeration
     bound from order + slack up to FIRST_POINT_SEARCH_LIMIT (then ValueError).
 
-    Where each factor length is constant, infinite or one n_i, the points are
-    summed by nested Horner over a trie, one coordinate per level: from a
-    group's largest n_i = k down to 0, acc = X_k + g_k * acc, g_k the k-th
-    factor of each length-n_i symbol; constant and infinite symbols are
-    applied once.  Other lengths take one term per point.  Both give the
-    grid of `series_sum`: offset low, step 1/d."""
+    The points are summed by nested Horner over a trie, one coordinate per
+    level: from a group's largest n_i = k down to 0, acc = X_k + g_k * acc,
+    g_k the k-th factor of each symbol of length n_i.  Constant and infinite
+    symbols are applied once, to the sum; any other length multiplies its
+    point's term at the trie's leaf.  The result is on the grid of
+    `series_sum`: offset low, step 1/d."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     bound = Fraction(order) - sum(spec._single_min(i) for i in range(spec.dim))
@@ -214,24 +214,27 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     if low - spec.constant + order > bound:
         points = spec.lattice_points(low - spec.constant + order)
     points = [(p, e) for p, e in points if e <= low + order]
-    # i when a factor's length is n_i, -1 when constant or infinite, else None
-    levels = [-1 if f.length is None or not any(f.length.coeffs) else None
+    # i when a factor's length is n_i, -1 when constant or infinite, else dim
+    levels = [-1 if f.length is None or not any(f.length.coeffs) else spec.dim
               if f.length.constant or [c for c in f.length.coeffs if c] != [1]
               else f.length.coeffs.index(1) for f in spec.factors]
-    if None in levels:  # each term holds only the range up to low + order
-        return series_sum([TruncatedSeries((0,) * (order + 1), low)] + [reduce(
-            lambda t, f: t.times_pochhammer(f.spec(p), f.power), spec.factors,
-            TruncatedSeries((1,) + (0,) * ceil(low + order - e), e)) for p, e in points])
     symbols = [(f.spec(points[0][0]), f.power, i) for f, i in zip(spec.factors, levels)]
     d = lcm(*(x.denominator for f in spec.factors for x in (f.exponent, f.step)),
             *((e - low).denominator for _, e in points))
     steps = [[(f.sign, int(f.exponent * d), int(f.step * d), f.power) for f, i
               in zip(spec.factors, levels) if i == level] for level in range(spec.dim)]
+    leaf = [f for f, i in zip(spec.factors, levels) if i == spec.dim]
 
     def add(group, level, out):
         # add the terms of points sharing their first `level` coordinates
-        if level == spec.dim:
-            out[group[0][1]] += 1
+        if level == spec.dim:  # one point: its monomial times its own symbols
+            _, at, own = group[0]
+            if not own:
+                out[at] += 1
+                return
+            term = reduce(lambda t, s: t.times_pochhammer(*s), own, TruncatedSeries(
+                (1,) + (0,) * (len(out) - 1 - at), low, Fraction(1, d)))
+            out[at:] = map(int.__add__, out[at:], term.coeffs)
             return
         acc = [0] * (order * d + 1)
         by_k = {k: list(g) for k, g in groupby(group, lambda t: t[0][level])}
@@ -243,7 +246,8 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
         out[:] = [a + b for a, b in zip(out, acc)]
 
     out = [0] * (order * d + 1)
-    add([(p, int((e - low) * d)) for p, e in points], 0, out)
+    add([(p, int((e - low) * d), [(f.spec(p), f.power) for f in leaf])
+         for p, e in points], 0, out)
     return reduce(lambda t, s: t.times_pochhammer(*s[:2]) if s[2] == -1 else t,
                   symbols, TruncatedSeries._trusted(tuple(out), low, Fraction(1, d)))
 

@@ -364,7 +364,8 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
     cache, so `enumerate_rc` and the closed form on one instance share it.
     It is tuples all the way down, so no consumer can change a cached entry.
 
-    A depth-first walk: nu^(1), nu^(2), ... are chosen in turn from
+    A depth-first walk on an explicit stack, so any rank fits under the
+    recursion limit: nu^(1), nu^(2), ... are chosen in turn from
     `partitions_of(|nu^(a)|)`, so configurations come in the order of the
     full product with some removed.  p_i^(a) reads only nu^(a-1), nu^(a)
     and nu^(a+1), so level a is complete once nu^(a+1) is chosen; a prefix
@@ -379,22 +380,22 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
     wparts = tuple(weight.parts) + (0,) * (L.n - len(weight.parts))
     choices = [partitions_of(s) for s in sizes]
     out: list[tuple[Configuration, tuple[tuple, ...]]] = []
-
-    def extend(config: Configuration, blocks: tuple[tuple, ...]) -> None:
+    stack = [(Configuration._trusted(()), ())]
+    while stack:
+        config, blocks = stack.pop()
         chosen = len(config.nu)
         complete = chosen if chosen == len(sizes) else chosen - 1
         for a in range(len(blocks) + 1, complete + 1):
             level = level_blocks(config, L, wparts, a)
             if any(floor > p for (_, _, floor, p) in level):
-                return
+                break
             blocks += (level,)
-        if chosen == len(sizes):
-            out.append((config, blocks))
-            return
-        for part in choices[chosen]:
-            extend(Configuration._trusted(config.nu + (part,)), blocks)
-
-    extend(Configuration._trusted(()), ())
+        else:
+            if chosen == len(sizes):
+                out.append((config, blocks))
+            else:
+                stack += [(Configuration._trusted(config.nu + (part,)), blocks)
+                          for part in reversed(choices[chosen])]
     return tuple(out)
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from qrigged.cli import main
 from qrigged.qalg import TruncatedSeries, pochhammer_qq
-from qrigged.qseries.bailey import (INFINITY, BaileyPair,
-                                    InsufficientOrderError, bailey_step,
+from qrigged.qseries.bailey import (INFINITY, BaileyPair, bailey_step,
                                     rogers_ramanujan_seed, unit_bailey_pair,
                                     verify_bailey_pair, weak_lemma)
 from qrigged.qseries.sums import compare_series
@@ -30,7 +29,7 @@ class TestVerify:
                 out = out + TruncatedSeries((0, 0, 1) + (0,) * (order - 2))
             return out
 
-        corrupted = BaileyPair(Fraction(0), base.alpha, bad_beta, None, "bad")
+        corrupted = BaileyPair(Fraction(0), base.alpha, bad_beta, "bad")
         check = verify_bailey_pair(corrupted, 10, max_n=5)
         assert not check.valid
         assert check.failing_n == 2
@@ -68,14 +67,6 @@ class TestStep:
         # exponent exactly zero is a valid step
         edge = bailey_step(unit_bailey_pair(), Fraction(1, 2), Fraction(1, 2))
         assert verify_bailey_pair(edge, 8, max_n=4).valid
-
-    def test_insufficient_order_error_names_required(self):
-        base = unit_bailey_pair()
-        limited = BaileyPair(base.base_exponent, base.alpha, base.beta,
-                             10, "limited")
-        with pytest.raises(InsufficientOrderError) as err:
-            verify_bailey_pair(limited, 20)
-        assert "20" in str(err.value) and "10" in str(err.value)
 
 
 class TestChain:

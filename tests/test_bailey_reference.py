@@ -183,7 +183,7 @@ class TestAgainstReference:
                 out = out + TruncatedSeries((0,) * 5 + (1,) + (0,) * (order - 5))
             return out
 
-        pair = BaileyPair(base.base_exponent, base.alpha, beta, None, "corrupted")
+        pair = BaileyPair(base.base_exponent, base.alpha, beta, "corrupted")
         for _ in range(steps):
             pair = bailey_step(pair, *PARAMETERS[parameters])
         got, want = verify_bailey_pair(pair, 12, max_n=6), reference_check(pair, 12, 6)

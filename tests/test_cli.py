@@ -223,6 +223,59 @@ class TestExitCodes:
         if (code, err, len(head)) != (want, b"", 100):
             pytest.fail(f"exit {code}, {len(head)} bytes read, stderr {err!r}")
 
+    # every refusal a subcommand raises itself, with its exact message;
+    # an unknown preset's line is KeyError's str, quotes included
+    @pytest.mark.parametrize("argv, want, line", [
+        (["kostka", "--shapes", "1xa", "--n", "2", "--weight", "1"],
+         EXIT_USAGE, "malformed shape '1xa'"),
+        (["paths", "--shapes", "0x1", "--n", "2", "--weight", "1"],
+         EXIT_USAGE, "malformed shape '0x1'"),
+        (["kostka", "--shapes", "1x1", "--n", "2", "--weight", "1,,2"],
+         EXIT_USAGE, "malformed weight: malformed composition: '1,,2'"),
+        (["bijection", "--n", "2", "--path", "1a"],
+         EXIT_USAGE, "malformed path: malformed path factor: '1a'"),
+        (["bijection", "--n", "2", "--rc", "[]"],
+         EXIT_USAGE, "--rc requires --shapes"),
+        (["bijection", "--n", "2", "--shapes", "1x1,1x1",
+          "--rc", '[{"partition": [1], "riggings": [5]}]'],
+         EXIT_USAGE, "invalid rigged configuration: rigging 5 of a width-1 "
+                     "row at level 1 violates its window [-1, 0]"),
+        (["bijection", "--n", "2", "--shapes", "1x1,1x1", "--rc", "{}"],
+         EXIT_USAGE, "malformed rc JSON: expected a JSON array of levels, got {}"),
+        (["bijection", "--n", "2", "--check", "--shapes", "1x1"],
+         EXIT_USAGE, "--check requires --shapes and --weight"),
+        (["bijection", "--n", "2"],
+         EXIT_USAGE, "one of --path, --rc, --check is required"),
+        (["qbinom", "-3", "2"], EXIT_USAGE, "m must be nonnegative"),
+        (["qbinom", "1200", "600"],
+         EXIT_USAGE, "degree k(m-k) = 360000 is above the limit 20000"),
+        (["pochhammer", "--step", "1/0"], EXIT_USAGE, "malformed rational '1/0'"),
+        (["pochhammer", "--length", "x"], EXIT_USAGE, "malformed length 'x'"),
+        (["pochhammer", "--step", "1/100000", "--order", "3"],
+         EXIT_USAGE, "series grid order*d = 300000 is above the limit 20000"),
+        (["character", "--preset", "rogers-ramanujan-1", "--order", "20001"],
+         EXIT_USAGE, "order = 20001 is above the limit 20000"),
+        (["bailey", "--pair", "nope"], EXIT_USAGE,
+         "unknown Bailey pair 'nope'; available: rogers-ramanujan-seed, unit"),
+        (["bailey", "--steps", "101", "--order", "1"],
+         EXIT_USAGE, "101 steps is above the limit 100"),
+        (["bailey", "--steps", "1", "--rho", "x"],
+         EXIT_USAGE, "malformed rational 'x'"),
+        (["character", "--preset", "no-such-preset"],
+         EXIT_UNKNOWN_PRESET, "no-such-preset"),
+        (["compare", "--preset-a", "nope", "--preset-b", "lebesgue"],
+         EXIT_UNKNOWN_PRESET, "nope"),
+        (["compare", "--preset-a", "lebesgue", "--preset-b", "nope"],
+         EXIT_UNKNOWN_PRESET, "nope"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+    def test_refusal_names_its_reason(self, argv, want, line, capsys):
+        if want == EXIT_UNKNOWN_PRESET:
+            line = (f"\"unknown preset '{line}'; available: "
+                    f"{', '.join(sorted(PresetRegistry().names()))}\"")
+        code, out, err = run_cli(argv, capsys)
+        if (code, out, err) != (want, "", f"error: {line}\n"):
+            pytest.fail(f"exit {code}, stdout {out[:80]!r}, stderr {err!r}")
+
     def test_compare_order_zero_is_checked_at_zero(self, capsys):
         code, out, _ = run_cli(["compare", "--preset-a", "rogers-ramanujan-1",
                                 "--preset-b", "rogers-ramanujan-1",
@@ -478,6 +531,23 @@ class TestSurface:
                                   "1x2,1x1", "--rc", rc_json], capsys)
         assert code2 == EXIT_OK
         assert json.loads(out2)["result"]["path"] == "12(x)1"
+
+    # deeper than the default recursion limit: the configuration walk has
+    # 999 levels at rank 1000, and the path enumeration 1,200 factors
+    @pytest.mark.parametrize("argv, want", [
+        (["kostka", "--shapes", "1x1", "--n", "1000", "--weight", "1"],
+         lambda r: (r["fermionic"]["text"], r["path"]["text"], r["equal"])
+         == ("1", "1", True)),
+        (["rc-list", "--shapes", "1x1", "--n", "1000", "--weight", "1"],
+         lambda r: r["count"] == 1),
+        (["paths", "--shapes", ",".join(["1x1"] * 1200), "--n", "2",
+          "--weight", "1200,0"],
+         lambda r: r["count"] == 1 and r["objects"][0]["energy"] == 0),
+    ], ids=["kostka-rank-1000", "rc-list-rank-1000", "paths-1200-factors"])
+    def test_deep_instance_needs_no_recursion(self, argv, want, capsys):
+        code, out, err = run_cli(argv, capsys)
+        if code != EXIT_OK or not want(json.loads(out)["result"]):
+            pytest.fail(f"exit {code}: {out[-300:]}{err[-300:]}")
 
     def test_bijection_check(self, capsys):
         code, out, _ = run_cli(["bijection", "--n", "3", "--shapes",

@@ -89,7 +89,8 @@ def _factor(sign, exponent, step, length, power=-1):
 # Between them these cover: a congruence that skips values of n_i, an
 # inequality, constant-length and infinite factors, fractional exponents
 # and steps, an e - low denominator (3) that no factor has, and lengths that
-# are not one coordinate (which take the per-point evaluation).
+# are not one coordinate, with negative and fractional coefficients among
+# them (which are applied per point at the leaf).
 SYNTHETIC = {
     # n1 even only, n0 >= n1; q^(n0/3) puts thirds between the exponents
     "2d-congruence-inequality": FermionicSumSpec(
@@ -130,6 +131,15 @@ SYNTHETIC = {
         (_factor(1, 1, 1, _form(0, 1, 1)),
          _factor(-1, 1, 2, _form(1, 0, 1), 1)),
         inequalities=(_form(6, -1, -1),)),
+    # lengths 2 + n0 - n1 (kept >= 0 by the inequality) and (n0 + n1)/2
+    # (integral under the congruence), beside a length-n0 symbol
+    "2d-negative-and-half-lengths": FermionicSumSpec(
+        2, ((2, 1), (1, 2)), (0, F(1, 2)), 0,
+        (_factor(1, 1, 1, _form(2, 1, -1)),
+         _factor(-1, F(1, 2), 1, _form(0, F(1, 2), F(1, 2)), 1),
+         _factor(1, 1, 1, _form(0, 1, 0))),
+        congruences=(Congruence(_form(0, 1, 1), 2),),
+        inequalities=(_form(2, 1, -1),)),
 }
 
 
