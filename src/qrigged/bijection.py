@@ -16,8 +16,10 @@ in place as boxes move.  p_i^(a) is Q_i(nu^(a-1)) - 2 Q_i(nu^(a)) +
 Q_i(nu^(a+1)), where Q_i counts the boxes in the first i columns, nu^(n) is
 empty and nu^(0) is the partition of factor rows (the factor term).  So a box
 added at the end of a level-a string of width l changes only the entries
-i > l: by -2 at level a and by +1 at levels a-1 and a+1.  Removal is the
-exact inverse.  The factor term is the sum of min(i, s) over the factor
+i > l: by -2 at level a and by +1 at levels a-1 and a+1, three rows that
+each chosen string updates in place.  Removal is the exact inverse.  A
+letter 1 chooses no string, so it is no step: only the count of consumed
+boxes moves.  The factor term is the sum of min(i, s) over the factor
 rows, each loose box of the partly consumed factor a row of width 1.  It is
 the number of path boxes consumed so far minus the sum of max(0, s - i) over
 complete rows.  That count shifts every p_i^(1) alike, so it is kept as one
@@ -26,9 +28,13 @@ integer added when level 1 is read.  `path_to_rc` starts from a zero table
 outgrows |nu^(1)|.  `rc_to_path` starts from the vacancy table of
 `rc.configuration_frame`, all factors complete, with the path boxes taken
 off level 1.  Completing a width-s factor, or popping it in the inverse,
-then changes the table only for i < s.  Selecting a singular string is a
-scan of (width, rigging) against the table, the chosen strings are kept by
-reference, and each new rigging is one table read after the update.
+then changes the table only for i < s, and not at all for s = 1.
+Selecting a singular string is a scan of (width, rigging) against the
+table, the chosen strings are kept by reference, and each new rigging is
+one table read after the update.  `rc_to_path` takes each extracted row
+from `crystals.row_factor`, the shared rows that `enumerate_paths` is built
+from, so the path it returns holds the same factor objects as the path
+enumerated.
 
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crystals import Path, RowFactor, intrinsic_energy
+from .crystals import Path, RowFactor, intrinsic_energy, row_factor
 from .rc import (Configuration, InvalidRiggedConfigurationError,
                  MultiplicityArray, RiggedConfiguration, cocharge,
                  configuration_frame, validate)
@@ -49,22 +55,6 @@ _HUGE = 10 ** 9
 # rigging] lists in no particular order.  `p[a-1][i]` is p_i^(a) for
 # 1 <= i <= m, m bounding every width the direction can reach, except that
 # p[0] leaves out `boxes`, the number of path boxes consumed so far.
-
-
-def _add_box(p, a: int, ell: int, d: int) -> None:
-    """Update `p` for a box added (d = 1) to, or removed (d = -1) from, the
-    end of a level-a string whose width without that box is `ell`."""
-    row = p[a - 1]
-    for i in range(ell + 1, len(row)):
-        row[i] -= 2 * d
-    if a >= 2:
-        row = p[a - 2]
-        for i in range(ell + 1, len(row)):
-            row[i] += d
-    if a < len(p):
-        row = p[a]
-        for i in range(ell + 1, len(row)):
-            row[i] += d
 
 
 def _move_factor(p, s: int, d: int) -> None:
@@ -92,7 +82,17 @@ def _insert_letter(levels, p, j: int, boxes: int) -> None:
         chosen.append((a, best, width))
         cap = width
     for a, _, width in chosen:
-        _add_box(p, a, width, 1)
+        row = p[a - 1]
+        for i in range(width + 1, len(row)):
+            row[i] -= 2
+        if a > 1:
+            row = p[a - 2]
+            for i in range(width + 1, len(row)):
+                row[i] += 1
+        if a < len(p):
+            row = p[a]
+            for i in range(width + 1, len(row)):
+                row[i] += 1
     for a, s, width in chosen:
         value = p[a - 1][width + 1] + (boxes + 1 if a == 1 else 0)
         if s is None:
@@ -119,12 +119,24 @@ def _extract_letter(levels, p, boxes: int) -> int:
             if floor <= w < width and s[1] == pa[w] + shift:
                 best, width = s, w
         if best is None:
+            if a == 1:
+                return 1
             letter = a
             break
         chosen.append((a, best, width))
         floor = width
     for a, _, width in chosen:
-        _add_box(p, a, width - 1, -1)
+        row = p[a - 1]
+        for i in range(width, len(row)):
+            row[i] += 2
+        if a > 1:
+            row = p[a - 2]
+            for i in range(width, len(row)):
+                row[i] -= 1
+        if a < len(p):
+            row = p[a]
+            for i in range(width, len(row)):
+                row[i] -= 1
     for a, s, width in chosen:
         if width == 1:
             levels[a - 1].remove(s)
@@ -154,9 +166,11 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
     boxes = 0
     for f in path.factors:
         for x in reversed(f.letters):
-            _insert_letter(levels, p, x, boxes)
+            if x > 1:  # a letter 1 chooses no string: only `boxes` moves
+                _insert_letter(levels, p, x, boxes)
             boxes += 1
-        _move_factor(p, len(f.letters), 1)
+        if len(f.letters) > 1:  # a width-1 row leaves the table as it is
+            _move_factor(p, len(f.letters), 1)
     return _finalize(levels)
 
 
@@ -185,7 +199,8 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     p = [[x - boxes for x in table[0]]] + [list(row) for row in table[1:]]
     factors_rev: list[RowFactor] = []
     for s in reversed(widths):
-        _move_factor(p, s, -1)
+        if s > 1:
+            _move_factor(p, s, -1)
         letters = []
         for _ in range(s):
             x = _extract_letter(levels, p, boxes)
@@ -194,8 +209,8 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
                     f"extracted letters {letters + [x]} do not form a row")
             letters.append(x)
             boxes -= 1
-        # letters lie in 1..n by construction and were just checked to be a row
-        factors_rev.append(RowFactor._trusted(tuple(letters), n))
+        # shared with `enumerate_paths`, so comparing paths is by identity
+        factors_rev.append(row_factor(tuple(letters), n))
     if any(lv for lv in levels):
         raise InvalidRiggedConfigurationError(
             "nonempty configuration left after extracting all factors")

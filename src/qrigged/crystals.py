@@ -39,15 +39,6 @@ class RowFactor:
             if i and self.letters[i - 1] > x:
                 raise ValueError(f"row letters must weakly increase: {self.letters}")
 
-    @classmethod
-    def _trusted(cls, letters: tuple[int, ...], n: int) -> "RowFactor":
-        """Construct without coercion or checks, for a weakly increasing
-        tuple of ints in 1..n."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "letters", letters)
-        object.__setattr__(out, "n", n)
-        return out
-
     def width(self) -> int:
         return len(self.letters)
 
@@ -158,12 +149,18 @@ def is_highest_weight(path: Path) -> bool:
     return all(e_op(path, i) is None for i in range(1, path.n))
 
 
+@lru_cache(maxsize=1 << 12)
+def row_factor(letters: tuple[int, ...], n: int) -> RowFactor:
+    """`RowFactor(letters, n)`, checked when first built and shared after,
+    so paths built from it compare their factors by identity."""
+    return RowFactor(letters, n)
+
+
 @lru_cache(maxsize=None)
 def _rows(width: int, n: int) -> tuple[RowFactor, ...]:
     """Every row factor of the given width over 1..n, in lexicographic order
-    of its word.  Shared (factors are immutable) by every path built from
-    it."""
-    return tuple(RowFactor(word, n) for word in
+    of its word, each from `row_factor`."""
+    return tuple(row_factor(word, n) for word in
                  combinations_with_replacement(range(1, n + 1), width))
 
 

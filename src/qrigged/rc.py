@@ -14,7 +14,8 @@ unrestricted setting the lower bound may be negative and, beyond level 1,
 it is raised by a carried depth computed from how far the riggings one
 level down sit below their own floors (longer rows absorb part of the
 carried depth).  This characterization is validated exhaustively against
-path enumeration by the test suite.
+path enumeration by the test suite.  The configuration part of cocharge is
+cached per configuration, so `cocharge` is one lookup plus the rigging sum.
 """
 from __future__ import annotations
 
@@ -228,9 +229,16 @@ def rigging_windows(blocks: Sequence[tuple[int, int, int, int]],
     (width, max(0, carry - x)) up to the next level: a string's depth only
     falls as its rigging rises, so the block minimum carries the most.
     """
+    if not below:
+        return [(w, m, floor, p, 0) for (w, m, floor, p) in blocks]
     out = []
     for (w, m, floor, p) in blocks:
-        carry = max([0] + [d - max(0, v - w) for (v, d) in below])
+        carry = 0
+        for v, d in below:
+            if v > w:
+                d -= v - w
+            if d > carry:
+                carry = d
         out.append((w, m, floor + carry, p, carry))
     return out
 
@@ -291,7 +299,7 @@ class RiggedConfiguration:
         return out
 
     def rigging_sum(self) -> int:
-        return sum(sum(level) for level in self.riggings)
+        return sum(map(sum, self.riggings))
 
     def strings(self, a: int) -> tuple[tuple[int, int], ...]:
         """(width, rigging) pairs of level a, canonical order."""
@@ -434,6 +442,7 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
     return out
 
 
+@lru_cache(maxsize=256)
 def configuration_charge_form(config: Configuration) -> int:
     """The configuration part of cocharge: the sum over levels a and
     columns c of alpha_c^{(a)} (alpha_c^{(a)} - alpha_c^{(a+1)}), alpha the

@@ -1,3 +1,6 @@
+import re
+from itertools import chain
+
 import pytest
 
 from gridutil import instance_grid, weight_compositions, width_tuples
@@ -171,6 +174,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             rc_to_path(rc, L, (1, 1, 1))
 
+    @pytest.mark.parametrize("rows, rigging, message", [
+        ((1, 1), -3, "nonempty configuration left after extracting all factors"),
+        ((2,), 0, "extracted letters [2, 1] do not form a row"),
+    ])
+    def test_extraction_guards_without_validate(self, monkeypatch, rows,
+                                                rigging, message):
+        # validate refuses both objects; with it switched off, the guards
+        # of the extraction loop must still refuse them
+        L = MultiplicityArray.from_rows(rows, 2)
+        rc = RiggedConfiguration(Configuration(((1,),)), ((rigging,),))
+        with pytest.raises(InvalidRiggedConfigurationError, match="window"):
+            rc_to_path(rc, L)
+        monkeypatch.setattr("qrigged.bijection.validate", lambda rc, L: None)
+        with pytest.raises(InvalidRiggedConfigurationError,
+                           match=re.escape(message)):
+            rc_to_path(rc, L)
+
 
 class TestVacancyTable:
     """The table that the single-box steps maintain equals the vacancy
@@ -192,14 +212,17 @@ class TestVacancyTable:
                 assert kept == vacancy(config, L, a, w), (levels, rows, a, w)
 
     def paths(self):
-        for widths, n in instance_grid(self.GRID_BOXES):
+        # rank 4 has a level with strings both below and above it
+        for widths, n in chain(instance_grid(self.GRID_BOXES),
+                               instance_grid(4, ranks=(4,))):
             for w in weight_compositions(sum(widths), n):
                 for path in enumerate_paths(widths, n, Composition(w)):
                     yield widths, n, path
 
     def test_insert_steps(self):
-        steps = 0
+        paths = steps = 0
         for widths, n, path in self.paths():
+            paths += 1
             levels = [[] for _ in range(n - 1)]
             # the sizing of path_to_rc: |nu^(1)| + 1, the letters above 1
             above = sum(x > 1 for f in path.factors for x in f.letters)
@@ -215,11 +238,12 @@ class TestVacancyTable:
                 _move_factor(p, s, 1)
                 rows.append(s)
                 self.check(levels, p, rows, boxes, n)
-        assert steps == 12064  # boxes of the 2556 paths
+        assert (paths, steps) == (2556 + 1225, 12064 + 4672)
 
     def test_extract_steps(self):
-        steps = 0
+        paths = steps = 0
         for widths, n, path in self.paths():
+            paths += 1
             rc = path_to_rc(path)
             levels = [[[w, x] for (w, x) in rc.strings(a)] for a in range(1, n)]
             rows = list(widths)
@@ -240,4 +264,4 @@ class TestVacancyTable:
                     self.check(levels, p, rows, boxes, n)
                     steps += 1
             assert not any(levels)
-        assert steps == 12064  # boxes of the 2556 paths
+        assert (paths, steps) == (2556 + 1225, 12064 + 4672)

@@ -13,7 +13,7 @@ from qrigged import crystals
 from qrigged.combinat import Composition, Partition, charge, enumerate_ssyt
 from qrigged.crystals import (Path, RowFactor, e_op, enumerate_paths, f_op,
                               intrinsic_energy, is_highest_weight,
-                              local_energy, r_matrix)
+                              local_energy, r_matrix, row_factor)
 
 
 def path_of(words, n):
@@ -35,6 +35,15 @@ class TestEnumeration:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             enumerate_paths((1, 1), 2, Composition((1,)))
+
+    def test_shared_rows_are_checked_and_bounded(self):
+        # the cache shares rows, it does not skip RowFactor's checks
+        for letters, n in (((2, 1), 3), ((1,), 1), ((0,), 2), ((4,), 3)):
+            with pytest.raises(ValueError):
+                row_factor(letters, n)
+        assert row_factor((1, 2), 3) is row_factor((1, 2), 3)
+        assert row_factor((1, 2), 3) == RowFactor((1, 2), 3)
+        assert row_factor.cache_info().maxsize is not None
 
 
 class TestCrystalOperators:
