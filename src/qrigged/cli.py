@@ -273,10 +273,15 @@ def _cmd_pochhammer(args) -> tuple[dict, int]:
 
 
 def _preset(registry: PresetRegistry, name: str, order: int | None):
-    """The preset and its order: `order`, else the declared one, to MAX_GRID."""
+    """The preset and its order: `order`, else the declared one, to MAX_GRID,
+    and its series grid order*d, with step 1/d from the exponents and steps
+    of its fermionic factors and bosonic prefactors."""
     preset = registry.get(name)
     order = preset.declared_order if order is None else order
     _require_grid("order", order)
+    _require_grid("series grid order*d", order,
+                  *(x for f in preset.fermionic.factors + preset.bosonic.prefactors
+                    for x in (f.exponent, f.step)))
     return preset, order
 
 
@@ -416,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pochhammer)
 
     order_limit = (f"An order above {MAX_GRID} (--order, else the declared "
-                   "order) is refused with exit code 2.")
+                   f"order), or a series grid order*d above {MAX_GRID} (step "
+                   "1/d, the lcm of the denominators of the preset's factor "
+                   "exponents and steps), is refused with exit code 2.")
     p = sub.add_parser("character", help="verify a character preset",
                        description="Verify a character preset.  " + order_limit)
     p.add_argument("--preset", required=True)

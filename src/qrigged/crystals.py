@@ -9,8 +9,10 @@ combinatorial R-matrix and adds local energies; with these conventions the
 statistic agrees exactly with cocharge under the path/rigged-configuration
 bijection (no global shift).  The transport of each factor is carried across
 all positions to its right, so a path of k factors costs O(k^2) lookups in
-letter-pair memo tables; each table entry is computed, and the R-matrix
-entries checked, once per distinct pair of row words.
+one letter-pair memo of local energy and R-matrix image, each entry computed
+and checked once per distinct pair of row words.  The replay target comes
+from the Pieri rule and the rows from the weight's letters, so no table
+grows with the rank n.
 """
 from __future__ import annotations
 
@@ -156,18 +158,19 @@ def row_factor(letters: tuple[int, ...], n: int) -> RowFactor:
     return RowFactor(letters, n)
 
 
-@lru_cache(maxsize=None)
-def _rows(width: int, n: int) -> tuple[RowFactor, ...]:
-    """Every row factor of the given width over 1..n, in lexicographic order
-    of its word, each from `row_factor`."""
+@lru_cache(maxsize=1 << 10)
+def _rows(width: int, letters: tuple[int, ...], n: int) -> tuple[RowFactor, ...]:
+    """Every row factor of the given width over `letters`, in lexicographic
+    order of its word, each from `row_factor`."""
     return tuple(row_factor(word, n) for word in
-                 combinations_with_replacement(range(1, n + 1), width))
+                 combinations_with_replacement(letters, width))
 
 
 def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> list[Path]:
     """All tensor products of rows with the given widths and total content.
 
-    Deterministic order: lexicographic in the tuple of factor words.
+    Rows range over the weight's letters only.  Deterministic order:
+    lexicographic in the tuple of factor words.
     """
     shape_list = tuple(int(s) for s in shape_list)
     if any(s < 1 for s in shape_list):
@@ -177,12 +180,13 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
     if len(weight.trimmed()) > n:
         raise ValueError("weight has more parts than the rank")
     target = list(weight.parts) + [0] * (n - len(weight.parts))
+    letters = tuple(x for x in range(1, n + 1) if target[x - 1])
 
     out: list[Path] = [] if shape_list else [Path((), n)]
     counts = [0] * n
     # row iterators of the chosen factors and the next; `for` resumes the top
     factors: list[RowFactor] = []
-    stack = [iter(_rows(s, n)) for s in shape_list[:1]]
+    stack = [iter(_rows(s, letters, n)) for s in shape_list[:1]]
     while stack:
         for row in stack[-1]:
             ok = True
@@ -192,7 +196,7 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
                     ok = False
             if ok and len(stack) < len(shape_list):
                 factors.append(row)
-                stack.append(iter(_rows(shape_list[len(stack)], n)))
+                stack.append(iter(_rows(shape_list[len(stack)], letters, n)))
                 break
             if ok:
                 out.append(Path._trusted((*factors, row), n))
@@ -220,36 +224,17 @@ def local_energy(u: RowFactor, v: RowFactor) -> int:
     """
     if u.n != v.n:
         raise ValueError("factors must share the same rank")
-    return _local_energy_cached(u.letters, v.letters)
+    return _letter_pair(u.letters, v.letters, u.n)[0]
 
 
 @lru_cache(maxsize=None)
-def _local_energy_cached(u_letters: tuple[int, ...],
-                         v_letters: tuple[int, ...]) -> int:
-    tableau = rsk_insert(v_letters + u_letters)
-    return len(tableau[1]) if len(tableau) > 1 else 0
-
-
-@lru_cache(maxsize=None)
-def _highest_weight_pairs(s: int, t: int, n: int) -> dict[tuple[int, ...], "Path"]:
-    """Highest-weight elements of B^{1,s} (x) B^{1,t}, keyed by weight."""
-    out: dict[tuple[int, ...], Path] = {}
-    for u in _rows(s, n):
-        for v in _rows(t, n):
-            p = Path((u, v), n)
-            if is_highest_weight(p):
-                out[p.content()] = p
-    return out
-
-
-@lru_cache(maxsize=None)
-def _r_matrix_cached(u_letters: tuple[int, ...], v_letters: tuple[int, ...],
-                     n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _letter_pair(u_letters: tuple[int, ...], v_letters: tuple[int, ...], n: int
+                 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Local energy of u (x) v and the letters of its R-matrix image."""
     u = RowFactor(u_letters, n)
     v = RowFactor(v_letters, n)
-    path = Path((u, v), n)
     ops: list[int] = []
-    cur = path
+    cur = Path((u, v), n)
     while True:
         for i in range(1, n):
             nxt = e_op(cur, i)
@@ -259,19 +244,23 @@ def _r_matrix_cached(u_letters: tuple[int, ...], v_letters: tuple[int, ...],
                 break
         else:
             break
-    target = _highest_weight_pairs(v.width(), u.width(), n)[cur.content()]
-    cur2 = target
+    # Pieri: the highest-weight elements of B^{1,t} (x) B^{1,s} are
+    # 1^t (x) 1^{s-k} 2^k, one for each k <= min(s, t)
+    s, t, k = u.width(), v.width(), cur.content()[1]
+    cur2 = Path((row_factor((1,) * t, n),
+                 row_factor((1,) * (s - k) + (2,) * k, n)), n)
     for i in reversed(ops):
         cur2 = f_op(cur2, i)
         if cur2 is None:
             raise AssertionError("R-matrix replay failed")
     left, right = cur2.factors
+    tableau = rsk_insert(v_letters + u_letters)
     # insertion characterization: the pair of insertion tableaux must agree
-    if rsk_insert(v_letters + u_letters) != \
-            rsk_insert(right.letters + left.letters):
+    if tableau != rsk_insert(right.letters + left.letters):
         raise AssertionError(
             "R-matrix output violates the insertion characterization")
-    return left.letters, right.letters
+    energy = len(tableau[1]) if len(tableau) > 1 else 0
+    return energy, left.letters, right.letters
 
 
 def r_matrix(u: RowFactor, v: RowFactor) -> tuple[RowFactor, RowFactor]:
@@ -279,11 +268,12 @@ def r_matrix(u: RowFactor, v: RowFactor) -> tuple[RowFactor, RowFactor]:
 
     The unique content-preserving bijection commuting with the crystal
     operators, computed by raising to the highest weight and replaying the
-    lowering sequence on the swapped-shape product.
+    lowering sequence on the swapped-shape product, whose highest-weight
+    elements the Pieri rule writes down.
     """
     if u.n != v.n:
         raise ValueError("factors must share the same rank")
-    lw, rw = _r_matrix_cached(u.letters, v.letters, u.n)
+    _, lw, rw = _letter_pair(u.letters, v.letters, u.n)
     return RowFactor(lw, u.n), RowFactor(rw, u.n)
 
 
@@ -303,6 +293,6 @@ def intrinsic_energy(path: Path) -> int:
     total = 0
     for i, moved in enumerate(words):
         for right in words[i + 1:]:
-            total += _local_energy_cached(moved, right)
-            _, moved = _r_matrix_cached(moved, right, path.n)
+            energy, _, moved = _letter_pair(moved, right, path.n)
+            total += energy
     return total

@@ -4,8 +4,7 @@ The fermionic side sums q^cocharge over unrestricted rigged configurations
 (and, as a standing regression, re-evaluates itself through block
 generating functions built from Gaussian binomials).  The path side sums
 q^energy over all crystal paths of the weight.  The two agree exactly under
-the frozen global normalization, the identity (sign +1, shift 0), which
-calibration checks.
+the frozen global normalization, the identity (sign +1, shift 0).
 """
 from __future__ import annotations
 
@@ -21,11 +20,9 @@ from .rc import (MultiplicityArray, block_generating_function, cocharge,
                  configuration_walk, enumerate_rc, rigging_windows)
 
 # Frozen global normalization between path energy and cocharge:
-# cocharge = sign * energy + shift.  Pinned to the identity; `calibrate()`
-# checks it on the calibration instance below.
+# cocharge = sign * energy + shift.  Pinned to the identity, which the
+# `kostka` output and its schema carry.
 GLOBAL_NORMALIZATION = {"sign": 1, "shift": 0}
-
-CALIBRATION_INSTANCE = {"shapes": (1, 1), "n": 2, "weight": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -161,20 +158,3 @@ def verify_identity(inst: KostkaInstance) -> IdentityReport:
     return IdentityReport(fermionic=fermionic, path=path,
                           normalization=dict(GLOBAL_NORMALIZATION),
                           equal=equal, counterexample=counterexample)
-
-
-def calibrate() -> dict:
-    """Check the frozen GLOBAL_NORMALIZATION on the calibration instance.
-
-    Returns it when the fermionic and path polynomials agree there; raises
-    AssertionError naming both otherwise.
-    """
-    report = verify_identity(KostkaInstance(
-        MultiplicityArray.from_rows(CALIBRATION_INSTANCE["shapes"],
-                                    CALIBRATION_INSTANCE["n"]),
-        Composition(CALIBRATION_INSTANCE["weight"])))
-    if not report.equal:
-        raise AssertionError(
-            f"calibration failed: fermionic {report.fermionic} vs "
-            f"path {report.path} under {GLOBAL_NORMALIZATION}")
-    return dict(GLOBAL_NORMALIZATION)

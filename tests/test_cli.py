@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridutil import instance_grid, weight_compositions
+from qrigged import cli as cli_module
 from qrigged.bijection import path_to_rc
 from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
     EXIT_UNKNOWN_PRESET, EXIT_UNSUPPORTED, EXIT_USAGE, MAX_GRID, \
@@ -378,6 +379,37 @@ class TestMalformedPresets:
         code, _, _ = run_cli(CASES["character"][0], capsys)
         assert code == EXIT_OK
         assert len(built) == 1
+
+
+class TestPresetSeriesGrid:
+    """`character` and `compare` bound the series grid order*d of a preset,
+    with step 1/d from its factor exponents and steps, as `pochhammer` does."""
+
+    def test_fine_factor_step_exceeds_the_grid(self, tmp_path, capsys):
+        _malformed_preset(tmp_path / "fine.json", lambda d: d["fermionic"][
+            "factors"][0].update(step="1/10000000"))
+        line = "error: series grid order*d = 500000000 is above the limit 20000\n"
+        for argv in (["character", "--preset", "rogers-ramanujan-1"],
+                     ["compare", "--preset-a", "rogers-ramanujan-1",
+                      "--side-a", "bosonic", "--preset-b",
+                      "rogers-ramanujan-1"]):
+            code, out, err = run_cli(argv + ["--preset-dir", str(tmp_path)],
+                                     capsys)
+            if (code, out, err) != (EXIT_USAGE, "", line):
+                pytest.fail(f"{argv[0]}: exit {code}, stderr {err!r}")
+
+    def test_shipped_presets_are_bounded_by_their_order(self):
+        # integer exponents and steps: d = 1, so every order within
+        # MAX_GRID is still accepted
+        registry = PresetRegistry()
+        names = sorted(registry.names())
+        assert len(names) == 11
+        for name in names:
+            preset = registry.get(name)
+            for f in preset.fermionic.factors + preset.bosonic.prefactors:
+                assert f.exponent.denominator == f.step.denominator == 1, name
+            assert cli_module._preset(registry, name, MAX_GRID) == \
+                (preset, MAX_GRID)
 
 
 class TestRepeatedCalls:

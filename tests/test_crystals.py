@@ -146,6 +146,21 @@ class TestLocalEnergyAndR:
                             # local energy is symmetric under the R-swap
                             assert local_energy(uu, vv) == local_energy(a, b)
 
+    def test_highest_weight_pairs_are_the_pieri_targets(self):
+        # the brute-force search the R-matrix replay target replaced: the
+        # highest-weight elements of B^{1,s} (x) B^{1,t} are exactly
+        # 1^s (x) 1^{t-k} 2^k for k <= min(s, t); pytest.fail so that it
+        # also runs under python -O
+        for n in range(2, 6):
+            for s in range(1, 5):
+                for t in range(1, 5):
+                    found = {(u, v) for u in _rows(s, n) for v in _rows(t, n)
+                             if is_highest_weight(path_of([u, v], n))}
+                    want = {((1,) * s, (1,) * (t - k) + (2,) * k)
+                            for k in range(min(s, t) + 1)}
+                    if found != want:
+                        pytest.fail(f"n={n} s={s} t={t}: {sorted(found)}")
+
 
 class TestIntrinsicEnergy:
     def test_single_factor(self):
@@ -226,10 +241,8 @@ from qrigged import crystals
 from qrigged.crystals import RowFactor, r_matrix
 if not sys.flags.optimize:
     sys.exit("expected to run under python -O")
-# every weight maps to the all-2 product, which is not highest weight
-crystals._highest_weight_pairs = lambda s, t, n: {
-    w: crystals.Path((RowFactor((2,) * t, n), RowFactor((2,) * s, n)), n)
-    for w in ((1, 1), (2, 0))}
+# every replay target becomes the all-2 product, which is not highest weight
+crystals.row_factor = lambda letters, n: RowFactor((2,) * len(letters), n)
 try:
     r_matrix(RowFactor(%r, 2), RowFactor(%r, 2))
 except AssertionError as exc:

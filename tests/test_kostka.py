@@ -6,10 +6,11 @@ import pytest
 from gridutil import (dominant_partitions, instance_grid, weight_compositions,
                       width_tuples)
 from qrigged.combinat import Composition, Partition, kostka_foulkes
-from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance, calibrate,
+from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance,
                             fermionic_kostka, fermionic_kostka_closed_form,
                             kostka_foulkes_via_paths, path_kostka,
                             restricted_kostka, verify_identity)
+from qrigged import crystals
 from qrigged.bijection import rc_to_path
 from qrigged.crystals import enumerate_paths, intrinsic_energy
 from qrigged.qalg import IntPolynomial
@@ -208,15 +209,25 @@ class TestMainIdentity:
                     for perm in set(permutations(w)):
                         assert fermionic_kostka(instance(widths, n, perm)) == base
 
-    def test_calibration_matches_frozen(self):
-        assert calibrate() == GLOBAL_NORMALIZATION
-
-    def test_calibration_fails_on_shifted_path_side(self, monkeypatch):
-        monkeypatch.setattr("qrigged.kostka.path_kostka",
-                            lambda inst: path_kostka(inst).shift(1))
-        with pytest.raises(AssertionError, match=r"calibration failed: "
-                           r"fermionic 1 \+ q vs path q \+ q\^2"):
-            calibrate()
+    @pytest.mark.parametrize("widths, weight", [
+        ((3, 3), (3, 3)), ((2, 1), (1, 1, 1)), ((3,), (3,))])
+    def test_independent_of_the_alphabet(self, widths, weight):
+        # the rank only pads the weight with zeros; the path side builds
+        # rows over the weight's letters, so a high rank adds no rows.
+        # pytest.fail so that it also runs under python -O.
+        smallest = max(2, len(weight))
+        want = (path_kostka(instance(widths, smallest, weight)),
+                fermionic_kostka(instance(widths, smallest, weight)))
+        for n in (40, 1000):
+            crystals.row_factor.cache_clear()
+            crystals._rows.cache_clear()
+            inst = instance(widths, n, weight)
+            got = (path_kostka(inst), fermionic_kostka(inst))
+            if got != want:
+                pytest.fail(f"rank {n} gives {got}, rank {smallest} {want}")
+            built = crystals.row_factor.cache_info().misses
+            if n == 40 and built > 10:
+                pytest.fail(f"rank 40 built {built} rows for {widths}")
 
 
 class TestRestrictedSpecialization:
