@@ -25,20 +25,21 @@ the number of path boxes consumed so far minus the sum of max(0, s - i) over
 complete rows.  That count shifts every p_i^(1) alike, so it is kept as one
 integer added when level 1 is read.  `path_to_rc` starts from a zero table
 |nu^(1)| + 1 wide, the letters above 1 plus one: no string at any level
-outgrows |nu^(1)|.  `rc_to_path` starts from the vacancy table of
-`rc.configuration_frame`, all factors complete, with the path boxes taken
-off level 1.  Completing a width-s factor, or popping it in the inverse,
-then changes the table only for i < s, and not at all for s = 1.
-Selecting a singular string is a scan of (width, rigging) against the
-table, the chosen strings are kept by reference, and each new rigging is
-one table read after the update.  `rc_to_path` takes each extracted row
-from `crystals.row_factor`, the shared rows that `enumerate_paths` is built
-from, so the path it returns holds the same factor objects as the path
-enumerated.
+outgrows |nu^(1)|.  `rc_to_path` starts from the vacancy table of the
+`rc.configuration_frame` that `validate` returns, all factors complete,
+with the path boxes taken off level 1.  Completing a width-s factor, or
+popping it in the inverse, then changes the table only for i < s, and not
+at all for s = 1.  Selecting a singular string is a scan of (width,
+rigging) against the table, the chosen strings are kept by reference, and
+each new rigging is one table read after the update.  `rc_to_path` takes
+each extracted row from `crystals.row_factor`, the shared rows that
+`enumerate_paths` is built from, so the path it returns holds the same
+factor objects as the path enumerated.
 
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
-pointwise (tested exhaustively at desk scale).
+pointwise (tested exhaustively at desk scale): the frozen normalization is
+the identity, and `check_statistic` reports the two statistics it relates.
 """
 from __future__ import annotations
 
@@ -46,8 +47,7 @@ from dataclasses import dataclass
 
 from .crystals import Path, RowFactor, intrinsic_energy, row_factor
 from .rc import (Configuration, InvalidRiggedConfigurationError,
-                 MultiplicityArray, RiggedConfiguration, cocharge,
-                 configuration_frame, validate)
+                 MultiplicityArray, RiggedConfiguration, cocharge, validate)
 
 _HUGE = 10 ** 9
 
@@ -175,27 +175,24 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
 
 
 def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
-               widths: tuple[int, ...] | None = None) -> Path:
-    """Inverse direction: recover the path with factor widths given by L.
+               widths: tuple[int, ...]) -> Path:
+    """Inverse direction: recover the path whose row factors have the
+    widths `widths`, left to right.
 
     L must hold rows only (`L.row_widths` refuses it before anything else),
-    and the rigged configuration is re-validated.  ``widths`` fixes the
-    tensor-factor order of the output (left to right); by default the rows
-    of L are taken in descending width order.  The map is a bijection for
-    every fixed order.
+    the rigged configuration is re-validated, and `widths` must be the rows
+    of L in some order.  The map is a bijection for every fixed order.  The
+    starting vacancy table is read from the frame that `validate` returns.
     """
     rows = L.row_widths()
-    validate(rc, L)
+    table = validate(rc, L)[2]
     n = L.n
-    if widths is None:
-        widths = rows
-    elif tuple(sorted(widths, reverse=True)) != rows:
+    if tuple(sorted(widths, reverse=True)) != rows:
         raise ValueError("widths do not match the multiplicity array")
     levels: list[list[list[int]]] = [
         [[w, x] for w, x in zip(level, rigs)]
         for level, rigs in zip(rc.config.nu, rc.riggings)]
     boxes = sum(widths)
-    table = configuration_frame(rc.config, L)[2]
     p = [[x - boxes for x in table[0]]] + [list(row) for row in table[1:]]
     factors_rev: list[RowFactor] = []
     for s in reversed(widths):
@@ -221,19 +218,14 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
 class StatisticReport:
     energy: int
     cocharge: int
-    sign: int
-    shift: int
 
     def as_dict(self) -> dict:
+        # cocharge = sign * energy + shift, against the frozen (1, 0)
         return {"energy": self.energy, "cocharge": self.cocharge,
-                "relation": {"sign": self.sign, "shift": self.shift}}
+                "relation": {"sign": 1, "shift": self.cocharge - self.energy}}
 
 
-def check_statistic(path: Path,
-                    rc: RiggedConfiguration | None = None) -> StatisticReport:
-    """Both statistics for one path plus the observed affine relation
-    cocharge = sign * energy + shift.  `rc`, when the caller already holds
-    it, must be `path_to_rc(path)`; it is computed otherwise."""
-    d = intrinsic_energy(path)
-    cc = cocharge(path_to_rc(path) if rc is None else rc)
-    return StatisticReport(energy=d, cocharge=cc, sign=1, shift=cc - d)
+def check_statistic(path: Path, rc: RiggedConfiguration) -> StatisticReport:
+    """Intrinsic energy of `path` and cocharge of `rc`, which must be
+    `path_to_rc(path)`.  The bijection makes the two equal."""
+    return StatisticReport(energy=intrinsic_energy(path), cocharge=cocharge(rc))

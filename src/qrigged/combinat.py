@@ -118,9 +118,6 @@ class Tableau:
                 if rows[i - 1][j] >= rows[i][j]:
                     raise ValueError("columns must strictly increase")
 
-    def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
-
     def content(self) -> tuple[int, ...]:
         if not self.rows:
             return ()

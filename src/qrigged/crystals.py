@@ -235,8 +235,9 @@ def _letter_pair(u_letters: tuple[int, ...], v_letters: tuple[int, ...], n: int
     v = RowFactor(v_letters, n)
     ops: list[int] = []
     cur = Path((u, v), n)
+    top = max(u_letters + v_letters)  # raising never makes a letter above it
     while True:
-        for i in range(1, n):
+        for i in range(1, top):
             nxt = e_op(cur, i)
             if nxt is not None:
                 ops.append(i)
@@ -246,7 +247,7 @@ def _letter_pair(u_letters: tuple[int, ...], v_letters: tuple[int, ...], n: int
             break
     # Pieri: the highest-weight elements of B^{1,t} (x) B^{1,s} are
     # 1^t (x) 1^{s-k} 2^k, one for each k <= min(s, t)
-    s, t, k = u.width(), v.width(), cur.content()[1]
+    s, t, k = u.width(), v.width(), cur.factors[1].letters.count(2)
     cur2 = Path((row_factor((1,) * t, n),
                  row_factor((1,) * (s - k) + (2,) * k, n)), n)
     for i in reversed(ops):

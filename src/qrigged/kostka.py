@@ -20,8 +20,9 @@ from .rc import (MultiplicityArray, block_generating_function, cocharge,
                  configuration_walk, enumerate_rc, rigging_windows)
 
 # Frozen global normalization between path energy and cocharge:
-# cocharge = sign * energy + shift.  Pinned to the identity, which the
-# `kostka` output and its schema carry.
+# cocharge = sign * energy + shift, pinned to the identity.  It is the one
+# owner of the relation: the `kostka` and `bijection --check` outputs and
+# their schemas carry it, and `--check` refuses any path off it.
 GLOBAL_NORMALIZATION = {"sign": 1, "shift": 0}
 
 
@@ -136,7 +137,6 @@ def kostka_foulkes_via_paths(inst: KostkaInstance) -> IntPolynomial:
 class IdentityReport:
     fermionic: IntPolynomial
     path: IntPolynomial
-    normalization: dict
     equal: bool
     counterexample: dict | None = None
 
@@ -155,6 +155,5 @@ def verify_identity(inst: KostkaInstance) -> IdentityReport:
             "fermionic_coefficient": fermionic.coefficient(first),
             "path_coefficient": path.coefficient(first),
         }
-    return IdentityReport(fermionic=fermionic, path=path,
-                          normalization=dict(GLOBAL_NORMALIZATION),
-                          equal=equal, counterexample=counterexample)
+    return IdentityReport(fermionic=fermionic, path=path, equal=equal,
+                          counterexample=counterexample)

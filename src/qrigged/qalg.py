@@ -101,11 +101,8 @@ class IntPolynomial:
     def min_exponent(self) -> Optional[int]:
         return self._offset if self._coeffs else None
 
-    def max_exponent(self) -> Optional[int]:
-        return self._offset + len(self._coeffs) - 1 if self._coeffs else None
-
     def degree(self) -> Optional[int]:
-        return self.max_exponent()
+        return self._offset + len(self._coeffs) - 1 if self._coeffs else None
 
     def evaluate_at_one(self) -> int:
         return sum(self._coeffs)
@@ -196,10 +193,6 @@ class IntPolynomial:
     def to_json(self) -> list[list[object]]:
         """Canonical JSON form: [exponent, coefficient-as-string] pairs."""
         return [[e, str(c)] for e, c in self.terms.items()]
-
-    @staticmethod
-    def from_json(pairs: Iterable[Iterable[object]]) -> "IntPolynomial":
-        return IntPolynomial({int(e): int(str(c)) for e, c in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +405,6 @@ class TruncatedSeries:
         return self._trusted(self.coeffs[:order + 1], self.offset, self.step)
 
     # -- comparison / rendering --------------------------------------------
-
-    def same_series(self, other: "TruncatedSeries") -> bool:
-        """Coefficientwise equality on the shared guaranteed range."""
-        return (self - other).is_zero()
 
     def to_json(self) -> dict:
         """Canonical JSON form: offset, step and coefficients as strings."""

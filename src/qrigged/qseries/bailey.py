@@ -99,21 +99,19 @@ class PairCheck:
         return out
 
 
-def verify_bailey_pair(pair: BaileyPair, order: int,
-                       max_n: Optional[int] = None) -> PairCheck:
+def verify_bailey_pair(pair: BaileyPair, order: int, max_n: int) -> PairCheck:
     """Check the defining relation coefficientwise up to `order`.
 
-    Verifies n = 0 .. max_n (default: order).  Reports the first failing n
-    and the first differing exponent.  The right-hand side reads alpha only:
+    Verifies n = 0 .. max_n.  Reports the first failing n and the first
+    differing exponent.  The right-hand side reads alpha only:
     (alpha_n + g_1 (alpha_{n-1} + ... + g_n alpha_0)) / (aq;q)_{2n}, a
     `_nested_sums` with g_m = (1 - q^{1+k+2n-m}) / (1 - q^m)."""
-    nmax = order if max_n is None else max_n
-    if min(order, nmax) < 0:
-        raise ValueError(f"order {order} and max_n {nmax} must be nonnegative")
+    if min(order, max_n) < 0:
+        raise ValueError(f"order {order} and max_n {max_n} must be nonnegative")
     k = pair.base_exponent
     if k <= -1:
         raise ValueError(f"base q^{k}: aq = q^{1 + k} must have positive exponent")
-    alphas, betas = pair.table(order, nmax)
+    alphas, betas = pair.table(order, max_n)
     for n, rhs in enumerate(_nested_sums(alphas, k.denominator,
                                          lambda n: (1 + k + 2 * n, -1),
                                          lambda n: [(1 + k, 2 * n)])):
@@ -121,7 +119,7 @@ def verify_bailey_pair(pair: BaileyPair, order: int,
         if not comparison.equal:
             return PairCheck(False, order, n, failing_n=n,
                              failing_exponent=comparison.first_difference)
-    return PairCheck(True, order, nmax)
+    return PairCheck(True, order, max_n)
 
 
 def unit_bailey_pair(base_exponent: Fraction = Fraction(0)) -> BaileyPair:

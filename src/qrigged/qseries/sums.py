@@ -19,7 +19,8 @@ from itertools import groupby
 from math import floor, lcm
 from typing import Optional, Sequence
 
-from ..qalg import PochhammerSpec, TruncatedSeries, _apply_factor, _as_fraction, series_sum
+from ..qalg import (NonInvertibleSeriesError, PochhammerSpec, TruncatedSeries,
+                    _apply_factor, _as_fraction, series_sum)
 
 
 class NonTerminatingSumError(ValueError):
@@ -48,7 +49,11 @@ class AffineForm:
 
 @dataclass(frozen=True)
 class PochhammerFactor:
-    """(sign * q^exponent ; q^step)_length^power, length affine or infinite."""
+    """(sign * q^exponent ; q^step)_length^power, length affine or infinite.
+
+    Checked once when built, as a `PochhammerSpec` at its length, or at 1
+    when the length depends on the point; power -1 with exponent 0 is
+    refused unless the length is the constant 0."""
 
     sign: int
     exponent: Fraction
@@ -59,10 +64,14 @@ class PochhammerFactor:
     def __post_init__(self):
         object.__setattr__(self, "exponent", _as_fraction(self.exponent))
         object.__setattr__(self, "step", _as_fraction(self.step))
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if self.power not in (1, -1):
             raise ValueError("factor power must be +1 or -1")
+        spec = (self.spec(()) if self.length is None or not any(self.length.coeffs)
+                else PochhammerSpec(self.sign, self.exponent, self.step, 1))
+        if self.power == -1 and self.exponent == 0 and spec.length != 0:
+            raise NonInvertibleSeriesError(
+                f"non-invertible factor 1 - ({self.sign})*q^0: "
+                "constant term is not a unit")
 
     def spec(self, point: Sequence[int]) -> PochhammerSpec:
         """The symbol at `point`, without the power."""

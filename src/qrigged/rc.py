@@ -335,8 +335,9 @@ def lower_bound(config: Configuration, L: MultiplicityArray, a: int, row: int) -
     return next(lo for (w, _, lo, _, _) in windows if w == level[row])
 
 
-def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> None:
-    """Recompute every window and check the riggings sit inside.
+def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
+    """Recompute every window and check the riggings sit inside; return the
+    `configuration_frame` read for it, so a caller reads the frame once.
 
     Raises InvalidRiggedConfigurationError on any violation.  External
     input must pass through here; vacancies are never trusted.
@@ -344,9 +345,9 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> None:
     if len(rc.config.nu) != L.n - 1:
         raise InvalidRiggedConfigurationError(
             f"expected {L.n - 1} partitions, got {len(rc.config.nu)}")
-    blocks_by_level = configuration_frame(rc.config, L)[1]
+    frame = configuration_frame(rc.config, L)
     below: list[tuple[int, int]] = []
-    for a, (blocks, riggings) in enumerate(zip(blocks_by_level, rc.riggings), 1):
+    for a, (blocks, riggings) in enumerate(zip(frame[1], rc.riggings), 1):
         windows = rigging_windows(blocks, below)
         below = []
         start = 0
@@ -360,6 +361,7 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> None:
                         f"violates its window [{lo}, {p}]")
             # canonical order: a block's riggings decrease, the last is least
             below.append((w, max(0, carry - block[-1])))
+    return frame
 
 
 @lru_cache(maxsize=8)

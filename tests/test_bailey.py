@@ -38,10 +38,11 @@ class TestVerify:
         check = verify_bailey_pair(rogers_ramanujan_seed(), 30, max_n=12)
         assert check.valid
 
-    @pytest.mark.parametrize("order, max_n", [(10, -1), (-1, None)])
+    @pytest.mark.parametrize("order, max_n", [(10, -1), (-1, -1), (-1, 10)])
     def test_empty_range_of_n_is_refused(self, order, max_n):
         # checking no n at all would otherwise come back valid
-        with pytest.raises(ValueError, match=r"max_n -1 must be nonnegative"):
+        with pytest.raises(ValueError, match=rf"order {order} and max_n "
+                                             rf"{max_n} must be nonnegative"):
             verify_bailey_pair(unit_bailey_pair(), order, max_n=max_n)
 
 

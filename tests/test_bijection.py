@@ -28,7 +28,7 @@ class TestExamples:
     def test_empty_rc_maps_back(self):
         L = MultiplicityArray.from_rows((1,), 2)
         rc = enumerate_rc(L, Composition((1, 0)))[0]
-        assert str(rc_to_path(rc, L)) == "1"
+        assert str(rc_to_path(rc, L, (1,))) == "1"
 
     def test_two_box_instance_bijective(self):
         paths = enumerate_paths((1, 1), 2, Composition((1, 1)))
@@ -37,16 +37,18 @@ class TestExamples:
         assert images == set(enumerate_rc(L, Composition((1, 1))))
 
     def test_statistic_report_single_factor(self):
-        rep = check_statistic(path_of([(1, 1, 2)], 2))
+        path = path_of([(1, 1, 2)], 2)
+        rep = check_statistic(path, path_to_rc(path))
         assert rep.energy == 0 and rep.cocharge == 0
-        assert (rep.sign, rep.shift) == (1, 0)
+        assert rep.as_dict()["relation"] == {"sign": 1, "shift": 0}
 
     def test_statistic_multiset_two_boxes(self):
         paths = enumerate_paths((1, 1), 2, Composition((1, 1)))
-        reports = [check_statistic(p) for p in paths]
+        reports = [check_statistic(p, path_to_rc(p)) for p in paths]
         assert sorted(r.energy for r in reports) == [0, 1]
         assert sorted(r.cocharge for r in reports) == [0, 1]
-        assert {(r.sign, r.shift) for r in reports} == {(1, 0)}
+        assert all(r.as_dict()["relation"] == {"sign": 1, "shift": 0}
+                   for r in reports)
 
 
 class TestRoundTrips:
@@ -100,13 +102,13 @@ class TestRoundTrips:
         assert (instances, objects) == (3968, 48433)
 
     def test_relation_constant_per_instance(self):
+        # the relation is the frozen identity, not merely constant
         for n in (2, 3):
             for widths in ((1, 1), (2, 1), (1, 2), (2, 2)):
                 for w in weight_compositions(sum(widths), n):
-                    relations = {
-                        (check_statistic(p).sign, check_statistic(p).shift)
-                        for p in enumerate_paths(widths, n, Composition(w))}
-                    assert len(relations) <= 1
+                    for p in enumerate_paths(widths, n, Composition(w)):
+                        rep = check_statistic(p, path_to_rc(p))
+                        assert rep.cocharge == rep.energy, (p, rep)
 
 
 def _tuples_and_ints(value) -> bool:
@@ -147,6 +149,23 @@ class TestCachedFrame:
                                 rejected += 1
         assert (configs, rejected) == (3740, 17632)
 
+    def test_one_frame_read_per_inverse_map(self):
+        # `validate` hands its frame to `rc_to_path`, which reads no other
+        reads = 0
+        for widths, n in instance_grid(4):
+            L = MultiplicityArray.from_rows(widths, n)
+            for w in weight_compositions(sum(widths), n):
+                for path in enumerate_paths(widths, n, Composition(w)):
+                    rc = path_to_rc(path)
+                    before = configuration_frame.cache_info()
+                    back = rc_to_path(rc, L, widths)
+                    after = configuration_frame.cache_info()
+                    if back != path or (after.hits + after.misses
+                                        != before.hits + before.misses + 1):
+                        pytest.fail(f"{path}: {before} -> {after}")
+                    reads += 1
+        assert reads == 560
+
     @staticmethod
     def check_rejected(rc, L, widths, a, row, x):
         payload = rc_to_json(rc, L)
@@ -166,7 +185,7 @@ class TestValidation:
         good = enumerate_rc(L, Composition((1, 1)))[0]
         bad = RiggedConfiguration(good.config, ((5,),))
         with pytest.raises(InvalidRiggedConfigurationError):
-            rc_to_path(bad, L)
+            rc_to_path(bad, L, (1, 1))
 
     def test_width_mismatch_rejected(self):
         L = MultiplicityArray.from_rows((2, 1), 2)
@@ -185,11 +204,12 @@ class TestValidation:
         L = MultiplicityArray.from_rows(rows, 2)
         rc = RiggedConfiguration(Configuration(((1,),)), ((rigging,),))
         with pytest.raises(InvalidRiggedConfigurationError, match="window"):
-            rc_to_path(rc, L)
-        monkeypatch.setattr("qrigged.bijection.validate", lambda rc, L: None)
+            rc_to_path(rc, L, rows)
+        monkeypatch.setattr("qrigged.bijection.validate",
+                            lambda rc, L: configuration_frame(rc.config, L))
         with pytest.raises(InvalidRiggedConfigurationError,
                            match=re.escape(message)):
-            rc_to_path(rc, L)
+            rc_to_path(rc, L, rows)
 
 
 class TestVacancyTable:

@@ -323,6 +323,11 @@ MALFORMED_PRESETS = {
     "modulus-zero": lambda d: d["fermionic"].update(
         congruences=[{"form": ["0", "1"], "modulus": 0}]),
     "factor-sign-two": lambda d: d["fermionic"]["factors"][0].update(sign=2),
+    # factors no point can evaluate: refused on loading, with the file named
+    "factor-exponent-zero":
+        lambda d: d["fermionic"]["factors"][0].update(exponent="0"),
+    "factor-length-negative": lambda d: d["fermionic"]["factors"][0].update(
+        length=["-1", "0"]),
     # too deep for the JSON parser's recursion
     "nested-too-deep": "[" * 10 ** 5 + "]" * 10 ** 5,
 }
@@ -588,6 +593,21 @@ class TestSurface:
         assert code == EXIT_OK
         result = json.loads(out)["result"]
         assert result["roundtrip"] == "ok" and result["statistic"] == "ok"
+
+    def test_bijection_check_refuses_shifted_energy(self, capsys, monkeypatch):
+        # cocharge = energy - 1 on every path is a constant relation, but
+        # not the frozen normalization
+        import qrigged.bijection as bijection_module
+        energy = bijection_module.intrinsic_energy
+        monkeypatch.setattr(bijection_module, "intrinsic_energy",
+                            lambda p: energy(p) + 1)
+        code, out, _ = run_cli(["bijection", "--n", "3", "--shapes",
+                                "1x2,1x1", "--weight", "1,1,1", "--check"],
+                               capsys)
+        result = json.loads(out)["result"]
+        if code != EXIT_UNEQUAL or result["statistic"] != "cocharge != energy":
+            pytest.fail(f"exit {code}: {result}")
+        assert result["roundtrip"] == "ok" and "path" in result
 
     def test_paths_highest_weight_filter_matches_kostka_number(self, capsys):
         from qrigged.combinat import Composition, Partition, kostka_number

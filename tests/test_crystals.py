@@ -162,6 +162,27 @@ class TestLocalEnergyAndR:
                         pytest.fail(f"n={n} s={s} t={t}: {sorted(found)}")
 
 
+def test_letter_pair_raises_through_its_own_letters(monkeypatch):
+    # the memo of a pair of letters 1 and 2 costs the same at every rank
+    calls = []
+
+    def counted(path, i, _original=crystals.e_op):
+        calls.append(i)
+        return _original(path, i)
+
+    monkeypatch.setattr(crystals, "e_op", counted)
+    counts = []
+    for n in (2, 16, 1000):
+        crystals._letter_pair.cache_clear()
+        calls.clear()
+        for p in enumerate_paths((3, 3), n, Composition((3, 3))):
+            intrinsic_energy(p)
+        counts.append(len(calls))
+    if counts[1:] != counts[:-1] or max(calls) > 1:
+        pytest.fail(f"e_op calls at n = 2, 16, 1000: {counts}, "
+                    f"largest index {max(calls)}")
+
+
 class TestIntrinsicEnergy:
     def test_single_factor(self):
         assert intrinsic_energy(path_of([(1, 2)], 2)) == 0

@@ -106,8 +106,13 @@ class TestFermionic:
         assert s.offset == 0
         assert s.coeffs[0] == 2  # n=0 and n=1 both contribute q^0
 
-    # the same error as one term per point, whether the factor's length
-    # is n_1 or constant (nested evaluation) or n_0 - 2 (per point)
+    @staticmethod
+    def factor(sign, exponent, step, length, power):
+        length = None if length is None else AffineForm(F(length[0]), length[1:])
+        return PochhammerFactor(sign, F(exponent), F(step), length, power)
+
+    # refused when the factor is built, whether its length is n_1, constant
+    # or infinite, with the error that evaluating it would raise
     @pytest.mark.parametrize("factor, error, message", [
         ((1, 0, 1, (0, 0, 1), -1), NonInvertibleSeriesError, "not a unit"),
         ((1, 0, 1, (2, 0, 0), -1), NonInvertibleSeriesError, "not a unit"),
@@ -115,15 +120,25 @@ class TestFermionic:
         ((1, -1, 1, (0, 1, 0), 1), ValueError, "exponent must be nonnegative"),
         ((1, 1, 1, (F(1, 2), 0, 0), -1), ValueError, "length 1/2 is not"),
         ((1, 0, 1, None, -1), DivergentProductError, "positive exponent"),
-        ((1, 1, 1, (-2, 1, 0), -1), ValueError, "length -2 is not"),
     ])
     def test_factor_faults(self, factor, error, message):
-        sign, exponent, step, length, power = factor
-        length = None if length is None else AffineForm(F(length[0]), length[1:])
-        spec = FermionicSumSpec(2, ((2, 1), (1, 2)), (0, 0), 0, (
-            PochhammerFactor(sign, F(exponent), F(step), length, power),))
         with pytest.raises(error, match=message):
+            self.factor(*factor)
+
+    def test_factor_fault_at_a_point(self):
+        # a length n_0 - 2 is negative only at some points: refused there
+        spec = FermionicSumSpec(2, ((2, 1), (1, 2)), (0, 0), 0, (
+            self.factor(1, 1, 1, (-2, 1, 0), -1),))
+        with pytest.raises(ValueError, match="length -2 is not"):
             eval_fermionic(spec, 12)
+
+    def test_empty_factor_of_exponent_zero_is_one(self):
+        # the constant length 0 has no first factor to invert
+        bare = FermionicSumSpec(1, ((F(2),),), (F(0),), F(0))
+        spec = FermionicSumSpec(1, ((F(2),),), (F(0),), F(0),
+                                (self.factor(1, 0, 1, (0, 0), -1),))
+        assert compare_series(eval_fermionic(spec, 8),
+                              eval_fermionic(bare, 8)).equal
 
 
 class TestBosonic:
