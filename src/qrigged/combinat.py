@@ -33,9 +33,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def length(self) -> int:
-        return len(self.parts)
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition()
@@ -48,13 +45,6 @@ class Partition:
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "-"
-
-    @staticmethod
-    def parse(text: str) -> "Partition":
-        text = text.strip()
-        if text in ("", "-"):
-            return Partition()
-        return Partition(tuple(int(t) for t in text.split(",")))
 
 
 @dataclass(frozen=True)
@@ -117,16 +107,6 @@ class Tableau:
             for j in range(len(rows[i])):
                 if rows[i - 1][j] >= rows[i][j]:
                     raise ValueError("columns must strictly increase")
-
-    def content(self) -> tuple[int, ...]:
-        if not self.rows:
-            return ()
-        m = max(max(r) for r in self.rows if r)
-        c = [0] * m
-        for r in self.rows:
-            for x in r:
-                c[x - 1] += 1
-        return tuple(c)
 
     def reading_word(self) -> tuple[int, ...]:
         """Rows left to right, bottom row first."""

@@ -1,12 +1,13 @@
 """Bailey pairs and the Bailey chain.
 
 A Bailey pair relative to the base a = q^k is a pair of sequences with
-beta_n = sum_{j<=n} alpha_j / ((q;q)_{n-j} (aq;q)_{n+j}).  A pair is a seed
-plus Bailey-lemma steps with parameters rho, sigma, each a finite power of q
-or the symbolic infinity; `BaileyPair.table` folds the steps over a table of
-entries, both regimes sharing the multipliers A, T and D, by nested Horner
-sums (O(N^2) kernel passes for N entries, as is the check).  The n -> infinity
-limit of the defining relation is the weak lemma, `weak_lemma`.
+beta_n = sum_{j<=n} alpha_j / ((q;q)_{n-j} (aq;q)_{n+j}).  A pair is a seed,
+whose table builds each beta_n by one running product (O(N) kernel passes for
+N entries), plus Bailey-lemma steps with parameters rho, sigma, each a finite
+power of q or `INFINITY` = None.  `BaileyPair.table` folds the steps over the
+seed's table by nested Horner sums, both regimes sharing the multipliers A, T
+and D (O(N^2) kernel passes, as is the check).  The n -> infinity limit of
+the defining relation is the weak lemma, `weak_lemma`.
 """
 from __future__ import annotations
 
@@ -16,53 +17,36 @@ from itertools import accumulate, count
 from math import lcm
 from typing import Callable, Optional
 
-from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, pochhammer_qq,
-                    series_one, series_sum)
+from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, series_one,
+                    series_sum)
 from .sums import compare_series
 
-
-class Infinity:
-    """Symbolic infinite Bailey parameter."""
-
-    _instance: Optional["Infinity"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = Infinity()
-BaileyParam = Fraction | Infinity
+INFINITY = None
+BaileyParam = Fraction | None
+SeedTable = tuple[list[TruncatedSeries], list[TruncatedSeries]]
 
 
 @dataclass(frozen=True)
 class BaileyPair:
     """Coefficient sequences (alpha, beta) relative to a = q^base_exponent.
 
-    alpha and beta are the seed's callables (n, order) -> TruncatedSeries
-    producing its exact n-th entry to the requested order, and ``steps``
-    the (rho, sigma) of each step applied to it.
+    ``seed`` is the seed's table (order, nmax) -> (alphas, betas), its exact
+    entries for n <= nmax to the requested order, and ``steps`` the
+    (rho, sigma) of each step applied to it.
     """
 
     base_exponent: Fraction
-    alpha: Callable[[int, int], TruncatedSeries]
-    beta: Callable[[int, int], TruncatedSeries]
+    seed: Callable[[int, int], SeedTable]
     name: str = "pair"
     steps: tuple[tuple[BaileyParam, BaileyParam], ...] = ()
 
-    def table(self, order: int, nmax: int
-              ) -> tuple[list[TruncatedSeries], list[TruncatedSeries]]:
-        """alpha_n, beta_n for n <= nmax, to `order`: the seed once per n, then
+    def table(self, order: int, nmax: int) -> SeedTable:
+        """alpha_n, beta_n for n <= nmax, to `order`: the seed's table, then
         per step alpha_n -> D_n A_n alpha_n and beta_n -> D_n sum_m T_m Y_{n-m}
         (Y_j = A_j beta_j) as `_nested_sums`, g_m = T_m/T_{m-1} = (1 - q^{c+m-1})
         / (1 - q^m) with q^c = aq/(rho sigma), numerator 1 if a parameter is infinite."""
         k = self.base_exponent
-        alphas = [self.alpha(n, order) for n in range(nmax + 1)]
-        betas = [self.beta(n, order) for n in range(nmax + 1)]
+        alphas, betas = self.seed(order, nmax)
         for rho, sigma in self.steps:
             finite, ninf, c = _multiplier(k, rho, sigma)
 
@@ -126,16 +110,11 @@ def unit_bailey_pair(base_exponent: Fraction = Fraction(0)) -> BaileyPair:
     """alpha_n = delta_{n,0}; beta_n = 1/((q;q)_n (aq;q)_n)."""
     k = Fraction(base_exponent)
 
-    def alpha(n: int, order: int) -> TruncatedSeries:
-        if n == 0:
-            return series_one(order)
-        return TruncatedSeries((0,) * (order + 1))
+    def seed(order: int, nmax: int) -> SeedTable:
+        alphas = [series_one(order)] + [TruncatedSeries((0,) * (order + 1))] * nmax
+        return alphas, _beta_table((Fraction(1), 1 + k), order, nmax)
 
-    def beta(n: int, order: int) -> TruncatedSeries:
-        return pochhammer_qq(n, order, -1) \
-            .times_pochhammer(PochhammerSpec(exponent=1 + k, length=n), -1)
-
-    return BaileyPair(k, alpha, beta, "unit")
+    return BaileyPair(k, seed, "unit")
 
 
 def rogers_ramanujan_seed() -> BaileyPair:
@@ -151,10 +130,29 @@ def rogers_ramanujan_seed() -> BaileyPair:
         return TruncatedSeries._trusted(tuple(coeffs), Fraction(n * (3 * n - 1), 2),
                                         Fraction(1))
 
-    def beta(n: int, order: int) -> TruncatedSeries:
-        return pochhammer_qq(n, order, -1)
+    def seed(order: int, nmax: int) -> SeedTable:
+        return ([alpha(n, order) for n in range(nmax + 1)],
+                _beta_table((Fraction(1),), order, nmax))
 
-    return BaileyPair(Fraction(0), alpha, beta, "rogers-ramanujan-seed")
+    return BaileyPair(Fraction(0), seed, "rogers-ramanujan-seed")
+
+
+def _beta_table(exponents: tuple[Fraction, ...], order: int, nmax: int
+                ) -> list[TruncatedSeries]:
+    """beta_n = 1/prod_e (q^e;q)_n = beta_{n-1} prod_e 1/(1 - q^{e+n-1}) for
+    n <= nmax, to `order`, one kernel pass per factor on the grid 1/lcm(den e)."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    for e in exponents:  # e < 0 is refused as by (q^e;q)_n itself
+        PochhammerSpec(exponent=e, length=0)
+    d = lcm(*(e.denominator for e in exponents))
+    acc = [1] + [0] * (order * d)
+    betas = []
+    for n in range(nmax + 1):
+        for e in exponents if n else ():
+            _apply_factor(acc, int((e + n - 1) * d), 1, -1)
+        betas.append(TruncatedSeries._trusted(tuple(acc), Fraction(0), Fraction(1, d)))
+    return betas
 
 
 def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
@@ -162,7 +160,7 @@ def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
     for the multipliers A_j = (rho)_j (sigma)_j (aq/rho sigma)^j or its limit,
     T_m = (aq/rho sigma)_m / (q)_m (numerator 1 if a parameter is infinite)
     and D_n = 1/((aq/rho)_n (aq/sigma)_n) over the finite parameters."""
-    finite = [p for p in (rho, sigma) if not isinstance(p, Infinity)]
+    finite = [p for p in (rho, sigma) if p is not None]
     ninf = 2 - len(finite)
     c = 1 + k - sum(finite)  # aq/(rho sigma) = q^c
     for r in finite:
@@ -213,7 +211,8 @@ def bailey_step(pair: BaileyPair, rho: BaileyParam, sigma: BaileyParam) -> Baile
     """One link of the Bailey chain: checks the parameters and appends
     (rho, sigma) to the pair's steps; `verify_bailey_pair` checks the result."""
     _multiplier(pair.base_exponent, rho, sigma)
-    return replace(pair, name=f"step({pair.name}; {rho}, {sigma})",
+    label = ", ".join("INFINITY" if p is None else str(p) for p in (rho, sigma))
+    return replace(pair, name=f"step({pair.name}; {label})",
                    steps=pair.steps + ((rho, sigma),))
 
 

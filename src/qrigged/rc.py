@@ -368,7 +368,8 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
 def configuration_walk(L: MultiplicityArray, weight: Composition
                        ) -> tuple[tuple[Configuration, tuple[tuple, ...]], ...]:
     """The configurations for (L, weight) that can carry a rigging, each
-    with its `level_blocks` for levels 1..n-1.
+    with all n-1 levels and the `level_blocks` of the levels up to the last
+    one of nonzero size: only those are walked, the others are empty.
 
     The walk runs once per (L, weight): its result is kept in a small LRU
     cache, so `enumerate_rc` and the closed form on one instance share it.
@@ -388,6 +389,8 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
     if sizes is None:
         return ()
     wparts = tuple(weight.parts) + (0,) * (L.n - len(weight.parts))
+    walked = max((a for a, s in enumerate(sizes, 1) if s), default=0)
+    pad, sizes = ((),) * (len(sizes) - walked), sizes[:walked]
     choices = [partitions_of(s) for s in sizes]
     out: list[tuple[Configuration, tuple[tuple, ...]]] = []
     stack = [(Configuration._trusted(()), ())]
@@ -402,7 +405,7 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
             blocks += (level,)
         else:
             if chosen == len(sizes):
-                out.append((config, blocks))
+                out.append((Configuration._trusted(config.nu + pad), blocks))
             else:
                 stack += [(Configuration._trusted(config.nu + (part,)), blocks)
                           for part in reversed(choices[chosen])]
@@ -419,6 +422,7 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
     """
     out: list[RiggedConfiguration] = []
     for config, blocks_by_level in configuration_walk(L, weight):
+        pad = ((),) * (L.n - 1 - len(blocks_by_level))
         # states: (riggings so far, (width, depth) pairs of previous level)
         states: list[tuple[list[tuple[int, ...]], tuple[tuple[int, int], ...]]] = [([], ())]
         for blocks in blocks_by_level:
@@ -440,7 +444,7 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
                                        tuple(depth for _, depth in combo)))
             states = new_states
         for (levels, _) in states:
-            out.append(RiggedConfiguration._trusted(config, tuple(levels)))
+            out.append(RiggedConfiguration._trusted(config, tuple(levels) + pad))
     return out
 
 

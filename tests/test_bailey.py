@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qrigged.cli import main
-from qrigged.qalg import TruncatedSeries, pochhammer_qq
+from qrigged.qalg import NonInvertibleSeriesError, TruncatedSeries, pochhammer_qq
+from qrigged.qseries import bailey
 from qrigged.qseries.bailey import (INFINITY, BaileyPair, bailey_step,
                                     rogers_ramanujan_seed, unit_bailey_pair,
                                     verify_bailey_pair, weak_lemma)
@@ -23,13 +24,12 @@ class TestVerify:
     def test_corrupted_beta_detected_at_n2(self):
         base = unit_bailey_pair()
 
-        def bad_beta(n, order):
-            out = base.beta(n, order)
-            if n == 2:
-                out = out + TruncatedSeries((0, 0, 1) + (0,) * (order - 2))
-            return out
+        def bad_seed(order, nmax):
+            alphas, betas = base.seed(order, nmax)
+            betas[2] = betas[2] + TruncatedSeries((0, 0, 1) + (0,) * (order - 2))
+            return alphas, betas
 
-        corrupted = BaileyPair(Fraction(0), base.alpha, bad_beta, "bad")
+        corrupted = BaileyPair(Fraction(0), bad_seed, "bad")
         check = verify_bailey_pair(corrupted, 10, max_n=5)
         assert not check.valid
         assert check.failing_n == 2
@@ -46,7 +46,57 @@ class TestVerify:
             verify_bailey_pair(unit_bailey_pair(), order, max_n=max_n)
 
 
+class TestSeedTable:
+    @pytest.mark.parametrize("make, factors", [
+        (unit_bailey_pair, 2), (lambda: unit_bailey_pair(Fraction(1, 2)), 2),
+        (rogers_ramanujan_seed, 1)], ids=["unit", "unit-1/2", "rogers-ramanujan"])
+    def test_one_kernel_pass_per_factor(self, make, factors, monkeypatch):
+        # beta_n is beta_{n-1} times one factor per exponent of the seed, so
+        # a table of nmax entries past beta_0 costs nmax * |E| kernel passes;
+        # rebuilding each entry from 1 would cost O(nmax^2)
+        calls = []
+
+        def counted(c, e, sign, power, _original=bailey._apply_factor):
+            calls.append(e)
+            return _original(c, e, sign, power)
+
+        monkeypatch.setattr(bailey, "_apply_factor", counted)
+        counts = []
+        for nmax in (0, 1, 12, 30):
+            calls.clear()
+            make().table(30, nmax)
+            counts.append(len(calls))
+        if counts != [0, factors, 12 * factors, 30 * factors]:
+            pytest.fail(f"kernel passes for nmax = 0, 1, 12, 30: {counts}")
+
+    @pytest.mark.parametrize("k, nmax, error, message", [
+        (Fraction(-3, 2), 3, ValueError, "exponent must be nonnegative"),
+        (Fraction(-3, 2), 0, ValueError, "exponent must be nonnegative"),
+        (Fraction(-1), 1, NonInvertibleSeriesError,
+         "non-invertible factor 1 - (1)*q^0: constant term is not a unit")])
+    def test_refusals_of_a_negative_base(self, k, nmax, error, message):
+        # (aq; q)_n with aq = q^{1+k}: a negative exponent is refused for
+        # every n, and exponent 0 once a factor 1 - q^0 is divided out
+        with pytest.raises(ValueError) as info:
+            unit_bailey_pair(k).table(10, nmax)
+        if type(info.value) is not error or str(info.value) != message:
+            pytest.fail(f"k = {k}: {type(info.value).__name__}: {info.value}")
+
+    def test_base_minus_one_is_refused_only_past_beta_0(self):
+        # (q^0; q)_0 = 1 divides out no factor yet
+        if unit_bailey_pair(Fraction(-1)).table(10, 0)[1][0].coeffs != (1,) + (0,) * 10:
+            pytest.fail("beta_0 of the unit pair at k = -1 is not 1")
+
+
 class TestStep:
+    def test_infinite_parameter_is_none_and_prints_as_infinity(self):
+        names = [bailey_step(unit_bailey_pair(), INFINITY, Fraction(1, 2)).name,
+                 bailey_step(rogers_ramanujan_seed(), INFINITY, INFINITY).name]
+        if INFINITY is not None or names != [
+                "step(unit; INFINITY, 1/2)",
+                "step(rogers-ramanujan-seed; INFINITY, INFINITY)"]:
+            pytest.fail(f"INFINITY = {INFINITY!r}, names {names}")
+
     def test_step_output_is_a_pair(self):
         stepped = bailey_step(rogers_ramanujan_seed(), INFINITY, INFINITY)
         assert verify_bailey_pair(stepped, 12, max_n=6).valid

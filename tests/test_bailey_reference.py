@@ -1,16 +1,17 @@
 """`BaileyPair.table`, `weak_lemma` and `verify_bailey_pair` against a
 per-term reference.
 
-The reference evaluates every term of the Bailey lemma and of the defining
-relation on its own: each multiplier is a product of explicit binomials
-1 - q^e through `TruncatedSeries.__mul__`, a denominator is that product's
-`.invert()`, and each sum is one `series_sum`.  It shares no code with the
-factor kernel (`_apply_factor`, `times_pochhammer`) or with the library's
-nested Horner sums.  Every multiplier refines the grid by the denominators
-of its exponents, so each entry keeps the grid of the termwise products:
-offset, step 1/d and frontier.  Results are compared on
-(coeffs, offset, step), and every check fails through pytest.fail, so it
-also runs under python -O.
+The reference builds each seed's entries itself, alpha_n from its formula
+and beta_n = 1/prod_e (q^e; q)_n, and evaluates every term of the Bailey
+lemma and of the defining relation on its own: each multiplier is a product
+of explicit binomials 1 - q^e through `TruncatedSeries.__mul__`, a
+denominator is that product's `.invert()`, and each sum is one `series_sum`.
+It shares no code with the factor kernel (`_apply_factor`,
+`times_pochhammer`), with the library's seed tables or with its nested
+Horner sums.  Every multiplier refines the grid by the denominators of its
+exponents, so each entry keeps the grid of the termwise products: offset,
+step 1/d and frontier.  Results are compared on (coeffs, offset, step), and
+every check fails through pytest.fail, so it also runs under python -O.
 """
 from dataclasses import replace
 from fractions import Fraction as F
@@ -60,12 +61,40 @@ def _times(s, d, exponents, power=1):
     return s * p if s.coeffs.count(0) >= p.coeffs.count(0) else p * s
 
 
-def reference_table(pair, order, nmax):
-    """alpha_n and beta_n for n <= nmax after the pair's steps, one term of
-    beta'_n = D_n sum_j T_{n-j} A_j beta_j at a time."""
+def _unit_alpha(n, order):  # delta_{n,0}
+    return TruncatedSeries((int(n == 0),) + (0,) * order)
+
+
+def _rr_alpha(n, order):  # (-1)^n q^{n(3n-1)/2} (1 + q^n), alpha_0 = 1
+    return TruncatedSeries(tuple((-1) ** n * (i in (0, n)) for i in range(order + 1)),
+                           F(n * (3 * n - 1), 2))
+
+
+def _reference_seed(alpha, exponents):
+    """The seed table (order, nmax) -> (alphas, betas) with
+    beta_n = 1/prod_e (q^e; q)_n, a `_product` of its binomials on the grid
+    1/d, d the lcm of the exponents' denominators."""
+    d = lcm(*(e.denominator for e in exponents))
+
+    def seed(order, nmax):
+        return ([alpha(n, order) for n in range(nmax + 1)],
+                [_product(tuple(e + i for e in exponents for i in range(n)), d,
+                          order * d + 1, -1) for n in range(nmax + 1)])
+    return seed
+
+
+REFERENCE_SEEDS = {"rogers-ramanujan-seed": _reference_seed(_rr_alpha, (F(1),)),
+                   "unit": _reference_seed(_unit_alpha, (F(1), F(1))),
+                   "unit-1/2": _reference_seed(_unit_alpha, (F(1), F(3, 2)))}
+REFERENCE_SEEDS["seed-at-1/3"] = REFERENCE_SEEDS["rogers-ramanujan-seed"]
+
+
+def reference_table(pair, seed, order, nmax):
+    """alpha_n and beta_n for n <= nmax after the pair's steps, from the
+    reference `seed`, one term of beta'_n = D_n sum_j T_{n-j} A_j beta_j at
+    a time."""
     k = pair.base_exponent
-    alphas = [pair.alpha(n, order) for n in range(nmax + 1)]
-    betas = [pair.beta(n, order) for n in range(nmax + 1)]
+    alphas, betas = seed(order, nmax)
     for rho, sigma in pair.steps:
         finite = [p for p in (rho, sigma) if p is not INFINITY]
         ninf, c = 2 - len(finite), 1 + k - sum(finite)  # aq/(rho sigma) = q^c
@@ -97,10 +126,10 @@ def reference_table(pair, order, nmax):
     return alphas, betas
 
 
-def reference_check(pair, order, max_n):
+def reference_check(pair, seed, order, max_n):
     """PairCheck of beta_n = sum_j alpha_j / ((q)_{n-j} (aq)_{n+j}), one
     term at a time, on the reference table."""
-    alphas, betas = reference_table(pair, order, max_n)
+    alphas, betas = reference_table(pair, seed, order, max_n)
     a = 1 + pair.base_exponent
     for n in range(max_n + 1):
         rhs = series_sum([
@@ -113,11 +142,11 @@ def reference_check(pair, order, max_n):
     return PairCheck(True, order, max_n)
 
 
-def reference_weak(pair, order):
+def reference_weak(pair, seed, order):
     """(lhs, rhs) of the weak lemma from the reference table."""
     k = pair.base_exponent
     nmax = next(n for n in count(1) if n * n + k * n > order) - 1
-    alphas, betas = reference_table(pair, order, nmax)
+    alphas, betas = reference_table(pair, seed, order, nmax)
     lhs, rhs = (series_sum([x.shift(n * n + k * n) for n, x in enumerate(entries)])
                 .truncate(F(order)) for entries in (betas, alphas))
     a, d = 1 + k, lcm((1 + k).denominator, rhs.step.denominator)
@@ -145,6 +174,15 @@ def _chain(pair_name, steps, parameters):
     return pair
 
 
+def _corrupted(seed):
+    """`seed` with q^5 added to beta_3."""
+    def corrupted(order, nmax):
+        alphas, betas = seed(order, nmax)
+        betas[3] = betas[3] + TruncatedSeries((0,) * 5 + (1,) + (0,) * (order - 5))
+        return alphas, betas
+    return corrupted
+
+
 CHAINS = [(name, 0, "inf-inf") for name in PAIRS] + [
     (name, steps, parameters) for name in PAIRS for steps in (1, 2, 3)
     for parameters in PARAMETERS if name != "seed-at-1/3" or steps < 3]
@@ -153,40 +191,38 @@ CHAINS = [(name, 0, "inf-inf") for name in PAIRS] + [
 class TestAgainstReference:
     @pytest.mark.parametrize("pair_name, steps, parameters", CHAINS)
     def test_table_check_and_weak_limit(self, pair_name, steps, parameters):
-        pair = _chain(pair_name, steps, parameters)
+        pair, seed = _chain(pair_name, steps, parameters), REFERENCE_SEEDS[pair_name]
         for order in (0, 1, 7, 20):
             nmax = min(order, NMAX)
             label = f"{pair.name} at order {order}"
             for side, got, want in zip(("alpha", "beta"), pair.table(order, nmax),
-                                       reference_table(pair, order, nmax)):
+                                       reference_table(pair, seed, order, nmax)):
+                if len(got) != nmax + 1 or len(want) != nmax + 1:
+                    pytest.fail(f"{label}: {side} has {len(got)} entries, "
+                                f"the reference {len(want)}; expected {nmax + 1}")
                 for n, (x, y) in enumerate(zip(got, want)):
                     _same(f"{label}: {side}_{n}", x, y)
             got, want = (verify_bailey_pair(pair, order, max_n=nmax),
-                         reference_check(pair, order, nmax))
+                         reference_check(pair, seed, order, nmax))
             if got != want or not (got.valid or pair_name == "seed-at-1/3"):
                 pytest.fail(f"{label}: {got} vs reference {want}")
             for side, x, y in zip(("lhs", "rhs"), weak_lemma(pair, order),
-                                  reference_weak(pair, order)):
+                                  reference_weak(pair, seed, order)):
                 _same(f"{label}: weak-limit {side}", x, y)
 
     @pytest.mark.parametrize("steps, parameters", [(0, "inf-inf"), (1, "1/2-inf"),
                                                    (2, "1/3-1/4")])
     def test_corrupted_beta(self, steps, parameters):
-        # q^5 added to beta_3 of the unit pair, then the steps: each step
-        # moves it by A_3's shift 3c + 3 * (number of infinite parameters),
-        # so the first failure is pinned at n = 3, and the reference agrees
+        # q^5 added to beta_3 of the unit pair's table and of the reference
+        # seed, then the steps: each step moves it by A_3's shift
+        # 3c + 3 * (number of infinite parameters), so the first failure is
+        # pinned at n = 3, and the reference agrees
         base = unit_bailey_pair()
-
-        def beta(n, order):
-            out = base.beta(n, order)
-            if n == 3:
-                out = out + TruncatedSeries((0,) * 5 + (1,) + (0,) * (order - 5))
-            return out
-
-        pair = BaileyPair(base.base_exponent, base.alpha, beta, "corrupted")
+        pair = BaileyPair(base.base_exponent, _corrupted(base.seed), "corrupted")
         for _ in range(steps):
             pair = bailey_step(pair, *PARAMETERS[parameters])
-        got, want = verify_bailey_pair(pair, 12, max_n=6), reference_check(pair, 12, 6)
+        got, want = (verify_bailey_pair(pair, 12, max_n=6),
+                     reference_check(pair, _corrupted(REFERENCE_SEEDS["unit"]), 12, 6))
         pinned = {0: (3, F(5)), 1: (3, F(19, 2)), 2: (3, F(15, 2))}[steps]
         if got != want or (got.failing_n, got.failing_exponent) != pinned:
             pytest.fail(f"{got} vs reference {want}, pinned {pinned}")
@@ -197,12 +233,14 @@ class TestDeepChain:
     def test_three_steps_verified_at_order_200(self):
         pair = _chain("rogers-ramanujan-seed", 3, "inf-inf")
         got = verify_bailey_pair(pair, 200, max_n=14)
-        if got != PairCheck(True, 200, 14) or got != reference_check(pair, 200, 14):
+        want = reference_check(pair, REFERENCE_SEEDS["rogers-ramanujan-seed"], 200, 14)
+        if got != PairCheck(True, 200, 14) or got != want:
             pytest.fail(f"3-step chain at order 200: {got}")
 
     def test_weak_limit_after_five_steps_at_order_400(self):
         pair = _chain("rogers-ramanujan-seed", 5, "inf-inf")
-        got, want = weak_lemma(pair, 400), reference_weak(pair, 400)
+        got = weak_lemma(pair, 400)
+        want = reference_weak(pair, REFERENCE_SEEDS["rogers-ramanujan-seed"], 400)
         for side, x, y in zip(("lhs", "rhs"), got, want):
             _same(f"5 steps at order 400: weak-limit {side}", x, y)
         if not compare_series(*got).equal:

@@ -7,6 +7,7 @@ from gridutil import (dominant_partitions, instance_grid, weight_compositions,
 from qrigged.combinat import Composition, Partition, kostka_number, partitions_of
 from qrigged.cli import EXIT_USAGE, main
 from qrigged.crystals import enumerate_paths
+from qrigged import rc
 from qrigged.kostka import KostkaInstance
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
@@ -332,6 +333,34 @@ class TestConfigurationWalk:
             pytest.fail(f"{len(problems)} walk problems, first: {problems[:3]}")
         if found != counts:
             pytest.fail(f"grid changed: (full, kept, with an object) = {found}")
+
+    def test_walks_only_the_levels_the_weight_fills(self, monkeypatch):
+        # 1x3,1x3 with weight 3,3 has |nu^(a)| = 0 for a >= 2, so the walk
+        # costs the same at every rank; the objects still have n - 1 levels
+        calls = []
+
+        def counted(config, L, weight_parts, a, _original=rc.level_blocks):
+            calls.append(a)
+            return _original(config, L, weight_parts, a)
+
+        monkeypatch.setattr(rc, "level_blocks", counted)
+        counts = []
+        for n in (16, 200, 1000):
+            configuration_walk.cache_clear()
+            calls.clear()
+            L = MultiplicityArray.from_rows((3, 3), n)
+            objects = enumerate_rc(L, Composition((3, 3)))
+            counts.append((len(calls), max(calls)))
+            if len(objects) != 4 or any(
+                    (len(x.config.nu), len(x.riggings)) != (n - 1, n - 1)
+                    for x in objects):
+                pytest.fail(f"n = {n}: {len(objects)} objects, levels "
+                            f"{[(len(x.config.nu), len(x.riggings)) for x in objects]}")
+            for x in objects:
+                validate(x, L)
+        if counts[1:] != counts[:-1] or counts[0][1] > 1:
+            pytest.fail("level_blocks (calls, largest level) at n = 16, 200, "
+                        f"1000: {counts}")
 
 
 class TestCocharge:
