@@ -23,7 +23,9 @@ boxes moves.  The factor term is the sum of min(i, s) over the factor
 rows, each loose box of the partly consumed factor a row of width 1.  It is
 the number of path boxes consumed so far minus the sum of max(0, s - i) over
 complete rows.  That count shifts every p_i^(1) alike, so it is kept as one
-integer added when level 1 is read.  `path_to_rc` starts from a zero table
+integer added when level 1 is read.  Neither table is sized by the rank:
+each has a row per level the object fills.  `path_to_rc` starts from a zero
+table with rows for the levels 1..j-1 that its largest letter j fills,
 |nu^(1)| + 1 wide, the letters above 1 plus one: no string at any level
 outgrows |nu^(1)|.  `rc_to_path` starts from the vacancy table of the
 `rc.configuration_frame` that `validate` returns, all factors complete,
@@ -60,9 +62,9 @@ _HUGE = 10 ** 9
 def _move_factor(p, s: int, d: int) -> None:
     """Update `p` for s loose boxes becoming one complete row (d = 1), or
     one row of width s becoming loose boxes (d = -1)."""
-    row = p[0]
-    for i in range(1, min(s, len(row))):
-        row[i] += d * (i - s)
+    for row in p[:1]:  # none when the path fills no level
+        for i in range(1, min(s, len(row))):
+            row[i] += d * (i - s)
 
 
 def _insert_letter(levels, p, j: int, boxes: int) -> None:
@@ -159,10 +161,11 @@ def _finalize(levels) -> RiggedConfiguration:
 
 def path_to_rc(path: Path) -> RiggedConfiguration:
     """Map a path to its unrestricted rigged configuration."""
-    n = path.n
-    levels: list[list[list[int]]] = [[] for _ in range(n - 1)]
+    depth = max((f.letters[-1] for f in path.factors if f.letters),
+                default=1) - 1
+    levels: list[list[list[int]]] = [[] for _ in range(depth)]
     size = sum(len(f.letters) - f.letters.count(1) for f in path.factors) + 1
-    p = [[0] * size for _ in range(n - 1)]
+    p = [[0] * size for _ in range(depth)]
     boxes = 0
     for f in path.factors:
         for x in reversed(f.letters):
@@ -185,7 +188,7 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     starting vacancy table is read from the frame that `validate` returns.
     """
     rows = L.row_widths()
-    table = validate(rc, L)[2]
+    table = validate(rc, L)[1]
     n = L.n
     if tuple(sorted(widths, reverse=True)) != rows:
         raise ValueError("widths do not match the multiplicity array")
@@ -193,7 +196,8 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
         [[w, x] for w, x in zip(level, rigs)]
         for level, rigs in zip(rc.config.nu, rc.riggings)]
     boxes = sum(widths)
-    p = [[x - boxes for x in table[0]]] + [list(row) for row in table[1:]]
+    p = ([[x - boxes for x in row] for row in table[:1]]
+         + [list(row) for row in table[1:]])
     factors_rev: list[RowFactor] = []
     for s in reversed(widths):
         if s > 1:

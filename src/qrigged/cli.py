@@ -185,6 +185,8 @@ def _cmd_paths(args) -> tuple[dict, int]:
 def _cmd_bijection(args) -> tuple[dict, int]:
     shapes = _parse_shapes(args.shapes) if args.shapes else None
     weight = _parse_weight(args.weight) if args.weight else None
+    if sum(map(bool, (args.path, args.rc, args.check))) != 1:
+        raise ValueError("exactly one of --path, --rc, --check is required")
     if args.path:
         try:
             p = Path.parse(args.path, args.n)
@@ -208,28 +210,26 @@ def _cmd_bijection(args) -> tuple[dict, int]:
         except (ValueError, RecursionError) as exc:  # too deeply nested
             raise ValueError(f"malformed rc JSON: {exc}") from None
         return {"rc": rc_to_json(rc, L), "path": str(p)}, EXIT_OK
-    if args.check:
-        if shapes is None or weight is None:
-            raise ValueError("--check requires --shapes and --weight")
-        widths = _require_rows(shapes)
-        paths = enumerate_paths(widths, args.n, weight)
-        L = MultiplicityArray.from_rows(widths, args.n)
-        for p in paths:
-            rc = path_to_rc(p)
-            if rc_to_path(rc, L, widths) != p:
-                return {"roundtrip": "failed", "path": str(p)}, EXIT_UNEQUAL
-            rep = check_statistic(p, rc)
-            if rep.cocharge != rep.energy:  # off the frozen normalization
-                return {"roundtrip": "ok", "statistic": "cocharge != energy",
-                        "path": str(p)}, EXIT_UNEQUAL
-        rc_count = len(enumerate_rc(L, weight))
-        if rc_count != len(paths):
-            return {"roundtrip": "ok",
-                    "statistic": f"cardinality mismatch {len(paths)} vs {rc_count}"
-                    }, EXIT_UNEQUAL
-        return {"roundtrip": "ok", "statistic": "ok", "paths": len(paths),
-                "relation": dict(GLOBAL_NORMALIZATION)}, EXIT_OK
-    raise ValueError("one of --path, --rc, --check is required")
+    if shapes is None or weight is None:
+        raise ValueError("--check requires --shapes and --weight")
+    widths = _require_rows(shapes)
+    paths = enumerate_paths(widths, args.n, weight)
+    L = MultiplicityArray.from_rows(widths, args.n)
+    for p in paths:
+        rc = path_to_rc(p)
+        if rc_to_path(rc, L, widths) != p:
+            return {"roundtrip": "failed", "path": str(p)}, EXIT_UNEQUAL
+        rep = check_statistic(p, rc)
+        if rep.cocharge != rep.energy:  # off the frozen normalization
+            return {"roundtrip": "ok", "statistic": "cocharge != energy",
+                    "path": str(p)}, EXIT_UNEQUAL
+    rc_count = len(enumerate_rc(L, weight))
+    if rc_count != len(paths):
+        return {"roundtrip": "ok",
+                "statistic": f"cardinality mismatch {len(paths)} vs {rc_count}"
+                }, EXIT_UNEQUAL
+    return {"roundtrip": "ok", "statistic": "ok", "paths": len(paths),
+            "relation": dict(GLOBAL_NORMALIZATION)}, EXIT_OK
 
 
 def _cmd_qbinom(args) -> tuple[dict, int]:

@@ -148,7 +148,8 @@ def e_op(path: Path, i: int) -> Optional[Path]:
 
 
 def is_highest_weight(path: Path) -> bool:
-    return all(e_op(path, i) is None for i in range(1, path.n))
+    top = max((f.letters[-1] for f in path.factors if f.letters), default=1)
+    return all(e_op(path, i) is None for i in range(1, top))
 
 
 @lru_cache(maxsize=1 << 12)

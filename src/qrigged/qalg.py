@@ -411,14 +411,6 @@ class TruncatedSeries:
         return {"offset": str(self.offset), "step": str(self.step),
                 "coeffs": [str(c) for c in self.coeffs]}
 
-    def __str__(self) -> str:
-        terms = []
-        for e, c in self.nonzero_terms():
-            estr = "" if e == 0 else ("*q" if e == 1 else f"*q^{e}")
-            terms.append(f"{c}{estr}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(q^{self.frontier + self.step})"
-
 
 def _place(out: list[int], s: TruncatedSeries, offset: Fraction, d: int) -> None:
     """Add the coefficients of `s` into `out`, the dense list of the grid

@@ -3,7 +3,9 @@ bounds, enumeration and the cocharge statistic.
 
 A rigged configuration for a multiplicity array L and weight w is a sequence
 of partitions nu^(1), ..., nu^(n-1) whose sizes are forced by (L, w), with an
-integer rigging on every row.  The vacancy number p_i^(a) is Q_i of the
+integer rigging on every row; the sizes vanish past the weight's last letter,
+so a `Configuration` stores the levels up to its last nonempty one (only the
+JSON forms spell out all n-1).  The vacancy number p_i^(a) is Q_i of the
 height-a factor widths - 2 Q_i(nu^(a)) + Q_i(nu^(a-1)) + Q_i(nu^(a+1)), Q_i
 the boxes in the first i columns; `vacancy_row` computes a level's whole row
 of them from cached `column_sums`, and every reader (`vacancy`, the windows,
@@ -104,7 +106,7 @@ class MultiplicityArray:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Sequence of n-1 partitions (as weakly decreasing tuples)."""
+    """Partitions nu^(1), nu^(2), ... up to the last nonempty one."""
 
     nu: tuple[tuple[int, ...], ...]
 
@@ -115,18 +117,20 @@ class Configuration:
                 raise ValueError("partition parts must be positive")
             if any(level[i] < level[i + 1] for i in range(len(level) - 1)):
                 raise ValueError("parts must weakly decrease")
-        object.__setattr__(self, "nu", nu)
+        depth = max((a for a, level in enumerate(nu, 1) if level), default=0)
+        object.__setattr__(self, "nu", nu[:depth])
 
     @classmethod
     def _trusted(cls, nu: tuple[tuple[int, ...], ...]) -> "Configuration":
         """Construct without coercion or checks, for weakly decreasing
-        tuples of positive ints, such as those of `partitions_of`."""
+        tuples of positive ints with a nonempty last level (bar the walk's
+        partial prefixes), such as those of `partitions_of`."""
         out = object.__new__(cls)
         object.__setattr__(out, "nu", nu)
         return out
 
     def level(self, a: int) -> tuple[int, ...]:
-        """Partition nu^{(a)} for 1 <= a <= n-1 (empty beyond)."""
+        """Partition nu^{(a)} for a >= 1 (empty past the stored levels)."""
         return self.nu[a - 1] if 1 <= a <= len(self.nu) else ()
 
 
@@ -156,7 +160,7 @@ def vacancy_row(config: Configuration, L: MultiplicityArray, a: int, m: int
     factor = column_sums(L.factor_widths(a), m)
     below = column_sums(config.level(a - 1), m)
     here = column_sums(config.level(a), m)
-    above = column_sums(config.level(a + 1) if a < L.n - 1 else (), m)
+    above = column_sums(config.level(a + 1), m)
     return [f - 2 * h + b + u for f, h, b, u in zip(factor, here, below, above)]
 
 
@@ -245,8 +249,8 @@ def rigging_windows(blocks: Sequence[tuple[int, int, int, int]],
 
 @lru_cache(maxsize=256)
 def configuration_frame(config: Configuration, L: MultiplicityArray) -> tuple:
-    """(forced weight, `level_blocks` of each level, vacancy table) of a
-    configuration, row a-1 of the table `vacancy_row(config, L, a, m)` for m
+    """(`level_blocks` of each level, vacancy table) of a configuration's
+    stored levels, row a-1 of the table `vacancy_row(config, L, a, m)` for m
     the widest string: what `validate` and the bijection read that does not
     depend on the riggings.  Tuples all the way down, so no reader can
     change a cached entry; the objects of an instance share few
@@ -258,10 +262,10 @@ def configuration_frame(config: Configuration, L: MultiplicityArray) -> tuple:
     if any(p < 0 for p in wparts):
         raise InvalidRiggedConfigurationError(
             f"configuration sizes force a negative weight: {wparts}")
-    m = max((level[0] for level in config.nu[:L.n - 1] if level), default=0)
-    return (wparts,
-            tuple(level_blocks(config, L, wparts, a) for a in range(1, L.n)),
-            tuple(tuple(vacancy_row(config, L, a, m)) for a in range(1, L.n)))
+    m = max((level[0] for level in config.nu if level), default=0)
+    levels = range(1, len(config.nu) + 1)
+    return (tuple(level_blocks(config, L, wparts, a) for a in levels),
+            tuple(tuple(vacancy_row(config, L, a, m)) for a in levels))
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,7 @@ class RiggedConfiguration:
 
     ``riggings[a-1][k]`` labels row k of nu^{(a)}; within a block of
     equal-width rows the labels are stored weakly decreasing (the canonical
-    representative of the multiset).
+    representative of the multiset), on the configuration's stored levels.
     """
 
     config: Configuration
@@ -278,8 +282,9 @@ class RiggedConfiguration:
 
     def __post_init__(self):
         riggings = tuple(tuple(int(r) for r in level) for level in self.riggings)
-        if len(riggings) != len(self.config.nu):
-            raise ValueError("riggings and configuration have different depths")
+        depth = len(self.config.nu)
+        if len(riggings) < depth or any(riggings[depth:]):
+            raise ValueError("one rigging per row is required")
         canonical = []
         for level, rig in zip(self.config.nu, riggings):
             if len(level) != len(rig):
@@ -303,7 +308,8 @@ class RiggedConfiguration:
 
     def strings(self, a: int) -> tuple[tuple[int, int], ...]:
         """(width, rigging) pairs of level a, canonical order."""
-        return tuple(zip(self.config.level(a), self.riggings[a - 1]))
+        level = self.config.level(a)
+        return tuple(zip(level, self.riggings[a - 1] if level else ()))
 
     def __str__(self) -> str:
         levels = []
@@ -329,7 +335,7 @@ def lower_bound(config: Configuration, L: MultiplicityArray, a: int, row: int) -
     if not 0 <= row < len(level):
         raise IndexError(f"level {a} has no row {row}")
     below: tuple[tuple[int, int], ...] = ()
-    for blocks in configuration_frame(config, L)[1][:a]:
+    for blocks in configuration_frame(config, L)[0][:a]:
         windows = rigging_windows(blocks, below)
         below = tuple((w, max(0, carry - p)) for (w, _, _, p, carry) in windows)
     return next(lo for (w, _, lo, _, _) in windows if w == level[row])
@@ -342,12 +348,12 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
     Raises InvalidRiggedConfigurationError on any violation.  External
     input must pass through here; vacancies are never trusted.
     """
-    if len(rc.config.nu) != L.n - 1:
+    if len(rc.config.nu) > L.n - 1:
         raise InvalidRiggedConfigurationError(
-            f"expected {L.n - 1} partitions, got {len(rc.config.nu)}")
+            f"expected at most {L.n - 1} partitions, got {len(rc.config.nu)}")
     frame = configuration_frame(rc.config, L)
     below: list[tuple[int, int]] = []
-    for a, (blocks, riggings) in enumerate(zip(frame[1], rc.riggings), 1):
+    for a, (blocks, riggings) in enumerate(zip(frame[0], rc.riggings), 1):
         windows = rigging_windows(blocks, below)
         below = []
         start = 0
@@ -368,8 +374,8 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
 def configuration_walk(L: MultiplicityArray, weight: Composition
                        ) -> tuple[tuple[Configuration, tuple[tuple, ...]], ...]:
     """The configurations for (L, weight) that can carry a rigging, each
-    with all n-1 levels and the `level_blocks` of the levels up to the last
-    one of nonzero size: only those are walked, the others are empty.
+    with the `level_blocks` of its levels: those up to the last one of
+    nonzero size, the only ones walked, so the walk costs the same at any n.
 
     The walk runs once per (L, weight): its result is kept in a small LRU
     cache, so `enumerate_rc` and the closed form on one instance share it.
@@ -388,9 +394,7 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
     sizes = configuration_sizes(L, weight)
     if sizes is None:
         return ()
-    wparts = tuple(weight.parts) + (0,) * (L.n - len(weight.parts))
-    walked = max((a for a, s in enumerate(sizes, 1) if s), default=0)
-    pad, sizes = ((),) * (len(sizes) - walked), sizes[:walked]
+    sizes = sizes[:max((a for a, s in enumerate(sizes, 1) if s), default=0)]
     choices = [partitions_of(s) for s in sizes]
     out: list[tuple[Configuration, tuple[tuple, ...]]] = []
     stack = [(Configuration._trusted(()), ())]
@@ -399,13 +403,13 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
         chosen = len(config.nu)
         complete = chosen if chosen == len(sizes) else chosen - 1
         for a in range(len(blocks) + 1, complete + 1):
-            level = level_blocks(config, L, wparts, a)
+            level = level_blocks(config, L, weight.parts, a)
             if any(floor > p for (_, _, floor, p) in level):
                 break
             blocks += (level,)
         else:
             if chosen == len(sizes):
-                out.append((Configuration._trusted(config.nu + pad), blocks))
+                out.append((config, blocks))
             else:
                 stack += [(Configuration._trusted(config.nu + (part,)), blocks)
                           for part in reversed(choices[chosen])]
@@ -422,7 +426,6 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
     """
     out: list[RiggedConfiguration] = []
     for config, blocks_by_level in configuration_walk(L, weight):
-        pad = ((),) * (L.n - 1 - len(blocks_by_level))
         # states: (riggings so far, (width, depth) pairs of previous level)
         states: list[tuple[list[tuple[int, ...]], tuple[tuple[int, int], ...]]] = [([], ())]
         for blocks in blocks_by_level:
@@ -444,7 +447,7 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
                                        tuple(depth for _, depth in combo)))
             states = new_states
         for (levels, _) in states:
-            out.append(RiggedConfiguration._trusted(config, tuple(levels) + pad))
+            out.append(RiggedConfiguration._trusted(config, tuple(levels)))
     return out
 
 
@@ -480,15 +483,15 @@ def block_generating_function(m: int, lo: int, hi: int) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 def rc_to_json(rc: RiggedConfiguration, L: MultiplicityArray) -> list[dict]:
-    """Array over levels of {partition, riggings, vacancies}; vacancies are
-    emitted for inspection and recomputed (never trusted) on input."""
+    """Array over all n-1 levels of {partition, riggings, vacancies}; the
+    vacancies are for inspection, recomputed (never trusted) on input."""
     out = []
-    table = configuration_frame(rc.config, L)[2]
+    table = configuration_frame(rc.config, L)[1]
     for a in range(1, L.n):
         level = rc.config.level(a)
         out.append({
             "partition": list(level),
-            "riggings": list(rc.riggings[a - 1]),
+            "riggings": list(rc.riggings[a - 1]) if level else [],
             "vacancies": [table[a - 1][w] for w in level],
         })
     return out

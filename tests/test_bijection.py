@@ -8,10 +8,13 @@ from qrigged.bijection import (_extract_letter, _insert_letter, _move_factor,
                                check_statistic, path_to_rc, rc_to_path)
 from qrigged.combinat import Composition
 from qrigged.crystals import Path, RowFactor, enumerate_paths, intrinsic_energy
+from qrigged import rc as rc_module
+from qrigged.cli import EXIT_OK, main
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
-                        configuration_frame, enumerate_rc, lower_bound,
-                        rc_from_json, rc_to_json, vacancy, weight_of)
+                        configuration_frame, configuration_walk, enumerate_rc,
+                        lower_bound, rc_from_json, rc_to_json, vacancy,
+                        weight_of)
 
 
 def path_of(words, n):
@@ -21,7 +24,7 @@ def path_of(words, n):
 class TestExamples:
     def test_single_letter_one(self):
         rc = path_to_rc(path_of([(1,)], 2))
-        assert rc.config.nu == ((),)
+        assert rc.config.nu == ()
         L = MultiplicityArray.from_rows((1,), 2)
         assert len(enumerate_rc(L, Composition((1, 0)))) == 1
 
@@ -179,6 +182,31 @@ class TestCachedFrame:
             rc_to_path(bad, L, widths)
 
 
+def test_check_costs_the_same_at_every_rank(monkeypatch, capsys):
+    # 1x3,1x3 with weight 3,3 fills level 1 only, so both directions and
+    # `validate` open the same rigging windows and vacancy rows at every rank
+    calls = []
+    for name in ("rigging_windows", "vacancy_row"):
+        def counted(*args, _name=name, _original=getattr(rc_module, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(rc_module, name, counted)
+    counts = []
+    for n in (16, 200, 1000):
+        configuration_walk.cache_clear()
+        configuration_frame.cache_clear()
+        calls.clear()
+        code = main(["bijection", "--shapes", "1x3,1x3", "--n", str(n),
+                     "--weight", "3,3", "--check"])
+        if code != EXIT_OK or '"paths":4' not in capsys.readouterr().out:
+            pytest.fail(f"n = {n}: exit {code}")
+        counts.append((calls.count("rigging_windows"),
+                       calls.count("vacancy_row")))
+    if counts[1:] != counts[:-1]:
+        pytest.fail("(rigging_windows, vacancy_row) calls at n = 16, 200, "
+                    f"1000: {counts}")
+
+
 class TestValidation:
     def test_corrupted_rigging_rejected(self):
         L = MultiplicityArray.from_rows((1, 1), 2)
@@ -226,8 +254,8 @@ class TestVacancyTable:
             list(rows) + [1] * (boxes - sum(rows)), n)
         config = Configuration(tuple(
             tuple(sorted((w for w, _ in lv), reverse=True)) for lv in levels))
-        for a in range(1, n):
-            for w in {w for w, _ in levels[a - 1]}:
+        for a, level in enumerate(levels, 1):
+            for w in {w for w, _ in level}:
                 kept = p[a - 1][w] + (boxes if a == 1 else 0)
                 assert kept == vacancy(config, L, a, w), (levels, rows, a, w)
 
@@ -265,14 +293,17 @@ class TestVacancyTable:
         for widths, n, path in self.paths():
             paths += 1
             rc = path_to_rc(path)
-            levels = [[[w, x] for (w, x) in rc.strings(a)] for a in range(1, n)]
+            levels = [[[w, x] for (w, x) in rc.strings(a)]
+                      for a in range(1, len(rc.config.nu) + 1)]
             rows = list(widths)
             boxes = sum(widths)
-            # the starting table of rc_to_path: p[0] leaves out `boxes`
+            # the starting table of rc_to_path, over the filled levels only:
+            # p[0], when there is one, leaves out `boxes`
             table = configuration_frame(
-                rc.config, MultiplicityArray.from_rows(widths, n))[2]
+                rc.config, MultiplicityArray.from_rows(widths, n))[1]
             p = [list(row) for row in table]
-            p[0] = [x - boxes for x in p[0]]
+            if p:
+                p[0] = [x - boxes for x in p[0]]
             self.check(levels, p, rows, boxes, n)
             for s in reversed(widths):
                 _move_factor(p, s, -1)

@@ -246,7 +246,12 @@ class TestExitCodes:
         (["bijection", "--n", "2", "--check", "--shapes", "1x1"],
          EXIT_USAGE, "--check requires --shapes and --weight"),
         (["bijection", "--n", "2"],
-         EXIT_USAGE, "one of --path, --rc, --check is required"),
+         EXIT_USAGE, "exactly one of --path, --rc, --check is required"),
+        (["bijection", "--n", "2", "--path", "12(x)1", "--check"],
+         EXIT_USAGE, "exactly one of --path, --rc, --check is required"),
+        (["bijection", "--n", "2", "--shapes", "1x1,1x1", "--path", "12",
+          "--rc", '[{"partition": [1], "riggings": [0]}]'],
+         EXIT_USAGE, "exactly one of --path, --rc, --check is required"),
         (["qbinom", "-3", "2"], EXIT_USAGE, "m must be nonnegative"),
         (["qbinom", "1200", "600"],
          EXIT_USAGE, "degree k(m-k) = 360000 is above the limit 20000"),

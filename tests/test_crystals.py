@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridutil import instance_grid, weight_compositions, width_tuples
 from qrigged import crystals
+from qrigged.cli import EXIT_OK, main
 from qrigged.combinat import Composition, Partition, charge, enumerate_ssyt
 from qrigged.crystals import (Path, RowFactor, e_op, enumerate_paths, f_op,
                               intrinsic_energy, is_highest_weight,
@@ -160,6 +161,30 @@ class TestLocalEnergyAndR:
                             for k in range(min(s, t) + 1)}
                     if found != want:
                         pytest.fail(f"n={n} s={s} t={t}: {sorted(found)}")
+
+
+def test_paths_cost_the_same_at_every_rank(monkeypatch, capsys):
+    # raising a path tries e_i only below its largest letter, so `paths`
+    # on 1x3,1x3 with weight 3,3 makes the same e_op calls at every rank
+    calls = []
+
+    def counted(path, i, _original=crystals.e_op):
+        calls.append(i)
+        return _original(path, i)
+
+    monkeypatch.setattr(crystals, "e_op", counted)
+    counts = []
+    for n in (16, 200, 1000):
+        crystals._letter_pair.cache_clear()
+        calls.clear()
+        code = main(["paths", "--shapes", "1x3,1x3", "--n", str(n),
+                     "--weight", "3,3"])
+        if code != EXIT_OK or '"count":4' not in capsys.readouterr().out:
+            pytest.fail(f"n = {n}: exit {code}")
+        counts.append(len(calls))
+    if counts[1:] != counts[:-1] or max(calls) > 1:
+        pytest.fail(f"e_op calls at n = 16, 200, 1000: {counts}, "
+                    f"largest index {max(calls)}")
 
 
 def test_letter_pair_raises_through_its_own_letters(monkeypatch):

@@ -6,7 +6,8 @@ from gridutil import (dominant_partitions, instance_grid, weight_compositions,
                       width_tuples)
 from qrigged.combinat import Composition, Partition, kostka_number, partitions_of
 from qrigged.cli import EXIT_USAGE, main
-from qrigged.crystals import enumerate_paths
+from qrigged.bijection import path_to_rc
+from qrigged.crystals import Path, enumerate_paths
 from qrigged import rc
 from qrigged.kostka import KostkaInstance
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
@@ -62,7 +63,7 @@ def _check_walk(L: MultiplicityArray, w: tuple[int, ...], problems: list):
     upcoming = next(remaining, None)
     for nu in product(*(partitions_of(sum(w[a:])) for a in range(1, L.n))):
         full += 1
-        if nu == upcoming:
+        if Configuration(nu).nu == upcoming:
             upcoming = next(remaining, None)
             continue
         config = Configuration(nu)
@@ -236,7 +237,7 @@ class TestEnumeration:
         L = MultiplicityArray({}, 3)
         out = enumerate_rc(L, Composition(()))
         assert len(out) == 1
-        assert out[0].config.nu == ((), ())
+        assert out[0].config.nu == ()
         assert cocharge(out[0]) == 0
 
     def test_two_box_instance(self):
@@ -336,7 +337,7 @@ class TestConfigurationWalk:
 
     def test_walks_only_the_levels_the_weight_fills(self, monkeypatch):
         # 1x3,1x3 with weight 3,3 has |nu^(a)| = 0 for a >= 2, so the walk
-        # costs the same at every rank; the objects still have n - 1 levels
+        # costs the same at every rank, and the objects hold the one level
         calls = []
 
         def counted(config, L, weight_parts, a, _original=rc.level_blocks):
@@ -352,7 +353,7 @@ class TestConfigurationWalk:
             objects = enumerate_rc(L, Composition((3, 3)))
             counts.append((len(calls), max(calls)))
             if len(objects) != 4 or any(
-                    (len(x.config.nu), len(x.riggings)) != (n - 1, n - 1)
+                    (len(x.config.nu), len(x.riggings)) != (1, 1)
                     for x in objects):
                 pytest.fail(f"n = {n}: {len(objects)} objects, levels "
                             f"{[(len(x.config.nu), len(x.riggings)) for x in objects]}")
@@ -361,6 +362,50 @@ class TestConfigurationWalk:
         if counts[1:] != counts[:-1] or counts[0][1] > 1:
             pytest.fail("level_blocks (calls, largest level) at n = 16, 200, "
                         f"1000: {counts}")
+
+
+class TestCanonicalForm:
+    """A configuration stores the levels up to its last nonempty one."""
+
+    def test_trailing_empty_levels_are_dropped(self):
+        short = Configuration(((1,),))
+        for nu in (((1,), ()), ((1,), (), ())):
+            long = Configuration(nu)
+            if (long.nu, long, hash(long)) != (((1,),), short, hash(short)):
+                pytest.fail(f"{nu} stored as {long.nu}")
+        # an empty level below a nonempty one stays: 2x1 at n = 3 with
+        # weight (1, 0, 1) fills level 2 only
+        L = MultiplicityArray({(2, 1): 1}, 3)
+        out = enumerate_rc(L, Composition((1, 0, 1)))
+        if [(x.config.nu, x.riggings) for x in out] != [(((), (1,)), ((), (-1,)))]:
+            pytest.fail(f"{out}")
+
+    def test_hand_built_object_equals_the_bijection_image(self):
+        image = path_to_rc(Path.parse("13(x)2", 5))
+        built = RiggedConfiguration(Configuration(((2,), (1,), (), ())),
+                                    ((0,), (-1,), (), ()))
+        # a level past the stored ones has no strings, as it has no rows
+        if (built, hash(built), built.riggings, built.strings(4)) != (
+                image, hash(image), ((0,), (-1,)), ()):
+            pytest.fail(f"{built} != {image}")
+
+    @pytest.mark.parametrize("riggings", [((0,), (5,)), ((0,), (), (5,))])
+    def test_rigging_on_an_empty_trailing_level_is_refused(self, riggings):
+        config = Configuration(((1,), ()))
+        with pytest.raises(ValueError,
+                           match=r"^one rigging per row is required$"):
+            RiggedConfiguration(config, riggings)
+
+    def test_rigging_on_an_empty_trailing_level_is_refused_by_the_cli(
+            self, capsys):
+        payload = ('[{"partition": [1], "riggings": [0]}, '
+                   '{"partition": [], "riggings": [5]}]')
+        code = main(["bijection", "--n", "3", "--shapes", "1x1,1x1",
+                     "--rc", payload])
+        out, err = capsys.readouterr()
+        if (code, out, err) != (EXIT_USAGE, "", "error: malformed rc JSON: "
+                                "one rigging per row is required\n"):
+            pytest.fail(f"exit {code}, stdout {out!r}, stderr {err!r}")
 
 
 class TestCocharge:
@@ -441,6 +486,32 @@ class TestValidationAndJson:
         bad = [{"partition": [1], "riggings": [7], "vacancies": [0]}]
         with pytest.raises(InvalidRiggedConfigurationError):
             rc_from_json(bad, L)
+
+    def test_json_roundtrip_spells_out_trailing_empty_levels(self):
+        # rows fill the levels below the weight's last letter and no more;
+        # at rank 7 the JSON form still has six, and reads back to the
+        # stored object
+        L = MultiplicityArray.from_rows((2, 1), 7)
+        objects = shallow = 0
+        for w in weight_compositions(3, 7):
+            depth = max(a for a, part in enumerate(w) if part)
+            for x in enumerate_rc(L, Composition(w)):
+                payload = rc_to_json(x, L)
+                if (len(x.config.nu) != depth or len(payload) != 6
+                        or rc_from_json(payload, L) != x):
+                    pytest.fail(f"{w}: {x} -> {payload}")
+                objects += 1
+                shallow += depth < 6
+        if (objects, shallow) != (196, 126):
+            pytest.fail(f"grid changed: {objects} objects, {shallow} with "
+                        "a trailing empty level")
+
+    def test_validate_refuses_more_than_n_minus_1_levels(self):
+        L = MultiplicityArray.from_rows((1, 1), 2)
+        deep = RiggedConfiguration(Configuration(((1,), (1,))), ((0,), (0,)))
+        with pytest.raises(InvalidRiggedConfigurationError,
+                           match=r"^expected at most 1 partitions, got 2$"):
+            validate(deep, L)
 
     def test_vacancy_untouched_by_block_sorting(self):
         L = MultiplicityArray.from_rows((1, 1, 1, 1), 2)
