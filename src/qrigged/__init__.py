@@ -10,9 +10,8 @@ from .qalg import (IntPolynomial, PochhammerSpec, TruncatedSeries,
                    pochhammer, pochhammer_qq, q_binomial, series_from_poly)
 from .combinat import (Composition, Partition, Tableau, charge,
                        enumerate_ssyt, kostka_foulkes, kostka_number)
-from .crystals import (Path, RowFactor, e_op, enumerate_paths, f_op,
-                       intrinsic_energy, is_highest_weight, local_energy,
-                       r_matrix)
+from .crystals import (Path, e_op, enumerate_paths, f_op, intrinsic_energy,
+                       is_highest_weight, local_energy, r_matrix)
 from .rc import (Configuration, InvalidRiggedConfigurationError,
                  MultiplicityArray, RiggedConfiguration,
                  UnsupportedFactorShapeError, cocharge, enumerate_rc,

@@ -33,10 +33,8 @@ with the path boxes taken off level 1.  Completing a width-s factor, or
 popping it in the inverse, then changes the table only for i < s, and not
 at all for s = 1.  Selecting a singular string is a scan of (width,
 rigging) against the table, the chosen strings are kept by reference, and
-each new rigging is one table read after the update.  `rc_to_path` takes
-each extracted row from `crystals.row_factor`, the shared rows that
-`enumerate_paths` is built from, so the path it returns holds the same
-factor objects as the path enumerated.
+each new rigging is one table read after the update.  A path factor is its
+word, so both directions read and write rows as tuples of letters.
 
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
@@ -47,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crystals import Path, RowFactor, intrinsic_energy, row_factor
+from .crystals import Path, intrinsic_energy
 from .rc import (Configuration, InvalidRiggedConfigurationError,
                  MultiplicityArray, RiggedConfiguration, cocharge, validate)
 
@@ -161,19 +159,18 @@ def _finalize(levels) -> RiggedConfiguration:
 
 def path_to_rc(path: Path) -> RiggedConfiguration:
     """Map a path to its unrestricted rigged configuration."""
-    depth = max((f.letters[-1] for f in path.factors if f.letters),
-                default=1) - 1
+    depth = max((f[-1] for f in path.factors if f), default=1) - 1
     levels: list[list[list[int]]] = [[] for _ in range(depth)]
-    size = sum(len(f.letters) - f.letters.count(1) for f in path.factors) + 1
+    size = sum(len(f) - f.count(1) for f in path.factors) + 1
     p = [[0] * size for _ in range(depth)]
     boxes = 0
     for f in path.factors:
-        for x in reversed(f.letters):
+        for x in reversed(f):
             if x > 1:  # a letter 1 chooses no string: only `boxes` moves
                 _insert_letter(levels, p, x, boxes)
             boxes += 1
-        if len(f.letters) > 1:  # a width-1 row leaves the table as it is
-            _move_factor(p, len(f.letters), 1)
+        if len(f) > 1:  # a width-1 row leaves the table as it is
+            _move_factor(p, len(f), 1)
     return _finalize(levels)
 
 
@@ -189,7 +186,6 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     """
     rows = L.row_widths()
     table = validate(rc, L)[1]
-    n = L.n
     if tuple(sorted(widths, reverse=True)) != rows:
         raise ValueError("widths do not match the multiplicity array")
     levels: list[list[list[int]]] = [
@@ -198,7 +194,7 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     boxes = sum(widths)
     p = ([[x - boxes for x in row] for row in table[:1]]
          + [list(row) for row in table[1:]])
-    factors_rev: list[RowFactor] = []
+    factors_rev: list[tuple[int, ...]] = []
     for s in reversed(widths):
         if s > 1:
             _move_factor(p, s, -1)
@@ -210,12 +206,11 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
                     f"extracted letters {letters + [x]} do not form a row")
             letters.append(x)
             boxes -= 1
-        # shared with `enumerate_paths`, so comparing paths is by identity
-        factors_rev.append(row_factor(tuple(letters), n))
+        factors_rev.append(tuple(letters))
     if any(lv for lv in levels):
         raise InvalidRiggedConfigurationError(
             "nonempty configuration left after extracting all factors")
-    return Path._trusted(tuple(reversed(factors_rev)), n)
+    return Path._trusted(tuple(reversed(factors_rev)), L.n)
 
 
 @dataclass(frozen=True)

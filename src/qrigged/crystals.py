@@ -1,5 +1,7 @@
 """Type-A crystal paths: tensor products of single-row factors.
 
+A row factor, an element of B^{1,s}, is its weakly increasing word; `Path`
+holds the words and the rank n, and is the one place they are checked.
 Raising/lowering operators use the signature (bracketing) rule on the word
 obtained by scanning factors left to right with each factor's letters read
 right to left; this realizes the tensor-product crystal in which, for
@@ -10,9 +12,9 @@ statistic agrees exactly with cocharge under the path/rigged-configuration
 bijection (no global shift).  The transport of each factor is carried across
 all positions to its right, so a path of k factors costs O(k^2) lookups in
 one letter-pair memo of local energy and R-matrix image, each entry computed
-and checked once per distinct pair of row words.  The replay target comes
-from the Pieri rule and the rows from the weight's letters, so no table
-grows with the rank n.
+and checked once per distinct pair of row words and shared across ranks.
+The replay target comes from the Pieri rule and the rows from the weight's
+letters, so no table grows with the rank n.
 """
 from __future__ import annotations
 
@@ -24,63 +26,51 @@ from typing import Optional, Sequence
 from .combinat import Composition, rsk_insert
 
 
-@dataclass(frozen=True)
-class RowFactor:
-    """A single-row crystal element: weakly increasing word over 1..n."""
-
-    letters: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
-        if self.n < 2:
-            raise ValueError("rank n must be at least 2")
-        for i, x in enumerate(self.letters):
-            if not 1 <= x <= self.n:
-                raise ValueError(f"letter {x} out of range 1..{self.n}")
-            if i and self.letters[i - 1] > x:
-                raise ValueError(f"row letters must weakly increase: {self.letters}")
-
-    def width(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return "".join(str(x) for x in self.letters)
+def _check_row(word: tuple[int, ...], n: int) -> None:
+    if n < 2:
+        raise ValueError("rank n must be at least 2")
+    for i, x in enumerate(word):
+        if not 1 <= x <= n:
+            raise ValueError(f"letter {x} out of range 1..{n}")
+        if i and word[i - 1] > x:
+            raise ValueError(f"row letters must weakly increase: {word}")
 
 
 @dataclass(frozen=True)
 class Path:
-    """Element of a tensor product of row factors, written left to right."""
+    """Element of B^{1,s_1} (x) ... (x) B^{1,s_L}, written left to right:
+    each factor is a weakly increasing word over 1..n."""
 
-    factors: tuple[RowFactor, ...]
+    factors: tuple[tuple[int, ...], ...]
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for f in self.factors:
-            if f.n != self.n:
-                raise ValueError("all factors must share the same rank")
+        factors = tuple(tuple(int(x) for x in f) for f in self.factors)
+        _check_row((), self.n)  # the rank, also for a path of no factors
+        for f in factors:
+            _check_row(f, self.n)
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
-    def _trusted(cls, factors: tuple[RowFactor, ...], n: int) -> "Path":
-        """Construct without checks, for a tuple of rank-n factors."""
+    def _trusted(cls, factors: tuple[tuple[int, ...], ...], n: int) -> "Path":
+        """Construct without checks, for a tuple of rows over 1..n."""
         out = object.__new__(cls)
         object.__setattr__(out, "factors", factors)
         object.__setattr__(out, "n", n)
         return out
 
     def shapes(self) -> tuple[int, ...]:
-        return tuple(f.width() for f in self.factors)
+        return tuple(len(f) for f in self.factors)
 
     def content(self) -> tuple[int, ...]:
         c = [0] * self.n
         for f in self.factors:
-            for x in f.letters:
+            for x in f:
                 c[x - 1] += 1
         return tuple(c)
 
     def __str__(self) -> str:
-        return "(x)".join(str(f) for f in self.factors)
+        return "(x)".join("".join(map(str, f)) for f in self.factors)
 
     @staticmethod
     def parse(text: str, n: int) -> "Path":
@@ -89,82 +79,55 @@ class Path:
             part = part.strip()
             if not part.isdigit():
                 raise ValueError(f"malformed path factor: {part!r}")
-            factors.append(RowFactor(tuple(int(ch) for ch in part), n))
-        return Path(tuple(factors), n)
+            factors.append(tuple(int(ch) for ch in part))
+            _check_row(factors[-1], n)
+        return Path._trusted(tuple(factors), n)
 
 
-def _letter_positions(path: Path):
-    """Scan factors left to right, letters within a factor right to left."""
-    for fi, f in enumerate(path.factors):
-        for li in range(len(f.letters) - 1, -1, -1):
-            yield fi, li
-
-
-def _signature_survivors(path: Path, i: int):
-    """Bracketing rule for letters i (plus) and i+1 (minus): cancel adjacent
-    +- pairs, return surviving positions."""
-    stack: list[tuple[tuple[int, int], str]] = []
-    for pos in _letter_positions(path):
-        c = path.factors[pos[0]].letters[pos[1]]
-        if c == i:
-            stack.append((pos, "+"))
-        elif c == i + 1:
-            if stack and stack[-1][1] == "+":
-                stack.pop()
-            else:
-                stack.append((pos, "-"))
-    plus = [p for p, s in stack if s == "+"]
-    minus = [p for p, s in stack if s == "-"]
-    return plus, minus
-
-
-def _replace_letter(path: Path, pos: tuple[int, int], letter: int) -> Path:
-    fi, li = pos
-    letters = list(path.factors[fi].letters)
-    letters[li] = letter
-    letters.sort()
-    new_factor = RowFactor(tuple(letters), path.n)
-    return Path(path.factors[:fi] + (new_factor,) + path.factors[fi + 1:], path.n)
+def _bracket(path: Path, i: int, lower: bool) -> Optional[Path]:
+    """f_i (`lower`) or e_i by the signature rule.  Read right to left, a
+    row shows its i+1s (minus) before its is (plus), and a plus cancels
+    against the nearest free minus after it.  f changes the last i of the
+    factor holding the leftmost free plus, e the first i+1 of the factor
+    holding the rightmost free minus; neither breaks the row's order."""
+    if not 1 <= i <= path.n - 1:
+        raise ValueError(f"index {i} out of range 1..{path.n - 1}")
+    old, new = (i, i + 1) if lower else (i + 1, i)
+    factors = path.factors
+    order = range(len(factors) - 1, -1, -1) if lower else range(len(factors))
+    target, free = None, 0  # free: uncancelled `new` letters met so far
+    for k in order:
+        here = factors[k].count(old)
+        if here > free:
+            target = k
+        free = max(0, free - here) + factors[k].count(new)
+    if target is None:
+        return None
+    row = factors[target]
+    j = row.index(i) + row.count(i) - 1 if lower else row.index(i + 1)
+    row = row[:j] + (new,) + row[j + 1:]
+    return Path._trusted(factors[:target] + (row,) + factors[target + 1:], path.n)
 
 
 def f_op(path: Path, i: int) -> Optional[Path]:
     """Crystal lowering operator; None when it annihilates the path."""
-    if not 1 <= i <= path.n - 1:
-        raise ValueError(f"index {i} out of range 1..{path.n - 1}")
-    plus, _ = _signature_survivors(path, i)
-    if not plus:
-        return None
-    return _replace_letter(path, plus[0], i + 1)
+    return _bracket(path, i, True)
 
 
 def e_op(path: Path, i: int) -> Optional[Path]:
     """Crystal raising operator; None when it annihilates the path."""
-    if not 1 <= i <= path.n - 1:
-        raise ValueError(f"index {i} out of range 1..{path.n - 1}")
-    _, minus = _signature_survivors(path, i)
-    if not minus:
-        return None
-    return _replace_letter(path, minus[-1], i)
+    return _bracket(path, i, False)
 
 
 def is_highest_weight(path: Path) -> bool:
-    top = max((f.letters[-1] for f in path.factors if f.letters), default=1)
+    top = max((f[-1] for f in path.factors if f), default=1)
     return all(e_op(path, i) is None for i in range(1, top))
 
 
-@lru_cache(maxsize=1 << 12)
-def row_factor(letters: tuple[int, ...], n: int) -> RowFactor:
-    """`RowFactor(letters, n)`, checked when first built and shared after,
-    so paths built from it compare their factors by identity."""
-    return RowFactor(letters, n)
-
-
 @lru_cache(maxsize=1 << 10)
-def _rows(width: int, letters: tuple[int, ...], n: int) -> tuple[RowFactor, ...]:
-    """Every row factor of the given width over `letters`, in lexicographic
-    order of its word, each from `row_factor`."""
-    return tuple(row_factor(word, n) for word in
-                 combinations_with_replacement(letters, width))
+def _rows(width: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every row of the given width over `letters`, in lexicographic order."""
+    return tuple(combinations_with_replacement(letters, width))
 
 
 def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> list[Path]:
@@ -183,29 +146,30 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
     target = list(weight.parts) + [0] * (n - len(weight.parts))
     letters = tuple(x for x in range(1, n + 1) if target[x - 1])
 
-    out: list[Path] = [] if shape_list else [Path((), n)]
+    empty = Path((), n)  # checks the rank
+    out: list[Path] = [] if shape_list else [empty]
     counts = [0] * n
     # row iterators of the chosen factors and the next; `for` resumes the top
-    factors: list[RowFactor] = []
-    stack = [iter(_rows(s, letters, n)) for s in shape_list[:1]]
+    factors: list[tuple[int, ...]] = []
+    stack = [iter(_rows(s, letters)) for s in shape_list[:1]]
     while stack:
         for row in stack[-1]:
             ok = True
-            for x in row.letters:
+            for x in row:
                 counts[x - 1] += 1
                 if counts[x - 1] > target[x - 1]:
                     ok = False
             if ok and len(stack) < len(shape_list):
                 factors.append(row)
-                stack.append(iter(_rows(shape_list[len(stack)], letters, n)))
+                stack.append(iter(_rows(shape_list[len(stack)], letters)))
                 break
             if ok:
                 out.append(Path._trusted((*factors, row), n))
-            for x in row.letters:
+            for x in row:
                 counts[x - 1] -= 1
         else:
             stack.pop()
-            for x in factors.pop().letters if factors else ():
+            for x in factors.pop() if factors else ():
                 counts[x - 1] -= 1
     return out
 
@@ -214,8 +178,8 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
 # Local energy and the combinatorial R-matrix
 # ---------------------------------------------------------------------------
 
-def local_energy(u: RowFactor, v: RowFactor) -> int:
-    """Local energy of the adjacent pair u (x) v.
+def local_energy(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """Local energy of the adjacent pair of rows u (x) v.
 
     Computed by Schensted insertion of the concatenated word (right factor's
     word first, then the left factor's) and returning the length of the
@@ -223,20 +187,18 @@ def local_energy(u: RowFactor, v: RowFactor) -> int:
     of the highest weight of the classical component containing u (x) v;
     the equivalence is asserted in the test suite.
     """
-    if u.n != v.n:
-        raise ValueError("factors must share the same rank")
-    return _letter_pair(u.letters, v.letters, u.n)[0]
+    return _letter_pair(u, v)[0]
 
 
 @lru_cache(maxsize=None)
-def _letter_pair(u_letters: tuple[int, ...], v_letters: tuple[int, ...], n: int
+def _letter_pair(u: tuple[int, ...], v: tuple[int, ...]
                  ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Local energy of u (x) v and the letters of its R-matrix image."""
-    u = RowFactor(u_letters, n)
-    v = RowFactor(v_letters, n)
+    """Local energy of u (x) v and its R-matrix image.  Neither depends on
+    the rank, so the pair is checked as a path over its own letters."""
+    top = max(u + v, default=1)  # raising never makes a letter above it
+    n = max(2, top)
     ops: list[int] = []
     cur = Path((u, v), n)
-    top = max(u_letters + v_letters)  # raising never makes a letter above it
     while True:
         for i in range(1, top):
             nxt = e_op(cur, i)
@@ -248,35 +210,32 @@ def _letter_pair(u_letters: tuple[int, ...], v_letters: tuple[int, ...], n: int
             break
     # Pieri: the highest-weight elements of B^{1,t} (x) B^{1,s} are
     # 1^t (x) 1^{s-k} 2^k, one for each k <= min(s, t)
-    s, t, k = u.width(), v.width(), cur.factors[1].letters.count(2)
-    cur2 = Path((row_factor((1,) * t, n),
-                 row_factor((1,) * (s - k) + (2,) * k, n)), n)
+    s, t, k = len(u), len(v), cur.factors[1].count(2)
+    cur2 = Path._trusted(((1,) * t, (1,) * (s - k) + (2,) * k), n)
     for i in reversed(ops):
         cur2 = f_op(cur2, i)
         if cur2 is None:
             raise AssertionError("R-matrix replay failed")
     left, right = cur2.factors
-    tableau = rsk_insert(v_letters + u_letters)
+    tableau = rsk_insert(v + u)
     # insertion characterization: the pair of insertion tableaux must agree
-    if tableau != rsk_insert(right.letters + left.letters):
+    if tableau != rsk_insert(right + left):
         raise AssertionError(
             "R-matrix output violates the insertion characterization")
     energy = len(tableau[1]) if len(tableau) > 1 else 0
-    return energy, left.letters, right.letters
+    return energy, left, right
 
 
-def r_matrix(u: RowFactor, v: RowFactor) -> tuple[RowFactor, RowFactor]:
-    """Combinatorial R: B^{1,s} (x) B^{1,t} -> B^{1,t} (x) B^{1,s}.
+def r_matrix(u: tuple[int, ...], v: tuple[int, ...]
+             ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Combinatorial R: B^{1,s} (x) B^{1,t} -> B^{1,t} (x) B^{1,s}, on rows.
 
     The unique content-preserving bijection commuting with the crystal
     operators, computed by raising to the highest weight and replaying the
     lowering sequence on the swapped-shape product, whose highest-weight
     elements the Pieri rule writes down.
     """
-    if u.n != v.n:
-        raise ValueError("factors must share the same rank")
-    _, lw, rw = _letter_pair(u.letters, v.letters, u.n)
-    return RowFactor(lw, u.n), RowFactor(rw, u.n)
+    return _letter_pair(u, v)[1:]
 
 
 def intrinsic_energy(path: Path) -> int:
@@ -291,10 +250,10 @@ def intrinsic_energy(path: Path) -> int:
     cocharge generating function over the corresponding unrestricted rigged
     configurations exactly.
     """
-    words = [f.letters for f in path.factors]
+    words = path.factors
     total = 0
     for i, moved in enumerate(words):
         for right in words[i + 1:]:
-            energy, _, moved = _letter_pair(moved, right, path.n)
+            energy, _, moved = _letter_pair(moved, right)
             total += energy
     return total

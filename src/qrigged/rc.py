@@ -73,6 +73,12 @@ class MultiplicityArray:
             widths[a].extend([i] * c)
         object.__setattr__(self, "_factor_widths", tuple(
             tuple(sorted(level, reverse=True)) for level in widths))
+        # constant from the tallest factor's height on
+        top = max((b for (b, _), _ in self.counts), default=0)
+        boxes = tuple(sum(min(a, b) * i * c for (b, i), c in self.counts)
+                      for a in range(top + 1))
+        object.__setattr__(self, "_level_boxes",
+                           boxes + boxes[-1:] * (self.n - top))
 
     @staticmethod
     def from_rows(widths: Sequence[int], n: int) -> "MultiplicityArray":
@@ -99,9 +105,8 @@ class MultiplicityArray:
 
     def level_boxes(self) -> tuple[int, ...]:
         """Boxes in the first a rows of all factors together,
-        sum min(a, b) i L_i^{(b)}, for a = 0..n."""
-        return tuple(sum(min(a, b) * i * c for (b, i), c in self.counts)
-                     for a in range(self.n + 1))
+        sum min(a, b) i L_i^{(b)}, for a = 0..n, summed once per array."""
+        return self._level_boxes
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from gridutil import instance_grid, weight_compositions, width_tuples
 from qrigged.bijection import (_extract_letter, _insert_letter, _move_factor,
                                check_statistic, path_to_rc, rc_to_path)
 from qrigged.combinat import Composition
-from qrigged.crystals import Path, RowFactor, enumerate_paths, intrinsic_energy
+from qrigged.crystals import Path, enumerate_paths, intrinsic_energy
 from qrigged import rc as rc_module
 from qrigged.cli import EXIT_OK, main
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
@@ -17,13 +17,9 @@ from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         weight_of)
 
 
-def path_of(words, n):
-    return Path(tuple(RowFactor(w, n) for w in words), n)
-
-
 class TestExamples:
     def test_single_letter_one(self):
-        rc = path_to_rc(path_of([(1,)], 2))
+        rc = path_to_rc(Path([(1,)], 2))
         assert rc.config.nu == ()
         L = MultiplicityArray.from_rows((1,), 2)
         assert len(enumerate_rc(L, Composition((1, 0)))) == 1
@@ -40,7 +36,7 @@ class TestExamples:
         assert images == set(enumerate_rc(L, Composition((1, 1))))
 
     def test_statistic_report_single_factor(self):
-        path = path_of([(1, 1, 2)], 2)
+        path = Path([(1, 1, 2)], 2)
         rep = check_statistic(path, path_to_rc(path))
         assert rep.energy == 0 and rep.cocharge == 0
         assert rep.as_dict()["relation"] == {"sign": 1, "shift": 0}
@@ -273,12 +269,12 @@ class TestVacancyTable:
             paths += 1
             levels = [[] for _ in range(n - 1)]
             # the sizing of path_to_rc: |nu^(1)| + 1, the letters above 1
-            above = sum(x > 1 for f in path.factors for x in f.letters)
+            above = sum(x > 1 for f in path.factors for x in f)
             p = [[0] * (above + 1) for _ in range(n - 1)]
             rows = []
             boxes = 0
             for s, f in zip(widths, path.factors):
-                for x in reversed(f.letters):
+                for x in reversed(f):
                     _insert_letter(levels, p, x, boxes)
                     boxes += 1
                     self.check(levels, p, rows, boxes, n)

@@ -12,13 +12,9 @@ from gridutil import instance_grid, weight_compositions, width_tuples
 from qrigged import crystals
 from qrigged.cli import EXIT_OK, main
 from qrigged.combinat import Composition, Partition, charge, enumerate_ssyt
-from qrigged.crystals import (Path, RowFactor, e_op, enumerate_paths, f_op,
+from qrigged.crystals import (Path, e_op, enumerate_paths, f_op,
                               intrinsic_energy, is_highest_weight,
-                              local_energy, r_matrix, row_factor)
-
-
-def path_of(words, n):
-    return Path(tuple(RowFactor(w, n) for w in words), n)
+                              local_energy, r_matrix)
 
 
 class TestEnumeration:
@@ -37,27 +33,52 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_paths((1, 1), 2, Composition((1,)))
 
-    def test_shared_rows_are_checked_and_bounded(self):
-        # the cache shares rows, it does not skip RowFactor's checks
-        for letters, n in (((2, 1), 3), ((1,), 1), ((0,), 2), ((4,), 3)):
-            with pytest.raises(ValueError):
-                row_factor(letters, n)
-        assert row_factor((1, 2), 3) is row_factor((1, 2), 3)
-        assert row_factor((1, 2), 3) == RowFactor((1, 2), 3)
-        assert row_factor.cache_info().maxsize is not None
+
+class TestPathChecks:
+    # a factor is its word, so the path checks the rank and every row
+    @pytest.mark.parametrize("factors, n, message", [
+        ([(1,)], 1, "rank n must be at least 2"),
+        ([], 1, "rank n must be at least 2"),
+        ([(1,), (0,)], 3, "letter 0 out of range 1..3"),
+        ([(1, 4)], 3, "letter 4 out of range 1..3"),
+        ([(1,), (2, 1)], 3, "row letters must weakly increase: (2, 1)"),
+    ])
+    def test_path_refuses(self, factors, n, message):
+        with pytest.raises(ValueError) as exc:
+            Path(factors, n)
+        assert str(exc.value) == message
+
+    def test_enumeration_refuses_rank_1(self):
+        with pytest.raises(ValueError, match="rank n must be at least 2"):
+            enumerate_paths((1,), 1, Composition((1,)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("13(x)ab", "letter 3 out of range 1..2"),
+        ("ab(x)13", "malformed path factor: 'ab'"),
+    ])
+    def test_parse_reports_the_first_faulty_factor(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            Path.parse(text, 2)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("call", [local_energy, r_matrix])
+    @pytest.mark.parametrize("u, v", [((2, 1), (1,)), ((1,), (3, 1, 2))])
+    def test_pair_refuses_an_unsorted_word(self, call, u, v):
+        with pytest.raises(ValueError, match="weakly increase"):
+            call(u, v)
 
 
 class TestCrystalOperators:
     def test_highest_weight_examples(self):
-        assert e_op(path_of([(1,), (1,)], 2), 1) is None
-        assert is_highest_weight(path_of([(1, 1)], 2))
+        assert e_op(Path([(1,), (1,)], 2), 1) is None
+        assert is_highest_weight(Path([(1, 1)], 2))
         # the single row 12 raises to 11, consistent with the classical
         # specialization: no column-strict filling of (1,1) has content (2)
-        assert not is_highest_weight(path_of([(1, 2)], 2))
-        assert not is_highest_weight(path_of([(2,), (1,)], 2))
+        assert not is_highest_weight(Path([(1, 2)], 2))
+        assert not is_highest_weight(Path([(2,), (1,)], 2))
 
     def test_f_on_double_one(self):
-        assert str(f_op(path_of([(1,), (1,)], 2), 1)) == "2(x)1"
+        assert str(f_op(Path([(1,), (1,)], 2), 1)) == "2(x)1"
 
     def test_axioms_exhaustive(self):
         for n in (2, 3):
@@ -103,17 +124,14 @@ class TestCrystalOperators:
 
 class TestLocalEnergyAndR:
     def test_empty_row_zero(self):
-        u = RowFactor((1, 2), 2)
-        assert local_energy(u, RowFactor((), 2)) == 0
-        assert local_energy(RowFactor((), 2), u) == 0
+        assert local_energy((1, 2), ()) == 0
+        assert local_energy((), (1, 2)) == 0
 
     def test_orderings_differ_by_one(self):
-        a = local_energy(RowFactor((1,), 2), RowFactor((2,), 2))
-        b = local_energy(RowFactor((2,), 2), RowFactor((1,), 2))
-        assert {a, b} == {0, 1}
+        assert {local_energy((1,), (2,)), local_energy((2,), (1,))} == {0, 1}
 
     def test_row_row_value(self):
-        assert local_energy(RowFactor((1, 2), 2), RowFactor((1, 2), 2)) == 1
+        assert local_energy((1, 2), (1, 2)) == 1
 
     def test_equals_component_second_weight(self):
         # the insertion form agrees with the crystal-component definition
@@ -122,16 +140,14 @@ class TestLocalEnergyAndR:
                 for t in (1, 2):
                     for u in _rows(s, n):
                         for v in _rows(t, n):
-                            uu, vv = RowFactor(u, n), RowFactor(v, n)
-                            p = Path((uu, vv), n)
-                            cur = p
+                            cur = Path((u, v), n)
                             while not is_highest_weight(cur):
                                 for i in range(1, n):
                                     nxt = e_op(cur, i)
                                     if nxt is not None:
                                         cur = nxt
                                         break
-                            assert local_energy(uu, vv) == cur.content()[1]
+                            assert local_energy(u, v) == cur.content()[1]
 
     def test_r_matrix_properties(self):
         for n in (2, 3):
@@ -139,13 +155,11 @@ class TestLocalEnergyAndR:
                 for t in (1, 2, 3):
                     for u in _rows(s, n):
                         for v in _rows(t, n):
-                            uu, vv = RowFactor(u, n), RowFactor(v, n)
-                            a, b = r_matrix(uu, vv)
-                            assert a.width() == t and b.width() == s
-                            merged = sorted(uu.letters + vv.letters)
-                            assert sorted(a.letters + b.letters) == merged
+                            a, b = r_matrix(u, v)
+                            assert len(a) == t and len(b) == s
+                            assert sorted(a + b) == sorted(u + v)
                             # local energy is symmetric under the R-swap
-                            assert local_energy(uu, vv) == local_energy(a, b)
+                            assert local_energy(u, v) == local_energy(a, b)
 
     def test_highest_weight_pairs_are_the_pieri_targets(self):
         # the brute-force search the R-matrix replay target replaced: the
@@ -156,7 +170,7 @@ class TestLocalEnergyAndR:
             for s in range(1, 5):
                 for t in range(1, 5):
                     found = {(u, v) for u in _rows(s, n) for v in _rows(t, n)
-                             if is_highest_weight(path_of([u, v], n))}
+                             if is_highest_weight(Path([u, v], n))}
                     want = {((1,) * s, (1,) * (t - k) + (2,) * k)
                             for k in range(min(s, t) + 1)}
                     if found != want:
@@ -208,9 +222,22 @@ def test_letter_pair_raises_through_its_own_letters(monkeypatch):
                     f"largest index {max(calls)}")
 
 
+def test_letter_pair_memo_is_shared_across_ranks():
+    # the memo is keyed by the two words alone, so the same words at a
+    # higher rank are all hits
+    crystals._letter_pair.cache_clear()
+    paths = enumerate_paths((2, 1, 1), 3, Composition((2, 1, 1)))
+    energies = [intrinsic_energy(p) for p in paths]
+    misses = crystals._letter_pair.cache_info().misses
+    for n in (4, 16):
+        again = [intrinsic_energy(Path(p.factors, n)) for p in paths]
+        if again != energies or crystals._letter_pair.cache_info().misses != misses:
+            pytest.fail(f"rank {n}: {crystals._letter_pair.cache_info()}")
+
+
 class TestIntrinsicEnergy:
     def test_single_factor(self):
-        assert intrinsic_energy(path_of([(1, 2)], 2)) == 0
+        assert intrinsic_energy(Path([(1, 2)], 2)) == 0
 
     def test_two_boxes(self):
         energies = sorted(intrinsic_energy(p)
@@ -276,7 +303,7 @@ class TestCarriedTransport:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda n: st.lists(
         st.lists(st.integers(1, n), min_size=1, max_size=3).map(sorted),
-        min_size=1, max_size=10).map(lambda words: path_of(words, n))))
+        min_size=1, max_size=10).map(lambda words: Path(words, n))))
     def test_matches_restart_on_random_paths(self, path):
         assert intrinsic_energy(path) == restart_energy(path)
 
@@ -284,28 +311,30 @@ class TestCarriedTransport:
 _CORRUPT_AND_CALL = """
 import sys
 from qrigged import crystals
-from qrigged.crystals import RowFactor, r_matrix
 if not sys.flags.optimize:
     sys.exit("expected to run under python -O")
-# every replay target becomes the all-2 product, which is not highest weight
-crystals.row_factor = lambda letters, n: RowFactor((2,) * len(letters), n)
+crystals.%s = lambda *args: %s
 try:
-    r_matrix(RowFactor(%r, 2), RowFactor(%r, 2))
+    crystals.r_matrix(%r, %r)
 except AssertionError as exc:
     print(exc)
 """
 
 
-@pytest.mark.parametrize("u, v, message", [
-    ((2,), (2,), "R-matrix replay failed"),
-    ((1,), (2,), "R-matrix output violates the insertion characterization"),
+@pytest.mark.parametrize("name, corrupt, u, v, message", [
+    # the replay reaches no element
+    ("f_op", "None", (2,), (2,), "R-matrix replay failed"),
+    # insertion returns the word as one row: 1 (x) 12 is not its own image
+    ("rsk_insert", "(args[0],)", (1,), (1, 2),
+     "R-matrix output violates the insertion characterization"),
 ])
-def test_r_matrix_checks_survive_optimize(u, v, message):
+def test_r_matrix_checks_survive_optimize(name, corrupt, u, v, message):
     src = FsPath(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_AND_CALL % (u, v)],
+    code = _CORRUPT_AND_CALL % (name, corrupt, u, v)
+    done = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == message

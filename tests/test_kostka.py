@@ -210,21 +210,27 @@ class TestMainIdentity:
 
     @pytest.mark.parametrize("widths, weight", [
         ((3, 3), (3, 3)), ((2, 1), (1, 1, 1)), ((3,), (3,))])
-    def test_independent_of_the_alphabet(self, widths, weight):
+    def test_independent_of_the_alphabet(self, widths, weight, monkeypatch):
         # the rank only pads the weight with zeros; the path side builds
         # rows over the weight's letters, so a high rank adds no rows.
         # pytest.fail so that it also runs under python -O.
         smallest = max(2, len(weight))
         want = (path_kostka(instance(widths, smallest, weight)),
                 fermionic_kostka(instance(widths, smallest, weight)))
+        tables = {}
+
+        def counted(width, letters, _original=crystals._rows):
+            tables[width, letters] = rows = _original(width, letters)
+            return rows
+
+        monkeypatch.setattr(crystals, "_rows", counted)
         for n in (40, 1000):
-            crystals.row_factor.cache_clear()
-            crystals._rows.cache_clear()
+            tables.clear()
             inst = instance(widths, n, weight)
             got = (path_kostka(inst), fermionic_kostka(inst))
             if got != want:
                 pytest.fail(f"rank {n} gives {got}, rank {smallest} {want}")
-            built = crystals.row_factor.cache_info().misses
+            built = sum(map(len, tables.values()))
             if n == 40 and built > 10:
                 pytest.fail(f"rank 40 built {built} rows for {widths}")
 

@@ -145,6 +145,12 @@ class TestVacancy:
                     checked += self._check_full_product(L, w, total + 1)
         assert checked == 1812
 
+    def test_level_boxes_are_summed_once_per_array(self):
+        # configuration_sizes and weight_of read the sums the array holds
+        L = MultiplicityArray({(2, 3): 1, (1, 2): 1}, 4)
+        assert L.level_boxes() == (0, 5, 8, 8, 8)
+        assert L.level_boxes() is L.level_boxes()
+
     def test_two_boxes(self):
         L = MultiplicityArray({(1, 1): 2}, 2)
         assert vacancy(Configuration(((1,),)), L, 1, 1) == 0
