@@ -11,30 +11,26 @@ to it (or starts a new string), makes changed strings singular with respect
 to the new state and keeps all other riggings.  Box removal inverts this
 exactly.
 
-Both directions keep the vacancy numbers p_i^(a) in a table and update it
-in place as boxes move.  p_i^(a) is Q_i(nu^(a-1)) - 2 Q_i(nu^(a)) +
-Q_i(nu^(a+1)), where Q_i counts the boxes in the first i columns, nu^(n) is
-empty and nu^(0) is the partition of factor rows (the factor term).  So a box
-added at the end of a level-a string of width l changes only the entries
-i > l: by -2 at level a and by +1 at levels a-1 and a+1, three rows that
-each chosen string updates in place.  Removal is the exact inverse.  A
-letter 1 chooses no string, so it is no step: only the count of consumed
-boxes moves.  The factor term is the sum of min(i, s) over the factor
-rows, each loose box of the partly consumed factor a row of width 1.  It is
-the number of path boxes consumed so far minus the sum of max(0, s - i) over
-complete rows.  That count shifts every p_i^(1) alike, so it is kept as one
-integer added when level 1 is read.  Neither table is sized by the rank:
-each has a row per level the object fills.  `path_to_rc` starts from a zero
-table with rows for the levels 1..j-1 that its largest letter j fills,
-|nu^(1)| + 1 wide, the letters above 1 plus one: no string at any level
-outgrows |nu^(1)|.  `rc_to_path` starts from the vacancy table of the
-`rc.configuration_frame` that `validate` returns, all factors complete,
-with the path boxes taken off level 1.  Completing a width-s factor, or
-popping it in the inverse, then changes the table only for i < s, and not
-at all for s = 1.  Selecting a singular string is a scan of (width,
-rigging) against the table, the chosen strings are kept by reference, and
-each new rigging is one table read after the update.  A path factor is its
-word, so both directions read and write rows as tuples of letters.
+Neither direction keeps a vacancy table.  `levels[a-1]` holds the strings
+of nu^(a) as [width, d] lists in no order, d the rigging minus p_width^(a),
+so a string is singular when d is 0 and the selection scan reads no table.
+p_i^(a) is Q_i(nu^(a-1)) - 2 Q_i(nu^(a)) + Q_i(nu^(a+1)), Q_i the boxes in
+the first i columns, nu^(n) empty and nu^(0) the factor rows.  A box added
+at the end of a level-a string of width l changes p_i only for i > l, by -2
+at level a and by +1 at levels a-1 and a+1, so only the d of strings wider
+than l there move, and the chosen strings become singular; removal is the
+exact inverse, over the strings at least as wide.  A letter 1 chooses no
+string: only the count of consumed boxes moves.  Each loose box of the
+partly consumed factor is a row of width 1, so the factor term is that
+count minus the sum of max(0, s - i) over complete rows.  The count shifts
+every p_i^(1) alike, so level 1 leaves it out of p, and a string there is
+singular when d equals it.  Completing a width-s factor, or popping it in
+the inverse, changes d only for the level-1 strings narrower than s.
+`path_to_rc` fills the levels 1..j-1 of its largest letter j and reads p at
+each final string width once, at the end, through `rc.vacancy_numbers`;
+`rc_to_path` starts from the p in the blocks of the frame that `validate`
+returns.  A path factor is its word, so both directions read and write rows
+as tuples of letters.
 
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
@@ -47,131 +43,122 @@ from dataclasses import dataclass
 
 from .crystals import Path, intrinsic_energy
 from .rc import (Configuration, InvalidRiggedConfigurationError,
-                 MultiplicityArray, RiggedConfiguration, cocharge, validate)
+                 MultiplicityArray, RiggedConfiguration, cocharge, validate,
+                 vacancy_numbers)
 
 _HUGE = 10 ** 9
 
-# Internal state: `levels[a-1]` holds the strings of nu^(a) as [width,
-# rigging] lists in no particular order.  `p[a-1][i]` is p_i^(a) for
-# 1 <= i <= m, m bounding every width the direction can reach, except that
-# p[0] leaves out `boxes`, the number of path boxes consumed so far.
+
+def _move_factor(levels, s: int, sign: int) -> None:
+    """Update the level-1 strings for s loose boxes becoming one complete
+    row (sign = 1), or one row of width s becoming loose boxes (sign = -1):
+    p_i^(1) moves by sign * (i - s) for i < s, so not at all for s = 1."""
+    for level in levels[:1]:  # none when the path fills no level
+        for string in level:
+            if string[0] < s:
+                string[1] += sign * (s - string[0])
 
 
-def _move_factor(p, s: int, d: int) -> None:
-    """Update `p` for s loose boxes becoming one complete row (d = 1), or
-    one row of width s becoming loose boxes (d = -1)."""
-    for row in p[:1]:  # none when the path fills no level
-        for i in range(1, min(s, len(row))):
-            row[i] += d * (i - s)
-
-
-def _insert_letter(levels, p, j: int, boxes: int) -> None:
+def _insert_letter(levels, j: int, boxes: int) -> None:
     """Single-box step: add letter j to the state after `boxes` path boxes,
-    mutating `levels` and `p` in place."""
-    chosen = []
-    cap = _HUGE
-    for a in range(j - 1, 0, -1):
-        pa = p[a - 1]
-        shift = boxes if a == 1 else 0
-        best = None
-        width = 0
-        for s in levels[a - 1]:
-            w = s[0]
-            if width < w <= cap and s[1] == pa[w] + shift:
-                best, width = s, w
-        chosen.append((a, best, width))
-        cap = width
-    for a, _, width in chosen:
-        row = p[a - 1]
-        for i in range(width + 1, len(row)):
-            row[i] -= 2
-        if a > 1:
-            row = p[a - 2]
-            for i in range(width + 1, len(row)):
-                row[i] += 1
-        if a < len(p):
-            row = p[a]
-            for i in range(width + 1, len(row)):
-                row[i] += 1
-    for a, s, width in chosen:
-        value = p[a - 1][width + 1] + (boxes + 1 if a == 1 else 0)
-        if s is None:
-            levels[a - 1].append([1, value])
-        else:
-            s[0] = width + 1
-            s[1] = value
-
-
-def _extract_letter(levels, p, boxes: int) -> int:
-    """Single-box step inverse: remove the last of `boxes` path boxes,
-    mutating `levels` and `p` in place, and return its letter."""
-    n = len(levels) + 1
-    chosen = []
-    floor = 1
-    letter = n
-    for a in range(1, n):
-        pa = p[a - 1]
-        shift = boxes if a == 1 else 0
+    mutating `levels` in place.  Levels choose from j-1 down; once level a
+    has chosen, every move that changes a d at level a+1 is known, so level
+    a+1 is updated then, and level 1 last (a = 0)."""
+    up2 = up1 = _HUGE  # old widths of the strings grown at levels a+2, a+1
+    grown = None  # the string grown at level a+1, None for a new one
+    for a in range(j - 1, -1, -1):
         best = None
         width = _HUGE
-        for s in levels[a - 1]:
-            w = s[0]
-            if floor <= w < width and s[1] == pa[w] + shift:
-                best, width = s, w
-        if best is None:
-            if a == 1:
+        if a:
+            singular = boxes if a == 1 else 0
+            width = 0
+            for s in levels[a - 1]:
+                w = s[0]
+                if width < w <= up1 and s[1] == singular:
+                    best, width = s, w
+        if a < len(levels):
+            # p_i^(a+1) moves by -2 for i > up1, by +1 for i > width, up2
+            for s in levels[a]:
+                w = s[0]
+                s[1] += 2 * (w > up1) - (w > width) - (w > up2)
+            if a + 1 < j:
+                value = boxes + 1 if a == 0 else 0
+                if grown is None:
+                    levels[a].append([1, value])
+                else:
+                    grown[0] = up1 + 1
+                    grown[1] = value
+        grown, up2, up1 = best, up1, width
+
+
+def _extract_letter(levels, boxes: int) -> int:
+    """Single-box step inverse: remove the last of `boxes` path boxes,
+    mutating `levels` in place, and return its letter.  Levels choose from
+    1 up until one has no singular string wide enough; once level a has
+    chosen, every move that changes a d at level a-1 is known, so level a-1
+    is updated then."""
+    n = len(levels) + 1
+    down2 = down1 = _HUGE  # old widths of the strings shrunk at a-2, a-1
+    shrunk = None  # the string shrunk at level a-1
+    floor = 1
+    a = 0
+    while True:
+        a += 1
+        best = None
+        width = _HUGE
+        if a < n:
+            singular = boxes if a == 1 else 0
+            for s in levels[a - 1]:
+                w = s[0]
+                if floor <= w < width and s[1] == singular:
+                    best, width = s, w
+            if best is None and a == 1:
                 return 1
-            letter = a
-            break
-        chosen.append((a, best, width))
-        floor = width
-    for a, _, width in chosen:
-        row = p[a - 1]
-        for i in range(width, len(row)):
-            row[i] += 2
         if a > 1:
-            row = p[a - 2]
-            for i in range(width, len(row)):
-                row[i] -= 1
-        if a < len(p):
-            row = p[a]
-            for i in range(width, len(row)):
-                row[i] -= 1
-    for a, s, width in chosen:
-        if width == 1:
-            levels[a - 1].remove(s)
-        else:
-            s[0] = width - 1
-            s[1] = p[a - 1][width - 1] + (boxes - 1 if a == 1 else 0)
-    return letter
-
-
-def _finalize(levels) -> RiggedConfiguration:
-    nu = []
-    riggings = []
-    for lv in levels:
-        lv.sort(reverse=True)  # (-width, -rigging) order, the canonical one
-        nu.append(tuple([w for w, _ in lv]))
-        riggings.append(tuple([x for _, x in lv]))
-    return RiggedConfiguration._trusted(Configuration._trusted(tuple(nu)),
-                                        tuple(riggings))
+            # p_i^(a-1) moves by +2 for i >= down1, by -1 for i >= width, down2
+            level = levels[a - 2]
+            for s in level:
+                w = s[0]
+                s[1] += (w >= width) + (w >= down2) - 2 * (w >= down1)
+            if down1 == 1:
+                level.remove(shrunk)
+            else:
+                shrunk[0] = down1 - 1
+                shrunk[1] = boxes - 1 if a == 2 else 0
+        if best is None:
+            if a < n:  # p_i^(a) moves by -1 for i >= down1
+                for s in levels[a - 1]:
+                    s[1] += s[0] >= down1
+            return a
+        shrunk, down2, down1, floor = best, down1, width, width
 
 
 def path_to_rc(path: Path) -> RiggedConfiguration:
     """Map a path to its unrestricted rigged configuration."""
     depth = max((f[-1] for f in path.factors if f), default=1) - 1
     levels: list[list[list[int]]] = [[] for _ in range(depth)]
-    size = sum(len(f) - f.count(1) for f in path.factors) + 1
-    p = [[0] * size for _ in range(depth)]
     boxes = 0
     for f in path.factors:
         for x in reversed(f):
             if x > 1:  # a letter 1 chooses no string: only `boxes` moves
-                _insert_letter(levels, p, x, boxes)
+                _insert_letter(levels, x, boxes)
             boxes += 1
-        if len(f) > 1:  # a width-1 row leaves the table as it is
-            _move_factor(p, len(f), 1)
-    return _finalize(levels)
+        _move_factor(levels, len(f), 1)
+    # rigging = d + p at the string's width, p read once per level
+    nu = []
+    for lv in levels:
+        lv.sort(reverse=True)  # by width, then d: the canonical order
+        nu.append(tuple([w for w, _ in lv]))
+    riggings = []
+    factor, below, shift = tuple(map(len, path.factors)), (), boxes
+    for a, lv in enumerate(levels):
+        here = nu[a]
+        p = vacancy_numbers(factor, below, here,
+                            nu[a + 1] if a + 1 < depth else (), here[0])
+        riggings.append(tuple([d + p[w] - shift for w, d in lv]))
+        factor, below, shift = (), here, 0
+    return RiggedConfiguration._trusted(Configuration._trusted(tuple(nu)),
+                                        tuple(riggings))
 
 
 def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
@@ -182,25 +169,26 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     L must hold rows only (`L.row_widths` refuses it before anything else),
     the rigged configuration is re-validated, and `widths` must be the rows
     of L in some order.  The map is a bijection for every fixed order.  The
-    starting vacancy table is read from the frame that `validate` returns.
+    starting d of each string is read from the p of the frame that
+    `validate` returns.
     """
     rows = L.row_widths()
-    table = validate(rc, L)[1]
+    frame = validate(rc, L)
     if tuple(sorted(widths, reverse=True)) != rows:
         raise ValueError("widths do not match the multiplicity array")
-    levels: list[list[list[int]]] = [
-        [[w, x] for w, x in zip(level, rigs)]
-        for level, rigs in zip(rc.config.nu, rc.riggings)]
     boxes = sum(widths)
-    p = ([[x - boxes for x in row] for row in table[:1]]
-         + [list(row) for row in table[1:]])
+    levels: list[list[list[int]]] = []
+    for a, (blocks, rigs) in enumerate(zip(frame, rc.riggings), 1):
+        x = iter(rigs)
+        shift = boxes if a == 1 else 0
+        levels.append([[w, next(x) - p + shift]
+                       for (w, m, _, p) in blocks for _ in range(m)])
     factors_rev: list[tuple[int, ...]] = []
     for s in reversed(widths):
-        if s > 1:
-            _move_factor(p, s, -1)
+        _move_factor(levels, s, -1)
         letters = []
         for _ in range(s):
-            x = _extract_letter(levels, p, boxes)
+            x = _extract_letter(levels, boxes)
             if letters and x < letters[-1]:
                 raise InvalidRiggedConfigurationError(
                     f"extracted letters {letters + [x]} do not form a row")

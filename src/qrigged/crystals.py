@@ -141,14 +141,14 @@ def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> l
         raise ValueError("row widths must be positive")
     if weight.size() != sum(shape_list):
         raise ValueError(f"weight total {weight.size()} != boxes {sum(shape_list)}")
-    if len(weight.trimmed()) > n:
+    target = weight.trimmed()  # sized by the weight's last letter, not by n
+    if len(target) > n:
         raise ValueError("weight has more parts than the rank")
-    target = list(weight.parts) + [0] * (n - len(weight.parts))
-    letters = tuple(x for x in range(1, n + 1) if target[x - 1])
+    letters = tuple(x for x, c in enumerate(target, 1) if c)
 
     empty = Path((), n)  # checks the rank
     out: list[Path] = [] if shape_list else [empty]
-    counts = [0] * n
+    counts = [0] * len(target)
     # row iterators of the chosen factors and the next; `for` resumes the top
     factors: list[tuple[int, ...]] = []
     stack = [iter(_rows(s, letters)) for s in shape_list[:1]]

@@ -7,10 +7,10 @@ integer rigging on every row; the sizes vanish past the weight's last letter,
 so a `Configuration` stores the levels up to its last nonempty one (only the
 JSON forms spell out all n-1).  The vacancy number p_i^(a) is Q_i of the
 height-a factor widths - 2 Q_i(nu^(a)) + Q_i(nu^(a-1)) + Q_i(nu^(a+1)), Q_i
-the boxes in the first i columns; `vacancy_row` computes a level's whole row
-of them from cached `column_sums`, and every reader (`vacancy`, the windows,
-the cached `configuration_frame` behind `validate`, `rc_to_json` and the
-bijection's starting table) goes through it.  Riggings of rows of width
+the boxes in the first i columns, in `vacancy_numbers`.  p matters only at
+the widths a level has, so the layer keeps it there alone, in the blocks
+of `level_blocks` that `configuration_frame` caches for the walk,
+`validate`, `rc_to_json` and the bijection.  Riggings of rows of width
 i in nu^(a) live in the window [lower bound, vacancy p_i^(a)]; in the
 unrestricted setting the lower bound may be negative and, beyond level 1,
 it is raised by a carried depth computed from how far the riggings one
@@ -67,18 +67,17 @@ class MultiplicityArray:
                 norm[(a, i)] = norm.get((a, i), 0) + c
         object.__setattr__(self, "counts",
                            tuple(sorted(norm.items())))
-        # not a field: derived from counts, so equality and hashing ignore it
-        widths: list[list[int]] = [[] for _ in range(self.n)]
+        # not fields: derived from counts, so equality and hashing ignore
+        # them; both stop at the tallest factor's height
+        top = max((b for (b, _), _ in self.counts), default=0)
+        widths: list[list[int]] = [[] for _ in range(top + 1)]
         for (a, i), c in self.counts:
             widths[a].extend([i] * c)
         object.__setattr__(self, "_factor_widths", tuple(
             tuple(sorted(level, reverse=True)) for level in widths))
-        # constant from the tallest factor's height on
-        top = max((b for (b, _), _ in self.counts), default=0)
-        boxes = tuple(sum(min(a, b) * i * c for (b, i), c in self.counts)
-                      for a in range(top + 1))
-        object.__setattr__(self, "_level_boxes",
-                           boxes + boxes[-1:] * (self.n - top))
+        object.__setattr__(self, "_level_boxes", tuple(
+            sum(min(a, b) * i * c for (b, i), c in self.counts)
+            for a in range(top + 1)))
 
     @staticmethod
     def from_rows(widths: Sequence[int], n: int) -> "MultiplicityArray":
@@ -92,8 +91,8 @@ class MultiplicityArray:
 
     def factor_widths(self, a: int) -> tuple[int, ...]:
         """Widths of the height-a factors (1 <= a <= n-1), one per factor,
-        descending."""
-        return self._factor_widths[a]
+        descending; () above the tallest factor."""
+        return self._factor_widths[a] if a < len(self._factor_widths) else ()
 
     def row_widths(self) -> tuple[int, ...]:
         """Widths of the row factors, descending.  The one rows-only check:
@@ -104,8 +103,9 @@ class MultiplicityArray:
         return self.factor_widths(1)
 
     def level_boxes(self) -> tuple[int, ...]:
-        """Boxes in the first a rows of all factors together,
-        sum min(a, b) i L_i^{(b)}, for a = 0..n, summed once per array."""
+        """Boxes in the first a rows of all factors together, sum min(a, b)
+        i L_i^{(b)}, for a = 0 up to the tallest factor's height (constant
+        from there on), summed once per array."""
         return self._level_boxes
 
 
@@ -128,8 +128,7 @@ class Configuration:
     @classmethod
     def _trusted(cls, nu: tuple[tuple[int, ...], ...]) -> "Configuration":
         """Construct without coercion or checks, for weakly decreasing
-        tuples of positive ints with a nonempty last level (bar the walk's
-        partial prefixes), such as those of `partitions_of`."""
+        tuples of positive ints with a nonempty last level."""
         out = object.__new__(cls)
         object.__setattr__(out, "nu", nu)
         return out
@@ -156,17 +155,22 @@ def column_sums(widths: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def vacancy_numbers(factor: tuple[int, ...], below: tuple[int, ...],
+                    here: tuple[int, ...], above: tuple[int, ...], m: int
+                    ) -> list[int]:
+    """[p_0, ..., p_m]: p_i = Q_i(factor) - 2 Q_i(here) + Q_i(below)
+    + Q_i(above), each argument a tuple of widths: the one formula."""
+    return [f - 2 * h + b + u for f, h, b, u in zip(
+        column_sums(factor, m), column_sums(here, m),
+        column_sums(below, m), column_sums(above, m))]
+
+
 def vacancy_row(config: Configuration, L: MultiplicityArray, a: int, m: int
                 ) -> list[int]:
-    """[p_0^{(a)}, ..., p_m^{(a)}]: p_i^{(a)} = Q_i(factor widths of height a)
-    - 2 Q_i(nu^(a)) + Q_i(nu^(a-1)) + Q_i(nu^(a+1)), nu^(0) and nu^(n)
-    empty.  Reads only those three levels, so it serves a configuration
-    whose levels beyond a+1 are not chosen yet."""
-    factor = column_sums(L.factor_widths(a), m)
-    below = column_sums(config.level(a - 1), m)
-    here = column_sums(config.level(a), m)
-    above = column_sums(config.level(a + 1), m)
-    return [f - 2 * h + b + u for f, h, b, u in zip(factor, here, below, above)]
+    """[p_0^{(a)}, ..., p_m^{(a)}]: `vacancy_numbers` of the height-a factor
+    widths and nu^(a-1), nu^(a), nu^(a+1), nu^(0) and nu^(n) empty."""
+    return vacancy_numbers(L.factor_widths(a), config.level(a - 1),
+                           config.level(a), config.level(a + 1), m)
 
 
 def vacancy(config: Configuration, L: MultiplicityArray, a: int, i: int) -> int:
@@ -183,6 +187,7 @@ def vacancy(config: Configuration, L: MultiplicityArray, a: int, i: int) -> int:
 def weight_of(config: Configuration, L: MultiplicityArray) -> tuple[int, ...]:
     """The weight composition forced by the configuration sizes."""
     boxes = L.level_boxes()
+    boxes += boxes[-1:] * (L.n + 1 - len(boxes))
     # boxes[a] - |nu^(a)| letters are <= a, with |nu^(0)| = |nu^(n)| = 0
     sizes = (0,) + tuple(sum(config.level(a)) for a in range(1, L.n)) + (0,)
     return tuple((boxes[a] - sizes[a]) - (boxes[a - 1] - sizes[a - 1])
@@ -200,7 +205,8 @@ def configuration_sizes(L: MultiplicityArray, weight: Composition) -> Optional[t
     if len(weight.trimmed()) > L.n:
         raise ValueError("weight has more parts than the rank")
     boxes = L.level_boxes()
-    sizes = tuple(boxes[a] - sum(weight.parts[:a]) for a in range(1, L.n))
+    sizes = tuple(boxes[min(a, len(boxes) - 1)] - sum(weight.parts[:a])
+                  for a in range(1, L.n))
     return None if any(s < 0 for s in sizes) else sizes
 
 
@@ -254,11 +260,10 @@ def rigging_windows(blocks: Sequence[tuple[int, int, int, int]],
 
 @lru_cache(maxsize=256)
 def configuration_frame(config: Configuration, L: MultiplicityArray) -> tuple:
-    """(`level_blocks` of each level, vacancy table) of a configuration's
-    stored levels, row a-1 of the table `vacancy_row(config, L, a, m)` for m
-    the widest string: what `validate` and the bijection read that does not
-    depend on the riggings.  Tuples all the way down, so no reader can
-    change a cached entry; the objects of an instance share few
+    """The `level_blocks` of each stored level, p among them at every width
+    a string has: all that the walk, `validate`, `rc_to_json` and the
+    bijection read of a configuration.  Tuples all the way down, so no
+    reader can change a cached entry; the objects of an instance share few
     configurations, so a small cache serves them.  Raises
     InvalidRiggedConfigurationError when the sizes force a negative weight,
     since such sizes are unbounded.
@@ -267,10 +272,8 @@ def configuration_frame(config: Configuration, L: MultiplicityArray) -> tuple:
     if any(p < 0 for p in wparts):
         raise InvalidRiggedConfigurationError(
             f"configuration sizes force a negative weight: {wparts}")
-    m = max((level[0] for level in config.nu if level), default=0)
-    levels = range(1, len(config.nu) + 1)
-    return (tuple(level_blocks(config, L, wparts, a) for a in levels),
-            tuple(tuple(vacancy_row(config, L, a, m)) for a in levels))
+    return tuple(level_blocks(config, L, wparts, a)
+                 for a in range(1, len(config.nu) + 1))
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,7 @@ def lower_bound(config: Configuration, L: MultiplicityArray, a: int, row: int) -
     if not 0 <= row < len(level):
         raise IndexError(f"level {a} has no row {row}")
     below: tuple[tuple[int, int], ...] = ()
-    for blocks in configuration_frame(config, L)[0][:a]:
+    for blocks in configuration_frame(config, L)[:a]:
         windows = rigging_windows(blocks, below)
         below = tuple((w, max(0, carry - p)) for (w, _, _, p, carry) in windows)
     return next(lo for (w, _, lo, _, _) in windows if w == level[row])
@@ -358,7 +361,7 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
             f"expected at most {L.n - 1} partitions, got {len(rc.config.nu)}")
     frame = configuration_frame(rc.config, L)
     below: list[tuple[int, int]] = []
-    for a, (blocks, riggings) in enumerate(zip(frame[0], rc.riggings), 1):
+    for a, (blocks, riggings) in enumerate(zip(frame, rc.riggings), 1):
         windows = rigging_windows(blocks, below)
         below = []
         start = 0
@@ -379,7 +382,7 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
 def configuration_walk(L: MultiplicityArray, weight: Composition
                        ) -> tuple[tuple[Configuration, tuple[tuple, ...]], ...]:
     """The configurations for (L, weight) that can carry a rigging, each
-    with the `level_blocks` of its levels: those up to the last one of
+    with its `configuration_frame`: the levels up to the last one of
     nonzero size, the only ones walked, so the walk costs the same at any n.
 
     The walk runs once per (L, weight): its result is kept in a small LRU
@@ -389,35 +392,42 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
     A depth-first walk on an explicit stack, so any rank fits under the
     recursion limit: nu^(1), nu^(2), ... are chosen in turn from
     `partitions_of(|nu^(a)|)`, so configurations come in the order of the
-    full product with some removed.  p_i^(a) reads only nu^(a-1), nu^(a)
-    and nu^(a+1), so level a is complete once nu^(a+1) is chosen; a prefix
-    with a block of level a whose floor exceeds p drops its whole subtree.
-    The pruning is exact: lo = floor + carry with carry >= 0, so such a
-    block has an empty window whatever the riggings below, and every
-    consumer would skip the configuration anyway.
+    full product with some removed.  A block with floor > p has an empty
+    window whatever the riggings (lo = floor + carry, carry >= 0), and
+    p_w^(a) reads nu^(a+1) only through Q_w(nu^(a+1)); so each width w of
+    nu^(a) needs Q_w(nu^(a+1)) >= floor - (the rest of p_w^(a)), a child
+    short of a need is never pushed, and the last level needs nothing.
     """
     sizes = configuration_sizes(L, weight)
     if sizes is None:
         return ()
     sizes = sizes[:max((a for a, s in enumerate(sizes, 1) if s), default=0)]
-    choices = [partitions_of(s) for s in sizes]
+    m = max(sizes, default=0)
+    lam = weight.parts + (0,) * (len(sizes) + 1 - len(weight.parts))
+    # per level a, each candidate nu^(a) with its Q_0..Q_m and, for each
+    # width w, the part of its need that does not read nu^(a-1)
+    choices = [[(part, q, tuple((w, 2 * q[w] - f[w] - min(w, lam[a]))
+                                for w in dict.fromkeys(part)))
+                for part in reversed(partitions_of(size))
+                for q in [column_sums(part, m)]]
+               for a, size in enumerate(sizes, 1)
+               for f in [column_sums(L.factor_widths(a), m)]]
     out: list[tuple[Configuration, tuple[tuple, ...]]] = []
-    stack = [(Configuration._trusted(()), ())]
+    # (levels chosen, Q of the last, its needs not met yet)
+    stack = [((), column_sums((), m), ())]
     while stack:
-        config, blocks = stack.pop()
-        chosen = len(config.nu)
-        complete = chosen if chosen == len(sizes) else chosen - 1
-        for a in range(len(blocks) + 1, complete + 1):
-            level = level_blocks(config, L, weight.parts, a)
-            if any(floor > p for (_, _, floor, p) in level):
-                break
-            blocks += (level,)
-        else:
-            if chosen == len(sizes):
-                out.append((config, blocks))
-            else:
-                stack += [(Configuration._trusted(config.nu + (part,)), blocks)
-                          for part in reversed(choices[chosen])]
+        nu, below, needs = stack.pop()
+        if len(nu) == len(sizes):
+            config = Configuration._trusted(nu)
+            out.append((config, configuration_frame(config, L)))
+            continue
+        last = len(nu) + 1 == len(sizes)
+        for part, q, base in choices[len(nu)]:
+            if any(q[w] < need for w, need in needs):
+                continue
+            unmet = tuple((w, c - below[w]) for w, c in base if c > below[w])
+            if not (last and unmet):
+                stack.append((nu + (part,), q, unmet))
     return tuple(out)
 
 
@@ -491,13 +501,14 @@ def rc_to_json(rc: RiggedConfiguration, L: MultiplicityArray) -> list[dict]:
     """Array over all n-1 levels of {partition, riggings, vacancies}; the
     vacancies are for inspection, recomputed (never trusted) on input."""
     out = []
-    table = configuration_frame(rc.config, L)[1]
+    frame = configuration_frame(rc.config, L)
     for a in range(1, L.n):
         level = rc.config.level(a)
+        blocks = frame[a - 1] if level else ()
         out.append({
             "partition": list(level),
             "riggings": list(rc.riggings[a - 1]) if level else [],
-            "vacancies": [table[a - 1][w] for w in level],
+            "vacancies": [p for (_, m, _, p) in blocks for _ in range(m)],
         })
     return out
 

@@ -13,8 +13,8 @@ from qrigged.cli import EXIT_OK, main
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
                         configuration_frame, configuration_walk, enumerate_rc,
-                        lower_bound, rc_from_json, rc_to_json, vacancy,
-                        weight_of)
+                        level_blocks, lower_bound, rc_from_json, rc_to_json,
+                        vacancy, weight_of)
 
 
 class TestExamples:
@@ -136,12 +136,16 @@ class TestCachedFrame:
                     frame = configuration_frame(config, L)
                     assert configuration_frame.cache_info().hits == hits + 1
                     assert _tuples_and_ints(frame), frame
+                    # the blocks of each stored level and nothing else
+                    assert frame == tuple(
+                        level_blocks(config, L, w, a)
+                        for a in range(1, len(config.nu) + 1)), frame
                     configs += 1
                     for a, level in enumerate(config.nu, 1):
                         for row, width in enumerate(level):
-                            # p from `vacancy`, not the frame's table; lo
-                            # from the all-singular bound, which no valid
-                            # rigging undercuts
+                            # p from `vacancy`, not the frame's blocks;
+                            # lo from the all-singular bound, which no
+                            # valid rigging undercuts
                             for x in (vacancy(config, L, a, width) + 1,
                                       lower_bound(config, L, a, row) - 1):
                                 self.check_rejected(rc, L, widths, a, row, x)
@@ -236,24 +240,39 @@ class TestValidation:
             rc_to_path(rc, L, rows)
 
 
-class TestVacancyTable:
-    """The table that the single-box steps maintain equals the vacancy
-    numbers recomputed from scratch after every step, at every width
-    present in every level."""
+class TestStringValues:
+    """Each string is [width, d] with d its rigging minus the vacancy number
+    at its width, at level 1 minus the consumed boxes as well.  After every
+    single-box step and every row move, in both directions, d must equal
+    the rigging minus `vacancy` recomputed from scratch, where a string that
+    keeps its width keeps its rigging and a string that moves or is new is
+    singular (its rigging is the vacancy number)."""
 
     GRID_BOXES = 5
 
     @staticmethod
-    def check(levels, p, rows, boxes, n):
+    def check(levels, before, rows, boxes, n):
+        """`before` maps id(string) to (string, width, rigging) before the
+        step; return the same map after it."""
         # rows: the complete factor rows; the other consumed boxes are loose
         L = MultiplicityArray.from_rows(
             list(rows) + [1] * (boxes - sum(rows)), n)
         config = Configuration(tuple(
             tuple(sorted((w for w, _ in lv), reverse=True)) for lv in levels))
+        after = {}
         for a, level in enumerate(levels, 1):
-            for w in {w for w, _ in level}:
-                kept = p[a - 1][w] + (boxes if a == 1 else 0)
-                assert kept == vacancy(config, L, a, w), (levels, rows, a, w)
+            for s in level:
+                w, d = s
+                p = vacancy(config, L, a, w)
+                _, width, rigging = before.get(id(s), (s, None, p))
+                if width != w:
+                    rigging = p
+                if d != rigging - p + (boxes if a == 1 else 0):
+                    pytest.fail(f"{levels}, rows {rows}, {boxes} boxes: "
+                                f"level {a} string {s}, rigging {rigging}, "
+                                f"vacancy {p}")
+                after[id(s)] = (s, w, rigging)
+        return after
 
     def paths(self):
         # rank 4 has a level with strings both below and above it
@@ -268,20 +287,18 @@ class TestVacancyTable:
         for widths, n, path in self.paths():
             paths += 1
             levels = [[] for _ in range(n - 1)]
-            # the sizing of path_to_rc: |nu^(1)| + 1, the letters above 1
-            above = sum(x > 1 for f in path.factors for x in f)
-            p = [[0] * (above + 1) for _ in range(n - 1)]
+            strings = {}
             rows = []
             boxes = 0
             for s, f in zip(widths, path.factors):
                 for x in reversed(f):
-                    _insert_letter(levels, p, x, boxes)
+                    _insert_letter(levels, x, boxes)
                     boxes += 1
-                    self.check(levels, p, rows, boxes, n)
+                    strings = self.check(levels, strings, rows, boxes, n)
                     steps += 1
-                _move_factor(p, s, 1)
+                _move_factor(levels, s, 1)
                 rows.append(s)
-                self.check(levels, p, rows, boxes, n)
+                strings = self.check(levels, strings, rows, boxes, n)
         assert (paths, steps) == (2556 + 1225, 12064 + 4672)
 
     def test_extract_steps(self):
@@ -289,26 +306,29 @@ class TestVacancyTable:
         for widths, n, path in self.paths():
             paths += 1
             rc = path_to_rc(path)
-            levels = [[[w, x] for (w, x) in rc.strings(a)]
-                      for a in range(1, len(rc.config.nu) + 1)]
             rows = list(widths)
             boxes = sum(widths)
-            # the starting table of rc_to_path, over the filled levels only:
-            # p[0], when there is one, leaves out `boxes`
-            table = configuration_frame(
-                rc.config, MultiplicityArray.from_rows(widths, n))[1]
-            p = [list(row) for row in table]
-            if p:
-                p[0] = [x - boxes for x in p[0]]
-            self.check(levels, p, rows, boxes, n)
+            # the starting state of rc_to_path: d from the frame's p
+            frame = configuration_frame(
+                rc.config, MultiplicityArray.from_rows(widths, n))
+            levels = []
+            strings = {}
+            for a, blocks in enumerate(frame, 1):
+                p = [p for (_, m, _, p) in blocks for _ in range(m)]
+                level = [[w, x - pw + (boxes if a == 1 else 0)]
+                         for (w, x), pw in zip(rc.strings(a), p)]
+                strings.update((id(s), (s, w, x))
+                               for s, (w, x) in zip(level, rc.strings(a)))
+                levels.append(level)
+            strings = self.check(levels, strings, rows, boxes, n)
             for s in reversed(widths):
-                _move_factor(p, s, -1)
+                _move_factor(levels, s, -1)
                 rows.pop()
-                self.check(levels, p, rows, boxes, n)
+                strings = self.check(levels, strings, rows, boxes, n)
                 for _ in range(s):
-                    _extract_letter(levels, p, boxes)
+                    _extract_letter(levels, boxes)
                     boxes -= 1
-                    self.check(levels, p, rows, boxes, n)
+                    strings = self.check(levels, strings, rows, boxes, n)
                     steps += 1
             assert not any(levels)
         assert (paths, steps) == (2556 + 1225, 12064 + 4672)

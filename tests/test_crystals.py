@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path as FsPath
 
 import pytest
@@ -32,6 +33,19 @@ class TestEnumeration:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             enumerate_paths((1, 1), 2, Composition((1,)))
+
+    def test_sized_by_the_weight_not_the_rank(self):
+        # the weight's letters bound every list; one list n long would be
+        # 8 MB here.  pytest.fail so that it also runs under python -O.
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            out = enumerate_paths((3, 3), n, Composition((3, 3)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if len(out) != 4 or peak > n:
+            pytest.fail(f"{len(out)} paths, peak {peak} bytes at rank {n}")
 
 
 class TestPathChecks:

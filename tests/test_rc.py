@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -12,9 +13,10 @@ from qrigged import rc
 from qrigged.kostka import KostkaInstance
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
-                        configuration_walk, enumerate_rc, lower_bound,
-                        rc_from_json, rc_to_json, validate, vacancy,
-                        vacancy_row, weight_of)
+                        configuration_frame, configuration_sizes,
+                        configuration_walk, enumerate_rc, level_blocks,
+                        lower_bound, rc_from_json, rc_to_json, validate,
+                        vacancy, vacancy_row, weight_of)
 
 
 def _rc_grid(max_boxes: int):
@@ -27,41 +29,73 @@ def _rc_grid(max_boxes: int):
                     yield L, Composition(w)
 
 
-def _walk_against_full_product(max_boxes: int, ranks):
+def _walk_against_full_product(instances):
     """Compare `configuration_walk` with the full product of partitions over
-    every ordered row-shape list and weight; return the numbers of
+    the (L, weight) pairs of `instances`; return the numbers of
     configurations in the full product, kept by the walk and carrying an
     object, and the problems found.
 
-    The product is built here from the sizes |nu^(a)| = w_{a+1} + ... + w_n
-    of row factors.  A dropped configuration must have a block of some level
-    a whose floor -min(width, w_{a+1}) exceeds its vacancy number.  Both
-    sides depend on the row shapes only through L, so each (L, weight) is
+    The product is built from the sizes of `configuration_sizes`.  A
+    dropped configuration must have a block of some level a whose floor
+    -min(width, w_{a+1}) exceeds its vacancy number, a kept one must have
+    none, and its blocks must be `level_blocks` recomputed.  The walk
+    depends on the row shapes only through L, so each (L, weight) is
     checked once and counted for every ordering of its rows.
     """
     problems: list = []
     checked: dict = {}
     counts = [0, 0, 0]
+    for L, w in instances:
+        if (L, w) not in checked:
+            checked[L, w] = _check_walk(L, w, problems)
+        counts = [t + c for t, c in zip(counts, checked[L, w])]
+    return tuple(counts), problems
+
+
+def _row_instances(max_boxes: int, ranks):
+    """(L, weight) for every ordered row-shape list and weight."""
     for widths, n in instance_grid(max_boxes, ranks=ranks):
         L = MultiplicityArray.from_rows(widths, n)
         for w in weight_compositions(sum(widths), n):
-            if (L, w) not in checked:
-                checked[L, w] = _check_walk(L, w, problems)
-            counts = [t + c for t, c in zip(counts, checked[L, w])]
-    return tuple(counts), problems
+            yield L, w
+
+
+def _rectangle_instances(max_boxes: int, ranks):
+    """(L, weight) for every multiplicity array with a factor taller than a
+    row and at most `max_boxes` boxes, and every weight."""
+    for n in ranks:
+        arrays = [((), 0)]  # (counts, boxes)
+        for a in range(1, n):
+            for i in range(1, max_boxes // a + 1):
+                arrays = [(counts + (((a, i), c),), boxes + c * a * i)
+                          for counts, boxes in arrays
+                          for c in range((max_boxes - boxes) // (a * i) + 1)]
+        for counts, _ in arrays:
+            if any(a > 1 and c for (a, _), c in counts):
+                L = MultiplicityArray(counts, n)
+                for w in weight_compositions(L.total_boxes(), n):
+                    yield L, w
 
 
 def _check_walk(L: MultiplicityArray, w: tuple[int, ...], problems: list):
     weight = Composition(w)
-    walked = [config.nu for config, _ in configuration_walk(L, weight)]
+    walk = configuration_walk(L, weight)
+    walked = [config.nu for config, _ in walk]
     carried = {rc.config.nu for rc in enumerate_rc(L, weight)}
     if not carried <= set(walked):
         problems.append(("dropped a configuration with an object",
                          L, w, sorted(carried - set(walked))[:1]))
+    for config, blocks in walk:
+        if blocks != tuple(level_blocks(config, L, w, a)
+                           for a in range(1, len(config.nu) + 1)):
+            problems.append(("blocks differ from level_blocks", L, w, config))
+        if any(floor > p for level in blocks for (_, _, floor, p) in level):
+            problems.append(("kept a block with floor > p", L, w, config))
+    sizes = configuration_sizes(L, weight)
     full = 0
     remaining = iter(walked)
     upcoming = next(remaining, None)
-    for nu in product(*(partitions_of(sum(w[a:])) for a in range(1, L.n))):
+    for nu in (product(*map(partitions_of, sizes)) if sizes else ()):
         full += 1
         if Configuration(nu).nu == upcoming:
             upcoming = next(remaining, None)
@@ -111,8 +145,8 @@ class TestVacancy:
     @staticmethod
     def _check_full_product(L, weight, m):
         checked = 0
-        sizes = [L.level_boxes()[a] - sum(weight[:a]) for a in range(1, L.n)]
-        if any(s < 0 for s in sizes):
+        sizes = configuration_sizes(L, Composition(weight))
+        if sizes is None:
             return 0
         for nu in product(*(partitions_of(s) for s in sizes)):
             config = Configuration(nu)
@@ -148,8 +182,24 @@ class TestVacancy:
     def test_level_boxes_are_summed_once_per_array(self):
         # configuration_sizes and weight_of read the sums the array holds
         L = MultiplicityArray({(2, 3): 1, (1, 2): 1}, 4)
-        assert L.level_boxes() == (0, 5, 8, 8, 8)
+        # up to the tallest factor's height, constant from there on
+        assert L.level_boxes() == (0, 5, 8)
         assert L.level_boxes() is L.level_boxes()
+
+    def test_array_is_sized_by_its_tallest_factor(self):
+        # factor widths and level boxes stop at the tallest factor's height;
+        # one list n long would be 800 kB here.  pytest.fail so that it
+        # also runs under python -O.
+        n = 10 ** 5
+        tracemalloc.start()
+        try:
+            L = MultiplicityArray.from_rows((3, 3), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got = (L.factor_widths(1), L.factor_widths(2), L.factor_widths(n - 1))
+        if got != ((3, 3), (), ()) or peak > n:
+            pytest.fail(f"factor widths {got}, peak {peak} bytes at rank {n}")
 
     def test_two_boxes(self):
         L = MultiplicityArray({(1, 1): 2}, 2)
@@ -330,16 +380,44 @@ class TestEnumeration:
 
 class TestConfigurationWalk:
     # written without assert so that it still checks under python -O
-    @pytest.mark.parametrize("ranks, counts", [
-        ((2, 3), (23647, 4104, 3740)),
-        ((4,), (304096, 16743, 13854)),
-    ], ids=["acceptance_grid", "rank_4"])
-    def test_walk_keeps_every_configuration_with_an_object(self, ranks, counts):
-        found, problems = _walk_against_full_product(6, ranks)
+    # the rectangle grid has 2,702 instances, 269 of them with no
+    # configuration at all
+    @pytest.mark.parametrize("instances, boxes, ranks, counts", [
+        (_row_instances, 6, (2, 3), (23647, 4104, 3740)),
+        (_row_instances, 6, (4,), (304096, 16743, 13854)),
+        (_rectangle_instances, 6, (3, 4), (71394, 5162, 3576)),
+        pytest.param(_row_instances, 7, (4,), (2013664, 74671, 57579),
+                     marks=pytest.mark.slow),
+    ], ids=["acceptance_grid", "rank_4", "rectangles", "rank_4_7_boxes"])
+    def test_walk_keeps_every_configuration_with_an_object(
+            self, instances, boxes, ranks, counts):
+        found, problems = _walk_against_full_product(instances(boxes, ranks))
         if problems:
             pytest.fail(f"{len(problems)} walk problems, first: {problems[:3]}")
         if found != counts:
             pytest.fail(f"grid changed: (full, kept, with an object) = {found}")
+
+    def test_blocks_are_built_for_kept_configurations_only(self, monkeypatch):
+        # a candidate short of a need is never pushed, and the blocks come
+        # from the frame of each kept configuration, one level_blocks per
+        # stored level
+        calls = []
+
+        def counted(config, L, weight_parts, a, _original=rc.level_blocks):
+            calls.append(a)
+            return _original(config, L, weight_parts, a)
+
+        monkeypatch.setattr(rc, "level_blocks", counted)
+        kept = levels = 0
+        for L, w in _row_instances(6, (2, 3)):
+            configuration_walk.cache_clear()
+            configuration_frame.cache_clear()
+            walk = configuration_walk(L, Composition(w))
+            kept += len(walk)
+            levels += sum(len(config.nu) for config, _ in walk)
+        if (len(calls), levels, kept) != (6970, 6970, 4104):
+            pytest.fail(f"(level_blocks calls, kept levels, kept) = "
+                        f"{(len(calls), levels, kept)}")
 
     def test_walks_only_the_levels_the_weight_fills(self, monkeypatch):
         # 1x3,1x3 with weight 3,3 has |nu^(a)| = 0 for a >= 2, so the walk
