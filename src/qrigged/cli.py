@@ -65,7 +65,7 @@ OPERATION_MAP = {
     "crystals.e_op": "paths",
     "crystals.is_highest_weight": "paths",
     "crystals.intrinsic_energy": "paths",
-    "rc.vacancy_row": "rc-list",
+    "rc.vacancy_numbers": "rc-list",
     "rc.enumerate_rc": "rc-list",
     "rc.cocharge": "rc-list",
     "bijection.path_to_rc": "bijection",

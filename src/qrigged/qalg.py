@@ -399,7 +399,7 @@ class TruncatedSeries:
         f = _as_fraction(frontier)
         if f >= self.frontier:
             return self
-        order = int((f - self.offset) / self.step)
+        order = (f - self.offset) // self.step
         if order < 0:
             raise ValueError("truncation below the series offset")
         return self._trusted(self.coeffs[:order + 1], self.offset, self.step)

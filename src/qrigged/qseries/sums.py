@@ -311,15 +311,15 @@ def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
     """Exact coefficients of the bosonic sum to relative order `order`."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    slack = abs(spec.a1) * 2 + 1 if spec.a2 is not None else Fraction(0)
-    terms = spec.theta_terms(Fraction(order) + spec.a0 + slack)
-    min_exp = min(e for e, _ in terms)
-    out = series_sum([TruncatedSeries((0,) * (order + 1), min_exp)] + [
-        TruncatedSeries((sign,) + (0,) * order, e)
-        for e, sign in terms if e <= min_exp + order])
+    # the j = 0 term sits at a0, so the bound holds every term up to the
+    # least one plus the order, and the least term fixes the frontier
+    terms = spec.theta_terms(Fraction(order) + spec.a0)
+    min_exp = terms[0][0]
+    out = series_sum([TruncatedSeries((sign,) + (0,) * order, e)
+                      for e, sign in terms if e <= min_exp + order])
     for f in spec.prefactors:
         out = out.times_pochhammer(f.spec(()), f.power)
-    return out.truncate(out.offset + order)
+    return out
 
 
 @dataclass(frozen=True)

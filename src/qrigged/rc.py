@@ -165,14 +165,6 @@ def vacancy_numbers(factor: tuple[int, ...], below: tuple[int, ...],
         column_sums(below, m), column_sums(above, m))]
 
 
-def vacancy_row(config: Configuration, L: MultiplicityArray, a: int, m: int
-                ) -> list[int]:
-    """[p_0^{(a)}, ..., p_m^{(a)}]: `vacancy_numbers` of the height-a factor
-    widths and nu^(a-1), nu^(a), nu^(a+1), nu^(0) and nu^(n) empty."""
-    return vacancy_numbers(L.factor_widths(a), config.level(a - 1),
-                           config.level(a), config.level(a + 1), m)
-
-
 def vacancy(config: Configuration, L: MultiplicityArray, a: int, i: int) -> int:
     """Vacancy number p_i^{(a)}: the factor term minus the Cartan-matrix
     contraction of the column counts.  May be negative."""
@@ -181,33 +173,33 @@ def vacancy(config: Configuration, L: MultiplicityArray, a: int, i: int) -> int:
         raise IndexError(f"level {a} out of range 1..{n - 1}")
     if i < 1:
         raise IndexError("column index must be positive")
-    return vacancy_row(config, L, a, i)[i]
-
-
-def weight_of(config: Configuration, L: MultiplicityArray) -> tuple[int, ...]:
-    """The weight composition forced by the configuration sizes."""
-    boxes = L.level_boxes()
-    boxes += boxes[-1:] * (L.n + 1 - len(boxes))
-    # boxes[a] - |nu^(a)| letters are <= a, with |nu^(0)| = |nu^(n)| = 0
-    sizes = (0,) + tuple(sum(config.level(a)) for a in range(1, L.n)) + (0,)
-    return tuple((boxes[a] - sizes[a]) - (boxes[a - 1] - sizes[a - 1])
-                 for a in range(1, L.n + 1))
+    return vacancy_numbers(L.factor_widths(a), config.level(a - 1),
+                           config.level(a), config.level(a + 1), i)[i]
 
 
 def configuration_sizes(L: MultiplicityArray, weight: Composition) -> Optional[tuple[int, ...]]:
-    """Forced sizes |nu^{(a)}|, or None when some size is negative.
+    """Forced sizes |nu^{(1)}|, ... up to the last nonzero one (() when
+    none is), or None when some size is negative.
 
     The one check that (L, weight) is an instance: raises ValueError when
     the weight's total differs from L's boxes, then when the weight has
     more than n parts."""
     if weight.size() != L.total_boxes():
         raise ValueError(f"weight total {weight.size()} != boxes {L.total_boxes()}")
-    if len(weight.trimmed()) > L.n:
+    parts = weight.trimmed()
+    if len(parts) > L.n:
         raise ValueError("weight has more parts than the rank")
     boxes = L.level_boxes()
-    sizes = tuple(boxes[min(a, len(boxes) - 1)] - sum(weight.parts[:a])
-                  for a in range(1, L.n))
-    return None if any(s < 0 for s in sizes) else sizes
+    top = len(boxes) - 1
+    # |nu^(a)| = boxes[a] - (letters <= a), 0 from the weight's last letter
+    # and the tallest factor on
+    sizes, letters = [], 0
+    for a in range(1, max(len(parts), top)):
+        letters += parts[a - 1] if a <= len(parts) else 0
+        sizes.append(boxes[min(a, top)] - letters)
+    while sizes and not sizes[-1]:
+        sizes.pop()
+    return None if any(s < 0 for s in sizes) else tuple(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +207,19 @@ def configuration_sizes(L: MultiplicityArray, weight: Composition) -> Optional[t
 # ---------------------------------------------------------------------------
 
 def level_blocks(config: Configuration, L: MultiplicityArray,
-                 weight_parts: Sequence[int], a: int
+                 lam_next: int, a: int
                  ) -> tuple[tuple[int, int, int, int], ...]:
     """(width, mult, floor, p) for each block of equal-width rows of
     nu^{(a)}, widths descending.
 
-    floor = -min(width, lambda_{a+1}) is the level-a floor before carried
-    depth and p the vacancy number; neither depends on the riggings.
+    floor = -min(width, lam_next), lam_next = lambda_{a+1}, is the floor
+    before carried depth and p the vacancy number; neither reads riggings.
     """
     level = config.level(a)
     if not level:
         return ()
-    lam_next = weight_parts[a] if a < len(weight_parts) else 0
-    p = vacancy_row(config, L, a, level[0])
+    p = vacancy_numbers(L.factor_widths(a), config.level(a - 1), level,
+                        config.level(a + 1), level[0])
     return tuple([(w, len(list(rows)), -min(w, lam_next), p[w])
                   for w, rows in groupby(level)])
 
@@ -268,12 +260,18 @@ def configuration_frame(config: Configuration, L: MultiplicityArray) -> tuple:
     InvalidRiggedConfigurationError when the sizes force a negative weight,
     since such sizes are unbounded.
     """
-    wparts = weight_of(config, L)
-    if any(p < 0 for p in wparts):
+    boxes, depth = L.level_boxes(), len(config.nu)
+    # boxes[a] - |nu^(a)| letters are <= a: the stored levels and one more
+    # give lambda_1 .. lambda_{depth+1}, and every later part is a
+    # difference of level boxes, never negative, that no level reads
+    letters = [boxes[min(a, len(boxes) - 1)] - sum(config.level(a))
+               for a in range(depth + 2)]
+    lam = tuple(hi - lo for lo, hi in zip(letters, letters[1:]))
+    if any(part < 0 for part in lam):
         raise InvalidRiggedConfigurationError(
-            f"configuration sizes force a negative weight: {wparts}")
-    return tuple(level_blocks(config, L, wparts, a)
-                 for a in range(1, len(config.nu) + 1))
+            f"configuration sizes force a negative weight: {lam}")
+    return tuple(level_blocks(config, L, lam[a], a)
+                 for a in range(1, depth + 1))
 
 
 @dataclass(frozen=True)
@@ -401,7 +399,6 @@ def configuration_walk(L: MultiplicityArray, weight: Composition
     sizes = configuration_sizes(L, weight)
     if sizes is None:
         return ()
-    sizes = sizes[:max((a for a, s in enumerate(sizes, 1) if s), default=0)]
     m = max(sizes, default=0)
     lam = weight.parts + (0,) * (len(sizes) + 1 - len(weight.parts))
     # per level a, each candidate nu^(a) with its Q_0..Q_m and, for each

@@ -1,6 +1,6 @@
 """Tiny validator for the subset of JSON Schema used by the shipped schemas:
-type, properties, required, items (schema or positional list), $ref to a
-sibling schema file."""
+type (a name or a list of names), properties, required, items (schema or
+positional list), $ref to a sibling schema file."""
 from __future__ import annotations
 
 import json
@@ -29,10 +29,10 @@ def validate(data, schema: dict, where: str = "$") -> None:
         return
     expected = schema.get("type")
     if expected is not None:
-        pytype = _TYPES[expected]
-        if expected == "integer" and isinstance(data, bool):
-            raise AssertionError(f"{where}: bool is not an integer")
-        if not isinstance(data, pytype):
+        names = expected if isinstance(expected, list) else [expected]
+        if not any(isinstance(data, _TYPES[name])
+                   and not (name == "integer" and isinstance(data, bool))
+                   for name in names):
             raise AssertionError(
                 f"{where}: expected {expected}, got {type(data).__name__}")
     if "enum" in schema and data not in schema["enum"]:

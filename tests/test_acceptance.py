@@ -24,7 +24,8 @@ from qrigged.qseries.bailey import (INFINITY, bailey_step,
 from qrigged.qseries.presets import PresetRegistry, character
 from qrigged.qseries.sums import (BosonicSumSpec, compare_series,
                                   eval_bosonic)
-from qrigged.rc import MultiplicityArray, cocharge, enumerate_rc, weight_of
+from qrigged.rc import (MultiplicityArray, cocharge, configuration_sizes,
+                        enumerate_rc)
 
 GRID_BOXES = 6
 GRID_RANKS = (2, 3)
@@ -104,7 +105,8 @@ def test_criterion_3_bijection_suite(grid):
         seen = set()
         for p, rc in entries:
             objects += 1
-            assert weight_of(rc.config, L) == p.content()
+            assert configuration_sizes(L, Composition(p.content())) == \
+                tuple(map(sum, rc.config.nu))
             assert rc not in seen
             seen.add(rc)
             back = rc_to_path(rc, L, widths)

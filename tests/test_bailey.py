@@ -33,6 +33,10 @@ class TestVerify:
         check = verify_bailey_pair(corrupted, 10, max_n=5)
         assert not check.valid
         assert check.failing_n == 2
+        # the CLI payload of a failing check names where it failed
+        assert check.as_dict() == {"valid": False, "order": 10,
+                                   "checked_n": 2, "failing_n": 2,
+                                   "failing_exponent": "2"}
 
     def test_classical_seed_to_order_30(self):
         check = verify_bailey_pair(rogers_ramanujan_seed(), 30, max_n=12)

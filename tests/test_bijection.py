@@ -12,9 +12,9 @@ from qrigged import rc as rc_module
 from qrigged.cli import EXIT_OK, main
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
-                        configuration_frame, configuration_walk, enumerate_rc,
-                        level_blocks, lower_bound, rc_from_json, rc_to_json,
-                        vacancy, weight_of)
+                        configuration_frame, configuration_sizes,
+                        configuration_walk, enumerate_rc, level_blocks,
+                        lower_bound, rc_from_json, rc_to_json, vacancy)
 
 
 class TestExamples:
@@ -65,7 +65,9 @@ class TestRoundTrips:
                     for p in paths:
                         rc = path_to_rc(p)
                         # weight preservation
-                        assert weight_of(rc.config, L) == p.content()
+                        assert configuration_sizes(
+                            L, Composition(p.content())) == \
+                            tuple(map(sum, rc.config.nu))
                         assert rc not in seen, "path_to_rc must be injective"
                         seen.add(rc)
                         assert rc_to_path(rc, L, widths) == p
@@ -138,7 +140,7 @@ class TestCachedFrame:
                     assert _tuples_and_ints(frame), frame
                     # the blocks of each stored level and nothing else
                     assert frame == tuple(
-                        level_blocks(config, L, w, a)
+                        level_blocks(config, L, w[a], a)
                         for a in range(1, len(config.nu) + 1)), frame
                     configs += 1
                     for a, level in enumerate(config.nu, 1):
@@ -186,7 +188,7 @@ def test_check_costs_the_same_at_every_rank(monkeypatch, capsys):
     # 1x3,1x3 with weight 3,3 fills level 1 only, so both directions and
     # `validate` open the same rigging windows and vacancy rows at every rank
     calls = []
-    for name in ("rigging_windows", "vacancy_row"):
+    for name in ("rigging_windows", "vacancy_numbers"):
         def counted(*args, _name=name, _original=getattr(rc_module, name)):
             calls.append(_name)
             return _original(*args)
@@ -201,9 +203,9 @@ def test_check_costs_the_same_at_every_rank(monkeypatch, capsys):
         if code != EXIT_OK or '"paths":4' not in capsys.readouterr().out:
             pytest.fail(f"n = {n}: exit {code}")
         counts.append((calls.count("rigging_windows"),
-                       calls.count("vacancy_row")))
+                       calls.count("vacancy_numbers")))
     if counts[1:] != counts[:-1]:
-        pytest.fail("(rigging_windows, vacancy_row) calls at n = 16, 200, "
+        pytest.fail("(rigging_windows, vacancy_numbers) calls at n = 16, 200, "
                     f"1000: {counts}")
 
 

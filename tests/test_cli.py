@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridutil import instance_grid, weight_compositions
 from qrigged import cli as cli_module
-from qrigged.bijection import path_to_rc
+from qrigged.bijection import StatisticReport, path_to_rc
 from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
     EXIT_UNKNOWN_PRESET, EXIT_UNSUPPORTED, EXIT_USAGE, MAX_GRID, \
     OPERATION_MAP, build_parser, main
@@ -667,6 +667,69 @@ class TestSurface:
         if code != EXIT_OK or len(calls) != paths:
             pytest.fail(f"exit {code}, {len(calls)} path_to_rc calls for "
                         f"{paths} paths")
+
+
+CHECK_ARGV = ["bijection", "--n", "3", "--shapes", "1x2,1x1",
+              "--weight", "1,1,1", "--check"]
+
+
+class TestCheckPayloads:
+    """Every payload of `bijection --check` and `kostka --side both`
+    matches its result schema; the exit-3 ones are forced by patching what
+    the subcommand reads.  Written without assert so that it also checks
+    under python -O."""
+
+    @pytest.mark.parametrize("name, patched, code, want", [
+        (None, None, EXIT_OK,
+         {"roundtrip": "ok", "statistic": "ok", "paths": 3,
+          "relation": {"sign": 1, "shift": 0}}),
+        ("rc_to_path", lambda rc, L, widths: None, EXIT_UNEQUAL,
+         {"roundtrip": "failed", "path": "12(x)3"}),
+        ("check_statistic", lambda p, rc: StatisticReport(0, 1), EXIT_UNEQUAL,
+         {"roundtrip": "ok", "statistic": "cocharge != energy",
+          "path": "12(x)3"}),
+        ("enumerate_rc", lambda L, weight: [], EXIT_UNEQUAL,
+         {"roundtrip": "ok", "statistic": "cardinality mismatch 3 vs 0"}),
+    ], ids=["ok", "roundtrip", "statistic", "cardinality"])
+    def test_bijection_check(self, name, patched, code, want, capsys,
+                             monkeypatch):
+        if name is not None:
+            monkeypatch.setattr(f"qrigged.cli.{name}", patched)
+        got, result = self.run_valid(CHECK_ARGV, "bijection.schema.json",
+                                     capsys)
+        if (got, result) != (code, want):
+            pytest.fail(f"exit {got}: {result}")
+
+    def test_kostka_counterexample(self, capsys, monkeypatch):
+        # a path side shifted by one: fermionic 1 + q against q + q^2
+        from qrigged.kostka import path_kostka
+        monkeypatch.setattr("qrigged.kostka.path_kostka",
+                            lambda inst: path_kostka(inst).shift(1))
+        argv, schema = CASES["kostka"]
+        code, result = self.run_valid(argv, schema, capsys)
+        want = {"first_difference_exponent": 0, "fermionic_coefficient": 1,
+                "path_coefficient": 0}
+        if (code, result["equal"], result.get("counterexample")) != (
+                EXIT_UNEQUAL, False, want):
+            pytest.fail(f"exit {code}: {result}")
+
+    def test_schema_refuses_other_statistic_types(self):
+        schema = load_schema("bijection.schema.json")
+        for statistic in (3, True, None, ["ok"]):
+            with pytest.raises(AssertionError, match="statistic"):
+                validate({"statistic": statistic}, schema)
+
+    @staticmethod
+    def run_valid(argv, schema, capsys):
+        """Exit code and result of one call, its output checked against
+        the envelope and result schemas."""
+        code, out, err = run_cli(argv, capsys)
+        if not out:
+            pytest.fail(f"exit {code}, no output: {err}")
+        envelope = json.loads(out)
+        validate(envelope, load_schema("envelope.schema.json"))
+        validate(envelope["result"], load_schema(schema))
+        return code, envelope["result"]
 
 
 # -- fuzz: every q-series invocation ends in a documented exit code ----------

@@ -218,6 +218,21 @@ class TestSeries:
         assert s.coefficient(Fraction(0)) == 1
         assert s.coefficient(Fraction(1, 2)) == 1
 
+    def test_truncate(self):
+        # grid 1/2, 1, 3/2, 2: the guarantee ends at the last grid point at
+        # or below the frontier, and a frontier below the offset is refused
+        s = TruncatedSeries((1, 2, 3, 4), Fraction(1, 2), Fraction(1, 2))
+        for frontier, coeffs in ((Fraction(3, 2), (1, 2, 3)),
+                                 (Fraction(5, 4), (1, 2)),
+                                 (Fraction(1, 2), (1,))):
+            cut = s.truncate(frontier)
+            assert (cut.coeffs, cut.offset, cut.step) == \
+                (coeffs, Fraction(1, 2), Fraction(1, 2))
+        assert s.truncate(2) is s and s.truncate(9) is s
+        for frontier in (Fraction(1, 4), Fraction(-3)):
+            with pytest.raises(ValueError, match="below the series offset"):
+                s.truncate(frontier)
+
     def test_orders_never_extended(self):
         a = TruncatedSeries((1, 1), Fraction(0))     # guaranteed to q^1
         b = TruncatedSeries((1, 1, 1, 1), Fraction(0))

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from itertools import product
 
@@ -16,7 +17,7 @@ from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         configuration_frame, configuration_sizes,
                         configuration_walk, enumerate_rc, level_blocks,
                         lower_bound, rc_from_json, rc_to_json, validate,
-                        vacancy, vacancy_row, weight_of)
+                        vacancy, vacancy_numbers)
 
 
 def _rc_grid(max_boxes: int):
@@ -86,7 +87,7 @@ def _check_walk(L: MultiplicityArray, w: tuple[int, ...], problems: list):
         problems.append(("dropped a configuration with an object",
                          L, w, sorted(carried - set(walked))[:1]))
     for config, blocks in walk:
-        if blocks != tuple(level_blocks(config, L, w, a)
+        if blocks != tuple(level_blocks(config, L, w[a], a)
                            for a in range(1, len(config.nu) + 1)):
             problems.append(("blocks differ from level_blocks", L, w, config))
         if any(floor > p for level in blocks for (_, _, floor, p) in level):
@@ -95,14 +96,15 @@ def _check_walk(L: MultiplicityArray, w: tuple[int, ...], problems: list):
     full = 0
     remaining = iter(walked)
     upcoming = next(remaining, None)
-    for nu in (product(*map(partitions_of, sizes)) if sizes else ()):
+    for nu in (product(*map(partitions_of, sizes))
+               if sizes is not None else ()):
         full += 1
         if Configuration(nu).nu == upcoming:
             upcoming = next(remaining, None)
             continue
         config = Configuration(nu)
         if not any(-min(width, w[a]) > vacancy(config, L, a, width)
-                   for a in range(1, L.n) for width in set(nu[a - 1])):
+                   for a, level in enumerate(nu, 1) for width in set(level)):
             problems.append(("dropped a configuration with floor <= p in "
                              "every block", L, w, nu))
     if upcoming is not None:
@@ -151,7 +153,8 @@ class TestVacancy:
         for nu in product(*(partitions_of(s) for s in sizes)):
             config = Configuration(nu)
             for a in range(1, L.n):
-                row = vacancy_row(config, L, a, m)
+                row = vacancy_numbers(L.factor_widths(a), config.level(a - 1),
+                                      config.level(a), config.level(a + 1), m)
                 expected = [_vacancy_by_definition(config, L, a, i)
                             for i in range(m + 1)]
                 if row != expected:
@@ -180,7 +183,8 @@ class TestVacancy:
         assert checked == 1812
 
     def test_level_boxes_are_summed_once_per_array(self):
-        # configuration_sizes and weight_of read the sums the array holds
+        # configuration_sizes and configuration_frame read the sums the
+        # array holds
         L = MultiplicityArray({(2, 3): 1, (1, 2): 1}, 4)
         # up to the tallest factor's height, constant from there on
         assert L.level_boxes() == (0, 5, 8)
@@ -200,6 +204,52 @@ class TestVacancy:
         got = (L.factor_widths(1), L.factor_widths(2), L.factor_widths(n - 1))
         if got != ((3, 3), (), ()) or peak > n:
             pytest.fail(f"factor widths {got}, peak {peak} bytes at rank {n}")
+
+    def test_sizes_stop_at_the_last_filled_level(self):
+        # 1x3,1x3 with weight 3,3 fills level 1 alone; one tuple n - 1
+        # long would be 8 MB here
+        n = 10 ** 6
+        L = MultiplicityArray.from_rows((3, 3), n)
+        tracemalloc.start()
+        try:
+            sizes = configuration_sizes(L, Composition((3, 3)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if sizes != (3,) or peak > n:
+            pytest.fail(f"sizes {sizes}, peak {peak} bytes at rank {n}")
+
+    def test_frame_reads_the_stored_levels_and_one_more(self):
+        # lambda_1 and lambda_2 come from |nu^(1)| and the level boxes; no
+        # later part of the weight is built
+        n = 10 ** 6
+        L = MultiplicityArray.from_rows((3, 3), n)
+        config = Configuration(((2, 1),))
+        configuration_frame.cache_clear()
+        tracemalloc.start()
+        try:
+            frame = configuration_frame(config, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if frame != (((2, 1, -2, -2), (1, 1, -1, -2)),) or peak > n:
+            pytest.fail(f"frame {frame}, peak {peak} bytes at rank {n}")
+
+    def test_negative_weight_refusal_names_the_computed_parts(self, capsys):
+        # three boxes at level 1 on two one-box rows force lambda_1 = -1;
+        # the message names lambda_1 and lambda_2, not all n parts
+        n = 10 ** 5
+        payload = json.dumps(
+            [{"partition": [1, 1, 1], "riggings": [0, 0, 0]}]
+            + [{"partition": [], "riggings": []}] * (n - 2))
+        code = main(["bijection", "--n", str(n), "--shapes", "1x1,1x1",
+                     "--rc", payload])
+        out, err = capsys.readouterr()
+        if (code, out, err) != (EXIT_USAGE, "", "error: invalid rigged "
+                                "configuration: configuration sizes force a "
+                                "negative weight: (-1, 3)\n"):
+            pytest.fail(f"exit {code}, stdout {out[:200]!r}, stderr of "
+                        f"{len(err)} characters {err[:200]!r}")
 
     def test_two_boxes(self):
         L = MultiplicityArray({(1, 1): 2}, 2)
@@ -226,24 +276,28 @@ class TestLowerBound:
         # lambda_{a+1} = 0 and no carried depth: the floor is 0
         L = MultiplicityArray({(1, 1): 4}, 3)
         config = Configuration(((2,), (2,)))  # weight (2, 0, 2)
-        assert weight_of(config, L) == (2, 0, 2)
+        assert configuration_sizes(L, Composition((2, 0, 2))) == \
+            tuple(map(sum, config.nu))
         assert lower_bound(config, L, 1, 0) == 0
 
     def test_unrestricted_floor_tracks_next_weight_part(self):
         L = MultiplicityArray({(1, 1): 3}, 2)
         config = Configuration(((1,),))   # weight (2, 1) -> floor -1
-        assert weight_of(config, L) == (2, 1)
+        assert configuration_sizes(L, Composition((2, 1))) == \
+            tuple(map(sum, config.nu))
         assert lower_bound(config, L, 1, 0) == -1
         L3 = MultiplicityArray({(1, 1): 2}, 3)
         config3 = Configuration(((1,), ()))  # weight (1, 1, 0)
-        assert weight_of(config3, L3) == (1, 1, 0)
+        assert configuration_sizes(L3, Composition((1, 1, 0))) == \
+            tuple(map(sum, config3.nu))
         assert lower_bound(config3, L3, 1, 0) == -1
 
     def test_empty_window_case(self):
         # bound above vacancy: the configuration contributes nothing
         L = MultiplicityArray({(1, 2): 1}, 2)
         config = Configuration(((1, 1),))  # would need weight (0, 2)
-        assert weight_of(config, L) == (0, 2)
+        assert configuration_sizes(L, Composition((0, 2))) == \
+            tuple(map(sum, config.nu))
         assert lower_bound(config, L, 1, 0) == -1
         assert vacancy(config, L, 1, 1) == -3  # window [-1, -3] is empty
         out = enumerate_rc(L, Composition((0, 2)))
@@ -260,7 +314,8 @@ class TestLowerBound:
         # level-2 floor to 0 above its vacancy -1
         L = MultiplicityArray.from_rows((1, 1, 1, 1), 3)
         config = Configuration(((1, 1, 1), (1, 1)))
-        assert weight_of(config, L) == (1, 1, 2)
+        assert configuration_sizes(L, Composition((1, 1, 2))) == \
+            tuple(map(sum, config.nu))
         assert lower_bound(config, L, 1, 0) == -1
         out = [rc for rc in enumerate_rc(L, Composition((1, 1, 2)))
                if rc.config == config]
@@ -403,9 +458,9 @@ class TestConfigurationWalk:
         # stored level
         calls = []
 
-        def counted(config, L, weight_parts, a, _original=rc.level_blocks):
+        def counted(config, L, lam_next, a, _original=rc.level_blocks):
             calls.append(a)
-            return _original(config, L, weight_parts, a)
+            return _original(config, L, lam_next, a)
 
         monkeypatch.setattr(rc, "level_blocks", counted)
         kept = levels = 0
@@ -424,9 +479,9 @@ class TestConfigurationWalk:
         # costs the same at every rank, and the objects hold the one level
         calls = []
 
-        def counted(config, L, weight_parts, a, _original=rc.level_blocks):
+        def counted(config, L, lam_next, a, _original=rc.level_blocks):
             calls.append(a)
-            return _original(config, L, weight_parts, a)
+            return _original(config, L, lam_next, a)
 
         monkeypatch.setattr(rc, "level_blocks", counted)
         counts = []
@@ -450,6 +505,18 @@ class TestConfigurationWalk:
 
 class TestCanonicalForm:
     """A configuration stores the levels up to its last nonempty one."""
+
+    @pytest.mark.parametrize("nu, riggings, text", [
+        (((2, 1), (), (1, 1)), ((0, -1), (), (3, 3)), "2:0 1:-1 | - | 1:3 1:3"),
+        (((1,), ()), ((0,),), "1:0"),
+        ((), (), ""),
+    ], ids=["gap", "trailing", "empty"])
+    def test_str_names_the_stored_levels(self, nu, riggings, text):
+        # width:rigging per string in canonical order, "-" for an empty
+        # level below a filled one
+        got = str(RiggedConfiguration(Configuration(nu), riggings))
+        if got != text:
+            pytest.fail(f"{nu}, {riggings}: {got!r} != {text!r}")
 
     def test_trailing_empty_levels_are_dropped(self):
         short = Configuration(((1,),))
@@ -600,7 +667,8 @@ class TestValidationAndJson:
     def test_vacancy_untouched_by_block_sorting(self):
         L = MultiplicityArray.from_rows((1, 1, 1, 1), 2)
         config = Configuration(((1, 1),))
-        assert weight_of(config, L) == (2, 2)
+        assert configuration_sizes(L, Composition((2, 2))) == \
+            tuple(map(sum, config.nu))
         v = vacancy(config, L, 1, 1)
         for riggings in ((v, v - 1), (v - 1, v)):
             rc = RiggedConfiguration(config, (riggings,))
