@@ -16,8 +16,7 @@ from .rc import (Configuration, InvalidRiggedConfigurationError,
                  MultiplicityArray, RiggedConfiguration,
                  UnsupportedFactorShapeError, cocharge, enumerate_rc,
                  lower_bound, rc_from_json, rc_to_json, validate, vacancy)
-from .bijection import check_statistic, path_to_rc, rc_to_path
+from .bijection import path_to_rc, rc_to_path
 from .kostka import (GLOBAL_NORMALIZATION, KostkaInstance,
                      fermionic_kostka, fermionic_kostka_closed_form,
-                     kostka_foulkes_via_paths, path_kostka, restricted_kostka,
-                     verify_identity)
+                     kostka_foulkes_via_paths, path_kostka, restricted_kostka)

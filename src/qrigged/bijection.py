@@ -35,15 +35,13 @@ as tuples of letters.
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
 pointwise (tested exhaustively at desk scale): the frozen normalization is
-the identity, and `check_statistic` reports the two statistics it relates.
+the identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .crystals import Path, intrinsic_energy
+from .crystals import Path
 from .rc import (Configuration, InvalidRiggedConfigurationError,
-                 MultiplicityArray, RiggedConfiguration, cocharge, validate,
+                 MultiplicityArray, RiggedConfiguration, validate,
                  vacancy_numbers)
 
 _HUGE = 10 ** 9
@@ -200,19 +198,3 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
             "nonempty configuration left after extracting all factors")
     return Path._trusted(tuple(reversed(factors_rev)), L.n)
 
-
-@dataclass(frozen=True)
-class StatisticReport:
-    energy: int
-    cocharge: int
-
-    def as_dict(self) -> dict:
-        # cocharge = sign * energy + shift, against the frozen (1, 0)
-        return {"energy": self.energy, "cocharge": self.cocharge,
-                "relation": {"sign": 1, "shift": self.cocharge - self.energy}}
-
-
-def check_statistic(path: Path, rc: RiggedConfiguration) -> StatisticReport:
-    """Intrinsic energy of `path` and cocharge of `rc`, which must be
-    `path_to_rc(path)`.  The bijection makes the two equal."""
-    return StatisticReport(energy=intrinsic_energy(path), cocharge=cocharge(rc))

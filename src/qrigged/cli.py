@@ -21,12 +21,12 @@ from fractions import Fraction
 from math import lcm
 
 from . import __version__
-from .bijection import check_statistic, path_to_rc, rc_to_path
+from .bijection import path_to_rc, rc_to_path
 from .combinat import Composition
 from .crystals import (Path, enumerate_paths, intrinsic_energy,
                        is_highest_weight)
 from .kostka import (GLOBAL_NORMALIZATION, KostkaInstance, fermionic_kostka,
-                     path_kostka, verify_identity)
+                     path_kostka)
 from .qalg import (IntPolynomial, PochhammerSpec, q_binomial, pochhammer)
 from .qseries.bailey import (INFINITY, bailey_step,
                              rogers_ramanujan_seed, unit_bailey_pair,
@@ -70,10 +70,8 @@ OPERATION_MAP = {
     "rc.cocharge": "rc-list",
     "bijection.path_to_rc": "bijection",
     "bijection.rc_to_path": "bijection",
-    "bijection.check_statistic": "bijection",
     "kostka.fermionic_kostka": "kostka",
     "kostka.path_kostka": "kostka",
-    "kostka.verify_identity": "kostka",
     "qseries.verify_bailey_pair": "bailey",
     "qseries.bailey_step": "bailey",
     "qseries.eval_fermionic": "character",
@@ -146,14 +144,19 @@ def _cmd_kostka(args) -> tuple[dict, int]:
         return {"fermionic": _poly_payload(fermionic_kostka(inst))}, EXIT_OK
     if args.side == "path":
         return {"path": _poly_payload(path_kostka(inst))}, EXIT_OK
-    report = verify_identity(inst)
-    result = {"fermionic": _poly_payload(report.fermionic),
-              "path": _poly_payload(report.path),
-              "normalization": dict(GLOBAL_NORMALIZATION),
-              "equal": report.equal}
-    if report.counterexample is not None:
-        result["counterexample"] = report.counterexample
-    return result, EXIT_OK if report.equal else EXIT_UNEQUAL
+    fermionic = fermionic_kostka(inst)
+    path = path_kostka(inst)
+    equal = fermionic == path
+    result = {"fermionic": _poly_payload(fermionic),
+              "path": _poly_payload(path),
+              "normalization": dict(GLOBAL_NORMALIZATION), "equal": equal}
+    if not equal:
+        first = min((fermionic - path).terms)
+        result["counterexample"] = {
+            "first_difference_exponent": first,
+            "fermionic_coefficient": fermionic.coefficient(first),
+            "path_coefficient": path.coefficient(first)}
+    return result, EXIT_OK if equal else EXIT_UNEQUAL
 
 
 def _cmd_rc_list(args) -> tuple[dict, int]:
@@ -194,9 +197,11 @@ def _cmd_bijection(args) -> tuple[dict, int]:
             raise ValueError(f"malformed path: {exc}") from None
         rc = path_to_rc(p)
         L = MultiplicityArray.from_rows(p.shapes(), p.n)
-        result = {"path": str(p), "rc": rc_to_json(rc, L),
-                  "statistic": check_statistic(p, rc).as_dict()}
-        return result, EXIT_OK
+        energy, c = intrinsic_energy(p), cocharge(rc)
+        # cocharge = sign * energy + shift, against the frozen (1, 0)
+        return {"path": str(p), "rc": rc_to_json(rc, L),
+                "statistic": {"energy": energy, "cocharge": c, "relation":
+                              {"sign": 1, "shift": c - energy}}}, EXIT_OK
     if args.rc:
         if shapes is None:
             raise ValueError("--rc requires --shapes")
@@ -219,8 +224,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
         rc = path_to_rc(p)
         if rc_to_path(rc, L, widths) != p:
             return {"roundtrip": "failed", "path": str(p)}, EXIT_UNEQUAL
-        rep = check_statistic(p, rc)
-        if rep.cocharge != rep.energy:  # off the frozen normalization
+        if intrinsic_energy(p) != cocharge(rc):  # off the frozen normalization
             return {"roundtrip": "ok", "statistic": "cocharge != energy",
                     "path": str(p)}, EXIT_UNEQUAL
     rc_count = len(enumerate_rc(L, weight))

@@ -132,28 +132,3 @@ def kostka_foulkes_via_paths(inst: KostkaInstance) -> IntPolynomial:
     restricted = restricted_kostka(inst)
     return restricted.reverse().shift(mu.n_statistic())
 
-
-@dataclass(frozen=True)
-class IdentityReport:
-    fermionic: IntPolynomial
-    path: IntPolynomial
-    equal: bool
-    counterexample: dict | None = None
-
-
-def verify_identity(inst: KostkaInstance) -> IdentityReport:
-    """Compare the fermionic and path evaluations, which agree exactly under
-    the frozen normalization; report a counterexample on failure."""
-    fermionic = fermionic_kostka(inst)
-    path = path_kostka(inst)
-    equal = fermionic == path
-    counterexample = None
-    if not equal:
-        first = min((fermionic - path).terms)
-        counterexample = {
-            "first_difference_exponent": first,
-            "fermionic_coefficient": fermionic.coefficient(first),
-            "path_coefficient": path.coefficient(first),
-        }
-    return IdentityReport(fermionic=fermionic, path=path, equal=equal,
-                          counterexample=counterexample)

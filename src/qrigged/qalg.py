@@ -326,10 +326,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def nonzero_terms(self) -> list[tuple[Fraction, int]]:
-        return [(self.offset + i * self.step, c)
-                for i, c in enumerate(self.coeffs) if c]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":

@@ -348,6 +348,7 @@ def compare_series(a: TruncatedSeries, b: TruncatedSeries) -> SeriesComparison:
     diff = a - b
     if diff.is_zero():
         return SeriesComparison(True, diff.frontier)
-    bad = diff.nonzero_terms()[0][0]
+    first = next(i for i, c in enumerate(diff.coeffs) if c)
+    bad = diff.offset + first * diff.step
     return SeriesComparison(False, diff.frontier, bad,
                             a.coefficient(bad), b.coefficient(bad))

@@ -296,8 +296,6 @@ class RiggedConfiguration:
             if len(level) != len(rig):
                 raise ValueError("one rigging per row is required")
             pairs = sorted(zip(level, rig), key=lambda t: (-t[0], -t[1]))
-            if tuple(w for w, _ in pairs) != level:
-                raise ValueError("riggings must align with the sorted partition")
             canonical.append(tuple(r for _, r in pairs))
         object.__setattr__(self, "riggings", tuple(canonical))
 

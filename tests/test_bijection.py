@@ -5,10 +5,10 @@ import pytest
 
 from gridutil import instance_grid, weight_compositions, width_tuples
 from qrigged.bijection import (_extract_letter, _insert_letter, _move_factor,
-                               check_statistic, path_to_rc, rc_to_path)
+                               path_to_rc, rc_to_path)
 from qrigged.combinat import Composition
 from qrigged.crystals import Path, enumerate_paths, intrinsic_energy
-from qrigged import rc as rc_module
+from qrigged import bijection as bijection_module, rc as rc_module
 from qrigged.cli import EXIT_OK, main
 from qrigged.rc import (Configuration, InvalidRiggedConfigurationError,
                         MultiplicityArray, RiggedConfiguration, cocharge,
@@ -35,19 +35,16 @@ class TestExamples:
         L = MultiplicityArray.from_rows((1, 1), 2)
         assert images == set(enumerate_rc(L, Composition((1, 1))))
 
-    def test_statistic_report_single_factor(self):
+    def test_statistics_single_factor(self):
         path = Path([(1, 1, 2)], 2)
-        rep = check_statistic(path, path_to_rc(path))
-        assert rep.energy == 0 and rep.cocharge == 0
-        assert rep.as_dict()["relation"] == {"sign": 1, "shift": 0}
+        assert intrinsic_energy(path) == cocharge(path_to_rc(path)) == 0
 
     def test_statistic_multiset_two_boxes(self):
         paths = enumerate_paths((1, 1), 2, Composition((1, 1)))
-        reports = [check_statistic(p, path_to_rc(p)) for p in paths]
-        assert sorted(r.energy for r in reports) == [0, 1]
-        assert sorted(r.cocharge for r in reports) == [0, 1]
-        assert all(r.as_dict()["relation"] == {"sign": 1, "shift": 0}
-                   for r in reports)
+        pairs = [(intrinsic_energy(p), cocharge(path_to_rc(p))) for p in paths]
+        assert sorted(e for e, _ in pairs) == [0, 1]
+        assert sorted(c for _, c in pairs) == [0, 1]
+        assert all(e == c for e, c in pairs)
 
 
 class TestRoundTrips:
@@ -108,8 +105,8 @@ class TestRoundTrips:
             for widths in ((1, 1), (2, 1), (1, 2), (2, 2)):
                 for w in weight_compositions(sum(widths), n):
                     for p in enumerate_paths(widths, n, Composition(w)):
-                        rep = check_statistic(p, path_to_rc(p))
-                        assert rep.cocharge == rep.energy, (p, rep)
+                        energy = intrinsic_energy(p)
+                        assert cocharge(path_to_rc(p)) == energy, (p, energy)
 
 
 def _tuples_and_ints(value) -> bool:
@@ -186,13 +183,16 @@ class TestCachedFrame:
 
 def test_check_costs_the_same_at_every_rank(monkeypatch, capsys):
     # 1x3,1x3 with weight 3,3 fills level 1 only, so both directions and
-    # `validate` open the same rigging windows and vacancy rows at every rank
+    # `validate` open the same rigging windows and vacancy rows at every rank;
+    # `path_to_rc` reads its vacancy rows through its own import
     calls = []
     for name in ("rigging_windows", "vacancy_numbers"):
         def counted(*args, _name=name, _original=getattr(rc_module, name)):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(rc_module, name, counted)
+    monkeypatch.setattr(bijection_module, "vacancy_numbers",
+                        rc_module.vacancy_numbers)
     counts = []
     for n in (16, 200, 1000):
         configuration_walk.cache_clear()

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridutil import instance_grid, weight_compositions
 from qrigged import cli as cli_module
-from qrigged.bijection import StatisticReport, path_to_rc
+from qrigged.bijection import path_to_rc
 from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
     EXIT_UNKNOWN_PRESET, EXIT_UNSUPPORTED, EXIT_USAGE, MAX_GRID, \
     OPERATION_MAP, build_parser, main
@@ -602,9 +602,8 @@ class TestSurface:
     def test_bijection_check_refuses_shifted_energy(self, capsys, monkeypatch):
         # cocharge = energy - 1 on every path is a constant relation, but
         # not the frozen normalization
-        import qrigged.bijection as bijection_module
-        energy = bijection_module.intrinsic_energy
-        monkeypatch.setattr(bijection_module, "intrinsic_energy",
+        energy = cli_module.intrinsic_energy
+        monkeypatch.setattr(cli_module, "intrinsic_energy",
                             lambda p: energy(p) + 1)
         code, out, _ = run_cli(["bijection", "--n", "3", "--shapes",
                                 "1x2,1x1", "--weight", "1,1,1", "--check"],
@@ -613,6 +612,17 @@ class TestSurface:
         if code != EXIT_UNEQUAL or result["statistic"] != "cocharge != energy":
             pytest.fail(f"exit {code}: {result}")
         assert result["roundtrip"] == "ok" and "path" in result
+
+    def test_bijection_path_writes_cocharge_minus_energy(self, capsys,
+                                                         monkeypatch):
+        # the golden case has shift 0, which cannot tell c - e from e - c
+        original = cli_module.cocharge
+        monkeypatch.setattr(cli_module, "cocharge", lambda rc: original(rc) + 1)
+        code, out, _ = run_cli(["bijection", "--n", "2", "--path", "12(x)1"],
+                               capsys)
+        statistic = json.loads(out)["result"]["statistic"]
+        if code != EXIT_OK or statistic["relation"] != {"sign": 1, "shift": 1}:
+            pytest.fail(f"exit {code}: {statistic}")
 
     def test_paths_highest_weight_filter_matches_kostka_number(self, capsys):
         from qrigged.combinat import Composition, Partition, kostka_number
@@ -685,7 +695,7 @@ class TestCheckPayloads:
           "relation": {"sign": 1, "shift": 0}}),
         ("rc_to_path", lambda rc, L, widths: None, EXIT_UNEQUAL,
          {"roundtrip": "failed", "path": "12(x)3"}),
-        ("check_statistic", lambda p, rc: StatisticReport(0, 1), EXIT_UNEQUAL,
+        ("cocharge", lambda rc: -1, EXIT_UNEQUAL,
          {"roundtrip": "ok", "statistic": "cocharge != energy",
           "path": "12(x)3"}),
         ("enumerate_rc", lambda L, weight: [], EXIT_UNEQUAL,
@@ -702,8 +712,8 @@ class TestCheckPayloads:
 
     def test_kostka_counterexample(self, capsys, monkeypatch):
         # a path side shifted by one: fermionic 1 + q against q + q^2
-        from qrigged.kostka import path_kostka
-        monkeypatch.setattr("qrigged.kostka.path_kostka",
+        path_kostka = cli_module.path_kostka
+        monkeypatch.setattr(cli_module, "path_kostka",
                             lambda inst: path_kostka(inst).shift(1))
         argv, schema = CASES["kostka"]
         code, result = self.run_valid(argv, schema, capsys)

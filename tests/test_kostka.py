@@ -9,7 +9,7 @@ from qrigged.combinat import Composition, Partition, kostka_foulkes
 from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance,
                             fermionic_kostka, fermionic_kostka_closed_form,
                             kostka_foulkes_via_paths, path_kostka,
-                            restricted_kostka, verify_identity)
+                            restricted_kostka)
 from qrigged import crystals
 from qrigged.bijection import rc_to_path
 from qrigged.crystals import enumerate_paths, intrinsic_energy
@@ -54,7 +54,7 @@ class TestExamples:
         inst = KostkaInstance(MultiplicityArray({}, 2), Composition(()))
         assert fermionic_kostka(inst) == IntPolynomial.one()
         assert path_kostka(inst) == IntPolynomial.one()
-        assert verify_identity(inst).equal
+        assert fermionic_kostka(inst) == path_kostka(inst)
 
     def test_two_boxes(self):
         inst = instance((1, 1), 2, (1, 1))
@@ -167,8 +167,8 @@ class TestMainIdentity:
             for widths in width_tuples(4):
                 for w in weight_compositions(sum(widths), n):
                     inst = instance(widths, n, w)
-                    report = verify_identity(inst)
-                    assert report.equal, (widths, n, w)
+                    assert fermionic_kostka(inst) == path_kostka(inst), \
+                        (widths, n, w)
 
     def test_q1_specialization_counts_paths(self):
         for n in (2, 3):
@@ -186,17 +186,6 @@ class TestMainIdentity:
     def test_closed_form_equals_path_on_rank_4_grid_7_boxes(self):
         # opt-in: rank 4, <= 7 boxes
         assert _closed_form_equals_path(7, 4) == (11648, 304417)
-
-    def test_corrupted_normalization_detected(self, monkeypatch):
-        # a path side shifted by one: fermionic 1 + q against path q + q^2;
-        # through pytest.fail, so it also runs under python -O
-        monkeypatch.setattr("qrigged.kostka.path_kostka",
-                            lambda inst: path_kostka(inst).shift(1))
-        report = verify_identity(instance((1, 1), 2, (1, 1)))
-        want = {"first_difference_exponent": 0, "fermionic_coefficient": 1,
-                "path_coefficient": 0}
-        if report.equal or report.counterexample != want:
-            pytest.fail(f"shifted path side not reported: {report}")
 
     def test_weight_permutation_symmetry(self):
         # empirical finding, asserted: the unrestricted polynomial is
