@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 
 from .qalg import (IntPolynomial, PochhammerSpec, TruncatedSeries,
                    NonInvertibleSeriesError, DivergentProductError,
-                   pochhammer, pochhammer_qq, q_binomial, series_from_poly)
-from .combinat import (Composition, Partition, Tableau, charge,
-                       enumerate_ssyt, kostka_foulkes, kostka_number)
+                   pochhammer, pochhammer_qq, q_binomial)
+from .combinat import Composition, Partition
 from .crystals import (Path, e_op, enumerate_paths, f_op, intrinsic_energy,
                        is_highest_weight, local_energy, r_matrix)
 from .rc import (Configuration, InvalidRiggedConfigurationError,

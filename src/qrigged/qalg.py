@@ -98,9 +98,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def min_exponent(self) -> Optional[int]:
-        return self._offset if self._coeffs else None
-
     def degree(self) -> Optional[int]:
         return self._offset + len(self._coeffs) - 1 if self._coeffs else None
 
@@ -434,19 +431,6 @@ def series_sum(terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
 
 def series_one(order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted((1,) + (0,) * order, Fraction(0), Fraction(1))
-
-
-def series_from_poly(p: IntPolynomial, order: int) -> TruncatedSeries:
-    """Exact truncation of a Laurent polynomial.
-
-    The offset is the minimal exponent of p (0 for the zero polynomial);
-    the result guarantees coefficients for offset .. offset+order.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    lo = p.min_exponent() or 0
-    coeffs = [p.coefficient(lo + i) for i in range(order + 1)]
-    return TruncatedSeries(tuple(coeffs), Fraction(lo))
 
 
 # ---------------------------------------------------------------------------

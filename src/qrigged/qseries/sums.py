@@ -66,12 +66,16 @@ class PochhammerFactor:
         object.__setattr__(self, "step", _as_fraction(self.step))
         if self.power not in (1, -1):
             raise ValueError("factor power must be +1 or -1")
-        spec = (self.spec(()) if self.length is None or not any(self.length.coeffs)
+        spec = (self.spec(()) if self.constant_length()
                 else PochhammerSpec(self.sign, self.exponent, self.step, 1))
         if self.power == -1 and self.exponent == 0 and spec.length != 0:
             raise NonInvertibleSeriesError(
                 f"non-invertible factor 1 - ({self.sign})*q^0: "
                 "constant term is not a unit")
+
+    def constant_length(self) -> bool:
+        """Infinite, or a length with every coefficient zero."""
+        return self.length is None or not any(self.length.coeffs)
 
     def spec(self, point: Sequence[int]) -> PochhammerSpec:
         """The symbol at `point`, without the power."""
@@ -224,7 +228,7 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
         points = spec.lattice_points(low - spec.constant + order)
     points = [(p, e) for p, e in points if e <= low + order]
     # i when a factor's length is n_i, -1 when constant or infinite, else dim
-    levels = [-1 if f.length is None or not any(f.length.coeffs) else spec.dim
+    levels = [-1 if f.constant_length() else spec.dim
               if f.length.constant or [c for c in f.length.coeffs if c] != [1]
               else f.length.coeffs.index(1) for f in spec.factors]
     symbols = [(f.spec(points[0][0]), f.power, i) for f, i in zip(spec.factors, levels)]
@@ -286,7 +290,7 @@ class BosonicSumSpec:
         if self.parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
         for f in self.prefactors:
-            if f.length is not None and f.length.coeffs:
+            if not f.constant_length():
                 raise ValueError("bosonic prefactor lengths must be constant")
 
     def theta_terms(self, bound: Fraction) -> list[tuple[Fraction, int]]:

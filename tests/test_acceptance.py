@@ -10,10 +10,10 @@ import time
 import pytest
 
 from gridutil import dominant_partitions, weight_compositions, width_tuples
+from oracles import classical_kostka, kostka_foulkes, kostka_number
 from test_presets import preset_sides
 from qrigged.bijection import path_to_rc, rc_to_path
-from qrigged.combinat import (Composition, Partition, kostka_foulkes,
-                              kostka_number)
+from qrigged.combinat import Composition, Partition
 from qrigged.crystals import enumerate_paths, intrinsic_energy
 from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance,
                             fermionic_kostka_closed_form,
@@ -137,9 +137,14 @@ def test_criterion_4_main_theorem(grid):
             path_side = path_side + \
                 IntPolynomial.monomial(intrinsic_energy(p))
         assert fermionic_enum == path_side, (widths, n, weight.parts)
+        # a third route, sharing no code with either side: the sum over
+        # the classical components B(lambda) of the tensor product
+        assert path_side == classical_kostka(widths, n, weight.parts), \
+            ("classical", widths, n, weight.parts)
         assert fermionic_enum.evaluate_at_one() == len(entries)
         checked += 1
-    _report("criterion 4 (fermionic = path, two fermionic routes, q=1 counts)",
+    _report("criterion 4 (fermionic = path = classical decomposition, "
+            "two fermionic routes, q=1 counts)",
             started, None, instances=checked)
 
 

@@ -650,7 +650,8 @@ class TestSurface:
             pytest.fail(f"exit {code}: {statistic}")
 
     def test_paths_highest_weight_filter_matches_kostka_number(self, capsys):
-        from qrigged.combinat import Composition, Partition, kostka_number
+        from oracles import kostka_number
+        from qrigged.combinat import Composition, Partition
         code, out, _ = run_cli(["paths", "--shapes", "1x1,1x1,1x1", "--n", "3",
                                 "--weight", "2,1,0", "--highest-weight-only"],
                                capsys)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from gridutil import instance_grid, weight_compositions, width_tuples
 from qrigged import crystals
 from qrigged.cli import EXIT_OK, main
-from qrigged.combinat import Composition, Partition, charge, enumerate_ssyt
+from oracles import charge, enumerate_ssyt, reading_word
+from qrigged.combinat import Composition, Partition
 from qrigged.crystals import (Path, e_op, enumerate_paths, f_op,
                               intrinsic_energy, is_highest_weight,
                               local_energy, r_matrix)
@@ -280,7 +281,7 @@ class TestIntrinsicEnergy:
                 for t in enumerate_ssyt(Partition(size_shape),
                                         Composition((1,) * k)):
                     expected.append((size_shape,
-                                     binom - charge(t.reading_word())))
+                                     binom - charge(reading_word(t))))
             assert sorted(observed) == sorted(expected)
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from gridutil import (dominant_partitions, instance_grid, weight_compositions,
                       width_tuples)
-from qrigged.combinat import Composition, Partition, kostka_foulkes
+from oracles import classical_kostka, kostka_foulkes
+from qrigged.combinat import Composition, Partition
 from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance,
                             fermionic_kostka, fermionic_kostka_closed_form,
                             kostka_foulkes_via_paths, path_kostka,
@@ -187,9 +188,25 @@ class TestMainIdentity:
         # opt-in: rank 4, <= 7 boxes
         assert _closed_form_equals_path(7, 4) == (11648, 304417)
 
+    @pytest.mark.slow
+    def test_closed_form_equals_classical_on_rank_4_grid_8_boxes(self):
+        # opt-in: every row multiset with <= 8 boxes at rank 4 and every
+        # weight, against the classical decomposition; the closed form
+        # depends only on the multiset of widths
+        checked = 0
+        for size in range(1, 9):
+            for rows in dominant_partitions(size):
+                for w in weight_compositions(size, 4):
+                    assert fermionic_kostka_closed_form(instance(rows, 4, w)) \
+                        == classical_kostka(rows, 4, w), (rows, w)
+                    checked += 1
+        assert checked == 7005
+
     def test_weight_permutation_symmetry(self):
-        # empirical finding, asserted: the unrestricted polynomial is
-        # invariant under permuting the weight composition
+        # a theorem, not only a finding: X = sum_lam K_{lam mu} *
+        # q^{n(R)} K_{lam R}(1/q), and the Kostka number K_{lam mu} is
+        # symmetric in mu (Bender-Knuth), so permuting the weight
+        # composition leaves the polynomial unchanged
         for n in (2, 3):
             for widths in ((1, 1), (2, 1), (1, 1, 1), (2, 2)):
                 for w in weight_compositions(sum(widths), n):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qrigged.qalg import (DivergentProductError, IntPolynomial,
                           NonInvertibleSeriesError, PochhammerSpec,
                           TruncatedSeries, pochhammer, pochhammer_qq,
-                          q_binomial, series_from_poly, series_one,
+                          q_binomial, series_one,
                           series_sum)
 
 
@@ -85,7 +85,6 @@ def _check_against(p, m, what):
     _expect(list(p.terms), list(m), f"{what} exponent order")
     for e in range(-30, 31):
         _expect(p.coefficient(e), m.get(e, 0), f"{what} coefficient of q^{e}")
-    _expect(p.min_exponent(), min(m, default=None), f"{what} min_exponent")
     _expect(p.degree(), max(m, default=None), f"{what} degree")
     _expect(p.is_zero(), not m, f"{what} is_zero")
     _expect(p.evaluate_at_one(), sum(m.values()), f"{what} at q = 1")
@@ -188,18 +187,8 @@ class TestQBinomial:
 
 
 class TestSeries:
-    def test_from_poly(self):
-        s = series_from_poly(P({0: 1, 1: 1}), 3)
-        assert s.coeffs == (1, 1, 0, 0) and s.offset == 0
-
-        s = series_from_poly(P({-1: 1, 0: 1}), 2)
-        assert s.coeffs == (1, 1, 0) and s.offset == -1
-
-        s = series_from_poly(IntPolynomial.zero(), 5)
-        assert s.coeffs == (0,) * 6 and s.offset == 0
-
     def test_invert_geometric(self):
-        s = series_from_poly(P({0: 1, 1: -1}), 4)
+        s = TruncatedSeries((1, -1, 0, 0, 0))
         assert s.invert().coeffs == (1, 1, 1, 1, 1)
 
     def test_invert_law(self):

@@ -8,11 +8,10 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from qrigged.combinat import (Composition, Partition, Tableau, charge,
-                              kostka_foulkes, kostka_number)
+from oracles import charge, kostka_foulkes, kostka_number
+from qrigged.combinat import Composition, Partition
 from qrigged.crystals import Path, e_op, enumerate_paths
-from qrigged.qalg import (IntPolynomial, PochhammerSpec, TruncatedSeries,
-                          pochhammer, q_binomial, series_from_poly)
+from qrigged.qalg import PochhammerSpec, TruncatedSeries, pochhammer, q_binomial
 from qrigged.qseries.bailey import (rogers_ramanujan_seed, unit_bailey_pair,
                                     verify_bailey_pair)
 from qrigged.qseries.presets import (CharacterPreset, PresetFormatError,
@@ -42,14 +41,7 @@ REFUSALS = {
                         "parts must weakly decrease: (1, 2)"),
     "composition-part": (lambda: Composition((1, -1)), ValueError,
                          "composition parts must be nonnegative: (1, -1)"),
-    "tableau-lengths": (lambda: Tableau(((1,), (2, 3))), ValueError,
-                        "row lengths must form a partition"),
-    "tableau-entry": (lambda: Tableau(((0, 1),)), ValueError,
-                      "entries must be positive"),
-    "tableau-row": (lambda: Tableau(((2, 1),)), ValueError,
-                    "rows must weakly increase"),
-    "tableau-column": (lambda: Tableau(((1, 2), (1,))), ValueError,
-                       "columns must strictly increase"),
+    # the classical oracle
     "charge-letter": (lambda: charge((0,)), ValueError,
                       "letters must be positive"),
     "kostka-foulkes-sizes": (
@@ -69,9 +61,6 @@ REFUSALS = {
                           "length must be nonnegative"),
     "pochhammer-order": (lambda: pochhammer(PochhammerSpec(), -1), ValueError,
                          "order must be nonnegative"),
-    "series-from-poly-order": (
-        lambda: series_from_poly(IntPolynomial.one(), -1), ValueError,
-        "order must be nonnegative"),
     # sums
     "factor-power": (lambda: PochhammerFactor(1, F(1), F(1), None, 2),
                      ValueError, "factor power must be +1 or -1"),

@@ -166,6 +166,15 @@ class TestBosonic:
             (PochhammerFactor(1, F(1), F(1), None, -1),)), 10)
         assert bosonic.coefficient(bosonic.offset) == 1
 
+    def test_constant_length_with_zero_coefficients(self):
+        # the same constant length as the fermionic side reads it: 3 + 0*n_1
+        # is (q; q)_3, as 3 is
+        def spec(length):
+            return BosonicSumSpec(1, F(3, 2), F(-1, 2), F(0), (
+                PochhammerFactor(1, F(1), F(1), length, 1),))
+        assert eval_bosonic(spec(AffineForm(F(3), (F(0),))), 20) == \
+            eval_bosonic(spec(AffineForm(F(3), ())), 20)
+
     def test_non_growing_theta_rejected(self):
         with pytest.raises(NonTerminatingSumError):
             BosonicSumSpec(1, F(0), F(1), F(0))
