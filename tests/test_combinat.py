@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridutil import dominant_partitions
+from gridutil import dominant_partitions, weight_compositions
 from oracles import (charge, enumerate_ssyt, kostka_foulkes, kostka_number,
                      reading_word)
 from qrigged.combinat import Composition, Partition, rsk_insert
@@ -33,6 +33,38 @@ class TestEnumeration:
         out = enumerate_ssyt(Partition((2, 2)), Composition((1, 1, 1, 1)))
         words = [reading_word(t) for t in out]
         assert words == sorted(words)
+
+    # a filling is a plain tuple of rows, so nothing validates it when it
+    # is built: check each property of a column-strict filling on every
+    # filling of every shape of at most 5 boxes with up to 4 letters
+    FILLING_CHECKS = {
+        "shape": lambda lam, mu, t: tuple(map(len, t)) == lam.parts,
+        "content": lambda lam, mu, t: all(
+            reading_word(t).count(x) == m
+            for x, m in enumerate(mu.parts, start=1)),
+        "entries": lambda lam, mu, t: all(
+            1 <= x <= len(mu.parts) for x in reading_word(t)),
+        "rows": lambda lam, mu, t: all(
+            r[j] <= r[j + 1] for r in t for j in range(len(r) - 1)),
+        "columns": lambda lam, mu, t: all(
+            t[i - 1][j] < t[i][j]
+            for i in range(1, len(t)) for j in range(len(t[i]))),
+    }
+
+    @pytest.mark.parametrize("check", sorted(FILLING_CHECKS))
+    def test_fillings_are_column_strict(self, check):
+        holds = self.FILLING_CHECKS[check]
+        seen = 0
+        for n in range(1, 6):
+            for lam in map(Partition, dominant_partitions(n)):
+                for mu in map(Composition, weight_compositions(n, 4)):
+                    for t in enumerate_ssyt(lam, mu):
+                        seen += 1
+                        assert holds(lam, mu, t), (check, lam, mu, t)
+        assert seen == sum(kostka_number(Partition(lam), Composition(mu))
+                           for n in range(1, 6)
+                           for lam in dominant_partitions(n)
+                           for mu in weight_compositions(n, 4)) > 0
 
 
 class TestCharge:
@@ -109,22 +141,40 @@ class TestKostkaFoulkes:
                 assert poly.degree() == charge(reading_word(tuple(rows)))
 
 
+# the oracle must not run the code it checks: from qrigged it may import
+# only these names
+ORACLE_MAY_IMPORT = {("qrigged.combinat", "Composition"),
+                     ("qrigged.combinat", "Partition"),
+                     ("qrigged.qalg", "IntPolynomial")}
+
+
+def _qrigged_imports_beyond_allowed(source: str) -> set:
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {(a.name, None) for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found |= {(node.module, a.name) for a in node.names}
+    return {(module, name) for module, name in found - ORACLE_MAY_IMPORT
+            if module.split(".")[0] == "qrigged"}
+
+
 class TestOracleIndependence:
+    ORACLE_SOURCE = Path(__file__).with_name("oracles.py").read_text()
+
     def test_oracle_reads_only_the_partition_classes_and_polynomials(self):
-        # the oracle must not run the code it checks: from qrigged it may
-        # import only these names (pytest.fail, so that it also checks
-        # under python -O)
-        allowed = {("qrigged.combinat", "Composition"),
-                   ("qrigged.combinat", "Partition"),
-                   ("qrigged.qalg", "IntPolynomial")}
-        source = Path(__file__).with_name("oracles.py").read_text()
-        found = set()
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Import):
-                found |= {(a.name, None) for a in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                found |= {(node.module, a.name) for a in node.names}
-        extra = {(module, name) for module, name in found - allowed
-                 if module.split(".")[0] == "qrigged"}
+        # pytest.fail, so that it also checks under python -O
+        extra = _qrigged_imports_beyond_allowed(self.ORACLE_SOURCE)
         if extra:
             pytest.fail(f"tests/oracles.py imports {sorted(extra)} from qrigged")
+
+    @pytest.mark.parametrize("line", [
+        "from qrigged.kostka import path_kostka",
+        "from qrigged.combinat import partitions_of",
+        "import qrigged.rc",
+    ])
+    def test_an_added_import_of_checked_code_is_caught(self, line):
+        extra = _qrigged_imports_beyond_allowed(
+            self.ORACLE_SOURCE + "\n" + line + "\n")
+        if len(extra) != 1:
+            pytest.fail(f"adding {line!r} to the oracle gives {sorted(extra)}")
