@@ -25,9 +25,11 @@ partly consumed factor is a row of width 1, so the factor term is that
 count minus the sum of max(0, s - i) over complete rows.  The count shifts
 every p_i^(1) alike, so level 1 leaves it out of p, and a string there is
 singular when d equals it.  Completing a width-s factor, or popping it in
-the inverse, changes d only for the level-1 strings narrower than s.
-`path_to_rc` fills the levels 1..j-1 of its largest letter j and reads p at
-each final string width once, at the end, through `rc.vacancy_numbers`;
+the inverse, changes d only for the level-1 strings narrower than s, so
+for a single box it is skipped.  `path_to_rc` grows the levels 1..j-1 as
+its letters j need them and, at the end, reads p at each final string
+width from `_final_vacancies`: `rc.vacancy_numbers` once per level for each
+(factor widths, nu), kept for the last 64 with one shared `Configuration`;
 `rc_to_path` starts from the p in the blocks of the frame that `validate`
 returns.  A path factor is its word, so both directions read and write rows
 as tuples of letters.
@@ -38,6 +40,8 @@ pointwise (tested exhaustively at desk scale): the frozen normalization is
 the identity.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .crystals import Path
 from .rc import (Configuration, InvalidRiggedConfigurationError,
@@ -131,32 +135,44 @@ def _extract_letter(levels, boxes: int) -> int:
         shrunk, down2, down1, floor = best, down1, width, width
 
 
+@lru_cache(maxsize=64)
+def _final_vacancies(factor: tuple[int, ...],
+                     nu: tuple[tuple[int, ...], ...]) -> tuple:
+    """One shared `Configuration` for nu and, per level, p_0..p_m at its
+    widest string m, for factor rows of the widths `factor`: the paths of an
+    instance share few final configurations, so a small cache serves them."""
+    return Configuration._trusted(nu), tuple(
+        tuple(vacancy_numbers(factor if a == 0 else (), nu[a - 1] if a else (),
+                              here, nu[a + 1] if a + 1 < len(nu) else (),
+                              here[0]))
+        for a, here in enumerate(nu))
+
+
 def path_to_rc(path: Path) -> RiggedConfiguration:
     """Map a path to its unrestricted rigged configuration."""
-    depth = max((f[-1] for f in path.factors if f), default=1) - 1
-    levels: list[list[list[int]]] = [[] for _ in range(depth)]
+    levels: list[list[list[int]]] = []
     boxes = 0
     for f in path.factors:
+        if f and f[-1] > len(levels) + 1:  # a row's last letter is its largest
+            levels.extend([] for _ in range(f[-1] - 1 - len(levels)))
         for x in reversed(f):
             if x > 1:  # a letter 1 chooses no string: only `boxes` moves
                 _insert_letter(levels, x, boxes)
             boxes += 1
-        _move_factor(levels, len(f), 1)
-    # rigging = d + p at the string's width, p read once per level
+        if len(f) > 1:  # completing a single box changes no p
+            _move_factor(levels, len(f), 1)
+    # rigging = d + p at the string's width
     nu = []
     for lv in levels:
         lv.sort(reverse=True)  # by width, then d: the canonical order
         nu.append(tuple([w for w, _ in lv]))
+    config, rows = _final_vacancies(tuple(map(len, path.factors)), tuple(nu))
     riggings = []
-    factor, below, shift = tuple(map(len, path.factors)), (), boxes
-    for a, lv in enumerate(levels):
-        here = nu[a]
-        p = vacancy_numbers(factor, below, here,
-                            nu[a + 1] if a + 1 < depth else (), here[0])
+    shift = boxes
+    for lv, p in zip(levels, rows):
         riggings.append(tuple([d + p[w] - shift for w, d in lv]))
-        factor, below, shift = (), here, 0
-    return RiggedConfiguration._trusted(Configuration._trusted(tuple(nu)),
-                                        tuple(riggings))
+        shift = 0
+    return RiggedConfiguration._trusted(config, tuple(riggings))
 
 
 def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
@@ -183,7 +199,8 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
                        for (w, m, _, p) in blocks for _ in range(m)])
     factors_rev: list[tuple[int, ...]] = []
     for s in reversed(widths):
-        _move_factor(levels, s, -1)
+        if s > 1:  # popping a single box changes no p
+            _move_factor(levels, s, -1)
         letters = []
         for _ in range(s):
             x = _extract_letter(levels, boxes)

@@ -146,7 +146,7 @@ def column_sums(widths: tuple[int, ...], m: int) -> tuple[int, ...]:
     for w in widths:
         ends[min(w, m)] += 1
     out = [0]
-    height = len(widths)
+    height = len(widths) - ends[0]  # a width-0 row fills no column
     total = 0
     for i in range(1, m + 1):
         total += height

@@ -109,6 +109,53 @@ class TestRoundTrips:
                         assert cocharge(path_to_rc(p)) == energy, (p, energy)
 
 
+class TestLongSingleBoxProducts:
+    """Products of many single boxes: every factor move is the width-1 move
+    that changes no p, and the paths of one instance share few final
+    configurations."""
+
+    @pytest.mark.parametrize("count, n, weight, paths", [
+        (9, 3, (5, 3, 1), 504),
+        (7, 4, (3, 2, 1, 1), 420),
+    ])
+    def test_round_trip_image_and_statistic(self, count, n, weight, paths):
+        widths = (1,) * count
+        L = MultiplicityArray.from_rows(widths, n)
+        image = set()
+        for p in enumerate_paths(widths, n, Composition(weight)):
+            rc = path_to_rc(p)
+            if rc in image:
+                pytest.fail(f"{p}: image {rc} met twice")
+            if rc_to_path(rc, L, widths) != p:
+                pytest.fail(f"{p} -> {rc} -> {rc_to_path(rc, L, widths)}")
+            if cocharge(rc) != intrinsic_energy(p):
+                pytest.fail(f"{p} -> {rc}: cocharge {cocharge(rc)}, "
+                            f"energy {intrinsic_energy(p)}")
+            image.add(rc)
+        rcs = enumerate_rc(L, Composition(weight))
+        if len(set(rcs)) != len(rcs):
+            pytest.fail("enumerate_rc lists an object twice")
+        if image != set(rcs) or len(image) != paths:
+            pytest.fail(f"{len(image)} images, {len(rcs)} objects; missing "
+                        f"{sorted(map(str, set(rcs) - image))[:1]}, extra "
+                        f"{sorted(map(str, image - set(rcs)))[:1]}")
+
+
+def test_empty_factor_fills_no_column():
+    # a width-0 row adds nothing to Q_i, so an empty factor changes no
+    # vacancy number and the image is that of the path without it
+    sums = rc_module.column_sums((0,), 3)
+    if sums != (0, 0, 0, 0):
+        pytest.fail(f"column_sums((0,), 3) = {sums}")
+    path = Path(((1, 2), (), (1,)), 2)
+    rc, without = path_to_rc(path), path_to_rc(Path(((1, 2), (1,)), 2))
+    if rc != without or str(rc) != "1:-1":
+        pytest.fail(f"{path} -> {rc}, 12(x)1 -> {without}")
+    if (cocharge(rc), intrinsic_energy(path)) != (0, 0):
+        pytest.fail(f"cocharge {cocharge(rc)}, energy "
+                    f"{intrinsic_energy(path)}; both must be 0")
+
+
 def _tuples_and_ints(value) -> bool:
     if type(value) is tuple:
         return all(map(_tuples_and_ints, value))
@@ -197,6 +244,8 @@ def test_check_costs_the_same_at_every_rank(monkeypatch, capsys):
     for n in (16, 200, 1000):
         configuration_walk.cache_clear()
         configuration_frame.cache_clear()
+        # keyed on (widths, nu), not the rank: a later rank would hit it
+        bijection_module._final_vacancies.cache_clear()
         calls.clear()
         code = main(["bijection", "--shapes", "1x3,1x3", "--n", str(n),
                      "--weight", "3,3", "--check"])
