@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate
 from math import lcm
 from typing import Callable, Optional
 
 from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, series_one,
                     series_sum)
-from .sums import compare_series
+from .sums import _quadratic_range, compare_series
 
 INFINITY = None
 BaileyParam = Fraction | None
@@ -217,7 +217,8 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
     equality certifies the identity to that order.
     """
     k = pair.base_exponent
-    nmax = next(n for n in count(1) if n * n + k * n > order) - 1
+    nmax = _quadratic_range(k.denominator, k.numerator,
+                            -order * k.denominator).stop - 1
     alphas, betas = pair.table(order, nmax)
     lhs, rhs = (series_sum([x.shift(n * n + k * n) for n, x in enumerate(entries)])
                 .truncate(Fraction(order)) for entries in (betas, alphas))

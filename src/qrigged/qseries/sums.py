@@ -5,10 +5,11 @@ per-variable q-Pochhammer factors (numerator or denominator) whose lengths
 are affine in the summation variables, plus optional affine congruence and
 inequality restrictions.  A bosonic spec is a theta-like alternating sum
 over one integer index times a product of Pochhammer prefactors.  Both
-evaluate to exact TruncatedSeries; enumeration is pruned by exponent lower
-bounds, and termination is checked when the spec is constructed.  The
-lattice walk yields each point with its exponent; `eval_fermionic` nests
-its sum over the lattice (Horner).
+evaluate to exact TruncatedSeries; termination is checked when the spec
+is constructed.  Each lattice coordinate, theta index and weak-lemma n runs
+over the integers `_quadratic_range` keeps within a bound, so a walk costs
+what it returns; the lattice walk yields each point with its exponent, and
+`eval_fermionic` nests its sum over the lattice (Horner).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
-from math import floor, lcm
+from math import floor, isqrt, lcm
 from typing import Optional, Sequence
 
 from ..qalg import (NonInvertibleSeriesError, PochhammerSpec, TruncatedSeries,
@@ -30,6 +31,16 @@ class NonTerminatingSumError(ValueError):
 # Largest quadratic+linear part up to which `eval_fermionic` looks for a
 # first lattice point that satisfies the restrictions.
 FIRST_POINT_SEARCH_LIMIT = 1024
+
+
+def _quadratic_range(a: int, b: int, c: int) -> range:
+    """The integers n with a*n^2 + b*n + c <= 0 (integers, a > 0): those
+    with |2an + b| <= isqrt(b^2 - 4ac), none if that is negative."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return range(0)
+    s = isqrt(disc)
+    return range(-((b + s) // (2 * a)), (s - b) // (2 * a) + 1)
 
 
 @dataclass(frozen=True)
@@ -158,7 +169,8 @@ class FermionicSumSpec:
     def lattice_points(self, bound: Fraction):
         """(point, exponent) for all points with quadratic+linear part
         <= bound, restrictions applied; deterministic lexicographic order.
-        It walks on ints, with form and bound times the lcm of the form's denominators."""
+        On ints (all times the lcm of the denominators), coordinate i takes
+        the n >= 0 that `_quadratic_range` keeps within the bound."""
         scale = lcm(*((x / 2).denominator for row in self.quadratic for x in row),
                     *(x.denominator for x in self.linear))
         # row i: A_ij for j < i, then A_ii / 2
@@ -183,20 +195,10 @@ class FermionicSumSpec:
                 return
             *cross, half = rows[i]
             slope = linear[i] + sum(c * x for c, x in zip(cross, point))
-            n = 0
-            while True:
+            ns = _quadratic_range(half, slope, partial + suffix_min[i + 1] - top)
+            for n in range(max(0, ns.start), ns.stop):
                 point[i] = n
-                contrib = (half * n + slope) * n
-                if contrib + partial + suffix_min[i + 1] > top:
-                    # contributions are increasing in n once positive
-                    if contrib >= 0 and n > 0:
-                        break
-                    if n > 10 ** 6:
-                        raise NonTerminatingSumError("enumeration blow-up")
-                else:
-                    rec(i + 1, partial + contrib)
-                n += 1
-            point[i] = 0
+                rec(i + 1, partial + (half * n + slope) * n)
 
         rec(0, 0)
         return out
@@ -293,34 +295,27 @@ class BosonicSumSpec:
             if not f.constant_length():
                 raise ValueError("bosonic prefactor lengths must be constant")
 
-    def theta_terms(self, bound: Fraction) -> list[tuple[Fraction, int]]:
-        """(exponent, sign) pairs with quadratic+linear part <= bound."""
+    def theta_terms(self, order: int) -> list[tuple[Fraction, int]]:
+        """Sorted (exponent, sign) pairs of the j whose exponent is at most
+        the least, at floor(-a1 / 2a2) or one more, plus `order`."""
         if self.a2 is None:
             return [(self.a0, 1)]
-        out = []
-        for direction in (0, 1):
-            j = 0 if direction == 0 else -1
-            while True:
-                e = self.a2 * j * j + self.a1 * j + self.a0
-                if e > bound and self.a2 * abs(j) > abs(self.a1):
-                    break
-                if e <= bound:
-                    sign = -1 if (self.parity * j) % 2 else 1
-                    out.append((e, sign))
-                j = j + 1 if direction == 0 else j - 1
-        return sorted(out)
+        a2, a1 = self.a2, self.a1
+        j0 = -a1 // (2 * a2)
+        least = min(a2 * j * j + a1 * j for j in (j0, j0 + 1))
+        scale = lcm(a2.denominator, a1.denominator)
+        js = _quadratic_range(int(a2 * scale), int(a1 * scale),
+                              int((-least - order) * scale))
+        return sorted((a2 * j * j + a1 * j + self.a0,
+                       -1 if self.parity * j % 2 else 1) for j in js)
 
 
 def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
     """Exact coefficients of the bosonic sum to relative order `order`."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # the j = 0 term sits at a0, so the bound holds every term up to the
-    # least one plus the order, and the least term fixes the frontier
-    terms = spec.theta_terms(Fraction(order) + spec.a0)
-    min_exp = terms[0][0]
     out = series_sum([TruncatedSeries((sign,) + (0,) * order, e)
-                      for e, sign in terms if e <= min_exp + order])
+                      for e, sign in spec.theta_terms(order)])
     for f in spec.prefactors:
         out = out.times_pochhammer(f.spec(()), f.power)
     return out

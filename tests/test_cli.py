@@ -388,6 +388,20 @@ class TestMalformedPresets:
         if (code, out, err) != (EXIT_USAGE, "", line):
             pytest.fail(f"exit {code}, stderr {err!r}")
 
+    def test_far_theta_vertex_is_compared(self, tmp_path, capsys):
+        # theta linear 10^9 puts the least term near j = -2 * 10^8: the
+        # walk starts there, not at j = 0
+        _malformed_preset(tmp_path / "rr.json", lambda d: d["bosonic"][
+            "theta"].update(linear="1000000000"))
+        code, out, err = run_cli(["compare", "--preset-dir", str(tmp_path),
+                                  "--preset-a", "rogers-ramanujan-1",
+                                  "--side-a", "bosonic",
+                                  "--preset-b", "rogers-ramanujan-1",
+                                  "--side-b", "bosonic", "--order", "12"],
+                                 capsys)
+        if code != EXIT_OK or json.loads(out)["result"]["equal"] is not True:
+            pytest.fail(f"exit {code}, stdout {out!r}, stderr {err!r}")
+
     def test_other_subcommands_ignore_the_preset_dir(self, tmp_path,
                                                      monkeypatch, capsys):
         _malformed_preset(tmp_path / "broken.json",

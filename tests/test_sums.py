@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction as F
+from itertools import product
+from math import ceil, floor, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +11,9 @@ from qrigged.qalg import (DivergentProductError, NonInvertibleSeriesError,
 from qrigged.qseries.presets import PresetRegistry
 from qrigged.qseries.sums import (AffineForm, BosonicSumSpec, Congruence,
                                   FermionicSumSpec, NonTerminatingSumError,
-                                  PochhammerFactor, compare_series,
-                                  eval_bosonic, eval_fermionic)
+                                  PochhammerFactor, _quadratic_range,
+                                  compare_series, eval_bosonic,
+                                  eval_fermionic)
 
 
 def qq_factor(var_index, dim):
@@ -222,3 +226,139 @@ class TestLatticeWalk:
         got = FermionicSumSpec(1, ((a,),), (b,), F(0))._single_min(0)
         if got != want:
             pytest.fail(f"A = {a}, b = {b}: _single_min {got}, brute force {want}")
+
+
+class TestQuadraticRange:
+    # checked through pytest.fail, so it also runs under python -O
+    def test_exact_against_brute_force(self):
+        # for |n| > |b| + |c|, a*n^2 >= |n|(|b| + |c| + 1) > |b n + c|, so
+        # the window holds both roots and every solution
+        for a in range(1, 7):
+            for b in range(-40, 41):
+                for c in range(-40, 41):
+                    w = abs(b) + abs(c) + 1
+                    want = [n for n in range(-w, w + 1) if a * n * n + b * n + c <= 0]
+                    got = _quadratic_range(a, b, c)
+                    if list(got) != want:
+                        pytest.fail(f"{a}n^2 + {b}n + {c} <= 0: {got}, brute "
+                                    f"force {want}")
+
+
+def _box_points(spec, bound):
+    """(point, exponent) of every point of the box that bounds the lattice
+    walk at `bound`, restrictions applied, in lexicographic order.  The
+    other coordinates add at least their real minima -b_j^2 / 2A_jj, and
+    past its vertex a coordinate's own part grows, so each side of the box
+    ends at the first n past the vertex where the bound fails."""
+    r = range(spec.dim)
+    mins = [-spec.linear[i] ** 2 / (2 * spec.quadratic[i][i]) for i in r]
+    sides = []
+    for i in r:
+        a, b = spec.quadratic[i][i] / 2, spec.linear[i]
+        rest = sum(mins) - mins[i]
+        n = max(0, ceil(-b / (2 * a)))
+        while a * n * n + b * n + rest <= bound:
+            n += 1
+        sides.append(range(n))
+    out = []
+    for p in product(*sides):
+        value = sum((spec.quadratic[i][j] * p[i] * p[j] for i in r for j in r),
+                    F(0)) / 2 + sum(spec.linear[i] * p[i] for i in r)
+        if value <= bound and all(c.satisfied(p) for c in spec.congruences) \
+                and all(f(p) >= 0 for f in spec.inequalities):
+            out.append((p, value + spec.constant))
+    return out
+
+
+def _seeded_forms(count=24, seed=31):
+    """Small forms of dimension 1..3 with negative linear terms, fractional
+    entries, and some with a congruence or an inequality."""
+    rng = random.Random(seed)
+    forms = []
+    for k in range(count):
+        dim = rng.randint(1, 3)
+        A = [[F(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            A[i][i] = F(rng.randint(1, 6), rng.randint(1, 2))
+            for j in range(i):
+                A[i][j] = A[j][i] = F(rng.randint(0, 2))
+        linear = tuple(F(rng.randint(-6, 3), rng.randint(1, 3)) for _ in range(dim))
+        congruences = inequalities = ()
+        if k % 3 == 1:
+            form = AffineForm(F(rng.randint(0, 2)),
+                              tuple(F(rng.randint(0, 2)) for _ in range(dim)))
+            congruences = (Congruence(form, rng.randint(2, 3)),)
+        if k % 3 == 2:
+            inequalities = (AffineForm(F(rng.randint(-3, 4)), tuple(
+                F(rng.randint(-1, 1)) for _ in range(dim))),)
+        forms.append(FermionicSumSpec(dim, tuple(map(tuple, A)), linear,
+                                      F(rng.randint(-2, 2), 2),
+                                      congruences=congruences,
+                                      inequalities=inequalities))
+    return forms
+
+
+class TestWalkCompleteness:
+    """Both walks return exactly the terms within their bound."""
+
+    @pytest.mark.parametrize("name", sorted(PresetRegistry().names()))
+    def test_lattice_points_of_preset_forms(self, name):
+        self.check_lattice(name, PresetRegistry().get(name).fermionic)
+
+    def test_lattice_points_of_seeded_forms(self):
+        forms = _seeded_forms()
+        assert any(c < 0 for f in forms for c in f.linear)
+        assert any(f.congruences for f in forms) and any(f.inequalities for f in forms)
+        for k, spec in enumerate(forms):
+            self.check_lattice(f"seeded form {k}", spec)
+
+    @staticmethod
+    def check_lattice(name, spec):
+        box = _box_points(spec, F(40))
+        for bound in range(41):
+            want = [(p, e) for p, e in box if e - spec.constant <= bound]
+            got = spec.lattice_points(F(bound))
+            if got != want:
+                pytest.fail(f"{name} at bound {bound}: walk {got}, box {want}")
+
+    @staticmethod
+    def check_theta(spec, order):
+        # |j - v| <= sqrt(order / a2) + 1 around the real vertex v holds every
+        # term within the order; the ends of the window must lie past it
+        v = floor(-spec.a1 / (2 * spec.a2))
+        w = isqrt(ceil(order / spec.a2)) + 2
+        window = range(v - w, v + w + 1)
+        exps = {j: spec.a2 * j * j + spec.a1 * j + spec.a0 for j in window}
+        top = min(exps.values()) + order
+        if exps[window[0]] <= top or exps[window[-1]] <= top:
+            pytest.fail(f"{spec}: window {window} is too narrow")
+        want = sorted((e, -1 if spec.parity * j % 2 else 1)
+                      for j, e in exps.items() if e <= top)
+        got = spec.theta_terms(order)
+        if got != want:
+            pytest.fail(f"{spec} at order {order}: {got}, brute force {want}")
+
+    def test_theta_terms_of_shipped_presets(self):
+        registry = PresetRegistry()
+        thetas = [registry.get(name).bosonic for name in sorted(registry.names())]
+        thetas = [b for b in thetas if b.a2 is not None]
+        assert len(thetas) == 5
+        for spec in thetas:
+            for order in range(61):
+                self.check_theta(spec, order)
+
+    @pytest.mark.parametrize("a2", [F(1, 2), F(5, 2), F(3, 7), F(2), F(7, 3)], ids=str)
+    @pytest.mark.parametrize("a1", [F(0), F(-1, 2), F(3, 2), F(10 ** 9),
+                                    F(-10 ** 9), F(10 ** 9 + 1, 3),
+                                    F(-10 ** 9, 7)], ids=str)
+    def test_theta_terms_of_fractional_coefficients(self, a2, a1):
+        for parity, a0 in ((0, F(0)), (1, F(-1, 3))):
+            spec = BosonicSumSpec(parity, a2, a1, a0)
+            for order in (0, 1, 2, 5, 12, 30):
+                self.check_theta(spec, order)
+
+    def test_far_vertex_gives_the_terms_near_it(self):
+        # the least exponent sits near j = -2 * 10^8, not at j = 0
+        terms = BosonicSumSpec(1, F(5, 2), F(10 ** 9), F(0)).theta_terms(12)
+        assert len(terms) == 5
+        assert terms[0][0] == -10 ** 17
