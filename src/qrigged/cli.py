@@ -274,13 +274,18 @@ def _cmd_pochhammer(args) -> tuple[dict, int]:
 def _preset(registry: PresetRegistry, name: str, order: int | None):
     """The preset and its order: `order`, else the declared one, to MAX_GRID,
     and its series grid order*d, with step 1/d from the exponents and steps
-    of its fermionic factors and bosonic prefactors."""
+    of its fermionic factors and bosonic prefactors, and from the point
+    exponents: up to the constant, (1/2) n.A.n + b.n is sum_i A_ii n_i(n_i-1)/2
+    + (A_ii/2 + b_i) n_i, plus sum_{i<j} A_ij n_i n_j."""
     preset = registry.get(name)
     order = preset.declared_order if order is None else order
+    A, b = preset.fermionic.quadratic, preset.fermionic.linear
     _require_grid("order", order)
     _require_grid("series grid order*d", order,
                   *(x for f in preset.fermionic.factors + preset.bosonic.prefactors
-                    for x in (f.exponent, f.step)))
+                    for x in (f.exponent, f.step)),
+                  *(x for row in A for x in row),
+                  *(A[i][i] / 2 + b[i] for i in range(len(b))))
     return preset, order
 
 
@@ -433,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     order_limit = (f"An order above {MAX_GRID} (--order, else the declared "
                    f"order), or a series grid order*d above {MAX_GRID} (step "
                    "1/d, the lcm of the denominators of the preset's factor "
-                   "exponents and steps), is refused with exit code 2.")
+                   "exponents and steps and of its quadratic form's A_ij and "
+                   "A_ii/2 + b_i), is refused with exit code 2.")
     p = sub.add_parser("character", help="verify a character preset",
                        description="Verify a character preset.  " + order_limit)
     p.add_argument("--preset", required=True)

@@ -13,8 +13,10 @@ bijection (no global shift).  The transport of each factor is carried across
 all positions to its right, so a path of k factors costs O(k^2) lookups in
 one letter-pair memo of local energy and R-matrix image, each entry computed
 and checked once per distinct pair of row words and shared across ranks.
-The replay target comes from the Pieri rule and the rows from the weight's
-letters, so no table grows with the rank n.
+`energy_sum` sums q^energy over all paths of a weight by transfer matrix,
+without listing them: R is the identity on rows of equal width.  The replay
+target comes from the Pieri rule and the rows from the weight's letters, so
+no table grows with the rank n.
 """
 from __future__ import annotations
 
@@ -130,48 +132,42 @@ def _rows(width: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(letters, width))
 
 
+@lru_cache(maxsize=1 << 12)
+def _fits(width: int, left: tuple[int, ...]
+          ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each row of the width that the content `left` can fill, with the rest."""
+    rests = ((row, tuple(c - row.count(x) for x, c in enumerate(left, 1)))
+             for row in _rows(width, tuple(x for x, c in enumerate(left, 1) if c)))
+    return tuple((row, rest) for row, rest in rests if min(rest) >= 0)
+
+
+def _instance(shape_list: Sequence[int], n: int, weight: Composition
+              ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The checked widths, and the weight trimmed to its last letter, not n."""
+    shape_list = tuple(int(s) for s in shape_list)
+    if any(s < 1 for s in shape_list):
+        raise ValueError("row widths must be positive")
+    if weight.size() != sum(shape_list):
+        raise ValueError(f"weight total {weight.size()} != boxes {sum(shape_list)}")
+    target = weight.trimmed()
+    if len(target) > n:
+        raise ValueError("weight has more parts than the rank")
+    _check_row((), n)
+    return shape_list, target
+
+
 def enumerate_paths(shape_list: Sequence[int], n: int, weight: Composition) -> list[Path]:
     """All tensor products of rows with the given widths and total content.
 
     Rows range over the weight's letters only.  Deterministic order:
     lexicographic in the tuple of factor words.
     """
-    shape_list = tuple(int(s) for s in shape_list)
-    if any(s < 1 for s in shape_list):
-        raise ValueError("row widths must be positive")
-    if weight.size() != sum(shape_list):
-        raise ValueError(f"weight total {weight.size()} != boxes {sum(shape_list)}")
-    target = weight.trimmed()  # sized by the weight's last letter, not by n
-    if len(target) > n:
-        raise ValueError("weight has more parts than the rank")
-    letters = tuple(x for x, c in enumerate(target, 1) if c)
-
-    empty = Path((), n)  # checks the rank
-    out: list[Path] = [] if shape_list else [empty]
-    counts = [0] * len(target)
-    # row iterators of the chosen factors and the next; `for` resumes the top
-    factors: list[tuple[int, ...]] = []
-    stack = [iter(_rows(s, letters)) for s in shape_list[:1]]
-    while stack:
-        for row in stack[-1]:
-            ok = True
-            for x in row:
-                counts[x - 1] += 1
-                if counts[x - 1] > target[x - 1]:
-                    ok = False
-            if ok and len(stack) < len(shape_list):
-                factors.append(row)
-                stack.append(iter(_rows(shape_list[len(stack)], letters)))
-                break
-            if ok:
-                out.append(Path._trusted((*factors, row), n))
-            for x in row:
-                counts[x - 1] -= 1
-        else:
-            stack.pop()
-            for x in factors.pop() if factors else ():
-                counts[x - 1] -= 1
-    return out
+    shape_list, target = _instance(shape_list, n, weight)
+    partial = [((), target)]  # every prefix ends some path: any content fits
+    for width in shape_list:
+        partial = [((*factors, row), rest) for factors, left in partial
+                   for row, rest in _fits(width, left)]
+    return [Path._trusted(factors, n) for factors, _ in partial]
 
 
 # ---------------------------------------------------------------------------
@@ -256,4 +252,43 @@ def intrinsic_energy(path: Path) -> int:
         for right in words[i + 1:]:
             energy, _, moved = _letter_pair(moved, right)
             total += energy
+    return total
+
+
+def energy_sum(shape_list: Sequence[int], n: int, weight: Composition
+               ) -> dict[int, int]:
+    """Sum of q^D over the paths of `enumerate_paths`, as exponent -> count,
+    by a transfer matrix that lists no path.
+
+    R is the identity on rows of equal width, so in `intrinsic_energy` the
+    factors of a run of equal widths reach its end as its last factor and
+    move on as one.  So b_j, in the run that starts at `start`, adds
+    (j - start) H(b_{j-1} (x) b_j), and each finished run beta adds
+    |beta| H(m (x) b_j), its carried factor m advancing by the R-matrix
+    swap.  A state is those factors and the content left; it holds the
+    polynomial of the paths that reach it."""
+    shape_list, target = _instance(shape_list, n, weight)
+    # factors: the carried factor of each finished run, then the last factor
+    states: dict[tuple, dict[int, int]] = {((), target): {0: 1}}
+    sizes: list[int] = []  # |beta| of each finished run
+    start, last = 0, len(shape_list) - 1
+    for j, width in enumerate(shape_list):
+        if j and width != shape_list[j - 1]:
+            sizes.append(j - start)
+            start = j
+        new: dict[tuple, dict[int, int]] = {}
+        for (factors, left), poly in states.items():
+            for row, rest in _fits(width, left):
+                d = (j - start) * _letter_pair(factors[-1], row)[0] if j > start else 0
+                moved = []
+                for m, size in zip(factors, sizes):
+                    energy, _, m = _letter_pair(m, row)
+                    d += size * energy
+                    moved.append(m)
+                key = ((*moved, row), rest) if j < last else None
+                acc = new.setdefault(key, {})
+                for e, c in poly.items():
+                    acc[e + d] = acc.get(e + d, 0) + c
+        states = new
+    (total,) = states.values()  # the one state a path can end in
     return total

@@ -3,7 +3,8 @@
 The fermionic side sums q^cocharge over unrestricted rigged configurations
 (and, as a standing regression, re-evaluates itself through block
 generating functions built from Gaussian binomials).  The path side sums
-q^energy over all crystal paths of the weight.  The two agree exactly under
+q^energy over all crystal paths of the weight by the transfer matrix of
+`crystals.energy_sum`, which lists no path.  The two agree exactly under
 the frozen global normalization, the identity (sign +1, shift 0).
 """
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .combinat import Composition, Partition
-from .crystals import enumerate_paths, intrinsic_energy, is_highest_weight
+from .crystals import (energy_sum, enumerate_paths, intrinsic_energy,
+                       is_highest_weight)
 from .qalg import IntPolynomial
 from .rc import (MultiplicityArray, block_generating_function, cocharge,
                  configuration_charge_form, configuration_sizes,
@@ -108,8 +110,7 @@ def fermionic_kostka_closed_form(inst: KostkaInstance) -> IntPolynomial:
 
 def path_kostka(inst: KostkaInstance) -> IntPolynomial:
     """Sum of q^energy over all paths of the instance's weight."""
-    paths = enumerate_paths(inst.L.row_widths(), inst.n, inst.weight)
-    return IntPolynomial(Counter(map(intrinsic_energy, paths)))
+    return IntPolynomial(energy_sum(inst.L.row_widths(), inst.n, inst.weight))
 
 
 def restricted_kostka(inst: KostkaInstance) -> IntPolynomial:

@@ -17,7 +17,7 @@ from qrigged.combinat import Composition, Partition
 from qrigged.crystals import enumerate_paths, intrinsic_energy
 from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance,
                             fermionic_kostka_closed_form,
-                            kostka_foulkes_via_paths)
+                            kostka_foulkes_via_paths, path_kostka)
 from qrigged.qalg import IntPolynomial, q_binomial, pochhammer_qq
 from qrigged.qseries.bailey import (INFINITY, bailey_step,
                                     rogers_ramanujan_seed, unit_bailey_pair,
@@ -137,6 +137,8 @@ def test_criterion_4_main_theorem(grid):
             path_side = path_side + \
                 IntPolynomial.monomial(intrinsic_energy(p))
         assert fermionic_enum == path_side, (widths, n, weight.parts)
+        # path_kostka sums the same paths by transfer matrix
+        assert path_kostka(inst) == path_side, ("transfer", widths, n, weight.parts)
         # a third route, sharing no code with either side: the sum over
         # the classical components B(lambda) of the tensor product
         assert path_side == classical_kostka(widths, n, weight.parts), \

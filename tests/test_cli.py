@@ -432,7 +432,21 @@ class TestMalformedPresets:
 
 class TestPresetSeriesGrid:
     """`character` and `compare` bound the series grid order*d of a preset,
-    with step 1/d from its factor exponents and steps, as `pochhammer` does."""
+    with step 1/d from its factor exponents and steps, as `pochhammer` does,
+    and from the denominators of its point exponents."""
+
+    def test_fine_point_exponents_exceed_the_grid(self, tmp_path, capsys):
+        # b = 1/1000003 puts the points on a grid of step 1/1000003, which
+        # eval_fermionic would fill to order 12 (12,000,037 coefficients)
+        _malformed_preset(tmp_path / "fine.json", lambda d: d["fermionic"].update(
+            linear=["1/1000003"]))
+        line = "error: series grid order*d = 12000036 is above the limit 20000\n"
+        code, out, err = run_cli(
+            ["compare", "--preset-dir", str(tmp_path), "--order", "12",
+             "--preset-a", "rogers-ramanujan-1", "--side-a", "fermionic",
+             "--preset-b", "rogers-ramanujan-1", "--side-b", "fermionic"], capsys)
+        if (code, out, err) != (EXIT_USAGE, "", line):
+            pytest.fail(f"exit {code}, stderr {err!r}")
 
     def test_fine_factor_step_exceeds_the_grid(self, tmp_path, capsys):
         _malformed_preset(tmp_path / "fine.json", lambda d: d["fermionic"][
@@ -457,6 +471,13 @@ class TestPresetSeriesGrid:
             preset = registry.get(name)
             for f in preset.fermionic.factors + preset.bosonic.prefactors:
                 assert f.exponent.denominator == f.step.denominator == 1, name
+            # nor do the point exponents refine the grid: A_ij and
+            # A_ii/2 + b_i are integers (scale 2 of lattice_points is not
+            # the grid, for euler-distinct-parts and lebesgue)
+            A, b = preset.fermionic.quadratic, preset.fermionic.linear
+            for i, row in enumerate(A):
+                assert all(x.denominator == 1 for x in row), name
+                assert (row[i] / 2 + b[i]).denominator == 1, name
             assert cli_module._preset(registry, name, MAX_GRID) == \
                 (preset, MAX_GRID)
 

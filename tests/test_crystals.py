@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path as FsPath
 
 import pytest
@@ -14,7 +15,7 @@ from qrigged import crystals
 from qrigged.cli import EXIT_OK, main
 from oracles import charge, enumerate_ssyt, reading_word
 from qrigged.combinat import Composition, Partition
-from qrigged.crystals import (Path, e_op, enumerate_paths, f_op,
+from qrigged.crystals import (Path, e_op, energy_sum, enumerate_paths, f_op,
                               intrinsic_energy, is_highest_weight,
                               local_energy, r_matrix)
 
@@ -42,11 +43,12 @@ class TestEnumeration:
         tracemalloc.start()
         try:
             out = enumerate_paths((3, 3), n, Composition((3, 3)))
+            total = energy_sum((3, 3), n, Composition((3, 3)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if len(out) != 4 or peak > n:
-            pytest.fail(f"{len(out)} paths, peak {peak} bytes at rank {n}")
+        if len(out) != 4 or sum(total.values()) != 4 or peak > n:
+            pytest.fail(f"{len(out)} paths, {total}, peak {peak} bytes at rank {n}")
 
 
 class TestPathChecks:
@@ -66,6 +68,10 @@ class TestPathChecks:
     def test_enumeration_refuses_rank_1(self):
         with pytest.raises(ValueError, match="rank n must be at least 2"):
             enumerate_paths((1,), 1, Composition((1,)))
+
+    def test_transfer_matrix_refuses_rank_1(self):
+        with pytest.raises(ValueError, match="rank n must be at least 2"):
+            energy_sum((1,), 1, Composition((1,)))
 
     @pytest.mark.parametrize("text, message", [
         ("13(x)ab", "letter 3 out of range 1..2"),
@@ -321,6 +327,40 @@ class TestCarriedTransport:
         min_size=1, max_size=10).map(lambda words: Path(words, n))))
     def test_matches_restart_on_random_paths(self, path):
         assert intrinsic_energy(path) == restart_energy(path)
+
+
+class TestEnergySum:
+    """The transfer matrix against the sum of q^intrinsic_energy over the
+    listed paths; pytest.fail so that it also checks under python -O."""
+
+    def test_r_matrix_is_the_identity_on_equal_widths(self):
+        # the fact the transfer matrix rests on: a run of equal widths
+        # hands each factor on unchanged
+        pairs = [(u, v) for s in (1, 2, 3) for u in _rows(s, 4) for v in _rows(s, 4)]
+        moved = [(u, v) for u, v in pairs if r_matrix(u, v) != (u, v)]
+        if len(pairs) != 516 or moved:
+            pytest.fail(f"{len(pairs)} pairs; R moves {moved[:5]}")
+
+    def test_equals_enumeration_on_grid(self):
+        # every ordered row list with <= 6 boxes and every weight: the
+        # acceptance grid at ranks 2 and 3, then rank 4
+        checked = 0
+        for ranks in ((2, 3), (4,)):
+            for widths, n in instance_grid(6, ranks=ranks):
+                for w in weight_compositions(sum(widths), n):
+                    weight = Composition(w)
+                    want = dict(Counter(map(intrinsic_energy,
+                                            enumerate_paths(widths, n, weight))))
+                    got = energy_sum(widths, n, weight)
+                    if got != want:
+                        pytest.fail(f"{widths}, n = {n}, weight {w}: {got} != {want}")
+                    checked += 1
+        if checked != 5759:
+            pytest.fail(f"{checked} instances, expected 5759")
+
+    def test_row_table_is_bounded(self):
+        if crystals._fits.cache_info().maxsize is None:
+            pytest.fail("the table of rows that fit a content is unbounded")
 
 
 _CORRUPT_AND_CALL = """

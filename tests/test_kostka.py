@@ -13,8 +13,9 @@ from qrigged.kostka import (GLOBAL_NORMALIZATION, KostkaInstance,
                             restricted_kostka)
 from qrigged import crystals
 from qrigged.bijection import rc_to_path
-from qrigged.crystals import enumerate_paths, intrinsic_energy
-from qrigged.qalg import IntPolynomial
+from qrigged.crystals import energy_sum, enumerate_paths, intrinsic_energy
+from qrigged.qalg import IntPolynomial, q_binomial
+from qrigged.qseries.presets import PresetRegistry, evaluate_side
 from qrigged.rc import (Configuration, MultiplicityArray, RiggedConfiguration,
                         UnsupportedFactorShapeError, block_generating_function,
                         configuration_walk)
@@ -202,6 +203,26 @@ class TestMainIdentity:
                     checked += 1
         assert checked == 7005
 
+    @pytest.mark.slow
+    def test_path_side_equals_classical_on_ordered_rank_4_grid_8_boxes(self):
+        # opt-in: every ordered row list with <= 8 boxes at rank 4 and every
+        # weight.  path_kostka reads the widths sorted from the array, so
+        # it is checked once per multiset, and every ordering goes to
+        # energy_sum, the sum it is built on; the oracle is computed once
+        # per multiset
+        oracle = {}
+        checked = 0
+        for widths, _ in instance_grid(8, ranks=(4,)):
+            for w in weight_compositions(sum(widths), 4):
+                key = (tuple(sorted(widths)), w)
+                if key not in oracle:
+                    oracle[key] = classical_kostka(widths, 4, w)
+                    assert path_kostka(instance(widths, 4, w)) == oracle[key], key
+                assert IntPolynomial(energy_sum(widths, 4, Composition(w))) \
+                    == oracle[key], (widths, w)
+                checked += 1
+        assert (checked, len(oracle)) == (32768, 7005)
+
     def test_weight_permutation_symmetry(self):
         # a theorem, not only a finding: X = sum_lam K_{lam mu} *
         # q^{n(R)} K_{lam R}(1/q), and the Kostka number K_{lam mu} is
@@ -239,6 +260,58 @@ class TestMainIdentity:
             built = sum(map(len, tables.values()))
             if n == 40 and built > 10:
                 pytest.fail(f"rank 40 built {built} rows for {widths}")
+
+
+class TestFiniteRogersRamanujan:
+    """Andrews' finite Rogers-Ramanujan identities (Scripta Math. 28, 1970),
+    each right-side binomial [L choose m]_q from the path side as the rank-2
+    polynomial of L single boxes with weight (L - m, m):
+
+        sum_j q^(j^2) [L-j choose j] = sum_k (-1)^k q^(k(5k+1)/2) [L choose (L-5k)//2],
+        sum_j q^(j^2+j) [L-j choose j] = sum_k (-1)^k q^(k(5k+3)/2) [L+1 choose (L-5k)//2].
+
+    As L grows the left sides tend to the fermionic sides of the presets
+    rogers-ramanujan-1 and -2, and agree with them to order L - 1."""
+
+    @staticmethod
+    def check(top_length, limits_at=()):
+        binomials = {}
+
+        def binomial(top, m):
+            if not 0 <= m <= top:
+                return IntPolynomial.zero()
+            if (top, m) not in binomials:
+                binomials[top, m] = path_kostka(
+                    instance((1,) * top, 2, (top - m, m)))
+            return binomials[top, m]
+
+        registry = PresetRegistry()
+        for L in range(top_length + 1):
+            for name, linear, extra in (("rogers-ramanujan-1", 0, 0),
+                                        ("rogers-ramanujan-2", 1, 1)):
+                left = sum((q_binomial(L - j, j).shift(j * j + linear * j)
+                            for j in range(L // 2 + 1)), IntPolynomial.zero())
+                right = IntPolynomial.zero()
+                for k in range(-(L + 1) // 5 - 1, L // 5 + 1):
+                    term = binomial(L + extra, (L - 5 * k) // 2).shift(
+                        k * (5 * k + 1 + 2 * linear) // 2)
+                    right = right - term if k % 2 else right + term
+                if left != right:
+                    pytest.fail(f"{name}, L = {L}: {left} != {right}")
+                if L in limits_at:
+                    series = evaluate_side(registry.get(name), L - 1, "fermionic")
+                    got = [series.coefficient(e) for e in range(L)]
+                    want = [left.coefficient(e) for e in range(L)]
+                    if got != want:
+                        pytest.fail(f"{name}, L = {L}: fermionic side {got}, "
+                                    f"left side {want}")
+
+    def test_up_to_20(self):
+        self.check(20, limits_at=(20,))
+
+    @pytest.mark.slow
+    def test_up_to_60(self):
+        self.check(60, limits_at=(60,))
 
 
 class TestRestrictedSpecialization:
