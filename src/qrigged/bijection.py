@@ -30,9 +30,10 @@ for a single box it is skipped.  `path_to_rc` grows the levels 1..j-1 as
 its letters j need them and, at the end, reads p at each final string
 width from `_final_vacancies`: `rc.vacancy_numbers` once per level for each
 (factor widths, nu), kept for the last 64 with one shared `Configuration`;
-`rc_to_path` starts from the p in the blocks of the frame that `validate`
-returns.  A path factor is its word, so both directions read and write rows
-as tuples of letters.
+`rc_to_path` starts from the [width, rigging - p] lists that `validate`
+builds in its own pass over the windows, and pops a single box as its one
+letter, which is always a row.  A path factor is its word, so both
+directions read and write rows as tuples of letters.
 
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
@@ -183,24 +184,23 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     L must hold rows only (`L.row_widths` refuses it before anything else),
     the rigged configuration is re-validated, and `widths` must be the rows
     of L in some order.  The map is a bijection for every fixed order.  The
-    starting d of each string is read from the p of the frame that
-    `validate` returns.
+    strings start from the [width, rigging - p] lists that `validate`
+    returns, with all the boxes consumed at level 1.
     """
     rows = L.row_widths()
-    frame = validate(rc, L)
+    levels = validate(rc, L)
     if tuple(sorted(widths, reverse=True)) != rows:
         raise ValueError("widths do not match the multiplicity array")
     boxes = sum(widths)
-    levels: list[list[list[int]]] = []
-    for a, (blocks, rigs) in enumerate(zip(frame, rc.riggings), 1):
-        x = iter(rigs)
-        shift = boxes if a == 1 else 0
-        levels.append([[w, next(x) - p + shift]
-                       for (w, m, _, p) in blocks for _ in range(m)])
+    for string in levels[0] if levels else ():
+        string[1] += boxes
     factors_rev: list[tuple[int, ...]] = []
     for s in reversed(widths):
-        if s > 1:  # popping a single box changes no p
-            _move_factor(levels, s, -1)
+        if s == 1:  # one letter is a row, and popping it changes no p
+            factors_rev.append((_extract_letter(levels, boxes),))
+            boxes -= 1
+            continue
+        _move_factor(levels, s, -1)
         letters = []
         for _ in range(s):
             x = _extract_letter(levels, boxes)

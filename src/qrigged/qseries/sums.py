@@ -28,8 +28,8 @@ class NonTerminatingSumError(ValueError):
     """Raised when enumeration of a sum would not terminate."""
 
 
-# Largest quadratic+linear part up to which `eval_fermionic` looks for a
-# first lattice point that satisfies the restrictions.
+# Largest slack above the least quadratic+linear part up to which
+# `eval_fermionic` looks for a first point that meets the restrictions.
 FIRST_POINT_SEARCH_LIMIT = 1024
 
 
@@ -208,23 +208,26 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     """Exact coefficients of the fermionic sum to relative order `order`.
 
     The result covers exponents low .. low + order, low the least exponent of
-    a point that satisfies the restrictions, found by doubling the enumeration
-    bound from order + slack up to FIRST_POINT_SEARCH_LIMIT (then ValueError).
+    a point that satisfies the restrictions, found by enumerating up to the
+    sum of the `_single_min` plus a slack, doubled from order up to
+    FIRST_POINT_SEARCH_LIMIT (then ValueError).
 
     The points are summed by nested Horner over a trie, one coordinate per
-    level: from a group's largest n_i = k down to 0, acc = X_k + g_k * acc,
-    g_k the k-th factor of each symbol of length n_i.  Constant and infinite
-    symbols are applied once, to the sum; any other length multiplies its
-    point's term at the trie's leaf.  The result is on the grid of
-    `series_sum`: offset low, step 1/d."""
+    level: from the largest n_i = k whose factors still reach the order down
+    to 0, acc = X_k + g_k * acc, g_k the k-th factor of each symbol of length
+    n_i; the groups of larger k are added to acc as they are.  Constant and
+    infinite symbols are applied once, to the sum; any other length
+    multiplies its point's term at the trie's leaf.  The result is on the
+    grid of `series_sum`: offset low, step 1/d."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    bound = Fraction(order) - sum(spec._single_min(i) for i in range(spec.dim))
-    while not (points := spec.lattice_points(bound)):
-        if bound > FIRST_POINT_SEARCH_LIMIT:
+    least = sum(spec._single_min(i) for i in range(spec.dim))
+    slack = Fraction(order)
+    while not (points := spec.lattice_points(bound := least + slack)):
+        if slack > FIRST_POINT_SEARCH_LIMIT:
             raise ValueError("no lattice point satisfies the restrictions with "
                              f"exponent <= {bound + spec.constant}")
-        bound = 2 * bound + 1
+        slack = 2 * slack + 1
     low = min(e for _, e in points)
     if low - spec.constant + order > bound:
         points = spec.lattice_points(low - spec.constant + order)
@@ -238,6 +241,9 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
             *((e - low).denominator for _, e in points))
     steps = [[(f.sign, int(f.exponent * d), int(f.step * d), f.power) for f, i
               in zip(spec.factors, levels) if i == level] for level in range(spec.dim)]
+    # per level, the largest k whose factors can still reach q^(order*d)
+    reach = [max((0, *((order * d - first) // gap + 1 for _, first, gap, _ in s)))
+             for s in steps]
     leaf = [f for f, i in zip(spec.factors, levels) if i == spec.dim]
 
     def add(group, level, out):
@@ -253,7 +259,11 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
             return
         acc = [0] * (order * d + 1)
         by_k = {k: list(g) for k, g in groupby(group, lambda t: t[0][level])}
-        for k in range(max(by_k), -1, -1):
+        top = reach[level]
+        for k, g in by_k.items():  # every factor of these k is 1 here
+            if k > top:
+                add(g, level + 1, acc)
+        for k in range(min(max(by_k), top), -1, -1):
             if k in by_k:
                 add(by_k[k], level + 1, acc)
             for sign, first, gap, power in steps[level] if k else ():

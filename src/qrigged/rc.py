@@ -10,13 +10,14 @@ height-a factor widths - 2 Q_i(nu^(a)) + Q_i(nu^(a-1)) + Q_i(nu^(a+1)), Q_i
 the boxes in the first i columns, in `vacancy_numbers`.  p matters only at
 the widths a level has, so the layer keeps it there alone, in the blocks
 of `level_blocks` that `configuration_frame` caches for the walk,
-`validate`, `rc_to_json` and the bijection.  Riggings of rows of width
-i in nu^(a) live in the window [lower bound, vacancy p_i^(a)]; in the
-unrestricted setting the lower bound may be negative and, beyond level 1,
-it is raised by a carried depth computed from how far the riggings one
-level down sit below their own floors (longer rows absorb part of the
-carried depth).  This characterization is validated exhaustively against
-path enumeration by the test suite.  The configuration part of cocharge is
+`validate` and `rc_to_json`; the pass of `validate` also returns each
+string as [width, rigging - p], where the inverse bijection starts.
+Riggings of rows of width i in nu^(a) live in the window [lower bound,
+vacancy p_i^(a)]; in the unrestricted setting the lower bound may be
+negative and, beyond level 1, it is raised by a carried depth computed
+from how far the riggings one level down sit below their own floors
+(longer rows absorb part of the carried depth).  This characterization
+is validated exhaustively against path enumeration by the test suite.  The configuration part of cocharge is
 cached per configuration, so `cocharge` is one lookup plus the rigging sum.
 """
 from __future__ import annotations
@@ -253,8 +254,8 @@ def rigging_windows(blocks: Sequence[tuple[int, int, int, int]],
 @lru_cache(maxsize=256)
 def configuration_frame(config: Configuration, L: MultiplicityArray) -> tuple:
     """The `level_blocks` of each stored level, p among them at every width
-    a string has: all that the walk, `validate`, `rc_to_json` and the
-    bijection read of a configuration.  Tuples all the way down, so no
+    a string has: all that the walk, `validate` (for the bijection too) and
+    `rc_to_json` read of a configuration.  Tuples all the way down, so no
     reader can change a cached entry; the objects of an instance share few
     configurations, so a small cache serves them.  Raises
     InvalidRiggedConfigurationError when the sizes force a negative weight,
@@ -345,9 +346,11 @@ def lower_bound(config: Configuration, L: MultiplicityArray, a: int, row: int) -
     return next(lo for (w, _, lo, _, _) in windows if w == level[row])
 
 
-def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
-    """Recompute every window and check the riggings sit inside; return the
-    `configuration_frame` read for it, so a caller reads the frame once.
+def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> list:
+    """Recompute every window and check the riggings sit inside; return,
+    per stored level, a fresh list of [width, rigging - p] for its strings
+    in canonical order, p the vacancy number at the width: the starting
+    state of `rc_to_path`, read in the same pass.
 
     Raises InvalidRiggedConfigurationError on any violation.  External
     input must pass through here; vacancies are never trusted.
@@ -357,9 +360,11 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
             f"expected at most {L.n - 1} partitions, got {len(rc.config.nu)}")
     frame = configuration_frame(rc.config, L)
     below: list[tuple[int, int]] = []
+    levels = []
     for a, (blocks, riggings) in enumerate(zip(frame, rc.riggings), 1):
         windows = rigging_windows(blocks, below)
         below = []
+        strings = []
         start = 0
         for (w, m, lo, p, carry) in windows:
             block = riggings[start:start + m]
@@ -369,9 +374,11 @@ def validate(rc: RiggedConfiguration, L: MultiplicityArray) -> tuple:
                     raise InvalidRiggedConfigurationError(
                         f"rigging {x} of a width-{w} row at level {a} "
                         f"violates its window [{lo}, {p}]")
+                strings.append([w, x - p])
             # canonical order: a block's riggings decrease, the last is least
             below.append((w, max(0, carry - block[-1])))
-    return frame
+        levels.append(strings)
+    return levels
 
 
 @lru_cache(maxsize=8)

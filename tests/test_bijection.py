@@ -199,7 +199,7 @@ class TestCachedFrame:
         assert (configs, rejected) == (3740, 17632)
 
     def test_one_frame_read_per_inverse_map(self):
-        # `validate` hands its frame to `rc_to_path`, which reads no other
+        # the frame is read once per inverse map, inside `validate`
         reads = 0
         for widths, n in instance_grid(4):
             L = MultiplicityArray.from_rows(widths, n)
@@ -278,14 +278,16 @@ class TestValidation:
     ])
     def test_extraction_guards_without_validate(self, monkeypatch, rows,
                                                 rigging, message):
-        # validate refuses both objects; with it switched off, the guards
-        # of the extraction loop must still refuse them
+        # validate refuses both objects; with it switched off, handing over
+        # the unchecked starting lists, the guards of the extraction loop
+        # must still refuse them
         L = MultiplicityArray.from_rows(rows, 2)
         rc = RiggedConfiguration(Configuration(((1,),)), ((rigging,),))
         with pytest.raises(InvalidRiggedConfigurationError, match="window"):
             rc_to_path(rc, L, rows)
-        monkeypatch.setattr("qrigged.bijection.validate",
-                            lambda rc, L: configuration_frame(rc.config, L))
+        monkeypatch.setattr("qrigged.bijection.validate", lambda rc, L: [
+            [[w, r - vacancy(rc.config, L, a, w)] for w, r in rc.strings(a)]
+            for a in range(1, len(rc.config.nu) + 1)])
         with pytest.raises(InvalidRiggedConfigurationError,
                            match=re.escape(message)):
             rc_to_path(rc, L, rows)

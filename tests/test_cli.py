@@ -402,6 +402,21 @@ class TestMalformedPresets:
         if code != EXIT_OK or json.loads(out)["result"]["equal"] is not True:
             pytest.fail(f"exit {code}, stdout {out!r}, stderr {err!r}")
 
+    def test_far_fermionic_vertex_is_compared(self, tmp_path, capsys):
+        # fermionic linear -10^9 puts the least term near n = 5 * 10^8: the
+        # lattice walk starts there and Horner skips the factors past the
+        # order, so the comparison ends at once
+        _malformed_preset(tmp_path / "rr.json", lambda d: d["fermionic"].update(
+            linear=["-1000000000"]))
+        code, out, err = run_cli(["compare", "--preset-dir", str(tmp_path),
+                                  "--preset-a", "rogers-ramanujan-1",
+                                  "--side-a", "fermionic",
+                                  "--preset-b", "rogers-ramanujan-1",
+                                  "--side-b", "fermionic", "--order", "12"],
+                                 capsys)
+        if code != EXIT_OK or json.loads(out)["result"]["equal"] is not True:
+            pytest.fail(f"exit {code}, stdout {out!r}, stderr {err!r}")
+
     def test_other_subcommands_ignore_the_preset_dir(self, tmp_path,
                                                      monkeypatch, capsys):
         _malformed_preset(tmp_path / "broken.json",

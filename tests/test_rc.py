@@ -624,6 +624,26 @@ class TestValidationAndJson:
         if (candidates, rejected) != (5342, 3660):
             pytest.fail(f"grid changed: {candidates} candidates, {rejected} rejected")
 
+    def test_validate_returns_the_starting_strings(self):
+        # per stored level, [width, rigging - p] for each string in
+        # canonical order, p from `vacancy` and not from the frame, over
+        # every object of the acceptance grid; the lists are fresh on every
+        # call, since `rc_to_path` changes them
+        objects = 0
+        for L, weight in _rc_grid(6):
+            for x in enumerate_rc(L, weight):
+                expected = [[[w, r - vacancy(x.config, L, a, w)]
+                             for w, r in x.strings(a)]
+                            for a in range(1, len(x.config.nu) + 1)]
+                for string in (s for level in validate(x, L) for s in level):
+                    string[1] += 1
+                if validate(x, L) != expected:
+                    pytest.fail(f"{L}, {weight}: {x} -> {validate(x, L)}, "
+                                f"expected {expected}")
+                objects += 1
+        if objects != 4135:
+            pytest.fail(f"grid changed: {objects} objects")
+
     def test_json_roundtrip_recomputes_vacancies(self):
         L = MultiplicityArray({(1, 1): 2}, 2)
         rc = enumerate_rc(L, Composition((1, 1)))[0]

@@ -45,6 +45,26 @@ class TestFermionic:
         s = eval_fermionic(rr_spec(1), 10)
         assert s.coeffs == (1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4)
 
+    def test_far_linear_vertex_is_exact(self):
+        # linear -10^9: near n = 5*10^8 + m the exponent is m^2 - 2.5*10^17
+        # and (q)_n is (q)_inf to any order, so the sum is q^(-2.5*10^17)
+        # times sum_m q^(m^2) / (q)_inf; the walk starts at the vertex and
+        # the Horner loop skips the k whose factors lie past the order
+        order = 12
+        partitions = [1] + [0] * order
+        for part in range(1, order + 1):
+            for k in range(part, order + 1):
+                partitions[k] += partitions[k - part]
+        theta = [0] * (order + 1)
+        for m in range(-isqrt(order), isqrt(order) + 1):
+            theta[m * m] += 1
+        expected = tuple(sum(theta[j] * partitions[k - j] for j in range(k + 1))
+                         for k in range(order + 1))
+        s = eval_fermionic(rr_spec(-10 ** 9), order)
+        if expected[:5] != (1, 3, 4, 7, 13) or (s.offset, s.step, s.coeffs) \
+                != (-25 * 10 ** 16, 1, expected):
+            pytest.fail(f"{s}, expected {expected} at q^(-2.5*10^17)")
+
     def test_prefix_stability(self):
         lo = eval_fermionic(rr_spec(0), 12)
         hi = eval_fermionic(rr_spec(0), 40)
