@@ -30,10 +30,10 @@ for a single box it is skipped.  `path_to_rc` grows the levels 1..j-1 as
 its letters j need them and, at the end, reads p at each final string
 width from `_final_vacancies`: `rc.vacancy_numbers` once per level for each
 (factor widths, nu), kept for the last 64 with one shared `Configuration`;
-`rc_to_path` starts from the [width, rigging - p] lists that `validate`
-builds in its own pass over the windows, and pops a single box as its one
-letter, which is always a row.  A path factor is its word, so both
-directions read and write rows as tuples of letters.
+`rc_to_path` starts from the strings that `validate` returns, which
+carry these d, and pops a single box as its one letter, which is always a
+row.  A path factor is its word, so both directions read and write rows
+as tuples of letters.
 
 With these conventions the bijection is weight-preserving, round trips are
 the identity on canonical forms, and intrinsic energy equals cocharge
@@ -184,8 +184,8 @@ def rc_to_path(rc: RiggedConfiguration, L: MultiplicityArray,
     L must hold rows only (`L.row_widths` refuses it before anything else),
     the rigged configuration is re-validated, and `widths` must be the rows
     of L in some order.  The map is a bijection for every fixed order.  The
-    strings start from the [width, rigging - p] lists that `validate`
-    returns, with all the boxes consumed at level 1.
+    strings start from those `validate` returns, with all the boxes
+    consumed at level 1.
     """
     rows = L.row_widths()
     levels = validate(rc, L)

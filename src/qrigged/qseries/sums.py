@@ -28,8 +28,8 @@ class NonTerminatingSumError(ValueError):
     """Raised when enumeration of a sum would not terminate."""
 
 
-# Largest slack above the least quadratic+linear part up to which
-# `eval_fermionic` looks for a first point that meets the restrictions.
+# Largest quadratic+linear part up to which `eval_fermionic` looks for a
+# first lattice point that satisfies the restrictions.
 FIRST_POINT_SEARCH_LIMIT = 1024
 
 
@@ -209,8 +209,9 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
 
     The result covers exponents low .. low + order, low the least exponent of
     a point that satisfies the restrictions, found by enumerating up to the
-    sum of the `_single_min` plus a slack, doubled from order up to
-    FIRST_POINT_SEARCH_LIMIT (then ValueError).
+    sum of the `_single_min` plus order, then up to order minus that sum,
+    doubling the bound until it passes FIRST_POINT_SEARCH_LIMIT (then
+    ValueError).
 
     The points are summed by nested Horner over a trie, one coordinate per
     level: from the largest n_i = k whose factors still reach the order down
@@ -222,12 +223,12 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     least = sum(spec._single_min(i) for i in range(spec.dim))
-    slack = Fraction(order)
-    while not (points := spec.lattice_points(bound := least + slack)):
-        if slack > FIRST_POINT_SEARCH_LIMIT:
+    bound = least + order
+    while not (points := spec.lattice_points(bound)):
+        if bound > FIRST_POINT_SEARCH_LIMIT and bound >= order - least:
             raise ValueError("no lattice point satisfies the restrictions with "
                              f"exponent <= {bound + spec.constant}")
-        slack = 2 * slack + 1
+        bound = max(order - least, 2 * bound + 1)
     low = min(e for _, e in points)
     if low - spec.constant + order > bound:
         points = spec.lattice_points(low - spec.constant + order)

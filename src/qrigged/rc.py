@@ -10,14 +10,14 @@ height-a factor widths - 2 Q_i(nu^(a)) + Q_i(nu^(a-1)) + Q_i(nu^(a+1)), Q_i
 the boxes in the first i columns, in `vacancy_numbers`.  p matters only at
 the widths a level has, so the layer keeps it there alone, in the blocks
 of `level_blocks` that `configuration_frame` caches for the walk,
-`validate` and `rc_to_json`; the pass of `validate` also returns each
-string as [width, rigging - p], where the inverse bijection starts.
-Riggings of rows of width i in nu^(a) live in the window [lower bound,
-vacancy p_i^(a)]; in the unrestricted setting the lower bound may be
-negative and, beyond level 1, it is raised by a carried depth computed
-from how far the riggings one level down sit below their own floors
-(longer rows absorb part of the carried depth).  This characterization
-is validated exhaustively against path enumeration by the test suite.  The configuration part of cocharge is
+`validate` and `rc_to_json`; `validate` also returns, from the same pass,
+the strings the inverse bijection starts from.  Riggings of rows of width
+i in nu^(a) live in the window [lower bound, vacancy p_i^(a)]; in the
+unrestricted setting the lower bound may be negative and, beyond level 1,
+it is raised by a carried depth computed from how far the riggings one
+level down sit below their own floors (longer rows absorb part of the
+carried depth).  This characterization is validated exhaustively against
+path enumeration by the test suite.  The configuration part of cocharge is
 cached per configuration, so `cocharge` is one lookup plus the rigging sum.
 """
 from __future__ import annotations

@@ -155,6 +155,23 @@ class TestAgainstReference:
     def test_synthetic(self, name, order):
         _check(name, SYNTHETIC[name], order)
 
+    # exponent n^2 - 1000 n: the vertex is n = 500 at -250000, and the
+    # restriction keeps only points far above it, n <= 10 (least -9900) or
+    # n = 0 mod 1000 (n = 0 and n = 1000, both at 0), so the first-point
+    # search must reach order + 250000 as the first bound of the reference
+    @pytest.mark.parametrize("order", [0, 12])
+    @pytest.mark.parametrize("restriction, low", [
+        ({"inequalities": (_form(10, -1),)}, -9900),
+        ({"congruences": (Congruence(_form(0, 1), 1000),)}, 0),
+    ], ids=["n-at-most-10", "n-0-mod-1000"])
+    def test_points_far_above_the_vertex(self, restriction, low, order):
+        spec = FermionicSumSpec(1, ((2,),), (-1000,), 0,
+                                (_factor(1, 1, 1, _form(0, 1)),), **restriction)
+        if eval_fermionic(spec, order).offset != low:
+            pytest.fail(f"offset {eval_fermionic(spec, order).offset}, "
+                        f"expected {low}")
+        _check(f"linear -1000, {restriction}", spec, order)
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_random_specs(self, data):
