@@ -250,7 +250,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from None
 
 
-def _require_grid(quantity: str, value: int, *rationals: Fraction) -> None:
+def _require_grid(quantity: str, value: int | Fraction, *rationals: Fraction) -> None:
     """Refuse `value` times the lcm of the `rationals`' denominators past MAX_GRID."""
     grid = value * lcm(*(r.denominator for r in rationals))
     if grid > MAX_GRID:
@@ -276,22 +276,29 @@ def _preset(registry: PresetRegistry, name: str, order: int | None):
     and its series grid order*d, with step 1/d from the exponents and steps
     of its fermionic factors and bosonic prefactors, and from the point
     exponents: up to the constant, (1/2) n.A.n + b.n is sum_i A_ii n_i(n_i-1)/2
-    + (A_ii/2 + b_i) n_i, plus sum_{i<j} A_ij n_i n_j."""
+    + (A_ii/2 + b_i) n_i, plus sum_{i<j} A_ij n_i n_j, and a2 j^2 + a1 j of
+    the theta is 2a2 j(j-1)/2 + (a2 + a1) j."""
     preset = registry.get(name)
     order = preset.declared_order if order is None else order
     A, b = preset.fermionic.quadratic, preset.fermionic.linear
+    a2, a1 = preset.bosonic.a2, preset.bosonic.a1
     _require_grid("order", order)
     _require_grid("series grid order*d", order,
                   *(x for f in preset.fermionic.factors + preset.bosonic.prefactors
                     for x in (f.exponent, f.step)),
                   *(x for row in A for x in row),
-                  *(A[i][i] / 2 + b[i] for i in range(len(b))))
+                  *(A[i][i] / 2 + b[i] for i in range(len(b))),
+                  *((2 * a2, a2 + a1) if a2 is not None else ()))
     return preset, order
 
 
 def _verdict(payload: dict, a, b, **tail) -> tuple[dict, int]:
     """`payload`, the verdict on series a == b to the order both are exact
     to (on exit 3 with where they first differ), then `tail`."""
+    # compare_series fills one list from the least offset to the least
+    # frontier, on a step 1/d that holds both grids and their offsets
+    _require_grid("series grid order*d", min(a.frontier, b.frontier)
+                  - min(a.offset, b.offset), a.step, b.step, a.offset - b.offset)
     comparison = compare_series(a, b)
     payload.update(equal=comparison.equal,
                    checked_order=str(comparison.checked_frontier))
@@ -438,8 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     order_limit = (f"An order above {MAX_GRID} (--order, else the declared "
                    f"order), or a series grid order*d above {MAX_GRID} (step "
                    "1/d, the lcm of the denominators of the preset's factor "
-                   "exponents and steps and of its quadratic form's A_ij and "
-                   "A_ii/2 + b_i), is refused with exit code 2.")
+                   "exponents and steps, of its quadratic form's A_ij and "
+                   "A_ii/2 + b_i and of its theta's 2a2 and a2 + a1; for the "
+                   "comparison, also of the two sides' offset difference), is "
+                   "refused with exit code 2.")
     p = sub.add_parser("character", help="verify a character preset",
                        description="Verify a character preset.  " + order_limit)
     p.add_argument("--preset", required=True)

@@ -32,9 +32,6 @@ class Partition:
         """n(mu) = sum_i (i-1) * mu_i."""
         return sum(i * p for i, p in enumerate(self.parts))
 
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
-
 
 @dataclass(frozen=True)
 class Composition:
@@ -59,9 +56,6 @@ class Composition:
     def is_dominant(self) -> bool:
         t = self.trimmed()
         return all(t[i] >= t[i + 1] for i in range(len(t) - 1))
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
 
     @staticmethod
     def parse(text: str) -> "Composition":

@@ -72,16 +72,18 @@ class Path:
         return tuple(c)
 
     def __str__(self) -> str:
-        return "(x)".join("".join(map(str, f)) for f in self.factors)
+        sep = "," if self.n >= 10 else ""  # from rank 10 a letter may take two digits
+        return "(x)".join(sep.join(map(str, f)) for f in self.factors)
 
     @staticmethod
     def parse(text: str, n: int) -> "Path":
         factors = []
         for part in text.strip().split("(x)"):
             part = part.strip()
-            if not part.isdigit():
+            letters = part.split(",") if n >= 10 else list(part)
+            if not part or not all(x.isdigit() for x in letters):
                 raise ValueError(f"malformed path factor: {part!r}")
-            factors.append(tuple(int(ch) for ch in part))
+            factors.append(tuple(map(int, letters)))
             _check_row(factors[-1], n)
         return Path._trusted(tuple(factors), n)
 
@@ -126,18 +128,13 @@ def is_highest_weight(path: Path) -> bool:
     return all(e_op(path, i) is None for i in range(1, top))
 
 
-@lru_cache(maxsize=1 << 10)
-def _rows(width: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every row of the given width over `letters`, in lexicographic order."""
-    return tuple(combinations_with_replacement(letters, width))
-
-
 @lru_cache(maxsize=1 << 12)
 def _fits(width: int, left: tuple[int, ...]
           ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Each row of the width that the content `left` can fill, with the rest."""
+    letters = tuple(x for x, c in enumerate(left, 1) if c)
     rests = ((row, tuple(c - row.count(x) for x, c in enumerate(left, 1)))
-             for row in _rows(width, tuple(x for x, c in enumerate(left, 1) if c)))
+             for row in combinations_with_replacement(letters, width))
     return tuple((row, rest) for row, rest in rests if min(rest) >= 0)
 
 

@@ -78,8 +78,6 @@ def fermionic_kostka_closed_form(inst: KostkaInstance) -> IntPolynomial:
         states: list[tuple[IntPolynomial, tuple[tuple[int, int], ...]]] = \
             [(base, ())]
         for a, blocks in enumerate(blocks_by_level, start=1):
-            if not states:
-                break
             # the block minimum only matters while a further level exists
             needs_split = bool(config.level(a + 1))
             new_states: list[tuple[IntPolynomial, tuple[tuple[int, int], ...]]] = []

@@ -81,8 +81,8 @@ class IntPolynomial:
         return IntPolynomial._trusted(0, (1,))
 
     @staticmethod
-    def monomial(exponent: int, coefficient: int = 1) -> "IntPolynomial":
-        return IntPolynomial._trusted(exponent, (coefficient,))
+    def monomial(exponent: int) -> "IntPolynomial":
+        return IntPolynomial._trusted(exponent, (1,))
 
     # -- inspection --------------------------------------------------------
 
@@ -468,19 +468,14 @@ class PochhammerSpec:
             raise ValueError("length must be nonnegative")
 
 
-def pochhammer(spec: PochhammerSpec, order: int, power: int = 1) -> TruncatedSeries:
-    """Expand (sign*q^r; q^m)_n^power = prod_k (1 - sign*q^(r+k*m))^power,
-    power = 1 or -1, to order `order`.
-
-    `order` is in exponents of q; the result's step is refined as needed to
-    hold the rational exponents exactly.  Raises NonInvertibleSeriesError
-    for power = -1 when a factor has exponent 0.
-    """
+def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
+    """Expand (sign*q^r; q^m)_n = prod_k (1 - sign*q^(r+k*m)) to order
+    `order` in exponents of q, on a step refined to hold the exponents."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return series_one(order).times_pochhammer(spec, power)
+    return series_one(order).times_pochhammer(spec)
 
 
-def pochhammer_qq(length: Optional[int], order: int, power: int = 1) -> TruncatedSeries:
-    """Convenience for (q; q)_length^power (length None = infinity)."""
-    return pochhammer(PochhammerSpec(1, Fraction(1), Fraction(1), length), order, power)
+def pochhammer_qq(length: Optional[int], order: int) -> TruncatedSeries:
+    """Convenience for (q; q)_length (length None = infinity)."""
+    return pochhammer(PochhammerSpec(1, Fraction(1), Fraction(1), length), order)

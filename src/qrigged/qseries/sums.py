@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
-from math import floor, isqrt, lcm
+from math import floor, inf, isqrt, lcm
 from typing import Optional, Sequence
 
 from ..qalg import (NonInvertibleSeriesError, PochhammerSpec, TruncatedSeries,
@@ -170,7 +170,8 @@ class FermionicSumSpec:
         """(point, exponent) for all points with quadratic+linear part
         <= bound, restrictions applied; deterministic lexicographic order.
         On ints (all times the lcm of the denominators), coordinate i takes
-        the n >= 0 that `_quadratic_range` keeps within the bound."""
+        the n >= 0 that `_quadratic_range` keeps within the bound and that
+        each inequality on n_i alone admits; the leaf tests the rest."""
         scale = lcm(*((x / 2).denominator for row in self.quadratic for x in row),
                     *(x.denominator for x in self.linear))
         # row i: A_ij for j < i, then A_ii / 2
@@ -181,6 +182,16 @@ class FermionicSumSpec:
         for i in range(self.dim - 1, -1, -1):
             suffix_min[i] = suffix_min[i + 1] + int(self._single_min(i) * scale)
 
+        lo, hi, inequalities = [0] * self.dim, [inf] * self.dim, []  # n_i in [lo, hi)
+        for f in self.inequalities:
+            on = [i for i, c in enumerate(f.coeffs) if c]
+            c = f.coeffs[on[0]] if len(on) == 1 else 0
+            if c > 0:  # constant + c n_i >= 0
+                lo[on[0]] = max(lo[on[0]], -(f.constant // c))
+            elif c < 0:
+                hi[on[0]] = min(hi[on[0]], f.constant // -c + 1)
+            else:  # on several coordinates or on none
+                inequalities.append(f)
         point = [0] * self.dim
         out: list[tuple[tuple[int, ...], Fraction]] = []
 
@@ -190,13 +201,13 @@ class FermionicSumSpec:
             if i == self.dim:
                 if partial <= top \
                         and all(c.satisfied(point) for c in self.congruences) \
-                        and all(f(point) >= 0 for f in self.inequalities):
+                        and all(f(point) >= 0 for f in inequalities):
                     out.append((tuple(point), Fraction(partial, scale) + self.constant))
                 return
             *cross, half = rows[i]
             slope = linear[i] + sum(c * x for c, x in zip(cross, point))
             ns = _quadratic_range(half, slope, partial + suffix_min[i + 1] - top)
-            for n in range(max(0, ns.start), ns.stop):
+            for n in range(max(lo[i], ns.start), min(hi[i], ns.stop)):
                 point[i] = n
                 rec(i + 1, partial + (half * n + slope) * n)
 
@@ -237,7 +248,7 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     levels = [-1 if f.constant_length() else spec.dim
               if f.length.constant or [c for c in f.length.coeffs if c] != [1]
               else f.length.coeffs.index(1) for f in spec.factors]
-    symbols = [(f.spec(points[0][0]), f.power, i) for f, i in zip(spec.factors, levels)]
+    symbols = [(f.spec(()), f.power) for f, i in zip(spec.factors, levels) if i == -1]
     d = lcm(*(x.denominator for f in spec.factors for x in (f.exponent, f.step)),
             *((e - low).denominator for _, e in points))
     steps = [[(f.sign, int(f.exponent * d), int(f.step * d), f.power) for f, i
@@ -274,8 +285,8 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     out = [0] * (order * d + 1)
     add([(p, int((e - low) * d), [(f.spec(p), f.power) for f in leaf])
          for p, e in points], 0, out)
-    return reduce(lambda t, s: t.times_pochhammer(*s[:2]) if s[2] == -1 else t,
-                  symbols, TruncatedSeries._trusted(tuple(out), low, Fraction(1, d)))
+    return reduce(lambda t, s: t.times_pochhammer(*s), symbols,
+                  TruncatedSeries._trusted(tuple(out), low, Fraction(1, d)))
 
 
 @dataclass(frozen=True)

@@ -237,8 +237,6 @@ def rigging_windows(blocks: Sequence[tuple[int, int, int, int]],
     (width, max(0, carry - x)) up to the next level: a string's depth only
     falls as its rigging rises, so the block minimum carries the most.
     """
-    if not below:
-        return [(w, m, floor, p, 0) for (w, m, floor, p) in blocks]
     out = []
     for (w, m, floor, p) in blocks:
         carry = 0
@@ -307,9 +305,6 @@ class RiggedConfiguration:
         object.__setattr__(out, "config", config)
         object.__setattr__(out, "riggings", riggings)
         return out
-
-    def rigging_sum(self) -> int:
-        return sum(map(sum, self.riggings))
 
     def strings(self, a: int) -> tuple[tuple[int, int], ...]:
         """(width, rigging) pairs of level a, canonical order."""
@@ -446,8 +441,6 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
         # states: (riggings so far, (width, depth) pairs of previous level)
         states: list[tuple[list[tuple[int, ...]], tuple[tuple[int, int], ...]]] = [([], ())]
         for blocks in blocks_by_level:
-            if not states:
-                break
             new_states = []
             for (prefix, below) in states:
                 windows = rigging_windows(blocks, below)
@@ -482,7 +475,7 @@ def configuration_charge_form(config: Configuration) -> int:
 def cocharge(rc: RiggedConfiguration) -> int:
     """cc(nu, J): `configuration_charge_form` plus the rigging sum.  May be
     negative in the unrestricted setting."""
-    return configuration_charge_form(rc.config) + rc.rigging_sum()
+    return configuration_charge_form(rc.config) + sum(map(sum, rc.riggings))
 
 
 def block_generating_function(m: int, lo: int, hi: int) -> IntPolynomial:

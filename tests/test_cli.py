@@ -448,18 +448,32 @@ class TestMalformedPresets:
 class TestPresetSeriesGrid:
     """`character` and `compare` bound the series grid order*d of a preset,
     with step 1/d from its factor exponents and steps, as `pochhammer` does,
-    and from the denominators of its point exponents."""
+    and from the denominators of its point and theta exponents; the verdict
+    bounds the one list its comparison fills."""
 
-    def test_fine_point_exponents_exceed_the_grid(self, tmp_path, capsys):
-        # b = 1/1000003 puts the points on a grid of step 1/1000003, which
-        # eval_fermionic would fill to order 12 (12,000,037 coefficients)
-        _malformed_preset(tmp_path / "fine.json", lambda d: d["fermionic"].update(
-            linear=["1/1000003"]))
-        line = "error: series grid order*d = 12000036 is above the limit 20000\n"
-        code, out, err = run_cli(
-            ["compare", "--preset-dir", str(tmp_path), "--order", "12",
-             "--preset-a", "rogers-ramanujan-1", "--side-a", "fermionic",
-             "--preset-b", "rogers-ramanujan-1", "--side-b", "fermionic"], capsys)
+    # b = 1/1000003 puts the points on a grid of step 1/1000003, which
+    # eval_fermionic would fill to order 12 (12,000,037 coefficients); a
+    # theta a2 = 1/1000003 (a1 = -1/2) puts its terms on steps 2a2 and
+    # a2 + a1, d = 2,000,006; a fermionic constant 1/1000003 leaves each
+    # side on integers, but the comparison's own list has step 1/1000003
+    @pytest.mark.parametrize("malform, argv, grid", [
+        (lambda d: d["fermionic"].update(linear=["1/1000003"]),
+         ["compare", "--side-a", "fermionic", "--side-b", "fermionic"],
+         12000036),
+        (lambda d: d["bosonic"]["theta"].update(quadratic="1/1000003"),
+         ["compare", "--side-a", "bosonic", "--side-b", "bosonic"], 24000072),
+        (lambda d: d["fermionic"].update(constant="1/1000003"),
+         ["character"], 12000036),
+    ], ids=["fermionic-linear", "theta-quadratic", "fermionic-constant"])
+    def test_fine_point_exponents_exceed_the_grid(self, malform, argv, grid,
+                                                  tmp_path, capsys):
+        _malformed_preset(tmp_path / "fine.json", malform)
+        presets = (["--preset", "rogers-ramanujan-1"] if argv == ["character"]
+                   else ["--preset-a", "rogers-ramanujan-1",
+                         "--preset-b", "rogers-ramanujan-1"])
+        line = f"error: series grid order*d = {grid} is above the limit 20000\n"
+        code, out, err = run_cli(argv + presets + [
+            "--preset-dir", str(tmp_path), "--order", "12"], capsys)
         if (code, out, err) != (EXIT_USAGE, "", line):
             pytest.fail(f"exit {code}, stderr {err!r}")
 
@@ -488,7 +502,8 @@ class TestPresetSeriesGrid:
                 assert f.exponent.denominator == f.step.denominator == 1, name
             # nor do the point exponents refine the grid: A_ij and
             # A_ii/2 + b_i are integers (scale 2 of lattice_points is not
-            # the grid, for euler-distinct-parts and lebesgue)
+            # the grid, for euler-distinct-parts and lebesgue), and so are
+            # the theta's 2a2 and a2 + a1, which _preset checks
             A, b = preset.fermionic.quadratic, preset.fermionic.linear
             for i, row in enumerate(A):
                 assert all(x.denominator == 1 for x in row), name
@@ -648,6 +663,25 @@ class TestSurface:
                                   "1x2,1x1", "--rc", rc_json], capsys)
         assert code2 == EXIT_OK
         assert json.loads(out2)["result"]["path"] == "12(x)1"
+
+    def test_paths_feed_bijection_at_rank_12(self, capsys):
+        # two-digit letters are comma separated, so each printed path is
+        # read back as itself, and the old digit form no longer parses
+        code, out, err = run_cli(["paths", "--shapes", "1x2,1x1", "--n", "12",
+                                  "--weight", "0,0,0,0,0,0,0,0,0,0,2,1"], capsys)
+        printed = [o["path"] for o in json.loads(out)["result"]["objects"]]
+        if code != EXIT_OK or printed != ["11,11(x)12", "11,12(x)11"]:
+            pytest.fail(f"paths: exit {code}, {printed}, {err!r}")
+        for literal in printed:
+            code, out, err = run_cli(["bijection", "--n", "12", "--path",
+                                      literal], capsys)
+            if code != EXIT_OK or json.loads(out)["result"]["path"] != literal:
+                pytest.fail(f"bijection --path {literal}: exit {code}, {err!r}")
+        code, out, err = run_cli(["bijection", "--n", "12", "--path",
+                                  "1111(x)12"], capsys)
+        if (code, out, err) != (EXIT_USAGE, "", "error: malformed path: "
+                                "letter 1111 out of range 1..12\n"):
+            pytest.fail(f"digit form: exit {code}, {err!r}")
 
     # deeper than the default recursion limit: the configuration walk has
     # 999 levels at rank 1000, and the path enumeration 1,200 factors

@@ -73,14 +73,34 @@ class TestPathChecks:
         with pytest.raises(ValueError, match="rank n must be at least 2"):
             energy_sum((1,), 1, Composition((1,)))
 
-    @pytest.mark.parametrize("text, message", [
-        ("13(x)ab", "letter 3 out of range 1..2"),
-        ("ab(x)13", "malformed path factor: 'ab'"),
+    # from rank 10 letters are comma separated: the digit form of
+    # (11,11) (x) (12) is no longer read as another path
+    @pytest.mark.parametrize("text, n, message", [
+        ("13(x)ab", 2, "letter 3 out of range 1..2"),
+        ("ab(x)13", 2, "malformed path factor: 'ab'"),
+        ("1111(x)12", 12, "letter 1111 out of range 1..12"),
+        ("11,(x)12", 12, "malformed path factor: '11,'"),
+        ("11, 11(x)12", 12, "malformed path factor: '11, 11'"),
     ])
-    def test_parse_reports_the_first_faulty_factor(self, text, message):
+    def test_parse_reports_the_first_faulty_factor(self, text, n, message):
         with pytest.raises(ValueError) as exc:
-            Path.parse(text, 2)
-        assert str(exc.value) == message
+            Path.parse(text, n)
+        if str(exc.value) != message:
+            pytest.fail(f"{text!r} at rank {n}: {exc.value}")
+
+    # from rank 10 a letter may take two digits, so commas part them; the
+    # letters 1, n - 1 and n reach two digits at n = 10 and 12
+    @pytest.mark.parametrize("n, literal", [
+        (9, "18(x)9"), (10, "1,9(x)10"), (12, "1,11(x)12")])
+    def test_literal_round_trips(self, n, literal):
+        weight = Composition((1,) + (0,) * (n - 3) + (1, 1))
+        paths = enumerate_paths((2, 1), n, weight)
+        if literal not in map(str, paths):
+            pytest.fail(f"rank {n}: {literal} not among {list(map(str, paths))}")
+        for p in paths:
+            if Path.parse(str(p), n) != p:
+                pytest.fail(f"rank {n}: {str(p)!r} reads back as "
+                            f"{Path.parse(str(p), n)}")
 
     @pytest.mark.parametrize("call", [local_energy, r_matrix])
     @pytest.mark.parametrize("u, v", [((2, 1), (1,)), ((1,), (3, 1, 2))])

@@ -116,6 +116,22 @@ class TestFermionic:
         assert (s.offset, s.frontier) == (16, 26)
         assert s.coeffs == (1, 1, 2, 3, 5, 6, 9, 11, 15, 19, 24)
 
+    def test_inequality_on_one_coordinate_clamps_the_walk(self):
+        # exponent n^2 - 10^9 n: the vertex n = 5 * 10^8 lies past n <= 10,
+        # so the walk takes n = 0..10 only; n = 10 is least, at 100 - 10^10,
+        # and n = 9 lies 10^9 higher, so to order 12 the sum is
+        # q^(-9999999900)/(q)_10.  pytest.fail, so it also runs under -O
+        spec = FermionicSumSpec(1, ((F(2),),), (F(-10 ** 9),), F(0),
+                                (qq_factor(0, 1),),
+                                inequalities=(AffineForm(F(10), (F(-1),)),))
+        want = [1] + [0] * 12  # partitions of k into parts <= 10
+        for part in range(1, 11):
+            for k in range(part, 13):
+                want[k] += want[k - part]
+        s = eval_fermionic(spec, 12)
+        if (s.offset, s.coeffs) != (-9_999_999_900, tuple(want)):
+            pytest.fail(f"offset {s.offset}, coefficients {s.coeffs}")
+
     def test_unsatisfiable_restriction_rejected(self):
         spec = FermionicSumSpec(1, ((F(2),),), (F(0),), F(0),
                                 inequalities=(AffineForm(F(-1), (F(0),)),))
