@@ -275,9 +275,11 @@ def _preset(registry: PresetRegistry, name: str, order: int | None):
     """The preset and its order: `order`, else the declared one, to MAX_GRID,
     and its series grid order*d, with step 1/d from the exponents and steps
     of its fermionic factors and bosonic prefactors, and from the point
-    exponents: up to the constant, (1/2) n.A.n + b.n is sum_i A_ii n_i(n_i-1)/2
-    + (A_ii/2 + b_i) n_i, plus sum_{i<j} A_ij n_i n_j, and a2 j^2 + a1 j of
-    the theta is 2a2 j(j-1)/2 + (a2 + a1) j."""
+    exponents: (1/2) n.A.n + b.n + c is sum_i A_ii n_i(n_i-1)/2 + (A_ii/2 +
+    b_i) n_i, plus sum_{i<j} A_ij n_i n_j, plus c, and a2 j^2 + a1 j + a0 of
+    the theta is 2a2 j(j-1)/2 + (a2 + a1) j + a0.  The constants c and a0
+    offset the sides against each other, so they count before either side
+    is evaluated."""
     preset = registry.get(name)
     order = preset.declared_order if order is None else order
     A, b = preset.fermionic.quadratic, preset.fermionic.linear
@@ -288,6 +290,7 @@ def _preset(registry: PresetRegistry, name: str, order: int | None):
                     for x in (f.exponent, f.step)),
                   *(x for row in A for x in row),
                   *(A[i][i] / 2 + b[i] for i in range(len(b))),
+                  preset.fermionic.constant, preset.bosonic.a0,
                   *((2 * a2, a2 + a1) if a2 is not None else ()))
     return preset, order
 
@@ -359,9 +362,12 @@ def _cmd_bailey(args) -> tuple[dict, int]:
 
 def _cmd_compare(args) -> tuple[dict, int]:
     registry = PresetRegistry(args.preset_dir)
-    # preset a is looked up, checked and evaluated before preset b is looked up
-    a, b = (evaluate_side(*_preset(registry, name, args.order), side) for name, side
-            in ((args.preset_a, args.side_a), (args.preset_b, args.side_b)))
+    # preset a is looked up and checked before preset b; the offset of each
+    # preset shifts its side, so their difference counts before evaluation
+    (pa, order_a), (pb, order_b) = (_preset(registry, name, args.order)
+                                    for name in (args.preset_a, args.preset_b))
+    _require_grid("series grid order*d", min(order_a, order_b), pa.offset - pb.offset)
+    a, b = evaluate_side(pa, order_a, args.side_a), evaluate_side(pb, order_b, args.side_b)
     return _verdict({"left": a.to_json(), "right": b.to_json()}, a, b)
 
 
@@ -446,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
                    f"order), or a series grid order*d above {MAX_GRID} (step "
                    "1/d, the lcm of the denominators of the preset's factor "
                    "exponents and steps, of its quadratic form's A_ij and "
-                   "A_ii/2 + b_i and of its theta's 2a2 and a2 + a1; for the "
-                   "comparison, also of the two sides' offset difference), is "
-                   "refused with exit code 2.")
+                   "A_ii/2 + b_i and constant, and of its theta's 2a2, a2 + "
+                   "a1 and constant; for the comparison, also of the two "
+                   "sides' offset difference), is refused with exit code 2.")
     p = sub.add_parser("character", help="verify a character preset",
                        description="Verify a character preset.  " + order_limit)
     p.add_argument("--preset", required=True)

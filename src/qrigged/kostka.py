@@ -16,10 +16,10 @@ from itertools import product as iproduct
 from .combinat import Composition, Partition
 from .crystals import (energy_sum, enumerate_paths, intrinsic_energy,
                        is_highest_weight)
-from .qalg import IntPolynomial
-from .rc import (MultiplicityArray, block_generating_function, cocharge,
-                 configuration_charge_form, configuration_sizes,
-                 configuration_walk, enumerate_rc, rigging_windows)
+from .qalg import IntPolynomial, q_binomial
+from .rc import (MultiplicityArray, cocharge, configuration_charge_form,
+                 configuration_sizes, configuration_walk, enumerate_rc,
+                 rigging_windows)
 
 # Frozen global normalization between path energy and cocharge:
 # cocharge = sign * energy + shift, pinned to the identity.  It is the one
@@ -64,45 +64,48 @@ def fermionic_kostka(inst: KostkaInstance) -> IntPolynomial:
 def fermionic_kostka_closed_form(inst: KostkaInstance) -> IntPolynomial:
     """Configuration-level sum with q-binomial window factors.
 
-    For each configuration, riggings are never listed; each block of m rows
-    of width w contributes the generating function of its window, split by
-    the block minimum so the carried depth passed to the next level is
-    known.  The configurations are those of `configuration_walk`, read
-    from its cache when `enumerate_rc` has just walked the same instance.
-    The result is a sum of products of Gaussian binomials.
+    For each configuration, riggings are never listed.  A level's states
+    are keyed by the (width, depth) pairs they pass up, and the polynomials
+    of equal keys are added, so the work follows the distinct depths, not
+    the rigging combinations.  A block of m rows of width w and window
+    [lo, p] whose least rigging is x < carry passes depth carry - x and
+    contributes q^(m x) [p - x + m - 1 choose m - 1] (the other m - 1
+    riggings lie in [x, p]); every least rigging from carry on passes depth
+    0, and together they are the m-tuples in [carry, p] (lo <= carry, as
+    the floor is <= 0): q^(m carry) [p - carry + m choose m].  On the last
+    level no depth is passed, and the block is the m-tuples in [lo, p].
+    A binomial equal to 1 costs a shift, not a product.  The configurations
+    are those of `configuration_walk`, read from its cache when
+    `enumerate_rc` has just walked the same instance.
     """
     total = IntPolynomial.zero()
     for config, blocks_by_level in configuration_walk(inst.L, inst.weight):
-        base = IntPolynomial.monomial(configuration_charge_form(config))
-        # states: (generating polynomial, (width, depth) pairs of prev level)
-        states: list[tuple[IntPolynomial, tuple[tuple[int, int], ...]]] = \
-            [(base, ())]
+        # states: (width, depth) pairs of the previous level -> polynomial
+        states = {(): IntPolynomial.monomial(configuration_charge_form(config))}
         for a, blocks in enumerate(blocks_by_level, start=1):
             # the block minimum only matters while a further level exists
             needs_split = bool(config.level(a + 1))
-            new_states: list[tuple[IntPolynomial, tuple[tuple[int, int], ...]]] = []
-            for poly, below in states:
+            new_states: dict[tuple[tuple[int, int], ...], IntPolynomial] = {}
+            for below, poly in states.items():
                 windows = rigging_windows(blocks, below)
                 if any(lo > p for (_, _, lo, p, _) in windows):
                     continue
-                # a block's tuples with minimum exactly x: the last entry is
-                # x, the other m - 1 lie weakly decreasing in [x, p]
+                # pieces q^e [k + j choose j], each with the pair passed up
                 per_block = [
-                    [(block_generating_function(m - 1, x, p).shift(x),
-                      (w, max(0, carry - x))) for x in range(lo, p + 1)]
-                    if needs_split else
-                    [(block_generating_function(m, lo, p), (w, 0))]
+                    [(m * x, p - x, m - 1, (w, carry - x))
+                     for x in range(lo, min(carry, p + 1))]
+                    + [(m * carry, p - carry, m, (w, 0))] * (carry <= p)
+                    if needs_split else [(m * lo, p - lo, m, (w, 0))]
                     for (w, m, lo, p, carry) in windows]
                 for combo in iproduct(*per_block):
-                    gf = poly
-                    depths = []
-                    for piece, depth in combo:
-                        gf = gf * piece
-                        depths.append(depth)
-                    new_states.append((gf, tuple(depths)))
+                    gf = poly.shift(sum(piece[0] for piece in combo))
+                    for _, k, j, _ in combo:
+                        if k and j:  # else the binomial is 1
+                            gf = gf * q_binomial(k + j, j)
+                    key = tuple(piece[3] for piece in combo)
+                    new_states[key] = new_states[key] + gf if key in new_states else gf
             states = new_states
-        for poly, _ in states:
-            total = total + poly
+        total = sum(states.values(), total)
     return total
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product as iproduct
+from itertools import combinations_with_replacement, groupby
 from typing import Mapping, Optional, Sequence
 
 from .combinat import Composition, partitions_of
-from .qalg import IntPolynomial, json_int, q_binomial
+from .qalg import json_int
 
 
 class InvalidRiggedConfigurationError(ValueError):
@@ -434,30 +434,29 @@ def enumerate_rc(L: MultiplicityArray, weight: Composition
 
     Riggings are generated level by level inside the windows of
     `rigging_windows`, over the configurations of `configuration_walk`.
-    Canonical representatives, deterministic order.
+    Canonical representatives, deterministic order: the last block's
+    riggings vary fastest.
     """
     out: list[RiggedConfiguration] = []
     for config, blocks_by_level in configuration_walk(L, weight):
         # states: (riggings so far, (width, depth) pairs of previous level)
-        states: list[tuple[list[tuple[int, ...]], tuple[tuple[int, int], ...]]] = [([], ())]
+        states: list[tuple[tuple, tuple[tuple[int, int], ...]]] = [((), ())]
         for blocks in blocks_by_level:
             new_states = []
             for (prefix, below) in states:
-                windows = rigging_windows(blocks, below)
-                if any(lo > p for (_, _, lo, p, _) in windows):
-                    continue
-                # drawn from p, ..., lo, rigs weakly decreases: rigs[-1] is least
-                options = [[(rigs, (w, max(0, carry - rigs[-1])))
-                            for rigs in combinations_with_replacement(
-                                range(p, lo - 1, -1), m)]
-                           for (w, m, lo, p, carry) in windows]
-                for combo in iproduct(*options):
-                    level = tuple(r for rigs, _ in combo for r in rigs)
-                    new_states.append((prefix + [level],
-                                       tuple(depth for _, depth in combo)))
+                # fold the blocks into the level's flat (riggings, depths);
+                # drawn from p, ..., lo, rigs weakly decreases: rigs[-1] is
+                # least, and a block with an empty window leaves no tuple
+                level = [((), ())]
+                for (w, m, lo, p, carry) in rigging_windows(blocks, below):
+                    options = [(rigs, ((w, max(0, carry - rigs[-1])),))
+                               for rigs in combinations_with_replacement(
+                                   range(p, lo - 1, -1), m)]
+                    level = [(rigs0 + rigs, depths0 + depth)
+                             for rigs0, depths0 in level for rigs, depth in options]
+                new_states.extend((prefix + (rigs,), depths) for rigs, depths in level)
             states = new_states
-        for (levels, _) in states:
-            out.append(RiggedConfiguration._trusted(config, tuple(levels)))
+        out.extend(RiggedConfiguration._trusted(config, levels) for levels, _ in states)
     return out
 
 
@@ -476,16 +475,6 @@ def cocharge(rc: RiggedConfiguration) -> int:
     """cc(nu, J): `configuration_charge_form` plus the rigging sum.  May be
     negative in the unrestricted setting."""
     return configuration_charge_form(rc.config) + sum(map(sum, rc.riggings))
-
-
-def block_generating_function(m: int, lo: int, hi: int) -> IntPolynomial:
-    """Generating function (by rigging sum) of weakly decreasing m-tuples
-    in [lo, hi]: q^(m*lo) * qbinom(hi - lo + m, m)."""
-    if m == 0:
-        return IntPolynomial.one()
-    if lo > hi:
-        return IntPolynomial.zero()
-    return q_binomial(hi - lo + m, m).shift(m * lo)
 
 
 # ---------------------------------------------------------------------------

@@ -448,8 +448,10 @@ class TestMalformedPresets:
 class TestPresetSeriesGrid:
     """`character` and `compare` bound the series grid order*d of a preset,
     with step 1/d from its factor exponents and steps, as `pochhammer` does,
-    and from the denominators of its point and theta exponents; the verdict
-    bounds the one list its comparison fills."""
+    and from the denominators of its point and theta exponents, constants
+    included, and `compare` from the two presets' offset difference, all
+    before either side is evaluated; the verdict bounds the one list its
+    comparison fills."""
 
     # b = 1/1000003 puts the points on a grid of step 1/1000003, which
     # eval_fermionic would fill to order 12 (12,000,037 coefficients); a
@@ -489,6 +491,33 @@ class TestPresetSeriesGrid:
                                      capsys)
             if (code, out, err) != (EXIT_USAGE, "", line):
                 pytest.fail(f"{argv[0]}: exit {code}, stderr {err!r}")
+
+    @pytest.mark.parametrize("malform, argv", [
+        (lambda d: d["fermionic"].update(constant="1/1000003"),
+         ["character", "--preset", "rogers-ramanujan-1"]),
+        (lambda d: d["bosonic"]["theta"].update(constant="1/1000003"),
+         ["character", "--preset", "rogers-ramanujan-1"]),
+        (lambda d: d.update(offset="1/1000003"),
+         ["compare", "--preset-a", "rogers-ramanujan-1",
+          "--preset-b", "rogers-ramanujan-2"]),
+    ], ids=["fermionic-constant", "theta-constant", "offset-difference"])
+    def test_offsets_are_refused_before_evaluation(self, malform, argv,
+                                                   tmp_path, monkeypatch, capsys):
+        # the offsets that decide the verdict's d are counted up front, so
+        # an over-limit grid costs no evaluation at any order
+        def evaluate_side(*args):
+            raise AssertionError("a side was evaluated before the refusal")
+
+        monkeypatch.setattr(cli_module, "evaluate_side", evaluate_side)
+        _malformed_preset(tmp_path / "rr1.json", malform)
+        (tmp_path / "rr2.json").write_text(
+            (Path(presets_module.__file__).parent / "presets"
+             / "rogers-ramanujan-2.json").read_text())
+        line = "error: series grid order*d = 2000006000 is above the limit 20000\n"
+        code, out, err = run_cli(argv + ["--preset-dir", str(tmp_path),
+                                         "--order", "2000"], capsys)
+        if (code, out, err) != (EXIT_USAGE, "", line):
+            pytest.fail(f"exit {code}, stderr {err!r}")
 
     def test_shipped_presets_are_bounded_by_their_order(self):
         # integer exponents and steps: d = 1, so every order within

@@ -17,8 +17,7 @@ from qrigged.crystals import energy_sum, enumerate_paths, intrinsic_energy
 from qrigged.qalg import IntPolynomial, q_binomial
 from qrigged.qseries.presets import PresetRegistry, evaluate_side
 from qrigged.rc import (Configuration, MultiplicityArray, RiggedConfiguration,
-                        UnsupportedFactorShapeError, block_generating_function,
-                        configuration_walk)
+                        UnsupportedFactorShapeError, configuration_walk)
 
 
 def instance(widths, n, weight):
@@ -114,18 +113,20 @@ class TestTwoEvaluationRoutes:
                         fermionic_kostka_closed_form(inst)
 
     def test_block_minimum_identity(self):
-        # the closed form's gf of a block's m-tuples with minimum exactly x,
-        # q^x * gf(m - 1 rows on [x, p]), against the difference of two
-        # block gfs and against the tuples themselves
+        # the closed form's pieces of a block of m riggings in [lo, p]
+        # against the tuples themselves: least rigging exactly x gives
+        # q^(m x) [p - x + m - 1 choose m - 1], and every least rigging
+        # from c on gives q^(m c) [p - c + m choose m]
         for m in range(1, 6):
             for p in range(-4, 7):
                 for x in range(-4, p + 1):
-                    identity = block_generating_function(m - 1, x, p).shift(x)
-                    assert identity == block_generating_function(m, x, p) - \
-                        block_generating_function(m, x + 1, p), (m, x, p)
-                    sums = Counter(sum(t) for t in combinations_with_replacement(
-                        range(x, p + 1), m) if min(t) == x)
-                    assert identity == IntPolynomial(sums), (m, x, p)
+                    tuples = list(combinations_with_replacement(range(x, p + 1), m))
+                    exact = Counter(sum(t) for t in tuples if min(t) == x)
+                    assert q_binomial(p - x + m - 1, m - 1).shift(m * x) == \
+                        IntPolynomial(exact), (m, x, p)
+                    from_x = Counter(sum(t) for t in tuples)
+                    assert q_binomial(p - x + m, m).shift(m * x) == \
+                        IntPolynomial(from_x), (m, x, p)
 
     def test_one_configuration_walk_per_instance(self):
         # fermionic_kostka runs enumeration and the closed form; both read
@@ -188,6 +189,23 @@ class TestMainIdentity:
     def test_closed_form_equals_path_on_rank_4_grid_7_boxes(self):
         # opt-in: rank 4, <= 7 boxes
         assert _closed_form_equals_path(7, 4) == (11648, 304417)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("widths, n, weight", [
+        ((1,) * 14, 4, (4, 4, 3, 3)),
+        ((2,) * 10, 3, (7, 7, 6)),
+        ((3,) * 8, 3, (8, 8, 8)),
+        ((3, 2, 1) * 4, 3, (8, 8, 8)),
+        ((1,) * 10 + (2,) * 5, 3, (7, 7, 6)),
+    ], ids=["1x14", "2x10", "3x8", "321x4", "1x10-2x5"])
+    def test_closed_form_equals_path_at_scale(self, widths, n, weight):
+        # opt-in: long products whose states merge by carried depth, each
+        # against the transfer-matrix path side (written without assert so
+        # that it still checks under python -O)
+        inst = instance(widths, n, weight)
+        closed, path = fermionic_kostka_closed_form(inst), path_kostka(inst)
+        if closed != path:
+            pytest.fail(f"closed form {closed} != path side {path}")
 
     @pytest.mark.slow
     def test_closed_form_equals_classical_on_rank_4_grid_8_boxes(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from itertools import product
@@ -432,6 +433,19 @@ class TestEnumeration:
                     objects += 1
         if objects != 11830:
             pytest.fail(f"grid changed: {objects} objects")
+
+    def test_listing_order_is_pinned(self):
+        # the digest of every object's text, in the order enumerate_rc lists
+        # them over the acceptance grid: a faster listing may not reorder
+        digest = hashlib.sha256()
+        for widths, n in instance_grid(6):
+            L = MultiplicityArray.from_rows(widths, n)
+            for w in weight_compositions(sum(widths), n):
+                for rc in enumerate_rc(L, Composition(w)):
+                    digest.update(f"{rc}\n".encode())
+        if digest.hexdigest() != ("68d71268b23ba75930c37a61072888d7"
+                                  "a813fa66abd826e9d577de151d9f858b"):
+            pytest.fail(f"listing order changed: {digest.hexdigest()}")
 
 
 class TestConfigurationWalk:
