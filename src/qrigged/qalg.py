@@ -337,8 +337,8 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         d = lcm(self.step.denominator, other.step.denominator)
         a, b = ([0] * (s.order * (d // s.step.denominator) + 1) for s in (self, other))
-        _place(a, self, self.offset, d)
-        _place(b, other, other.offset, d)
+        _place(a, self.coeffs, 0, d // self.step.denominator)
+        _place(b, other.coeffs, 0, d // other.step.denominator)
         order = min(len(a), len(b)) - 1
         out = [0] * (order + 1)
         for i, c1 in enumerate(a[:order + 1]):
@@ -405,13 +405,11 @@ class TruncatedSeries:
                 "coeffs": [str(c) for c in self.coeffs]}
 
 
-def _place(out: list[int], s: TruncatedSeries, offset: Fraction, d: int) -> None:
-    """Add the coefficients of `s` into `out`, the dense list of the grid
-    offset + i/d, dropping those past its end.  Every caller picks a grid
-    that refines the grid of `s` and starts at or below its offset."""
-    start = int((s.offset - offset) * d)
-    for i, c in zip(range(start, len(out), d // s.step.denominator), s.coeffs):
-        out[i] += c
+def _place(out: list[int], coeffs: Sequence[int], start: int, stride: int) -> None:
+    """Add `coeffs` into the dense list `out` at indices start, start +
+    stride, ..., dropping those past its end."""
+    stop = min(len(out), start + len(coeffs) * stride)
+    out[start:stop:stride] = map(int.__add__, out[start:stop:stride], coeffs)
 
 
 def series_sum(terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
@@ -421,11 +419,13 @@ def series_sum(terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
     step denominator and every offset difference, and ends at the least
     frontier, so the sum never goes past its guaranteed order."""
     offset = min(s.offset for s in terms)
-    d = lcm(*(s.step.denominator for s in terms),
-            *((s.offset - offset).denominator for s in terms))
-    out = [0] * (int((min(s.frontier for s in terms) - offset) * d) + 1)
-    for s in terms:
-        _place(out, s, offset, d)
+    shifts = [s.offset - offset for s in terms]
+    d = lcm(*(s.step.denominator for s in terms), *(x.denominator for x in shifts))
+    places = [(s.coeffs, x.numerator * (d // x.denominator), d // s.step.denominator)
+              for s, x in zip(terms, shifts)]
+    out = [0] * (min(start + (len(c) - 1) * stride for c, start, stride in places) + 1)
+    for place in places:
+        _place(out, *place)
     return TruncatedSeries._trusted(tuple(out), offset, Fraction(1, d))
 
 

@@ -17,8 +17,8 @@ from itertools import accumulate
 from math import lcm
 from typing import Callable, Optional
 
-from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, series_one,
-                    series_sum)
+from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, _place,
+                    series_one, series_sum)
 from .sums import _quadratic_range, compare_series
 
 INFINITY = None
@@ -138,11 +138,12 @@ def _beta_table(exponents: tuple[Fraction, ...], order: int, nmax: int
     for e in exponents:  # e < 0 is refused as by (q^e;q)_n itself
         PochhammerSpec(exponent=e, length=0)
     d = lcm(*(e.denominator for e in exponents))
+    starts = [int((e - 1) * d) for e in exponents]
     acc = [1] + [0] * (order * d)
     betas = []
     for n in range(nmax + 1):
-        for e in exponents if n else ():
-            _apply_factor(acc, int((e + n - 1) * d), 1, -1)
+        for start in starts if n else ():
+            _apply_factor(acc, start + n * d, 1, -1)
         betas.append(TruncatedSeries._trusted(tuple(acc), Fraction(0), Fraction(1, d)))
     return betas
 
@@ -185,9 +186,7 @@ def _nested_sums(terms: list[TruncatedSeries], d: int, numerator, denominators):
         a, b = numerator(n) if numerator else (0, 0)
         a = int(a * d)
         for j, t in enumerate(terms[:n + 1]):
-            stride, start = d // t.step.denominator, (offs[j] - low) // unit
-            stop = min(len(acc), start + len(t.coeffs) * stride)
-            acc[start:stop:stride] = map(int.__add__, acc[start:stop:stride], t.coeffs)
+            _place(acc, t.coeffs, (offs[j] - low) // unit, d // t.step.denominator)
             if j < n:
                 if numerator:
                     _apply_factor(acc, a + b * (n - j) * d, 1, 1)

@@ -9,7 +9,10 @@ evaluate to exact TruncatedSeries; termination is checked when the spec
 is constructed.  Each lattice coordinate, theta index and weak-lemma n runs
 over the integers `_quadratic_range` keeps within a bound, so a walk costs
 what it returns; the lattice walk yields each point with its exponent, and
-`eval_fermionic` nests its sum over the lattice (Horner).
+`eval_fermionic` nests its sum over the lattice (Horner).  Inside an
+evaluator every exponent is an integer x on one scale, standing for
+x / scale; a Fraction appears only as the returned series' offset and step
+and as the public `bound` of the lattice walk.
 """
 from __future__ import annotations
 
@@ -17,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
-from math import floor, inf, isqrt, lcm
+from math import floor, gcd, inf, isqrt, lcm
 from typing import Optional, Sequence
 
 from ..qalg import (NonInvertibleSeriesError, PochhammerSpec, TruncatedSeries,
-                    _apply_factor, _as_fraction, series_sum)
+                    _apply_factor, _as_fraction, _place)
 
 
 class NonTerminatingSumError(ValueError):
@@ -167,13 +170,15 @@ class FermionicSumSpec:
         return min(Fraction(0), *(a / 2 * m * m + b * m for m in (n, n + 1)))
 
     def lattice_points(self, bound: Fraction):
-        """(point, exponent) for all points with quadratic+linear part
-        <= bound, restrictions applied; deterministic lexicographic order.
-        On ints (all times the lcm of the denominators), coordinate i takes
-        the n >= 0 that `_quadratic_range` keeps within the bound and that
-        each inequality on n_i alone admits; the leaf tests the rest."""
+        """(scale, [(point, x)]) for all points with quadratic+linear part
+        <= bound, restrictions applied, in lexicographic order; the point's
+        exponent, constant included, is x / scale, scale the lcm of the
+        denominators of the form and the constant.  Coordinate i takes the
+        n >= 0 that `_quadratic_range` keeps within the bound and that each
+        inequality on n_i alone admits; the leaf tests the rest."""
         scale = lcm(*((x / 2).denominator for row in self.quadratic for x in row),
-                    *(x.denominator for x in self.linear))
+                    *(x.denominator for x in self.linear), self.constant.denominator)
+        constant = self.constant.numerator * (scale // self.constant.denominator)
         # row i: A_ij for j < i, then A_ii / 2
         rows = [[int(x * scale) for x in row[:i]] + [int(row[i] / 2 * scale)]
                 for i, row in enumerate(self.quadratic)]
@@ -193,7 +198,7 @@ class FermionicSumSpec:
             else:  # on several coordinates or on none
                 inequalities.append(f)
         point = [0] * self.dim
-        out: list[tuple[tuple[int, ...], Fraction]] = []
+        out: list[tuple[tuple[int, ...], int]] = []
 
         def rec(i: int, partial: int):
             # partial: quadratic+linear over assigned coords (cross terms
@@ -202,7 +207,7 @@ class FermionicSumSpec:
                 if partial <= top \
                         and all(c.satisfied(point) for c in self.congruences) \
                         and all(f(point) >= 0 for f in inequalities):
-                    out.append((tuple(point), Fraction(partial, scale) + self.constant))
+                    out.append((tuple(point), partial + constant))
                 return
             *cross, half = rows[i]
             slope = linear[i] + sum(c * x for c, x in zip(cross, point))
@@ -212,7 +217,7 @@ class FermionicSumSpec:
                 rec(i + 1, partial + (half * n + slope) * n)
 
         rec(0, 0)
-        return out
+        return scale, out
 
 
 def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
@@ -235,22 +240,25 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
         raise ValueError("order must be nonnegative")
     least = sum(spec._single_min(i) for i in range(spec.dim))
     bound = least + order
-    while not (points := spec.lattice_points(bound)):
+    while not (walk := spec.lattice_points(bound))[1]:
         if bound > FIRST_POINT_SEARCH_LIMIT and bound >= order - least:
             raise ValueError("no lattice point satisfies the restrictions with "
                              f"exponent <= {bound + spec.constant}")
         bound = max(order - least, 2 * bound + 1)
-    low = min(e for _, e in points)
-    if low - spec.constant + order > bound:
-        points = spec.lattice_points(low - spec.constant + order)
-    points = [(p, e) for p, e in points if e <= low + order]
+    scale, points = walk
+    low = min(x for _, x in points)
+    high = low + order * scale
+    if Fraction(high, scale) - spec.constant > bound:
+        points = spec.lattice_points(Fraction(high, scale) - spec.constant)[1]
+    points = [(p, x) for p, x in points if x <= high]
     # i when a factor's length is n_i, -1 when constant or infinite, else dim
     levels = [-1 if f.constant_length() else spec.dim
               if f.length.constant or [c for c in f.length.coeffs if c] != [1]
               else f.length.coeffs.index(1) for f in spec.factors]
     symbols = [(f.spec(()), f.power) for f, i in zip(spec.factors, levels) if i == -1]
     d = lcm(*(x.denominator for f in spec.factors for x in (f.exponent, f.step)),
-            *((e - low).denominator for _, e in points))
+            scale // gcd(scale, *(x - low for _, x in points)))
+    offset, step = Fraction(low, scale), Fraction(1, d)
     steps = [[(f.sign, int(f.exponent * d), int(f.step * d), f.power) for f, i
               in zip(spec.factors, levels) if i == level] for level in range(spec.dim)]
     # per level, the largest k whose factors can still reach q^(order*d)
@@ -265,9 +273,10 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
             if not own:
                 out[at] += 1
                 return
-            term = reduce(lambda t, s: t.times_pochhammer(*s), own, TruncatedSeries(
-                (1,) + (0,) * (len(out) - 1 - at), low, Fraction(1, d)))
-            out[at:] = map(int.__add__, out[at:], term.coeffs)
+            term = reduce(lambda t, s: t.times_pochhammer(*s), own,
+                          TruncatedSeries._trusted((1,) + (0,) * (len(out) - 1 - at),
+                                                   offset, step))
+            _place(out, term.coeffs, at, 1)
             return
         acc = [0] * (order * d + 1)
         by_k = {k: list(g) for k, g in groupby(group, lambda t: t[0][level])}
@@ -283,10 +292,10 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
         out[:] = [a + b for a, b in zip(out, acc)]
 
     out = [0] * (order * d + 1)
-    add([(p, int((e - low) * d), [(f.spec(p), f.power) for f in leaf])
-         for p, e in points], 0, out)
+    add([(p, (x - low) * d // scale, [(f.spec(p), f.power) for f in leaf])
+         for p, x in points], 0, out)
     return reduce(lambda t, s: t.times_pochhammer(*s), symbols,
-                  TruncatedSeries._trusted(tuple(out), low, Fraction(1, d)))
+                  TruncatedSeries._trusted(tuple(out), offset, step))
 
 
 @dataclass(frozen=True)
@@ -317,30 +326,39 @@ class BosonicSumSpec:
             if not f.constant_length():
                 raise ValueError("bosonic prefactor lengths must be constant")
 
-    def theta_terms(self, order: int) -> list[tuple[Fraction, int]]:
-        """Sorted (exponent, sign) pairs of the j whose exponent is at most
-        the least, at floor(-a1 / 2a2) or one more, plus `order`."""
+    def theta_terms(self, order: int) -> tuple[int, list[tuple[int, int]]]:
+        """(scale, sorted [(x, sign)]) of the j whose exponent x / scale,
+        a0 included, is at most the least, at floor(-a1 / 2a2) or one more,
+        plus `order`; scale is the lcm of the denominators of a2, a1, a0."""
         if self.a2 is None:
-            return [(self.a0, 1)]
-        a2, a1 = self.a2, self.a1
+            return self.a0.denominator, [(self.a0.numerator, 1)]
+        scale = lcm(self.a2.denominator, self.a1.denominator, self.a0.denominator)
+        a2, a1, a0 = (x.numerator * (scale // x.denominator)
+                      for x in (self.a2, self.a1, self.a0))
         j0 = -a1 // (2 * a2)
         least = min(a2 * j * j + a1 * j for j in (j0, j0 + 1))
-        scale = lcm(a2.denominator, a1.denominator)
-        js = _quadratic_range(int(a2 * scale), int(a1 * scale),
-                              int((-least - order) * scale))
-        return sorted((a2 * j * j + a1 * j + self.a0,
-                       -1 if self.parity * j % 2 else 1) for j in js)
+        js = _quadratic_range(a2, a1, -least - order * scale)
+        return scale, sorted((a2 * j * j + a1 * j + a0,
+                              -1 if self.parity * j % 2 else 1) for j in js)
 
 
 def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
-    """Exact coefficients of the bosonic sum to relative order `order`."""
+    """Exact coefficients of the bosonic sum to relative order `order`.  The
+    theta sum is on the grid `series_sum` would give its terms: offset the
+    least exponent low / scale, step 1/d, d = scale / gcd(scale, every
+    x - low); each prefactor then refines it as `times_pochhammer` does."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    out = series_sum([TruncatedSeries((sign,) + (0,) * order, e)
-                      for e, sign in spec.theta_terms(order)])
-    for f in spec.prefactors:
-        out = out.times_pochhammer(f.spec(()), f.power)
-    return out
+    scale, terms = spec.theta_terms(order)
+    low = terms[0][0]
+    g = gcd(scale, *(x - low for x, _ in terms))
+    d = scale // g
+    out = [0] * (order * d + 1)
+    for x, sign in terms:  # each x - low is at most order * scale
+        out[(x - low) // g] += sign
+    return reduce(lambda t, f: t.times_pochhammer(f.spec(()), f.power), spec.prefactors,
+                  TruncatedSeries._trusted(tuple(out), Fraction(low, scale),
+                                           Fraction(1, d)))
 
 
 @dataclass(frozen=True)

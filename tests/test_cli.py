@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -1088,6 +1089,58 @@ def bijection_rc_argv(draw):
             "--rc", json.dumps(levels)], widths, n
 
 
+# A shipped preset file with one to three numeric fields replaced: the
+# theta's quadratic, linear and constant part, the fermionic diagonal,
+# linear and constant part, a factor's exponent, step or length, or the
+# offset, each by 0, a small or huge integer or a rational of denominator
+# at most 13.
+PRESET_VALUE = st.sampled_from(["0", "-1", "1000000000", "-1000000000",
+                                "1000000000/7", "-1000000000/13"]) \
+    | st.fractions(min_value=-12, max_value=12, max_denominator=13).map(str)
+
+
+@st.composite
+def mutated_preset(draw):
+    """(name, JSON text) of a shipped preset with 1-3 fields mutated."""
+    name = draw(st.sampled_from(PresetRegistry().names()))
+    data = json.loads((Path(presets_module.__file__).parent / "presets"
+                       / f"{name}.json").read_text())
+    fermionic, theta = data["fermionic"], data["bosonic"].get("theta")
+    factors = fermionic.get("factors", []) + data["bosonic"].get("prefactors", [])
+    fields = [(data, "offset"), (fermionic, "constant")]
+    fields += [(fermionic["quadratic"][i], i) for i in range(fermionic["dim"])]
+    fields += [(fermionic["linear"], i) for i in range(fermionic["dim"])]
+    fields += [(theta, key) for key in ("quadratic", "linear", "constant")
+               if theta is not None]
+    fields += [(f, key) for f in factors for key in ("exponent", "step", "length")]
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(fields))
+        value = draw(PRESET_VALUE)
+        if key == "length":  # one entry of the affine length; an infinite
+            node[key] = node[key] or ["0"]  # one becomes a constant length
+            node[key][draw(st.integers(0, len(node[key]) - 1))] = value
+        else:
+            node[key] = value
+    return name, json.dumps(data)
+
+
+# Each call just past one cap, with the function it guards, patched to raise
+# so that the refusal provably comes before any series is filled.
+PAST_CAPS = [
+    (["qbinom", "20002", "1"], "q_binomial",
+     "degree k(m-k) = 20001 is above the limit 20000"),
+    (["qbinom", "6670", "3"], "q_binomial",
+     "degree k(m-k) = 20001 is above the limit 20000"),
+    (["pochhammer", "--order", "20001"], "pochhammer",
+     "series grid order*d = 20001 is above the limit 20000"),
+    (["pochhammer", "--step", "1/2", "--order", "10001"], "pochhammer",
+     "series grid order*d = 20002 is above the limit 20000"),
+    (["bailey", "--steps", "101"], "bailey_step", "101 steps is above the limit 100"),
+    (["character", "--preset", "rogers-ramanujan-1", "--order", "20001"],
+     "evaluate_side", "order = 20001 is above the limit 20000"),
+]
+
+
 def run_documented(argv):
     """Run main, returning (exit code, stdout) and asserting that it ends
     in a documented exit code without a traceback."""
@@ -1114,6 +1167,29 @@ class TestFuzz:
         # rows of at most 4 boxes are verified: both sides never differ
         if run_documented(argv)[0] == EXIT_UNEQUAL:
             pytest.fail(f"{argv}: the two sides differ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_preset(), st.integers(0, 40))
+    def test_mutated_preset_files(self, preset, order):
+        name, text = preset
+        with tempfile.TemporaryDirectory() as directory:
+            (Path(directory) / f"{name}.json").write_text(text)
+            flags = ["--preset-dir", directory, "--order", str(order)]
+            run_documented(["character", "--preset", name] + flags)
+            run_documented(["compare", "--preset-a", name, "--side-a", "bosonic",
+                            "--preset-b", name, "--side-b", "bosonic"] + flags)
+
+    @pytest.mark.parametrize("argv, guarded, line", PAST_CAPS,
+                             ids=[" ".join(argv) for argv, _, _ in PAST_CAPS])
+    def test_calls_just_past_each_cap(self, argv, guarded, line, monkeypatch,
+                                      capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{guarded} was called before the refusal")
+
+        monkeypatch.setattr(cli_module, guarded, refuse)
+        code, out, err = run_cli(argv, capsys)
+        if (code, out, err) != (EXIT_USAGE, "", f"error: {line}\n"):
+            pytest.fail(f"{argv}: exit {code}, stderr {err!r}")
 
     @settings(max_examples=300, deadline=None)
     @given(bijection_rc_argv())

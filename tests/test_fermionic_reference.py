@@ -31,16 +31,19 @@ def _binomial(sign, exponent, d, size):
 
 def reference(spec, order):
     """(coeffs, offset, step) of the fermionic sum, one point at a time."""
+    def walk(bound):  # (point, exponent) pairs, the exponent as a Fraction
+        scale, points = spec.lattice_points(bound)
+        return [(p, F(x, scale)) for p, x in points]
+
     bound = F(order) - sum(spec._single_min(i) for i in range(spec.dim))
     for _ in range(12):
-        if (points := spec.lattice_points(bound)):
+        if (points := walk(bound)):
             break
         bound = 2 * bound + 1
     else:
         pytest.fail("reference: no lattice point found")
     low = min(e for _, e in points)
-    points = [(p, e) for p, e in
-              spec.lattice_points(max(bound, low - spec.constant + order))
+    points = [(p, e) for p, e in walk(max(bound, low - spec.constant + order))
               if e <= low + order]
     d = lcm(*(x.denominator for f in spec.factors for x in (f.exponent, f.step)),
             *((e - low).denominator for _, e in points))

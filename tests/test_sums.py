@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrigged.qalg import (DivergentProductError, NonInvertibleSeriesError,
-                          TruncatedSeries, pochhammer_qq)
+                          TruncatedSeries, pochhammer_qq, series_sum)
+from qrigged.qseries.bailey import (INFINITY, bailey_step, rogers_ramanujan_seed,
+                                    unit_bailey_pair, weak_lemma)
 from qrigged.qseries.presets import PresetRegistry
 from qrigged.qseries.sums import (AffineForm, BosonicSumSpec, Congruence,
                                   FermionicSumSpec, NonTerminatingSumError,
@@ -181,6 +184,24 @@ class TestFermionic:
                               eval_fermionic(bare, 8)).equal
 
 
+def _theta_window(spec, order):
+    """Sorted (exponent, sign) of the theta terms within `order` of the
+    least, by brute force: |j - v| <= sqrt(order / a2) + 1 around the real
+    vertex v holds every such term, and the ends of the window must lie
+    past it."""
+    if spec.a2 is None:
+        return [(spec.a0, 1)]
+    v = floor(-spec.a1 / (2 * spec.a2))
+    w = isqrt(ceil(order / spec.a2)) + 2
+    window = range(v - w, v + w + 1)
+    exps = {j: spec.a2 * j * j + spec.a1 * j + spec.a0 for j in window}
+    top = min(exps.values()) + order
+    if exps[window[0]] <= top or exps[window[-1]] <= top:
+        pytest.fail(f"{spec}: window {window} is too narrow")
+    return sorted((e, -1 if spec.parity * j % 2 else 1)
+                  for j, e in exps.items() if e <= top)
+
+
 class TestBosonic:
     def test_pentagonal_number_theorem(self):
         spec = BosonicSumSpec(1, F(3, 2), F(-1, 2), F(0))
@@ -219,6 +240,40 @@ class TestBosonic:
         with pytest.raises(NonTerminatingSumError):
             BosonicSumSpec(1, F(0), F(1), F(0))
 
+    # checked through pytest.fail, so it also runs under python -O
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_against_per_term_reference(self, data):
+        # the reference places one series per theta term, at its Fraction
+        # exponent from the brute-force window, by `series_sum`, then
+        # multiplies by the prefactors
+        def rational(low, high):
+            return st.builds(F, st.integers(low, high), st.integers(1, 7))
+
+        a2 = data.draw(st.none() | rational(1, 12), "a2")
+        a1 = data.draw(rational(-12, 12) | st.sampled_from(
+            [F(10 ** 9, 7), F(-10 ** 9, 7)]), "a1")
+        prefactors = tuple(PochhammerFactor(
+            data.draw(st.sampled_from([1, -1])),
+            F(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))),
+            F(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))),
+            data.draw(st.none() | st.integers(0, 4).map(
+                lambda n: AffineForm(F(n), ()))),
+            data.draw(st.sampled_from([1, -1])))
+            for _ in range(data.draw(st.integers(0, 2), "prefactors")))
+        spec = BosonicSumSpec(data.draw(st.sampled_from([0, 1]), "parity"), a2,
+                              a1, data.draw(rational(-12, 12), "a0"), prefactors)
+        order = data.draw(st.integers(0, 40), "order")
+        want = series_sum([TruncatedSeries((sign,) + (0,) * order, e)
+                           for e, sign in _theta_window(spec, order)])
+        for f in spec.prefactors:
+            want = want.times_pochhammer(f.spec(()), f.power)
+        got = eval_bosonic(spec, order)
+        if got != want:
+            pytest.fail(f"{spec} at order {order}: offset/step {got.offset}, "
+                        f"{got.step} vs {want.offset}, {want.step}; "
+                        f"{got.coeffs} vs {want.coeffs}")
+
 
 class TestCompare:
     def test_self_comparison(self):
@@ -242,10 +297,11 @@ class TestLatticeWalk:
         registry = PresetRegistry()
         for name in registry.names():
             spec = registry.get(name).fermionic
-            points = spec.lattice_points(F(30))
+            scale, points = spec.lattice_points(F(30))
             if not points:
                 pytest.fail(f"{name}: no lattice point up to 30")
-            for p, e in points:
+            for p, x in points:
+                e = F(x, scale)
                 r = range(spec.dim)
                 want = sum((spec.quadratic[i][j] * p[i] * p[j] for i in r for j in r),
                            F(0)) / 2 \
@@ -353,24 +409,16 @@ class TestWalkCompleteness:
         box = _box_points(spec, F(40))
         for bound in range(41):
             want = [(p, e) for p, e in box if e - spec.constant <= bound]
-            got = spec.lattice_points(F(bound))
+            scale, got = spec.lattice_points(F(bound))
+            got = [(p, F(x, scale)) for p, x in got]
             if got != want:
                 pytest.fail(f"{name} at bound {bound}: walk {got}, box {want}")
 
     @staticmethod
     def check_theta(spec, order):
-        # |j - v| <= sqrt(order / a2) + 1 around the real vertex v holds every
-        # term within the order; the ends of the window must lie past it
-        v = floor(-spec.a1 / (2 * spec.a2))
-        w = isqrt(ceil(order / spec.a2)) + 2
-        window = range(v - w, v + w + 1)
-        exps = {j: spec.a2 * j * j + spec.a1 * j + spec.a0 for j in window}
-        top = min(exps.values()) + order
-        if exps[window[0]] <= top or exps[window[-1]] <= top:
-            pytest.fail(f"{spec}: window {window} is too narrow")
-        want = sorted((e, -1 if spec.parity * j % 2 else 1)
-                      for j, e in exps.items() if e <= top)
-        got = spec.theta_terms(order)
+        want = _theta_window(spec, order)
+        scale, got = spec.theta_terms(order)
+        got = [(F(x, scale), sign) for x, sign in got]
         if got != want:
             pytest.fail(f"{spec} at order {order}: {got}, brute force {want}")
 
@@ -395,6 +443,44 @@ class TestWalkCompleteness:
 
     def test_far_vertex_gives_the_terms_near_it(self):
         # the least exponent sits near j = -2 * 10^8, not at j = 0
-        terms = BosonicSumSpec(1, F(5, 2), F(10 ** 9), F(0)).theta_terms(12)
+        scale, terms = BosonicSumSpec(1, F(5, 2), F(10 ** 9), F(0)).theta_terms(12)
         assert len(terms) == 5
-        assert terms[0][0] == -10 ** 17
+        assert F(terms[0][0], scale) == -10 ** 17
+
+
+class TestSeriesOutputsPinned:
+    """One sha256 over (offset, step, coefficients) of every series below,
+    as computed before the evaluators kept their exponents as integers: no
+    grid, offset or coefficient may move.  The golden files cover only
+    rogers-ramanujan-1."""
+
+    @staticmethod
+    def series():
+        registry = PresetRegistry()
+        for name in sorted(registry.names()):
+            preset = registry.get(name)
+            for order in (0, 1, 30, 110):
+                yield eval_fermionic(preset.fermionic, order)
+                yield eval_bosonic(preset.bosonic, order)
+        # the weak limits and verified tables of the qseries benchmark
+        for steps, order in ((0, 90), (1, 60), (2, 40)):
+            pair = rogers_ramanujan_seed()
+            for _ in range(steps):
+                pair = bailey_step(pair, INFINITY, INFINITY)
+            yield from weak_lemma(pair, order)
+        for rho, order in ((F(1, 2), 40), (F(1, 3), 30)):
+            yield from weak_lemma(bailey_step(rogers_ramanujan_seed(), rho,
+                                              INFINITY), order)
+        for pair, max_n in ((unit_bailey_pair(), 10), (bailey_step(
+                rogers_ramanujan_seed(), INFINITY, INFINITY), 8)):
+            for entries in pair.table(24, max_n):
+                yield from entries
+
+    def test_digest(self):
+        digest, count = hashlib.sha256(), 0
+        for s in self.series():
+            digest.update(repr((str(s.offset), str(s.step), s.coeffs)).encode())
+            count += 1
+        if (count, digest.hexdigest()) != (138, "134a93626b80a6f2298628420c637705"
+                                                "c76a432e981bff88f3832a3cec72b122"):
+            pytest.fail(f"{count} series, digest {digest.hexdigest()}")
