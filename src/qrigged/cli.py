@@ -188,9 +188,9 @@ def _cmd_paths(args) -> tuple[dict, int]:
 def _cmd_bijection(args) -> tuple[dict, int]:
     shapes = _parse_shapes(args.shapes) if args.shapes else None
     weight = _parse_weight(args.weight) if args.weight else None
-    if sum(map(bool, (args.path, args.rc, args.check))) != 1:
+    if (args.path is not None) + (args.rc is not None) + args.check != 1:
         raise ValueError("exactly one of --path, --rc, --check is required")
-    if args.path:
+    if args.path is not None:
         try:
             p = Path.parse(args.path, args.n)
         except ValueError as exc:
@@ -202,7 +202,7 @@ def _cmd_bijection(args) -> tuple[dict, int]:
         return {"path": str(p), "rc": rc_to_json(rc, L),
                 "statistic": {"energy": energy, "cocharge": c, "relation":
                               {"sign": 1, "shift": c - energy}}}, EXIT_OK
-    if args.rc:
+    if args.rc is not None:
         if shapes is None:
             raise ValueError("--rc requires --shapes")
         widths = _require_rows(shapes)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .combinat import Composition, rsk_insert
@@ -131,11 +130,16 @@ def is_highest_weight(path: Path) -> bool:
 @lru_cache(maxsize=1 << 12)
 def _fits(width: int, left: tuple[int, ...]
           ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each row of the width that the content `left` can fill, with the rest."""
-    letters = tuple(x for x, c in enumerate(left, 1) if c)
-    rests = ((row, tuple(c - row.count(x) for x, c in enumerate(left, 1)))
-             for row in combinations_with_replacement(letters, width))
-    return tuple((row, rest) for row, rest in rests if min(rest) >= 0)
+    """Each row of the width that `left` can fill, with the rest, in lexicographic
+    order: letter by letter, most copies first, while the letters above can finish it."""
+    rows, above = [((), width)], sum(left)  # a prefix, and the boxes it lacks
+    for x, c in enumerate(left, 1):
+        if c:
+            above -= c
+            rows = [(row + (x,) * k, need - k) for row, need in rows
+                    for k in range(min(c, need), max(0, need - above) - 1, -1)]
+    return tuple((row, tuple(c - row.count(x) if c else 0 for x, c in enumerate(left, 1)))
+                 for row, need in rows if not need)
 
 
 def _instance(shape_list: Sequence[int], n: int, weight: Composition

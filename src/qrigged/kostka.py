@@ -1,11 +1,11 @@
 """Unrestricted Kostka polynomials, computed two independent ways.
 
 The fermionic side sums q^cocharge over unrestricted rigged configurations
-(and, as a standing regression, re-evaluates itself through block
-generating functions built from Gaussian binomials).  The path side sums
-q^energy over all crystal paths of the weight by the transfer matrix of
-`crystals.energy_sum`, which lists no path.  The two agree exactly under
-the frozen global normalization, the identity (sign +1, shift 0).
+and checks the sum against a closed form that lists no rigging (q-binomial
+pieces per block, each level's states merged by carried depth).  The path
+side sums q^energy over all crystal paths of the weight by the transfer
+matrix of `crystals.energy_sum`, which lists no path.  The two agree exactly
+under the frozen global normalization, the identity (sign +1, shift 0).
 """
 from __future__ import annotations
 

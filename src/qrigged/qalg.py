@@ -366,21 +366,23 @@ class TruncatedSeries:
             inv[k] = -lead * acc
         return self._trusted(tuple(inv), -self.offset, self.step)
 
-    def times_pochhammer(self, spec: "PochhammerSpec", power: int = 1) -> "TruncatedSeries":
-        """self * spec^power, power = 1 or -1, on this series' guaranteed range.
-
-        The step is refined until every factor exponent is a grid index, and
-        `_apply_factor` applies each factor in place.  Raises
-        NonInvertibleSeriesError for power = -1 when a factor has exponent 0.
-        """
-        d = lcm(self.step.denominator, spec.exponent.denominator, spec.step.denominator)
+    def times_pochhammer(self, *symbols: tuple["PochhammerSpec", int]) -> "TruncatedSeries":
+        """self * prod spec^power over the pairs (spec, power), power = 1 or -1;
+        self for no pair.  The step is refined once, until every factor exponent
+        is a grid index, and `_apply_factor` applies each factor in place.
+        Raises NonInvertibleSeriesError for power = -1 on a factor of exponent 0."""
+        if not symbols:
+            return self
+        d = lcm(self.step.denominator, *(x.denominator for spec, _ in symbols
+                                         for x in (spec.exponent, spec.step)))
         stride = d // self.step.denominator
         c = [0] * (self.order * stride + 1)
         c[::stride] = self.coeffs
-        first, gap = int(spec.exponent * d), int(spec.step * d)
-        n = len(c) if spec.length is None else spec.length
-        for e in range(first, min(len(c), first + n * gap), gap):
-            _apply_factor(c, e, spec.sign, power)
+        for spec, power in symbols:
+            first, gap = int(spec.exponent * d), int(spec.step * d)
+            n = len(c) if spec.length is None else spec.length
+            for e in range(first, min(len(c), first + n * gap), gap):
+                _apply_factor(c, e, spec.sign, power)
         return self._trusted(tuple(c), self.offset, Fraction(1, d))
 
     def shift(self, exponent) -> "TruncatedSeries":
@@ -473,7 +475,7 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     `order` in exponents of q, on a step refined to hold the exponents."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return series_one(order).times_pochhammer(spec)
+    return series_one(order).times_pochhammer((spec, 1))
 
 
 def pochhammer_qq(length: Optional[int], order: int) -> TruncatedSeries:

@@ -53,10 +53,9 @@ class BaileyPair:
             finite, ninf, c = _multiplier(k, rho, sigma)
 
             def scaled(j, s, n):  # D_n A_j s, A_j its limit for infinite parameters
-                s = s.shift(j * c + ninf * Fraction(j * (j - 1), 2))
-                for r in finite:
-                    s = s.times_pochhammer(PochhammerSpec(exponent=r, length=j)) \
-                        .times_pochhammer(PochhammerSpec(exponent=1 + k - r, length=n), -1)
+                s = s.shift(j * c + ninf * Fraction(j * (j - 1), 2)).times_pochhammer(
+                    *((PochhammerSpec(exponent=r, length=j), 1) for r in finite),
+                    *((PochhammerSpec(exponent=1 + k - r, length=n), -1) for r in finite))
                 return -s if ninf * j % 2 else s
 
             alphas = [scaled(n, x, n) for n, x in enumerate(alphas)]
@@ -221,5 +220,4 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
     alphas, betas = pair.table(order, nmax)
     lhs, rhs = (series_sum([x.shift(n * n + k * n) for n, x in enumerate(entries)])
                 .truncate(Fraction(order)) for entries in (betas, alphas))
-    rhs = rhs.times_pochhammer(PochhammerSpec(exponent=1 + k), -1)
-    return lhs, rhs.truncate(Fraction(order))
+    return lhs, rhs.times_pochhammer((PochhammerSpec(exponent=1 + k), -1))

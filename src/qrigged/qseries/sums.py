@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 from math import floor, gcd, inf, isqrt, lcm
 from typing import Optional, Sequence
@@ -273,9 +272,8 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
             if not own:
                 out[at] += 1
                 return
-            term = reduce(lambda t, s: t.times_pochhammer(*s), own,
-                          TruncatedSeries._trusted((1,) + (0,) * (len(out) - 1 - at),
-                                                   offset, step))
+            term = TruncatedSeries._trusted((1,) + (0,) * (len(out) - 1 - at),
+                                            offset, step).times_pochhammer(*own)
             _place(out, term.coeffs, at, 1)
             return
         acc = [0] * (order * d + 1)
@@ -294,8 +292,7 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     out = [0] * (order * d + 1)
     add([(p, (x - low) * d // scale, [(f.spec(p), f.power) for f in leaf])
          for p, x in points], 0, out)
-    return reduce(lambda t, s: t.times_pochhammer(*s), symbols,
-                  TruncatedSeries._trusted(tuple(out), offset, step))
+    return TruncatedSeries._trusted(tuple(out), offset, step).times_pochhammer(*symbols)
 
 
 @dataclass(frozen=True)
@@ -346,7 +343,7 @@ def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
     """Exact coefficients of the bosonic sum to relative order `order`.  The
     theta sum is on the grid `series_sum` would give its terms: offset the
     least exponent low / scale, step 1/d, d = scale / gcd(scale, every
-    x - low); each prefactor then refines it as `times_pochhammer` does."""
+    x - low); one `times_pochhammer` call then applies the prefactors."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     scale, terms = spec.theta_terms(order)
@@ -356,9 +353,8 @@ def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
     out = [0] * (order * d + 1)
     for x, sign in terms:  # each x - low is at most order * scale
         out[(x - low) // g] += sign
-    return reduce(lambda t, f: t.times_pochhammer(f.spec(()), f.power), spec.prefactors,
-                  TruncatedSeries._trusted(tuple(out), Fraction(low, scale),
-                                           Fraction(1, d)))
+    return TruncatedSeries._trusted(tuple(out), Fraction(low, scale), Fraction(1, d)) \
+        .times_pochhammer(*((f.spec(()), f.power) for f in spec.prefactors))
 
 
 @dataclass(frozen=True)

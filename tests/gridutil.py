@@ -1,6 +1,10 @@
 """Shared grid iteration helpers for the exhaustive desk-scale suites."""
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
+from math import ceil
+
 
 def weight_compositions(total: int, parts: int):
     """All compositions of `total` into exactly `parts` nonnegative parts."""
@@ -47,4 +51,31 @@ def dominant_partitions(total: int, max_parts: int | None = None):
             rec(prefix + [p], remaining - p, p)
 
     rec([], total, total)
+    return out
+
+
+def box_points(spec, bound):
+    """(point, value) of every point of the box that bounds the lattice walk
+    of a fermionic spec at `bound`, restrictions applied, in lexicographic
+    order; value is the quadratic and linear part, without the constant.
+    The other coordinates add at least their real minima -b_j^2 / 2A_jj,
+    and past its vertex a coordinate's own part grows, so each side of the
+    box ends at the first n past the vertex where the bound fails."""
+    r = range(spec.dim)
+    mins = [-spec.linear[i] ** 2 / (2 * spec.quadratic[i][i]) for i in r]
+    sides = []
+    for i in r:
+        a, b = spec.quadratic[i][i] / 2, spec.linear[i]
+        rest = sum(mins) - mins[i]
+        n = max(0, ceil(-b / (2 * a)))
+        while a * n * n + b * n + rest <= bound:
+            n += 1
+        sides.append(range(n))
+    out = []
+    for p in product(*sides):
+        value = sum((spec.quadratic[i][j] * p[i] * p[j] for i in r for j in r),
+                    Fraction(0)) / 2 + sum(spec.linear[i] * p[i] for i in r)
+        if value <= bound and all(c.satisfied(p) for c in spec.congruences) \
+                and all(f(p) >= 0 for f in spec.inequalities):
+            out.append((p, value))
     return out

@@ -248,8 +248,13 @@ class TestExitCodes:
          EXIT_USAGE, "malformed weight: malformed composition: '1,,2'"),
         (["bijection", "--n", "2", "--path", "1a"],
          EXIT_USAGE, "malformed path: malformed path factor: '1a'"),
+        # an empty --path or --rc is present, and refused as malformed
+        (["bijection", "--n", "2", "--path", ""],
+         EXIT_USAGE, "malformed path: malformed path factor: ''"),
         (["bijection", "--n", "2", "--rc", "[]"],
          EXIT_USAGE, "--rc requires --shapes"),
+        (["bijection", "--n", "2", "--shapes", "1x1", "--rc", ""],
+         EXIT_USAGE, "malformed rc JSON: Expecting value: line 1 column 1 (char 0)"),
         (["bijection", "--n", "2", "--shapes", "1x1,1x1",
           "--rc", '[{"partition": [1], "riggings": [5]}]'],
          EXIT_USAGE, "invalid rigged configuration: rigging 5 of a width-1 "

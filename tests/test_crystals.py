@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import combinations_with_replacement, product
 from pathlib import Path as FsPath
 
 import pytest
@@ -49,6 +50,37 @@ class TestEnumeration:
             tracemalloc.stop()
         if len(out) != 4 or sum(total.values()) != 4 or peak > n:
             pytest.fail(f"{len(out)} paths, {total}, peak {peak} bytes at rank {n}")
+
+
+def _fits_by_definition(width, left):
+    """Each row over the letters of `left` whose content `left` covers, with
+    the rest: the reference for `crystals._fits`."""
+    letters = [x for x, c in enumerate(left, 1) if c]
+    rests = ((row, tuple(c - row.count(x) for x, c in enumerate(left, 1)))
+             for row in combinations_with_replacement(letters, width))
+    return tuple((row, rest) for row, rest in rests if min(rest) >= 0)
+
+
+class TestRowsThatFit:
+    # pytest.fail so that these also run under python -O
+    def test_against_the_definition(self):
+        # every content of <= 9 boxes on 5 letters, zeros anywhere, and
+        # every width up to boxes + 1: the same rows, rests and order
+        checked = 0
+        for left in product(range(10), repeat=5):
+            for width in range(1, sum(left) + 2) if sum(left) <= 9 else ():
+                got, want = crystals._fits(width, left), _fits_by_definition(width, left)
+                if got != want:
+                    pytest.fail(f"width {width}, content {left}: {got} != {want}")
+                checked += 1
+        if checked != 17017:
+            pytest.fail(f"{checked} pairs, expected 17017")
+
+    def test_one_wide_row(self):
+        # 4,504,501 rows of width 3000 over three letters; the content fills one
+        got = crystals._fits(3000, (1000, 1000, 1000))
+        if got != (((1,) * 1000 + (2,) * 1000 + (3,) * 1000, (0, 0, 0)),):
+            pytest.fail(f"{len(got)} rows")
 
 
 class TestPathChecks:

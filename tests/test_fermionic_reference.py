@@ -1,13 +1,16 @@
 """`eval_fermionic` against a per-point reference evaluator.
 
-The reference multiplies each lattice point's monomial by explicit
+The reference enumerates its own lattice points, every point of a box that
+bounds the walk (`gridutil.box_points`), and adds the constant to their
+exponents itself.  It multiplies each point's monomial by explicit
 binomials 1 - s*q^k through `TruncatedSeries.__mul__`, and divides by the
 product of the denominator binomials through `.invert()`.  It shares no
-factor kernel with the library: no `times_pochhammer`, `_apply_factor` or
-`series_sum`.  It returns the grid the library documents: offset low, step
-1/d, d the lcm of every factor exponent and step denominator and of every
-e - low, and order*d + 1 coefficients.  Every check fails through
-pytest.fail, so it also runs under python -O.
+walk or factor kernel with the library: no `lattice_points`,
+`times_pochhammer`, `_apply_factor` or `series_sum`.  It returns the grid
+the library documents: offset low, step 1/d, d the lcm of every factor
+exponent and step denominator and of every e - low, and order*d + 1
+coefficients.  Every check fails through pytest.fail, so it also runs
+under python -O.
 """
 from fractions import Fraction as F
 from math import lcm
@@ -15,6 +18,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridutil import box_points
 from qrigged.qalg import TruncatedSeries
 from qrigged.qseries.presets import PresetRegistry
 from qrigged.qseries.sums import (AffineForm, Congruence, FermionicSumSpec,
@@ -31,9 +35,8 @@ def _binomial(sign, exponent, d, size):
 
 def reference(spec, order):
     """(coeffs, offset, step) of the fermionic sum, one point at a time."""
-    def walk(bound):  # (point, exponent) pairs, the exponent as a Fraction
-        scale, points = spec.lattice_points(bound)
-        return [(p, F(x, scale)) for p, x in points]
+    def walk(bound):  # (point, exponent) pairs, the constant added here
+        return [(p, value + spec.constant) for p, value in box_points(spec, bound)]
 
     bound = F(order) - sum(spec._single_min(i) for i in range(spec.dim))
     for _ in range(12):

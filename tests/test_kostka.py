@@ -256,23 +256,22 @@ class TestMainIdentity:
     @pytest.mark.parametrize("widths, weight", [
         ((3, 3), (3, 3)), ((2, 1), (1, 1, 1)), ((3,), (3,))])
     def test_independent_of_the_alphabet(self, widths, weight, monkeypatch):
-        # the rank only pads the weight with zeros; the path side builds
-        # rows over the weight's letters, so a high rank adds no rows.
-        # pytest.fail so that it also runs under python -O.
+        # the rank only pads the weight with zeros; the path side fills
+        # rows from the weight's content and builds only the rows it
+        # returns, so a high rank adds no rows.  pytest.fail so that it
+        # also runs under python -O.
         smallest = max(2, len(weight))
         want = (path_kostka(instance(widths, smallest, weight)),
                 fermionic_kostka(instance(widths, smallest, weight)))
         tables = {}
 
-        def counted(letters, width,
-                    _original=crystals.combinations_with_replacement):
-            tables[letters, width] = rows = tuple(_original(letters, width))
+        def counted(width, left, _original=crystals._fits):
+            tables[width, left] = rows = _original(width, left)
             return rows
 
-        monkeypatch.setattr(crystals, "combinations_with_replacement", counted)
+        monkeypatch.setattr(crystals, "_fits", counted)
         for n in (40, 1000):
             tables.clear()
-            crystals._fits.cache_clear()  # a warm table builds no rows
             inst = instance(widths, n, weight)
             got = (path_kostka(inst), fermionic_kostka(inst))
             if got != want:

@@ -327,20 +327,29 @@ class TestPochhammer:
     @settings(max_examples=200, deadline=None)
     @given(pochhammer_specs(), st.integers(0, 12))
     def test_reciprocal_equals_inverse(self, spec, order):
-        assert outcome(lambda: series_one(order).times_pochhammer(spec, -1)) == \
+        assert outcome(lambda: series_one(order).times_pochhammer((spec, -1))) == \
             outcome(lambda: pochhammer(spec, order).invert())
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=10),
            st.fractions(min_value=-2, max_value=2, max_denominator=4),
-           st.integers(1, 4), pochhammer_specs(), st.sampled_from((1, -1)),
+           st.integers(1, 4),
+           st.lists(st.tuples(pochhammer_specs(), st.sampled_from((1, -1))),
+                    max_size=3),
            st.integers(0, 3))
-    def test_times_pochhammer_equals_product(self, coeffs, offset, d, spec,
-                                             power, extra):
+    def test_times_pochhammer_equals_product(self, coeffs, offset, d, symbols,
+                                             extra):
+        # one call against the product of the single-symbol series
         s = TruncatedSeries(tuple(coeffs), offset, Fraction(1, d))
         order = math.ceil(s.frontier - s.offset) + extra
-        assert outcome(lambda: s.times_pochhammer(spec, power)) == \
-            outcome(lambda: s * series_one(order).times_pochhammer(spec, power))
+
+        def product():
+            out = s
+            for symbol in symbols:
+                out = out * series_one(order).times_pochhammer(symbol)
+            return out
+
+        assert outcome(lambda: s.times_pochhammer(*symbols)) == outcome(product)
 
     def test_fractional_exponent(self):
         s = pochhammer(PochhammerSpec(1, Fraction(1, 2), Fraction(1), 1), 3)

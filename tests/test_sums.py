@@ -1,7 +1,6 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from itertools import product
 from math import ceil, floor, isqrt
 
 import pytest
@@ -12,6 +11,7 @@ from qrigged.qalg import (DivergentProductError, NonInvertibleSeriesError,
 from qrigged.qseries.bailey import (INFINITY, bailey_step, rogers_ramanujan_seed,
                                     unit_bailey_pair, weak_lemma)
 from qrigged.qseries.presets import PresetRegistry
+from gridutil import box_points
 from qrigged.qseries.sums import (AffineForm, BosonicSumSpec, Congruence,
                                   FermionicSumSpec, NonTerminatingSumError,
                                   PochhammerFactor, _quadratic_range,
@@ -267,7 +267,7 @@ class TestBosonic:
         want = series_sum([TruncatedSeries((sign,) + (0,) * order, e)
                            for e, sign in _theta_window(spec, order)])
         for f in spec.prefactors:
-            want = want.times_pochhammer(f.spec(()), f.power)
+            want = want.times_pochhammer((f.spec(()), f.power))
         got = eval_bosonic(spec, order)
         if got != want:
             pytest.fail(f"{spec} at order {order}: offset/step {got.offset}, "
@@ -336,32 +336,6 @@ class TestQuadraticRange:
                                     f"force {want}")
 
 
-def _box_points(spec, bound):
-    """(point, exponent) of every point of the box that bounds the lattice
-    walk at `bound`, restrictions applied, in lexicographic order.  The
-    other coordinates add at least their real minima -b_j^2 / 2A_jj, and
-    past its vertex a coordinate's own part grows, so each side of the box
-    ends at the first n past the vertex where the bound fails."""
-    r = range(spec.dim)
-    mins = [-spec.linear[i] ** 2 / (2 * spec.quadratic[i][i]) for i in r]
-    sides = []
-    for i in r:
-        a, b = spec.quadratic[i][i] / 2, spec.linear[i]
-        rest = sum(mins) - mins[i]
-        n = max(0, ceil(-b / (2 * a)))
-        while a * n * n + b * n + rest <= bound:
-            n += 1
-        sides.append(range(n))
-    out = []
-    for p in product(*sides):
-        value = sum((spec.quadratic[i][j] * p[i] * p[j] for i in r for j in r),
-                    F(0)) / 2 + sum(spec.linear[i] * p[i] for i in r)
-        if value <= bound and all(c.satisfied(p) for c in spec.congruences) \
-                and all(f(p) >= 0 for f in spec.inequalities):
-            out.append((p, value + spec.constant))
-    return out
-
-
 def _seeded_forms(count=24, seed=31):
     """Small forms of dimension 1..3 with negative linear terms, fractional
     entries, and some with a congruence or an inequality."""
@@ -406,9 +380,9 @@ class TestWalkCompleteness:
 
     @staticmethod
     def check_lattice(name, spec):
-        box = _box_points(spec, F(40))
+        box = box_points(spec, F(40))
         for bound in range(41):
-            want = [(p, e) for p, e in box if e - spec.constant <= bound]
+            want = [(p, e + spec.constant) for p, e in box if e <= bound]
             scale, got = spec.lattice_points(F(bound))
             got = [(p, F(x, scale)) for p, x in got]
             if got != want:
