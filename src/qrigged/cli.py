@@ -47,8 +47,9 @@ EXIT_UNKNOWN_PRESET = 5
 # Largest last index of the one dense coefficient list a subcommand fills:
 # the degree k(m-k) for `qbinom`; the grid order*d (order in q, step 1/d)
 # for `pochhammer` and `bailey`, d being the lcm of the denominators of
-# their rational flags; the order for `character` and `compare`.  The
-# library has no limit.
+# their rational flags; the order for `character` and `compare`.  It also
+# bounds the total boxes of `--shapes`, which the path side's rows and the
+# configurations hold.  The library has no limit.
 MAX_GRID = 20_000
 # Most steps `bailey` chains, a work bound: each costs O(N^2) kernel passes.
 BAILEY_MAX_STEPS = 100
@@ -102,6 +103,7 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
         if shape[0] < 1 or shape[1] < 1:
             raise ValueError(f"malformed shape {piece!r}")
         out.append(shape)
+    _require_grid("total boxes", sum(r * c for r, c in out))
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -351,7 +351,8 @@ class TruncatedSeries:
         return self._trusted(tuple(out), self.offset + other.offset, Fraction(1, d))
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires leading coefficient +/-1."""
+        """Multiplicative inverse; requires leading coefficient +/-1.  The
+        convolution skips the zero coefficients."""
         lead = self.coeffs[0]
         if lead not in (1, -1):
             raise NonInvertibleSeriesError(
@@ -359,10 +360,13 @@ class TruncatedSeries:
         n = self.order
         inv = [0] * (n + 1)
         inv[0] = lead
+        terms = [(j, c) for j, c in enumerate(self.coeffs[1:], 1) if c]
         for k in range(1, n + 1):
             acc = 0
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * inv[k - j]
+            for j, c in terms:
+                if j > k:
+                    break
+                acc += c * inv[k - j]
             inv[k] = -lead * acc
         return self._trusted(tuple(inv), -self.offset, self.step)
 
@@ -375,15 +379,10 @@ class TruncatedSeries:
             return self
         d = lcm(self.step.denominator, *(x.denominator for spec, _ in symbols
                                          for x in (spec.exponent, spec.step)))
-        stride = d // self.step.denominator
-        c = [0] * (self.order * stride + 1)
-        c[::stride] = self.coeffs
-        for spec, power in symbols:
-            first, gap = int(spec.exponent * d), int(spec.step * d)
-            n = len(c) if spec.length is None else spec.length
-            for e in range(first, min(len(c), first + n * gap), gap):
-                _apply_factor(c, e, spec.sign, power)
-        return self._trusted(tuple(c), self.offset, Fraction(1, d))
+        _, stride, c = _times_symbols((0, d // self.step.denominator, self.coeffs), [
+            (_at(spec.exponent, d), _at(spec.step, d), spec.length, spec.sign, power)
+            for spec, power in symbols])
+        return self._trusted(tuple(c), self.offset, Fraction(stride, d))
 
     def shift(self, exponent) -> "TruncatedSeries":
         """Multiply by q^exponent."""
@@ -414,21 +413,58 @@ def _place(out: list[int], coeffs: Sequence[int], start: int, stride: int) -> No
     out[start:stop:stride] = map(int.__add__, out[start:stop:stride], coeffs)
 
 
+# A series on a denominator D is the entry (off, stride, coeffs): coeffs[i] is
+# the coefficient of q^((off + i*stride)/D), every exponent an integer.
+def _at(x: Fraction, d: int) -> int:
+    """x * d, for x on the grid 1/d."""
+    return x.numerator * (d // x.denominator)
+
+
+def _series(d: int, off: int, stride: int, coeffs: Sequence[int]) -> TruncatedSeries:
+    return TruncatedSeries._trusted(tuple(coeffs), Fraction(off, d), Fraction(stride, d))
+
+
+def _times_symbols(entry, factors) -> tuple[int, int, list[int]]:
+    """The entry times (1 - sign*q^(first + i*gap))^power for i < length (every
+    i inside the list if length is None) over the factors (first, gap, length,
+    sign, power), on its stride refined once, to divide every first and gap."""
+    off, stride, coeffs = entry
+    unit = gcd(stride, *(x for first, gap, *_ in factors for x in (first, gap)))
+    c = [0] * ((len(coeffs) - 1) * (stride // unit) + 1)
+    c[::stride // unit] = coeffs
+    for first, gap, length, sign, power in factors:
+        n = len(c) if length is None else length
+        for e in range(first // unit, min(len(c), (first + n * gap) // unit), gap // unit):
+            _apply_factor(c, e, sign, power)
+    return off, unit, c
+
+
+def _grid_sum(entries, top: Optional[int] = None) -> tuple[int, int, list[int]]:
+    """The sum of entries on one D, placed once on one grid: from the least
+    offset, on the gcd of every stride and offset difference, to the least last
+    exponent, or to `top` if lower (refused below the offset, as by `truncate`)."""
+    low = min(off for off, _, _ in entries)
+    unit = gcd(*(x for off, stride, _ in entries for x in (stride, off - low)))
+    end = min(off + (len(c) - 1) * stride for off, stride, c in entries)
+    if top is not None and top < end:
+        if top < low:
+            raise ValueError("truncation below the series offset")
+        end = top
+    acc = [0] * ((end - low) // unit + 1)
+    for off, stride, c in entries:
+        _place(acc, c, (off - low) // unit, stride // unit)
+    return low, unit, acc
+
+
 def series_sum(terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
     """Sum of a nonempty sequence of series, placed once on one grid.
 
     The grid starts at the least offset with step 1/d, d the lcm of every
     step denominator and every offset difference, and ends at the least
     frontier, so the sum never goes past its guaranteed order."""
-    offset = min(s.offset for s in terms)
-    shifts = [s.offset - offset for s in terms]
-    d = lcm(*(s.step.denominator for s in terms), *(x.denominator for x in shifts))
-    places = [(s.coeffs, x.numerator * (d // x.denominator), d // s.step.denominator)
-              for s, x in zip(terms, shifts)]
-    out = [0] * (min(start + (len(c) - 1) * stride for c, start, stride in places) + 1)
-    for place in places:
-        _place(out, *place)
-    return TruncatedSeries._trusted(tuple(out), offset, Fraction(1, d))
+    d = lcm(*(x.denominator for s in terms for x in (s.offset, s.step)))
+    return _series(d, *_grid_sum([(_at(s.offset, d), d // s.step.denominator, s.coeffs)
+                                  for s in terms]))
 
 
 def series_one(order: int) -> TruncatedSeries:

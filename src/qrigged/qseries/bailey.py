@@ -8,18 +8,25 @@ power of q or `INFINITY` = None.  `BaileyPair.table` folds the steps over the
 seed's table by nested Horner sums, both regimes sharing the multipliers A, T
 and D (O(N^2) kernel passes, as is the check).  The n -> infinity limit of
 the defining relation is the weak lemma, `weak_lemma`.
+
+The fold, the check and the weak lemma work on integers: a table has one D,
+the lcm of the denominators of k, of the finite parameters and of the seed's
+offsets and steps, and each entry is (off, stride, coeffs) with coeffs[i] the
+coefficient of q^((off + i*stride)/D).  A `Fraction` is made only as a seed
+entry comes in, as `table` returns series, and in what `verify_bailey_pair`
+and `weak_lemma` return.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional
 
-from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, _place,
-                    series_one, series_sum)
-from .sums import _quadratic_range, compare_series
+from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, _at,
+                    _grid_sum, _place, _series, _times_symbols, series_one)
+from .sums import _quadratic_range
 
 INFINITY = None
 BaileyParam = Fraction | None
@@ -45,26 +52,42 @@ class BaileyPair:
         per step alpha_n -> D_n A_n alpha_n and beta_n -> D_n sum_m T_m Y_{n-m}
         (Y_j = A_j beta_j) as `_nested_sums`, g_m = T_m/T_{m-1} = (1 - q^{c+m-1})
         / (1 - q^m) with q^c = aq/(rho sigma), numerator 1 if a parameter is infinite."""
+        d, alphas, betas = self._entries(order, nmax)
+        return tuple([_series(d, *x) for x in entries] for entries in (alphas, betas))
+
+    def _entries(self, order: int, nmax: int) -> tuple[int, list, list]:
+        """(D, alphas, betas) of `table`, each entry (off, stride, coeffs) on D."""
         if order < 0:
             raise ValueError("order must be nonnegative")
         k = self.base_exponent
-        alphas, betas = self.seed(order, nmax)
+        seed = self.seed(order, nmax)
+        d = lcm(k.denominator, *(p.denominator for step in self.steps for p in step
+                                 if p is not None),
+                *(x.denominator for entries in seed for s in entries
+                  for x in (s.offset, s.step)))
+        alphas, betas = ([(_at(s.offset, d), d // s.step.denominator, s.coeffs)
+                          for s in entries] for entries in seed)
         for rho, sigma in self.steps:
-            finite, ninf, c = _multiplier(k, rho, sigma)
+            finite, ninf = _multiplier(k, rho, sigma)
+            for r in finite:  # a negative parameter is refused as by (q^r; q)_j
+                PochhammerSpec(exponent=r, length=0)
+            tops = [_at(r, d) for r in finite]  # (q^r; q)_j over (q^{1+k-r}; q)_n
+            bottoms = [d + _at(k, d) - x for x in tops]
+            c = d + _at(k, d) - sum(tops)  # q^{c/D} = aq/(rho sigma)
 
-            def scaled(j, s, n):  # D_n A_j s, A_j its limit for infinite parameters
-                s = s.shift(j * c + ninf * Fraction(j * (j - 1), 2)).times_pochhammer(
-                    *((PochhammerSpec(exponent=r, length=j), 1) for r in finite),
-                    *((PochhammerSpec(exponent=1 + k - r, length=n), -1) for r in finite))
-                return -s if ninf * j % 2 else s
+            def scaled(j, entry, n):  # D_n A_j entry, A_j its limit for infinite parameters
+                off, stride, coeffs = _times_symbols(entry, [
+                    *((x, d, j, 1, 1) for x in tops), *((x, d, n, 1, -1) for x in bottoms)])
+                return (off + j * c + ninf * d * (j * (j - 1) // 2), stride,
+                        [-x for x in coeffs] if ninf * j % 2 else coeffs)
 
             alphas = [scaled(n, x, n) for n, x in enumerate(alphas)]
-            # n = 0 puts Y_j on D's grid, which holds c = (1 + k - rho) - sigma
+            # n = 0 still refines Y_j's stride by (1+k-r)D, so it divides c
             betas = list(_nested_sums(
-                [scaled(j, x, 0) for j, x in enumerate(betas)], 1,
-                None if ninf else lambda n: (c - 1, 1),
-                lambda n: [(1 + k - r, n) for r in finite]))
-        return alphas, betas
+                [scaled(j, x, 0) for j, x in enumerate(betas)], d, d,
+                None if ninf else lambda n: (c - d, d),
+                lambda n: [(x, n) for x in bottoms]))
+        return d, alphas, betas
 
 
 @dataclass(frozen=True)
@@ -88,14 +111,16 @@ def verify_bailey_pair(pair: BaileyPair, order: int, max_n: int) -> PairCheck:
     k = pair.base_exponent
     if k <= -1:
         raise ValueError(f"base q^{k}: aq = q^{1 + k} must have positive exponent")
-    alphas, betas = pair.table(order, max_n)
-    for n, rhs in enumerate(_nested_sums(alphas, k.denominator,
-                                         lambda n: (1 + k + 2 * n, -1),
-                                         lambda n: [(1 + k, 2 * n)])):
-        comparison = compare_series(betas[n], rhs)
-        if not comparison.equal:
+    d, alphas, betas = pair._entries(order, max_n)
+    aq = d + _at(k, d)
+    for n, (off, stride, rhs) in enumerate(_nested_sums(
+            alphas, d, d // k.denominator, lambda n: (aq + 2 * n * d, -d),
+            lambda n: [(aq, 2 * n)])):
+        low, unit, diff = _grid_sum([betas[n], (off, stride, [-x for x in rhs])])
+        first = next((i for i, x in enumerate(diff) if x), None)
+        if first is not None:
             return PairCheck(False, order, n, failing_n=n,
-                             failing_exponent=comparison.first_difference)
+                             failing_exponent=Fraction(low + first * unit, d))
     return PairCheck(True, order, max_n)
 
 
@@ -138,20 +163,20 @@ def _beta_table(exponents: tuple[Fraction, ...], order: int, nmax: int
         PochhammerSpec(exponent=e, length=0)
     d = lcm(*(e.denominator for e in exponents))
     starts = [int((e - 1) * d) for e in exponents]
-    acc = [1] + [0] * (order * d)
+    acc, offset, step = [1] + [0] * (order * d), Fraction(0), Fraction(1, d)
     betas = []
     for n in range(nmax + 1):
         for start in starts if n else ():
             _apply_factor(acc, start + n * d, 1, -1)
-        betas.append(TruncatedSeries._trusted(tuple(acc), Fraction(0), Fraction(1, d)))
+        betas.append(TruncatedSeries._trusted(tuple(acc), offset, step))
     return betas
 
 
 def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
-    """(finite parameters, number of infinite ones, c with q^c = aq/(rho sigma))
-    for the multipliers A_j = (rho)_j (sigma)_j (aq/rho sigma)^j or its limit,
-    T_m = (aq/rho sigma)_m / (q)_m (numerator 1 if a parameter is infinite)
-    and D_n = 1/((aq/rho)_n (aq/sigma)_n) over the finite parameters."""
+    """(finite parameters, number of infinite ones) for the multipliers
+    A_j = (rho)_j (sigma)_j (aq/rho sigma)^j or its limit, T_m = (aq/rho sigma)_m
+    / (q)_m (numerator 1 if a parameter is infinite) and D_n = 1/((aq/rho)_n
+    (aq/sigma)_n) over the finite parameters, refused unless in range."""
     finite = [p for p in (rho, sigma) if p is not None]
     ninf = 2 - len(finite)
     c = 1 + k - sum(finite)  # aq/(rho sigma) = q^c
@@ -164,37 +189,31 @@ def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
         raise ValueError(
             f"parameters q^{rho}, q^{sigma} are out of range for base q^{k}: "
             f"aq/(rho sigma) = q^{c} must have nonnegative exponent")
-    return finite, ninf, c
+    return finite, ninf
 
 
-def _nested_sums(terms: list[TruncatedSeries], d: int, numerator, denominators):
+def _nested_sums(terms: list, d: int, unit: int, numerator, denominators):
     """For each n, (t_n + g_1 (t_{n-1} + ... + g_n t_0)) / prod (q^e; q)_l over
     denominators(n), t = terms, g_m = (1 - q^{a+bm}) / (1 - q^m) with
-    (a, b) = numerator(n) (numerator 1 if None): O(n) kernel passes on one
-    dense list, on the grid `series_sum` gives terms[:n + 1] refined by 1/d.
-    Offset differences have one lcm of denominators from any reference, so
-    offsets and frontiers are compared as integers on the last grid."""
-    ref = terms[0].offset
-    ds = list(accumulate(terms, lambda d, t: lcm(d, t.step.denominator, (
-        t.offset - ref).denominator), initial=d))[1:]
-    offs = [int((t.offset - ref) * ds[-1]) for t in terms]
-    tops = [o + t.order * ds[-1] // t.step.denominator for o, t in zip(offs, terms)]
-    for n, d in enumerate(ds):
-        low, unit = min(offs[:n + 1]), ds[-1] // d
-        acc = [0] * ((min(tops[:n + 1]) - low) // unit + 1)
+    (a, b) = numerator(n) (numerator 1 if None), every exponent times d:
+    O(n) kernel passes on one dense list, on the stride of `series_sum`'s grid
+    for terms[:n + 1] refined by `unit`, the gcd of `unit`, of every stride
+    and of every offset difference."""
+    ref = terms[0][0]
+    grids = zip(accumulate((off for off, _, _ in terms), min),
+                accumulate((off + (len(c) - 1) * s for off, s, c in terms), min),
+                accumulate((gcd(unit, s, off - ref) for off, s, _ in terms), gcd))
+    for n, (low, end, g) in enumerate(grids):
+        acc = [0] * ((end - low) // g + 1)
         a, b = numerator(n) if numerator else (0, 0)
-        a = int(a * d)
-        for j, t in enumerate(terms[:n + 1]):
-            _place(acc, t.coeffs, (offs[j] - low) // unit, d // t.step.denominator)
+        for j, (off, stride, c) in enumerate(terms[:n + 1]):
+            _place(acc, c, (off - low) // g, stride // g)
             if j < n:
                 if numerator:
-                    _apply_factor(acc, a + b * (n - j) * d, 1, 1)
-                _apply_factor(acc, (n - j) * d, 1, -1)
-        for e, length in denominators(n):
-            for x in range(int(e * d), min(len(acc), int((e + length) * d)), d):
-                _apply_factor(acc, x, 1, -1)
-        yield TruncatedSeries._trusted(tuple(acc), ref + Fraction(low, ds[-1]),
-                                       Fraction(1, d))
+                    _apply_factor(acc, (a + b * (n - j)) // g, 1, 1)
+                _apply_factor(acc, (n - j) * d // g, 1, -1)
+        yield _times_symbols((low, g, acc), [(e, d, length, 1, -1)
+                                             for e, length in denominators(n)])
 
 
 def bailey_step(pair: BaileyPair, rho: BaileyParam, sigma: BaileyParam) -> BaileyPair:
@@ -217,7 +236,10 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
     k = pair.base_exponent
     nmax = _quadratic_range(k.denominator, k.numerator,
                             -order * k.denominator).stop - 1
-    alphas, betas = pair.table(order, nmax)
-    lhs, rhs = (series_sum([x.shift(n * n + k * n) for n, x in enumerate(entries)])
-                .truncate(Fraction(order)) for entries in (betas, alphas))
-    return lhs, rhs.times_pochhammer((PochhammerSpec(exponent=1 + k), -1))
+    d, alphas, betas = pair._entries(order, nmax)
+    kd = _at(k, d)
+    lhs, rhs = (_grid_sum([(off + (n * d + kd) * n, stride, c)
+                           for n, (off, stride, c) in enumerate(entries)], order * d)
+                for entries in (betas, alphas))
+    PochhammerSpec(exponent=1 + k)  # (aq; q)_inf needs 1 + k > 0
+    return _series(d, *lhs), _series(d, *_times_symbols(rhs, [(d + kd, d, None, 1, -1)]))

@@ -23,7 +23,7 @@ from math import floor, gcd, inf, isqrt, lcm
 from typing import Optional, Sequence
 
 from ..qalg import (NonInvertibleSeriesError, PochhammerSpec, TruncatedSeries,
-                    _apply_factor, _as_fraction, _place)
+                    _apply_factor, _as_fraction, _at, _place)
 
 
 class NonTerminatingSumError(ValueError):
@@ -330,8 +330,7 @@ class BosonicSumSpec:
         if self.a2 is None:
             return self.a0.denominator, [(self.a0.numerator, 1)]
         scale = lcm(self.a2.denominator, self.a1.denominator, self.a0.denominator)
-        a2, a1, a0 = (x.numerator * (scale // x.denominator)
-                      for x in (self.a2, self.a1, self.a0))
+        a2, a1, a0 = (_at(x, scale) for x in (self.a2, self.a1, self.a0))
         j0 = -a1 // (2 * a2)
         least = min(a2 * j * j + a1 * j for j in (j0, j0 + 1))
         js = _quadratic_range(a2, a1, -least - order * scale)

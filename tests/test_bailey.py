@@ -36,6 +36,28 @@ class TestVerify:
         assert (check.order, check.checked_n, check.failing_n,
                 check.failing_exponent) == (10, 2, 2, 2)
 
+    @pytest.mark.parametrize("steps, exponent", [
+        ((), Fraction(5, 4)), (((Fraction(1, 2), INFINITY),), Fraction(17, 4)),
+        (((INFINITY, INFINITY),), Fraction(25, 4))], ids=["seed", "rho-1/2", "inf-inf"])
+    def test_corrupted_beta_on_a_finer_grid_at_base_one_half(self, steps, exponent):
+        # q^{5/4} added to beta_2 of the unit pair at k = 1/2 puts the table
+        # on steps of 1/4; the check names n = 2 and the first exponent where
+        # the relation fails, after the steps have carried the corruption
+        base = unit_bailey_pair(Fraction(1, 2))
+
+        def bad_seed(order, nmax):
+            alphas, betas = base.seed(order, nmax)
+            betas[2] = betas[2] + TruncatedSeries((1,) + (0,) * (4 * order),
+                                                  Fraction(5, 4), Fraction(1, 4))
+            return alphas, betas
+
+        pair = BaileyPair(Fraction(1, 2), bad_seed, "bad")
+        for rho, sigma in steps:
+            pair = bailey_step(pair, rho, sigma)
+        check = verify_bailey_pair(pair, 10, max_n=5)
+        if (check.valid, check.failing_n, check.failing_exponent) != (False, 2, exponent):
+            pytest.fail(f"{check}")
+
     def test_classical_seed_to_order_30(self):
         check = verify_bailey_pair(rogers_ramanujan_seed(), 30, max_n=12)
         assert check.valid
@@ -83,6 +105,29 @@ class TestSeedTable:
             unit_bailey_pair(k).table(10, nmax)
         if type(info.value) is not error or str(info.value) != message:
             pytest.fail(f"k = {k}: {type(info.value).__name__}: {info.value}")
+
+    def test_fraction_constructions_do_not_grow_with_the_table(self, monkeypatch):
+        # the steps fold integer entries on one denominator: an infinite step
+        # adds a few Fraction constructions to weak_lemma(pair, 60) for its
+        # parameters, not one or more per entry of the table
+        pairs = [rogers_ramanujan_seed()]
+        for _ in range(3):
+            pairs.append(bailey_step(pairs[-1], INFINITY, INFINITY))
+        made, original = [0], Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made[0] += 1
+            return original(cls, *args, **kwargs)
+
+        counts = []
+        for pair in pairs:
+            made[0] = 0
+            monkeypatch.setattr(Fraction, "__new__", counted)
+            weak_lemma(pair, 60)
+            monkeypatch.undo()
+            counts.append(made[0])
+        if max(b - a for a, b in zip(counts, counts[1:])) > 5:
+            pytest.fail(f"Fraction constructions for 0..3 infinite steps: {counts}")
 
     def test_base_minus_one_is_refused_only_past_beta_0(self):
         # (q^0; q)_0 = 1 divides out no factor yet
@@ -140,6 +185,14 @@ class TestChain:
                                   "fermionic")
         assert compare_series(lhs, fermionic).equal
 
+    @pytest.mark.parametrize("order", range(4))
+    def test_weak_limit_below_the_first_step_at_base_one_half(self, order):
+        # for order < 1 + k only n = 0 is summed, on the seed's integer grid;
+        # dividing by (q^{3/2}; q)_inf refines the rhs to steps of 1/2
+        lhs, rhs = weak_lemma(unit_bailey_pair(Fraction(1, 2)), order)
+        if not compare_series(lhs, rhs).equal or rhs.step != Fraction(1, 2):
+            pytest.fail(f"order {order}: lhs {lhs}, rhs {rhs}")
+
     def test_durfee_square_from_unit_pair(self):
         # unit pair + weak limit: sum q^{n^2}/((q)_n)^2 = 1/(q)_inf
         lhs, rhs = weak_lemma(unit_bailey_pair(), 25)
@@ -162,3 +215,30 @@ class TestWeakLimitOutput:
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --rho and --sigma over infinite, in-range, edge and refused values (a
+# negative one, aq/param = q^0 or below); --steps 0 reads neither
+SWEEP_VALUES = ["inf", "1/2", "1/3", "-1/2", "0", "1", "2/3", "3/2", "5/4"]
+
+
+class TestCliSweep:
+    def test_digest(self, capsys):
+        # sha256 over (argv, exit code, stdout, stderr) of 2,052 `bailey`
+        # calls: both modes and pairs, orders 0, 5 and 17, 0 to 2 steps
+        digest = hashlib.sha256()
+        for mode in ("verify", "weak-limit"):
+            for pair in ("unit", "rogers-ramanujan-seed"):
+                for order in ("0", "5", "17"):
+                    for steps in ("0", "1", "2"):
+                        for rho in SWEEP_VALUES:
+                            for sigma in SWEEP_VALUES if steps != "0" else ["inf"]:
+                                argv = ["bailey", "--mode", mode, "--pair", pair,
+                                        "--steps", steps, f"--rho={rho}",
+                                        f"--sigma={sigma}", "--order", order,
+                                        "--max-n", "4"]
+                                code = main(argv)
+                                out, err = capsys.readouterr()
+                                digest.update(repr((argv, code, out, err)).encode())
+        assert digest.hexdigest() == \
+            "22ea405641ff09785524c14103a86c6c796283f56ebdfdfa871ff85d133ad401"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridutil import instance_grid, weight_compositions
-from qrigged import cli as cli_module
+from qrigged import cli as cli_module, crystals as crystals_module
 from qrigged.bijection import path_to_rc
 from qrigged.cli import BAILEY_MAX_STEPS, EXIT_OK, EXIT_UNEQUAL, \
     EXIT_UNKNOWN_PRESET, EXIT_UNSUPPORTED, EXIT_USAGE, MAX_GRID, \
@@ -1195,6 +1195,29 @@ class TestFuzz:
         code, out, err = run_cli(argv, capsys)
         if (code, out, err) != (EXIT_USAGE, "", f"error: {line}\n"):
             pytest.fail(f"{argv}: exit {code}, stderr {err!r}")
+
+    @pytest.mark.parametrize("argv, total", [
+        (["kostka", "--shapes", "1x10000000000", "--n", "2",
+          "--weight", "10000000000"], 10000000000),
+        (["paths", "--shapes", "1x20001", "--n", "2", "--weight", "20001"], 20001),
+        (["rc-list", "--shapes", "1x10000,2x5001", "--n", "3",
+          "--weight", "20002"], 20002),
+        (["bijection", "--check", "--shapes", "1x20000,1x1", "--n", "2",
+          "--weight", "20001"], 20001),
+    ], ids=["kostka-10^10", "paths", "rc-list", "bijection"])
+    def test_total_boxes_past_the_cap(self, argv, total, monkeypatch, capsys):
+        # refused as the shapes are parsed, before the path side builds a row
+        # (a row of 10^10 boxes would be an 80 GB tuple)
+        def refuse(*args, **kwargs):
+            raise AssertionError("_fits was called before the refusal")
+
+        monkeypatch.setattr(crystals_module, "_fits", refuse)
+        code, out, err = run_cli(argv, capsys)
+        line = f"error: total boxes = {total} is above the limit {MAX_GRID}\n"
+        if (code, out, err) != (EXIT_USAGE, "", line):
+            pytest.fail(f"{argv}: exit {code}, stderr {err!r}")
+        if cli_module._parse_shapes(f"1x{MAX_GRID}") != [(1, MAX_GRID)]:
+            pytest.fail("a shape of MAX_GRID boxes is refused")
 
     @settings(max_examples=300, deadline=None)
     @given(bijection_rc_argv())

@@ -199,6 +199,22 @@ class TestSeries:
         with pytest.raises(NonInvertibleSeriesError):
             TruncatedSeries((2, 1, 1)).invert()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((1, -1)),
+           st.lists(st.integers(-3, 3), max_size=30)
+           | st.lists(st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2)), max_size=60),
+           st.fractions(min_value=-2, max_value=2, max_denominator=4),
+           st.integers(1, 5))
+    def test_invert_equals_dense_definition(self, lead, rest, offset, d):
+        # inv_0 = 1/lead and inv_k = -lead * sum_{1 <= j <= k} c_j inv_{k-j},
+        # over every coefficient, zeros included; dense and sparse tails
+        coeffs = [lead, *rest]
+        inv = [lead]
+        for k in range(1, len(coeffs)):
+            inv.append(-lead * sum(coeffs[j] * inv[k - j] for j in range(1, k + 1)))
+        got = TruncatedSeries(coeffs, offset, Fraction(1, d)).invert()
+        assert (got.coeffs, got.offset, got.step) == (tuple(inv), -offset, Fraction(1, d))
+
     def test_mismatched_offsets_half_integer(self):
         a = TruncatedSeries((1, 0, 0, 0), Fraction(1, 2))
         b = TruncatedSeries((1, 0, 0, 0), Fraction(0))
