@@ -15,10 +15,11 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import __version__
 from .bijection import path_to_rc, rc_to_path
@@ -301,9 +302,11 @@ def _verdict(payload: dict, a, b, **tail) -> tuple[dict, int]:
     """`payload`, the verdict on series a == b to the order both are exact
     to (on exit 3 with where they first differ), then `tail`."""
     # compare_series fills one list from the least offset to the least
-    # frontier, on a step 1/d that holds both grids and their offsets
-    _require_grid("series grid order*d", min(a.frontier, b.frontier)
-                  - min(a.offset, b.offset), a.step, b.step, a.offset - b.offset)
+    # frontier, on the gcd of both strides and the offset difference
+    x, y = (s._on(lcm(a.den, b.den)) for s in (a, b))
+    _require_grid("series grid order*d",
+                  (min(s.off + s.order * s.stride for s in (x, y)) - min(x.off, y.off))
+                  // gcd(x.stride, y.stride, x.off - y.off))
     comparison = compare_series(a, b)
     payload.update(equal=comparison.equal,
                    checked_order=str(comparison.checked_frontier))
@@ -320,8 +323,7 @@ def _cmd_character(args) -> tuple[dict, int]:
     fermi = evaluate_side(preset, order, "fermionic")
     bose = evaluate_side(preset, order, "bosonic")
     # the d of the rescaling q -> q^(1/d) that puts both sides on integers
-    d = lcm(fermi.step.denominator, bose.step.denominator,
-            fermi.offset.denominator, bose.offset.denominator)
+    d = lcm(*(s.den // gcd(s.den, s.off, s.stride) for s in (fermi, bose)))
     return _verdict({"preset": preset.name, "order": order,
                      "fermionic": fermi.to_json(), "bosonic": bose.to_json(),
                      "rescale_denominator": d}, fermi, bose,
@@ -494,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     for name, parser in sub.choices.items():
+        parser._negative_number_matcher = re.compile(r"-\.?\d")  # -1/2 is a value
         parser.add_argument("--format", choices=("json", "text"), default="json")
         parser.add_argument("--timing", action="store_true",
                             help="attach wall-clock timing (breaks byte-identity)")

@@ -1,10 +1,10 @@
 """Exact arithmetic kernel: Laurent polynomials in q, truncated power series,
 Gaussian binomials and q-Pochhammer symbols.
 
-All coefficients are arbitrary-precision integers.  Fractional powers of q
-are handled by a rational global offset together with a uniform step 1/d,
-never by rational coefficients.  Every value is immutable; every operation
-is a pure function.
+All coefficients are arbitrary-precision integers.  A truncated series
+keeps its exponents as integers over one denominator, its den: off/den,
+then steps of stride/den, never rational coefficients.  Every value is
+immutable; every operation is a pure function.
 """
 from __future__ import annotations
 
@@ -244,6 +244,11 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _at(x: Fraction, d: int) -> int:
+    """x * d, for x on the grid 1/d."""
+    return x.numerator * (d // x.denominator)
+
+
 def json_int(value, what: str) -> int:
     """`value` if it is a JSON integer, else ValueError naming `what`: bool
     is an int subclass, and int() would accept floats and digit strings."""
@@ -260,42 +265,43 @@ def json_rational(value, what: str) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series q^offset * sum_{i=0..order} coeffs[i] * q^(i*step).
+    """Power series sum_{i=0..order} coeffs[i] * q^((off + i*stride)/den).
 
-    ``order`` is the guaranteed truncation index: coefficients are exact for
-    all exponents up to offset + order*step (and implicitly zero below the
+    ``den``, ``off`` and ``stride`` are ints, stride a positive divisor of
+    den, so the step is 1/d for a positive integer d; ``offset``, ``step``
+    and ``frontier`` are their `Fraction` views.  ``order`` is the
+    guaranteed truncation index: coefficients are exact for all exponents
+    up to the frontier, offset + order*step (and implicitly zero below the
     offset).  Binary operations return the minimum guaranteed range; nothing
-    is ever silently padded with zeros.
-
-    ``step`` is 1/d for a positive integer d; fractional powers of q are
-    represented only through ``offset`` and ``step``.
+    is ever silently padded with zeros.  Equality and hash are by value, so
+    the series moved to a multiple of its den (`_on`) is the same series.
     """
 
-    coeffs: tuple[int, ...]
-    offset: Fraction = Fraction(0)
-    step: Fraction = Fraction(1)
+    __slots__ = ("coeffs", "den", "off", "stride")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        object.__setattr__(self, "offset", _as_fraction(self.offset))
-        object.__setattr__(self, "step", _as_fraction(self.step))
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[int], offset=Fraction(0), step=Fraction(1)):
+        coeffs, offset, step = tuple(map(int, coeffs)), _as_fraction(offset), _as_fraction(step)
+        if not coeffs:
             raise ValueError("a truncated series needs at least one coefficient")
-        if self.step <= 0 or self.step.numerator != 1:
+        if step <= 0 or step.numerator != 1:
             raise ValueError("step must be 1/d for a positive integer d")
+        den = lcm(offset.denominator, step.denominator)
+        self.coeffs, self.den, self.off, self.stride = (
+            coeffs, den, _at(offset, den), den // step.denominator)
 
     @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...], offset: Fraction,
-                 step: Fraction) -> "TruncatedSeries":
-        """Construct without coercion or checks, for operations whose
-        inputs are already valid series (int coefficients, Fraction grid)."""
+    def _trusted(cls, coeffs: tuple[int, ...], den: int, off: int,
+                 stride: int) -> "TruncatedSeries":
+        """Construct without coercion or checks, from a valid series' fields."""
         out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", coeffs)
-        object.__setattr__(out, "offset", offset)
-        object.__setattr__(out, "step", step)
+        out.coeffs, out.den, out.off, out.stride = coeffs, den, off, stride
         return out
+
+    def _on(self, den: int) -> "TruncatedSeries":
+        """The same series on `den`, a multiple of its own."""
+        m = den // self.den
+        return self._trusted(self.coeffs, den, self.off * m, self.stride * m) if m > 1 else self
 
     # -- inspection --------------------------------------------------------
 
@@ -304,21 +310,27 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @property
+    def offset(self) -> Fraction:
+        return Fraction(self.off, self.den)
+
+    @property
+    def step(self) -> Fraction:
+        return Fraction(self.stride, self.den)
+
+    @property
     def frontier(self) -> Fraction:
         """Largest exponent whose coefficient is guaranteed."""
-        return self.offset + self.order * self.step
+        return Fraction(self.off + self.order * self.stride, self.den)
 
     def coefficient(self, exponent) -> int:
         """Exact coefficient of q^exponent; errors beyond the frontier."""
         e = _as_fraction(exponent)
         if e > self.frontier:
             raise ValueError(f"exponent {e} beyond guaranteed order {self.frontier}")
-        if e < self.offset:
+        i = e * self.den - self.off
+        if i < 0 or i.denominator != 1 or i.numerator % self.stride:
             return 0
-        idx = (e - self.offset) / self.step
-        if idx.denominator != 1:
-            return 0
-        return self.coeffs[int(idx)]
+        return self.coeffs[i.numerator // self.stride]
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -329,16 +341,15 @@ class TruncatedSeries:
         return series_sum((self, other))
 
     def __neg__(self) -> "TruncatedSeries":
-        return self._trusted(tuple(-c for c in self.coeffs), self.offset, self.step)
+        return self._trusted(tuple(-c for c in self.coeffs), self.den, self.off, self.stride)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return series_sum((self, -other))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        d = lcm(self.step.denominator, other.step.denominator)
-        a, b = ([0] * (s.order * (d // s.step.denominator) + 1) for s in (self, other))
-        _place(a, self.coeffs, 0, d // self.step.denominator)
-        _place(b, other.coeffs, 0, d // other.step.denominator)
+        x, y = (s._on(lcm(self.den, other.den)) for s in (self, other))
+        unit = gcd(x.stride, y.stride)
+        a, b = x._spread(unit), y._spread(unit)
         order = min(len(a), len(b)) - 1
         out = [0] * (order + 1)
         for i, c1 in enumerate(a[:order + 1]):
@@ -348,7 +359,7 @@ class TruncatedSeries:
                 c2 = b[j]
                 if c2:
                     out[i + j] += c1 * c2
-        return self._trusted(tuple(out), self.offset + other.offset, Fraction(1, d))
+        return self._trusted(tuple(out), x.den, x.off + y.off, unit)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires leading coefficient +/-1.  The
@@ -368,37 +379,67 @@ class TruncatedSeries:
                     break
                 acc += c * inv[k - j]
             inv[k] = -lead * acc
-        return self._trusted(tuple(inv), -self.offset, self.step)
+        return self._trusted(tuple(inv), self.den, -self.off, self.stride)
 
     def times_pochhammer(self, *symbols: tuple["PochhammerSpec", int]) -> "TruncatedSeries":
         """self * prod spec^power over the pairs (spec, power), power = 1 or -1;
-        self for no pair.  The step is refined once, until every factor exponent
-        is a grid index, and `_apply_factor` applies each factor in place.
+        self for no pair.  The den is refined once, until every factor exponent
+        is an integer, and `_times` applies the factors.
         Raises NonInvertibleSeriesError for power = -1 on a factor of exponent 0."""
         if not symbols:
             return self
-        d = lcm(self.step.denominator, *(x.denominator for spec, _ in symbols
-                                         for x in (spec.exponent, spec.step)))
-        _, stride, c = _times_symbols((0, d // self.step.denominator, self.coeffs), [
+        d = lcm(self.den, *(x.denominator for spec, _ in symbols
+                            for x in (spec.exponent, spec.step)))
+        return self._on(d)._times([
             (_at(spec.exponent, d), _at(spec.step, d), spec.length, spec.sign, power)
             for spec, power in symbols])
-        return self._trusted(tuple(c), self.offset, Fraction(stride, d))
+
+    def _times(self, factors) -> "TruncatedSeries":
+        """self times (1 - sign*q^((first + i*gap)/den))^power for i < length
+        (every i inside the series if length is None) over the factors (first,
+        gap, length, sign, power), on its stride refined once, to divide every
+        first and gap; `_apply_factor` applies each factor in place."""
+        unit = gcd(self.stride, *(x for first, gap, *_ in factors for x in (first, gap)))
+        c = self._spread(unit)
+        for first, gap, length, sign, power in factors:
+            n = len(c) if length is None else length
+            for e in range(first // unit, min(len(c), (first + n * gap) // unit), gap // unit):
+                _apply_factor(c, e, sign, power)
+        return self._trusted(tuple(c), self.den, self.off, unit)
+
+    def _spread(self, unit: int) -> list[int]:
+        """The coefficients as a dense list on `unit`, a divisor of the stride."""
+        c = [0] * (self.order * (self.stride // unit) + 1)
+        c[::self.stride // unit] = self.coeffs
+        return c
 
     def shift(self, exponent) -> "TruncatedSeries":
         """Multiply by q^exponent."""
-        return self._trusted(self.coeffs, self.offset + _as_fraction(exponent), self.step)
+        e = _as_fraction(exponent)
+        s = self._on(lcm(self.den, e.denominator))
+        return s._trusted(s.coeffs, s.den, s.off + _at(e, s.den), s.stride)
 
     def truncate(self, frontier) -> "TruncatedSeries":
         """Restrict the guarantee to exponents <= frontier."""
         f = _as_fraction(frontier)
-        if f >= self.frontier:
+        order = (f.numerator * self.den // f.denominator - self.off) // self.stride
+        if order >= self.order:
             return self
-        order = (f - self.offset) // self.step
         if order < 0:
             raise ValueError("truncation below the series offset")
-        return self._trusted(self.coeffs[:order + 1], self.offset, self.step)
+        return self._trusted(self.coeffs[:order + 1], self.den, self.off, self.stride)
 
     # -- comparison / rendering --------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TruncatedSeries) and \
+            (self.coeffs, self.offset, self.step) == (other.coeffs, other.offset, other.step)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.offset, self.step))
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries({self.coeffs!r}, {self.offset!r}, {self.step!r})"
 
     def to_json(self) -> dict:
         """Canonical JSON form: offset, step and coefficients as strings."""
@@ -413,62 +454,24 @@ def _place(out: list[int], coeffs: Sequence[int], start: int, stride: int) -> No
     out[start:stop:stride] = map(int.__add__, out[start:stop:stride], coeffs)
 
 
-# A series on a denominator D is the entry (off, stride, coeffs): coeffs[i] is
-# the coefficient of q^((off + i*stride)/D), every exponent an integer.
-def _at(x: Fraction, d: int) -> int:
-    """x * d, for x on the grid 1/d."""
-    return x.numerator * (d // x.denominator)
-
-
-def _series(d: int, off: int, stride: int, coeffs: Sequence[int]) -> TruncatedSeries:
-    return TruncatedSeries._trusted(tuple(coeffs), Fraction(off, d), Fraction(stride, d))
-
-
-def _times_symbols(entry, factors) -> tuple[int, int, list[int]]:
-    """The entry times (1 - sign*q^(first + i*gap))^power for i < length (every
-    i inside the list if length is None) over the factors (first, gap, length,
-    sign, power), on its stride refined once, to divide every first and gap."""
-    off, stride, coeffs = entry
-    unit = gcd(stride, *(x for first, gap, *_ in factors for x in (first, gap)))
-    c = [0] * ((len(coeffs) - 1) * (stride // unit) + 1)
-    c[::stride // unit] = coeffs
-    for first, gap, length, sign, power in factors:
-        n = len(c) if length is None else length
-        for e in range(first // unit, min(len(c), (first + n * gap) // unit), gap // unit):
-            _apply_factor(c, e, sign, power)
-    return off, unit, c
-
-
-def _grid_sum(entries, top: Optional[int] = None) -> tuple[int, int, list[int]]:
-    """The sum of entries on one D, placed once on one grid: from the least
-    offset, on the gcd of every stride and offset difference, to the least last
-    exponent, or to `top` if lower (refused below the offset, as by `truncate`)."""
-    low = min(off for off, _, _ in entries)
-    unit = gcd(*(x for off, stride, _ in entries for x in (stride, off - low)))
-    end = min(off + (len(c) - 1) * stride for off, stride, c in entries)
-    if top is not None and top < end:
-        if top < low:
-            raise ValueError("truncation below the series offset")
-        end = top
-    acc = [0] * ((end - low) // unit + 1)
-    for off, stride, c in entries:
-        _place(acc, c, (off - low) // unit, stride // unit)
-    return low, unit, acc
-
-
 def series_sum(terms: Sequence[TruncatedSeries]) -> TruncatedSeries:
     """Sum of a nonempty sequence of series, placed once on one grid.
 
-    The grid starts at the least offset with step 1/d, d the lcm of every
-    step denominator and every offset difference, and ends at the least
-    frontier, so the sum never goes past its guaranteed order."""
-    d = lcm(*(x.denominator for s in terms for x in (s.offset, s.step)))
-    return _series(d, *_grid_sum([(_at(s.offset, d), d // s.step.denominator, s.coeffs)
-                                  for s in terms]))
+    The terms are moved to the lcm of their dens; the grid starts at the least
+    offset, on the gcd of every stride and offset difference, and ends at the
+    least frontier, so the sum never goes past its guaranteed order."""
+    den = lcm(*(s.den for s in terms))
+    terms = [s._on(den) for s in terms]
+    low = min(s.off for s in terms)
+    unit = gcd(*(x for s in terms for x in (s.stride, s.off - low)))
+    acc = [0] * ((min(s.off + (len(s.coeffs) - 1) * s.stride for s in terms) - low) // unit + 1)
+    for s in terms:
+        _place(acc, s.coeffs, (s.off - low) // unit, s.stride // unit)
+    return TruncatedSeries._trusted(tuple(acc), den, low, unit)
 
 
 def series_one(order: int) -> TruncatedSeries:
-    return TruncatedSeries._trusted((1,) + (0,) * order, Fraction(0), Fraction(1))
+    return TruncatedSeries._trusted((1,) + (0,) * order, 1, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,9 @@ seed's table by nested Horner sums, both regimes sharing the multipliers A, T
 and D (O(N^2) kernel passes, as is the check).  The n -> infinity limit of
 the defining relation is the weak lemma, `weak_lemma`.
 
-The fold, the check and the weak lemma work on integers: a table has one D,
-the lcm of the denominators of k, of the finite parameters and of the seed's
-offsets and steps, and each entry is (off, stride, coeffs) with coeffs[i] the
-coefficient of q^((off + i*stride)/D).  A `Fraction` is made only as a seed
-entry comes in, as `table` returns series, and in what `verify_bailey_pair`
-and `weak_lemma` return.
+A table has one den, the lcm of the denominators of k, of the finite
+parameters and of the seed's dens; every alpha and beta is a series on it, so
+the fold, the check and the weak lemma shift and multiply in integers.
 """
 from __future__ import annotations
 
@@ -24,9 +21,9 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, _at,
-                    _grid_sum, _place, _series, _times_symbols, series_one)
-from .sums import _quadratic_range
+from ..qalg import (PochhammerSpec, TruncatedSeries, _apply_factor, _at, _place,
+                    series_one, series_sum)
+from .sums import _quadratic_range, compare_series
 
 INFINITY = None
 BaileyParam = Fraction | None
@@ -48,25 +45,18 @@ class BaileyPair:
     steps: tuple[tuple[BaileyParam, BaileyParam], ...] = ()
 
     def table(self, order: int, nmax: int) -> SeedTable:
-        """alpha_n, beta_n for n <= nmax, to `order`: the seed's table, then
-        per step alpha_n -> D_n A_n alpha_n and beta_n -> D_n sum_m T_m Y_{n-m}
-        (Y_j = A_j beta_j) as `_nested_sums`, g_m = T_m/T_{m-1} = (1 - q^{c+m-1})
-        / (1 - q^m) with q^c = aq/(rho sigma), numerator 1 if a parameter is infinite."""
-        d, alphas, betas = self._entries(order, nmax)
-        return tuple([_series(d, *x) for x in entries] for entries in (alphas, betas))
-
-    def _entries(self, order: int, nmax: int) -> tuple[int, list, list]:
-        """(D, alphas, betas) of `table`, each entry (off, stride, coeffs) on D."""
+        """alpha_n, beta_n for n <= nmax, to `order`, all on one den: the seed's
+        table, then per step alpha_n -> D_n A_n alpha_n and beta_n -> D_n sum_m
+        T_m Y_{n-m} (Y_j = A_j beta_j) as `_nested_sums`, g_m = T_m/T_{m-1} =
+        (1 - q^{c+m-1})/(1 - q^m), q^c = aq/(rho sigma), numerator 1 if infinite."""
         if order < 0:
             raise ValueError("order must be nonnegative")
         k = self.base_exponent
         seed = self.seed(order, nmax)
         d = lcm(k.denominator, *(p.denominator for step in self.steps for p in step
                                  if p is not None),
-                *(x.denominator for entries in seed for s in entries
-                  for x in (s.offset, s.step)))
-        alphas, betas = ([(_at(s.offset, d), d // s.step.denominator, s.coeffs)
-                          for s in entries] for entries in seed)
+                *(s.den for entries in seed for s in entries))
+        alphas, betas = ([s._on(d) for s in entries] for entries in seed)
         for rho, sigma in self.steps:
             finite, ninf = _multiplier(k, rho, sigma)
             for r in finite:  # a negative parameter is refused as by (q^r; q)_j
@@ -75,19 +65,19 @@ class BaileyPair:
             bottoms = [d + _at(k, d) - x for x in tops]
             c = d + _at(k, d) - sum(tops)  # q^{c/D} = aq/(rho sigma)
 
-            def scaled(j, entry, n):  # D_n A_j entry, A_j its limit for infinite parameters
-                off, stride, coeffs = _times_symbols(entry, [
-                    *((x, d, j, 1, 1) for x in tops), *((x, d, n, 1, -1) for x in bottoms)])
-                return (off + j * c + ninf * d * (j * (j - 1) // 2), stride,
-                        [-x for x in coeffs] if ninf * j % 2 else coeffs)
+            def scaled(j, s, n):  # D_n A_j s, A_j its limit for infinite parameters
+                s = s._times([*((x, d, j, 1, 1) for x in tops),
+                              *((x, d, n, 1, -1) for x in bottoms)])
+                return s._trusted(tuple(-x for x in s.coeffs) if ninf * j % 2 else s.coeffs,
+                                  d, s.off + j * c + ninf * d * (j * (j - 1) // 2), s.stride)
 
-            alphas = [scaled(n, x, n) for n, x in enumerate(alphas)]
+            alphas = [scaled(n, s, n) for n, s in enumerate(alphas)]
             # n = 0 still refines Y_j's stride by (1+k-r)D, so it divides c
             betas = list(_nested_sums(
-                [scaled(j, x, 0) for j, x in enumerate(betas)], d, d,
+                [scaled(j, s, 0) for j, s in enumerate(betas)], d,
                 None if ninf else lambda n: (c - d, d),
                 lambda n: [(x, n) for x in bottoms]))
-        return d, alphas, betas
+        return alphas, betas
 
 
 @dataclass(frozen=True)
@@ -111,16 +101,15 @@ def verify_bailey_pair(pair: BaileyPair, order: int, max_n: int) -> PairCheck:
     k = pair.base_exponent
     if k <= -1:
         raise ValueError(f"base q^{k}: aq = q^{1 + k} must have positive exponent")
-    d, alphas, betas = pair._entries(order, max_n)
+    alphas, betas = pair.table(order, max_n)
+    d = alphas[0].den
     aq = d + _at(k, d)
-    for n, (off, stride, rhs) in enumerate(_nested_sums(
-            alphas, d, d // k.denominator, lambda n: (aq + 2 * n * d, -d),
-            lambda n: [(aq, 2 * n)])):
-        low, unit, diff = _grid_sum([betas[n], (off, stride, [-x for x in rhs])])
-        first = next((i for i, x in enumerate(diff) if x), None)
-        if first is not None:
-            return PairCheck(False, order, n, failing_n=n,
-                             failing_exponent=Fraction(low + first * unit, d))
+    for n, rhs in enumerate(_nested_sums(alphas, d // k.denominator,
+                                         lambda n: (aq + 2 * n * d, -d),
+                                         lambda n: [(aq, 2 * n)])):
+        if not (betas[n] - rhs).is_zero():
+            return PairCheck(False, order, n, failing_n=n, failing_exponent=compare_series(
+                betas[n], rhs).first_difference)
     return PairCheck(True, order, max_n)
 
 
@@ -145,8 +134,7 @@ def rogers_ramanujan_seed() -> BaileyPair:
         for i in {0, n}:
             if i <= order:
                 coeffs[i] += (-1) ** n
-        return TruncatedSeries._trusted(tuple(coeffs), Fraction(n * (3 * n - 1), 2),
-                                        Fraction(1))
+        return TruncatedSeries._trusted(tuple(coeffs), 1, n * (3 * n - 1) // 2, 1)
 
     def seed(order: int, nmax: int) -> SeedTable:
         return ([alpha(n, order) for n in range(nmax + 1)],
@@ -163,12 +151,12 @@ def _beta_table(exponents: tuple[Fraction, ...], order: int, nmax: int
         PochhammerSpec(exponent=e, length=0)
     d = lcm(*(e.denominator for e in exponents))
     starts = [int((e - 1) * d) for e in exponents]
-    acc, offset, step = [1] + [0] * (order * d), Fraction(0), Fraction(1, d)
+    acc = [1] + [0] * (order * d)
     betas = []
     for n in range(nmax + 1):
         for start in starts if n else ():
             _apply_factor(acc, start + n * d, 1, -1)
-        betas.append(TruncatedSeries._trusted(tuple(acc), offset, step))
+        betas.append(TruncatedSeries._trusted(tuple(acc), d, 0, 1))
     return betas
 
 
@@ -192,28 +180,28 @@ def _multiplier(k: Fraction, rho: BaileyParam, sigma: BaileyParam):
     return finite, ninf
 
 
-def _nested_sums(terms: list, d: int, unit: int, numerator, denominators):
+def _nested_sums(terms: list[TruncatedSeries], unit: int, numerator, denominators):
     """For each n, (t_n + g_1 (t_{n-1} + ... + g_n t_0)) / prod (q^e; q)_l over
-    denominators(n), t = terms, g_m = (1 - q^{a+bm}) / (1 - q^m) with
-    (a, b) = numerator(n) (numerator 1 if None), every exponent times d:
+    denominators(n), t = terms on one den d, g_m = (1 - q^{a+bm}) / (1 - q^m)
+    with (a, b) = numerator(n) (numerator 1 if None), every exponent times d:
     O(n) kernel passes on one dense list, on the stride of `series_sum`'s grid
     for terms[:n + 1] refined by `unit`, the gcd of `unit`, of every stride
     and of every offset difference."""
-    ref = terms[0][0]
-    grids = zip(accumulate((off for off, _, _ in terms), min),
-                accumulate((off + (len(c) - 1) * s for off, s, c in terms), min),
-                accumulate((gcd(unit, s, off - ref) for off, s, _ in terms), gcd))
+    d, ref = terms[0].den, terms[0].off
+    grids = zip(accumulate((s.off for s in terms), min),
+                accumulate((s.off + (len(s.coeffs) - 1) * s.stride for s in terms), min),
+                accumulate((gcd(unit, s.stride, s.off - ref) for s in terms), gcd))
     for n, (low, end, g) in enumerate(grids):
         acc = [0] * ((end - low) // g + 1)
         a, b = numerator(n) if numerator else (0, 0)
-        for j, (off, stride, c) in enumerate(terms[:n + 1]):
-            _place(acc, c, (off - low) // g, stride // g)
+        for j, s in enumerate(terms[:n + 1]):
+            _place(acc, s.coeffs, (s.off - low) // g, s.stride // g)
             if j < n:
                 if numerator:
                     _apply_factor(acc, (a + b * (n - j)) // g, 1, 1)
                 _apply_factor(acc, (n - j) * d // g, 1, -1)
-        yield _times_symbols((low, g, acc), [(e, d, length, 1, -1)
-                                             for e, length in denominators(n)])
+        yield TruncatedSeries._trusted(tuple(acc), d, low, g)._times(
+            [(e, d, length, 1, -1) for e, length in denominators(n)])
 
 
 def bailey_step(pair: BaileyPair, rho: BaileyParam, sigma: BaileyParam) -> BaileyPair:
@@ -236,10 +224,11 @@ def weak_lemma(pair: BaileyPair, order: int) -> tuple[TruncatedSeries, Truncated
     k = pair.base_exponent
     nmax = _quadratic_range(k.denominator, k.numerator,
                             -order * k.denominator).stop - 1
-    d, alphas, betas = pair._entries(order, nmax)
+    alphas, betas = pair.table(order, nmax)
+    d = alphas[0].den
     kd = _at(k, d)
-    lhs, rhs = (_grid_sum([(off + (n * d + kd) * n, stride, c)
-                           for n, (off, stride, c) in enumerate(entries)], order * d)
+    lhs, rhs = (series_sum([s._trusted(s.coeffs, d, s.off + (n * d + kd) * n, s.stride)
+                            for n, s in enumerate(entries)]).truncate(order)
                 for entries in (betas, alphas))
     PochhammerSpec(exponent=1 + k)  # (aq; q)_inf needs 1 + k > 0
-    return _series(d, *lhs), _series(d, *_times_symbols(rhs, [(d + kd, d, None, 1, -1)]))
+    return lhs, rhs._times([(d + kd, d, None, 1, -1)])

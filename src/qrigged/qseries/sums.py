@@ -11,8 +11,8 @@ over the integers `_quadratic_range` keeps within a bound, so a walk costs
 what it returns; the lattice walk yields each point with its exponent, and
 `eval_fermionic` nests its sum over the lattice (Horner).  Inside an
 evaluator every exponent is an integer x on one scale, standing for
-x / scale; a Fraction appears only as the returned series' offset and step
-and as the public `bound` of the lattice walk.
+x / scale, and the returned series is on that scale or a multiple of it; a
+Fraction appears only as the public `bound` of the lattice walk.
 """
 from __future__ import annotations
 
@@ -234,7 +234,7 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     n_i; the groups of larger k are added to acc as they are.  Constant and
     infinite symbols are applied once, to the sum; any other length
     multiplies its point's term at the trie's leaf.  The result is on the
-    grid of `series_sum`: offset low, step 1/d."""
+    grid of `series_sum`, offset low / scale and step 1/d, on den scale * d."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     least = sum(spec._single_min(i) for i in range(spec.dim))
@@ -257,7 +257,6 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     symbols = [(f.spec(()), f.power) for f, i in zip(spec.factors, levels) if i == -1]
     d = lcm(*(x.denominator for f in spec.factors for x in (f.exponent, f.step)),
             scale // gcd(scale, *(x - low for _, x in points)))
-    offset, step = Fraction(low, scale), Fraction(1, d)
     steps = [[(f.sign, int(f.exponent * d), int(f.step * d), f.power) for f, i
               in zip(spec.factors, levels) if i == level] for level in range(spec.dim)]
     # per level, the largest k whose factors can still reach q^(order*d)
@@ -273,7 +272,7 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
                 out[at] += 1
                 return
             term = TruncatedSeries._trusted((1,) + (0,) * (len(out) - 1 - at),
-                                            offset, step).times_pochhammer(*own)
+                                            d, 0, 1).times_pochhammer(*own)
             _place(out, term.coeffs, at, 1)
             return
         acc = [0] * (order * d + 1)
@@ -292,7 +291,8 @@ def eval_fermionic(spec: FermionicSumSpec, order: int) -> TruncatedSeries:
     out = [0] * (order * d + 1)
     add([(p, (x - low) * d // scale, [(f.spec(p), f.power) for f in leaf])
          for p, x in points], 0, out)
-    return TruncatedSeries._trusted(tuple(out), offset, step).times_pochhammer(*symbols)
+    return TruncatedSeries._trusted(tuple(out), scale * d, low * d, scale) \
+        .times_pochhammer(*symbols)
 
 
 @dataclass(frozen=True)
@@ -340,20 +340,19 @@ class BosonicSumSpec:
 
 def eval_bosonic(spec: BosonicSumSpec, order: int) -> TruncatedSeries:
     """Exact coefficients of the bosonic sum to relative order `order`.  The
-    theta sum is on the grid `series_sum` would give its terms: offset the
-    least exponent low / scale, step 1/d, d = scale / gcd(scale, every
-    x - low); one `times_pochhammer` call then applies the prefactors."""
+    theta sum is on the grid `series_sum` would give its terms, on den
+    scale: offset low, the least exponent, stride gcd(scale, every x -
+    low); one `times_pochhammer` call then applies the prefactors."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     scale, terms = spec.theta_terms(order)
     low = terms[0][0]
     g = gcd(scale, *(x - low for x, _ in terms))
-    d = scale // g
-    out = [0] * (order * d + 1)
+    out = [0] * (order * scale // g + 1)
     for x, sign in terms:  # each x - low is at most order * scale
         out[(x - low) // g] += sign
-    return TruncatedSeries._trusted(tuple(out), Fraction(low, scale), Fraction(1, d)) \
-        .times_pochhammer(*((f.spec(()), f.power) for f in spec.prefactors))
+    return TruncatedSeries._trusted(tuple(out), scale, low, g).times_pochhammer(
+        *((f.spec(()), f.power) for f in spec.prefactors))
 
 
 @dataclass(frozen=True)
@@ -372,6 +371,6 @@ def compare_series(a: TruncatedSeries, b: TruncatedSeries) -> SeriesComparison:
     if diff.is_zero():
         return SeriesComparison(True, diff.frontier)
     first = next(i for i, c in enumerate(diff.coeffs) if c)
-    bad = diff.offset + first * diff.step
+    bad = Fraction(diff.off + first * diff.stride, diff.den)
     return SeriesComparison(False, diff.frontier, bad,
                             a.coefficient(bad), b.coefficient(bad))

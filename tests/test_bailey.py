@@ -1,5 +1,7 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -107,7 +109,7 @@ class TestSeedTable:
             pytest.fail(f"k = {k}: {type(info.value).__name__}: {info.value}")
 
     def test_fraction_constructions_do_not_grow_with_the_table(self, monkeypatch):
-        # the steps fold integer entries on one denominator: an infinite step
+        # the steps fold series on the table's one den: an infinite step
         # adds a few Fraction constructions to weak_lemma(pair, 60) for its
         # parameters, not one or more per entry of the table
         pairs = [rogers_ramanujan_seed()]
@@ -128,6 +130,33 @@ class TestSeedTable:
             counts.append(made[0])
         if max(b - a for a, b in zip(counts, counts[1:])) > 5:
             pytest.fail(f"Fraction constructions for 0..3 infinite steps: {counts}")
+
+    @pytest.mark.parametrize("steps", [(), ((INFINITY, INFINITY),),
+                                       ((Fraction(1, 2), INFINITY),),
+                                       ((Fraction(1, 3), Fraction(1, 4)),)],
+                             ids=["seed", "inf-inf", "1/2-inf", "1/3-1/4"])
+    def test_every_entry_on_the_table_den(self, steps):
+        # the seed-at-1/3 of test_bailey_reference.py (the Rogers-Ramanujan
+        # seed's entries, on den 1, relative to a = q^{1/3}), and the same
+        # seed with its entries moved to dens 1..nmax+1 and 2: every alpha
+        # and beta of the table is on one den, and the values do not move
+        base = replace(rogers_ramanujan_seed(), base_exponent=Fraction(1, 3))
+
+        def moved_seed(order, nmax):
+            alphas, betas = base.seed(order, nmax)
+            return [s._on(s.den * (n + 1)) for n, s in enumerate(alphas)], \
+                [s._on(s.den * 2) for s in betas]
+
+        moved = replace(base, seed=moved_seed)
+        for rho, sigma in steps:
+            base, moved = (bailey_step(p, rho, sigma) for p in (base, moved))
+        d = lcm(3, *(p.denominator for step in steps for p in step if p is not None))
+        tables = [pair.table(12, 6) for pair in (base, moved)]
+        dens = [{s.den for entries in table for s in entries} for table in tables]
+        if dens != [{d}, {lcm(d, *range(1, 8))}] \
+                or [[s.to_json() for s in entries] for entries in tables[0]] \
+                != [[s.to_json() for s in entries] for entries in tables[1]]:
+            pytest.fail(f"dens {dens}, want {d} and {lcm(d, *range(1, 8))}")
 
     def test_base_minus_one_is_refused_only_past_beta_0(self):
         # (q^0; q)_0 = 1 divides out no factor yet

@@ -285,6 +285,14 @@ class TestExitCodes:
          EXIT_USAGE, "101 steps is above the limit 100"),
         (["bailey", "--steps", "1", "--rho", "x"],
          EXIT_USAGE, "malformed rational 'x'"),
+        # a negative rational as its own argument is a value, as -1 is
+        (["bailey", "--steps", "1", "--rho", "-1/2"],
+         EXIT_USAGE, "exponent must be nonnegative"),
+        (["bailey", "--steps", "1", "--sigma", "-2/3", "--rho", "1/2"],
+         EXIT_USAGE, "exponent must be nonnegative"),
+        (["pochhammer", "--exponent", "-1/2"],
+         EXIT_USAGE, "infinite q-Pochhammer product requires a positive exponent"),
+        (["pochhammer", "--step", "-1/3"], EXIT_USAGE, "step must be positive"),
         (["character", "--preset", "no-such-preset"],
          EXIT_UNKNOWN_PRESET, "no-such-preset"),
         (["compare", "--preset-a", "nope", "--preset-b", "lebesgue"],

@@ -371,3 +371,39 @@ class TestPochhammer:
         s = pochhammer(PochhammerSpec(1, Fraction(1, 2), Fraction(1), 1), 3)
         assert s.coefficient(Fraction(1, 2)) == -1
         assert s.coefficient(Fraction(0)) == 1
+
+
+class TestSeriesValue:
+    # a series is its value: moved to m times its den, with off and stride
+    # scaled by m, it is equal, hashes equal, reads the same and gives the
+    # same result under every operation, on either side of it
+    @settings(max_examples=200, deadline=None)
+    @given(series_lists(), st.integers(2, 6),
+           st.fractions(min_value=-3, max_value=3, max_denominator=6),
+           st.lists(st.tuples(pochhammer_specs(), st.sampled_from((1, -1))),
+                    max_size=2),
+           st.data())
+    def test_moved_to_a_multiple_of_its_den(self, terms, m, exponent, symbols, data):
+        a, c = terms[0], terms[-1]
+        b = TruncatedSeries._trusted(a.coeffs, a.den * m, a.off * m, a.stride * m)
+        _expect((b, hash(b)), (a, hash(a)), "value and hash")
+        _expect([b.to_json(), b.offset, b.step, b.frontier],
+                [a.to_json(), a.offset, a.step, a.frontier], "views")
+        grid = [a.offset + Fraction(i, 12 * a.step.denominator)  # twelfths of a step
+                for i in range(-2, 12 * a.order + 1)]
+        _expect([b.coefficient(e) for e in grid], [a.coefficient(e) for e in grid],
+                "coefficient()")
+        frontier = data.draw(st.fractions(min_value=a.offset, max_value=a.frontier + 1,
+                                          max_denominator=12), "frontier")
+        for what, result in [("+", lambda s: s + c), ("+ (right)", lambda s: c + s),
+                             ("-", lambda s: s - c), ("- (right)", lambda s: c - s),
+                             ("*", lambda s: s * c), ("* (right)", lambda s: c * s),
+                             ("shift", lambda s: s.shift(exponent)),
+                             ("truncate", lambda s: s.truncate(frontier)),
+                             ("invert", lambda s: outcome(s.invert)),
+                             ("times_pochhammer",
+                              lambda s: outcome(lambda: s.times_pochhammer(*symbols)))]:
+            got, want = result(b), result(a)
+            _expect(got, want, what)
+            if isinstance(want, TruncatedSeries):
+                _expect(got.to_json(), want.to_json(), f"{what} to_json")
